@@ -1,9 +1,12 @@
 //! Predictor-bank micro-benchmarks: µs/occurrence for training (`observe` /
 //! `observe_incremental`) and maximum-likelihood rollout, at the two
 //! excitation widths the paper's benchmarks actually produce (~128 and ~224
-//! tracked bits, §4.4). These are the numbers behind the ROADMAP "cheapen
-//! prediction" item: the planner's sustainable occurrence-ingest rate is
-//! bounded by the per-occurrence training cost measured here.
+//! tracked bits, §4.4) plus the 8 160-bit width the recognizer's throw-away
+//! banks reach on `2mm` (255 tracked words — where the logistic weights'
+//! layout and laziness decide both the time and the memory). These are the
+//! numbers behind the ROADMAP "spend the ledger" item: the planner's
+//! sustainable occurrence-ingest rate is bounded by the per-occurrence
+//! training cost measured here.
 //!
 //! The occurrence trace is synthetic but shaped like the real thing: a fixed
 //! set of 32-bit words mutates every occurrence with the four patterns the
@@ -108,6 +111,28 @@ fn bench_observe(c: &mut Criterion) {
     }
 }
 
+fn bench_observe_wide(c: &mut Criterion) {
+    // The recognizer-sized bank: 255 tracked words = 8 160 bits, the width
+    // `max_excited_bits` truncation produces on 2mm. One iteration is a short
+    // trace through the full path — at this width a single occurrence walks
+    // megabytes of logistic weights, so 16 occurrences is plenty to time.
+    const WIDE_WORDS: usize = 255;
+    const WIDE_TRACE_LEN: usize = 16;
+    let config = AscConfig { max_excited_bits: WIDE_WORDS * 32, ..AscConfig::for_tests() };
+    let states = trace(WIDE_WORDS, WIDE_TRACE_LEN);
+    let mut bank = warmed_bank(&states, &config);
+    assert_eq!(bank.excited_bits(), WIDE_WORDS * 32);
+    c.bench_function(format!("predictor_observe/full_{}", WIDE_WORDS * 32), |b| {
+        b.iter(|| {
+            bank.break_stream();
+            for state in &states {
+                bank.observe(black_box(state));
+            }
+            bank.observations()
+        })
+    });
+}
+
 fn bench_observe_logistic_map(c: &mut Criterion) {
     // Real occurrence states from the logistic-map kernel's outer-loop head:
     // the chaotic map value and checksum words give a *high-entropy*
@@ -156,6 +181,6 @@ fn bench_rollout(c: &mut Criterion) {
 criterion_group!(
     name = predictor;
     config = Criterion::default().sample_size(10);
-    targets = bench_observe, bench_observe_logistic_map, bench_rollout
+    targets = bench_observe, bench_observe_wide, bench_observe_logistic_map, bench_rollout
 );
 criterion_main!(predictor);

@@ -70,8 +70,10 @@ fn number_field(line: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Parses a JSON-lines bench report into id → record, keeping the last
-/// record per id (a re-run bench supersedes its earlier appearance).
+/// Parses a JSON-lines bench report into id → record. An id that appears
+/// twice is an error: silently keeping either record would let a stale line
+/// in the baseline (or a bench registered twice) decide what the gate
+/// compares against.
 fn parse_report(text: &str, path: &str) -> Result<BTreeMap<String, Record>, String> {
     let mut records = BTreeMap::new();
     for (index, line) in text.lines().enumerate() {
@@ -86,7 +88,9 @@ fn parse_report(text: &str, path: &str) -> Result<BTreeMap<String, Record>, Stri
         if !(min_ns.is_finite() && min_ns > 0.0) {
             return Err(format!("{path}:{}: non-positive minimum for {id}", index + 1));
         }
-        records.insert(id, Record { min_ns });
+        if records.insert(id.clone(), Record { min_ns }).is_some() {
+            return Err(format!("{path}:{}: duplicate benchmark id {id:?}", index + 1));
+        }
     }
     if records.is_empty() {
         return Err(format!("{path}: no benchmark records found"));
@@ -294,10 +298,15 @@ mod tests {
     }
 
     #[test]
-    fn later_records_supersede_earlier_ones() {
-        let text = concat!("{\"id\":\"a\",\"min_ns\":100}\n", "{\"id\":\"a\",\"min_ns\":200}\n",);
-        let report = parse_report(text, "test").unwrap();
-        assert_eq!(report["a"].min_ns, 200.0);
+    fn duplicate_ids_are_a_hard_error() {
+        let text = concat!(
+            "{\"id\":\"a\",\"min_ns\":100}\n",
+            "{\"id\":\"b\",\"min_ns\":100}\n",
+            "{\"id\":\"a\",\"min_ns\":200}\n",
+        );
+        let error = parse_report(text, "base.json").unwrap_err();
+        assert!(error.contains("base.json:3"), "{error}");
+        assert!(error.contains("duplicate benchmark id \"a\""), "{error}");
     }
 
     #[test]

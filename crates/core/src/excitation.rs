@@ -20,11 +20,27 @@ use asc_tvm::state::StateVector;
 use std::collections::BTreeMap;
 
 /// Accumulates per-bit change counts between successive occurrence states.
+///
+/// The tracker keeps one retained copy of the previous occurrence state and
+/// diffs each new state against it a 32-bit word at a time
+/// ([`StateVector::diff_words_into`]); counts live per changed *word* (32
+/// counters each), so an occurrence costs one map lookup per changed word
+/// rather than one per changed bit. The word-level diff of the latest
+/// occurrence stays readable through [`last_diff`](ExcitationTracker::last_diff)
+/// so the predictor bank's drift check can reuse the scan instead of
+/// repeating it.
 #[derive(Debug, Clone)]
 pub struct ExcitationTracker {
     threshold: u32,
     previous: Option<StateVector>,
-    change_counts: BTreeMap<usize, u32>,
+    /// Change counts of the 32 bits of every aligned word that ever changed,
+    /// keyed by the byte index of the word's first byte.
+    change_counts: BTreeMap<usize, [u32; 32]>,
+    /// `(word byte index, xor)` pairs of the most recent [`observe`], in
+    /// ascending order; empty after the first state.
+    ///
+    /// [`observe`]: ExcitationTracker::observe
+    last_diff: Vec<(usize, u32)>,
     observations: usize,
 }
 
@@ -36,6 +52,7 @@ impl ExcitationTracker {
             threshold: threshold.max(1),
             previous: None,
             change_counts: BTreeMap::new(),
+            last_diff: Vec::new(),
             observations: 0,
         }
     }
@@ -47,25 +64,46 @@ impl ExcitationTracker {
 
     /// Number of distinct bits seen to change at least once.
     pub fn changed_bits(&self) -> usize {
-        self.change_counts.len()
+        self.counted_bits().count()
+    }
+
+    /// `(absolute bit index, change count)` of every bit that has changed at
+    /// least once, in ascending bit order.
+    fn counted_bits(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        self.change_counts.iter().flat_map(|(&word, counts)| {
+            counts
+                .iter()
+                .enumerate()
+                .filter(|(_, &count)| count > 0)
+                .map(move |(offset, &count)| (word * 8 + offset, count))
+        })
     }
 
     /// Folds in the state at a new occurrence of the recognized IP.
     pub fn observe(&mut self, state: &StateVector) {
-        if let Some(previous) = &self.previous {
-            for byte_index in previous.diff_bytes(state) {
-                let old = previous.byte(byte_index);
-                let new = state.byte(byte_index);
-                let changed = old ^ new;
-                for bit in 0..8 {
-                    if changed & (1 << bit) != 0 {
-                        *self.change_counts.entry(byte_index * 8 + bit).or_insert(0) += 1;
+        self.last_diff.clear();
+        match &mut self.previous {
+            Some(previous) => {
+                previous.diff_words_into(state, &mut self.last_diff);
+                for &(word, xor) in &self.last_diff {
+                    let counts = self.change_counts.entry(word).or_insert([0; 32]);
+                    let mut remaining = xor;
+                    while remaining != 0 {
+                        counts[remaining.trailing_zeros() as usize] += 1;
+                        remaining &= remaining - 1;
                     }
                 }
+                previous.clone_from(state);
             }
+            None => self.previous = Some(state.clone()),
         }
-        self.previous = Some(state.clone());
         self.observations += 1;
+    }
+
+    /// The word-level diff between the two most recently observed states:
+    /// `(byte index of the aligned word, xor)` pairs in ascending order.
+    pub fn last_diff(&self) -> &[(usize, u32)] {
+        &self.last_diff
     }
 
     /// Freezes the tracker into a map over the bits that crossed the change
@@ -74,16 +112,17 @@ impl ExcitationTracker {
         self.build_map_with_limit(usize::MAX)
     }
 
-    /// Appends the accumulated change statistics to `out` for checkpointing.
-    /// The `previous` occurrence state is deliberately *not* saved: restoring
-    /// breaks the observation stream (exactly like
-    /// `PredictorBank::break_stream`), costing one training transition rather
-    /// than a full state vector per checkpoint.
+    /// Appends the accumulated change statistics to `out` for checkpointing
+    /// (one `(bit, count)` entry per changed bit, ascending). The `previous`
+    /// occurrence state is deliberately *not* saved: restoring breaks the
+    /// observation stream (exactly like `PredictorBank::break_stream`),
+    /// costing one training transition rather than a full state vector per
+    /// checkpoint.
     pub fn save_state(&self, out: &mut Vec<u8>) {
         persist::put_u32(out, self.threshold);
         persist::put_usize(out, self.observations);
-        persist::put_usize(out, self.change_counts.len());
-        for (&bit, &count) in &self.change_counts {
+        persist::put_usize(out, self.changed_bits());
+        for (bit, count) in self.counted_bits() {
             persist::put_usize(out, bit);
             persist::put_u32(out, count);
         }
@@ -108,11 +147,12 @@ impl ExcitationTracker {
         for _ in 0..entries {
             let bit = reader.usize()?;
             let count = reader.u32()?;
-            change_counts.insert(bit, count);
+            change_counts.entry(bit / 32 * 4).or_insert([0; 32])[bit % 32] = count;
         }
         self.observations = observations;
         self.change_counts = change_counts;
         self.previous = None;
+        self.last_diff.clear();
         Some(())
     }
 
@@ -122,12 +162,8 @@ impl ExcitationTracker {
     /// of the block learners for programs (such as `2mm`) that touch a new
     /// output location on every superstep.
     pub fn build_map_with_limit(&self, max_bits: usize) -> Option<ExcitationMap> {
-        let mut qualifying: Vec<(usize, u32)> = self
-            .change_counts
-            .iter()
-            .filter(|(_, count)| **count >= self.threshold)
-            .map(|(bit, count)| (*bit, *count))
-            .collect();
+        let mut qualifying: Vec<(usize, u32)> =
+            self.counted_bits().filter(|&(_, count)| count >= self.threshold).collect();
         if qualifying.is_empty() {
             return None;
         }
@@ -220,29 +256,45 @@ impl ExcitationMap {
     /// so the packed bit view is the word values laid end to end — one
     /// 32-bit read per tracked word and no per-bit work.
     pub fn observe(&self, state: &StateVector) -> PackedObservation {
-        let word_count = self.word_bytes.len();
-        let words: Vec<u32> = (0..word_count).map(|w| self.word_of(state, w)).collect();
-        let mut packed = vec![0u64; packed_len(self.bit_count())];
-        for (k, chunk) in words.chunks(2).enumerate() {
-            packed[k] = chunk[0] as u64 | (chunk.get(1).copied().unwrap_or(0) as u64) << 32;
-        }
-        PackedObservation::new(packed, self.bit_count(), words)
+        let mut observation = PackedObservation::default();
+        self.observe_into(state, &mut observation);
+        observation
     }
 
-    /// Rebuilds an observation from a packed predicted block (the inverse of
-    /// the bit view of [`observe`]): the tracked word values are the packed
-    /// halves. Used when rolling predictions forward without materialising a
-    /// full state per step.
+    /// [`observe`](ExcitationMap::observe) into an existing observation,
+    /// reusing its buffers (the per-occurrence hot path allocates nothing).
+    pub fn observe_into(&self, state: &StateVector, observation: &mut PackedObservation) {
+        observation.fill_from_words((0..self.word_bytes.len()).map(|w| self.word_of(state, w)));
+    }
+
+    /// Rebuilds `observation` in place from a packed predicted block (the
+    /// inverse of the bit view of [`observe`]): the tracked word values are
+    /// the packed halves. Used when rolling predictions forward without
+    /// materialising a full state per step.
     ///
     /// # Panics
     /// Panics when `bits` does not hold one packed word per 64 tracked bits.
     ///
     /// [`observe`]: ExcitationMap::observe
-    pub fn observation_from_packed(&self, bits: &[u64]) -> PackedObservation {
-        assert_eq!(bits.len(), packed_len(self.bit_count()), "predicted block has wrong arity");
-        let words =
-            (0..self.word_bytes.len()).map(|w| (bits[w / 2] >> (32 * (w % 2))) as u32).collect();
-        PackedObservation::new(bits.to_vec(), self.bit_count(), words)
+    pub fn observation_from_packed_into(&self, bits: &[u64], observation: &mut PackedObservation) {
+        observation.fill_from_packed_words(bits, self.word_bytes.len());
+    }
+
+    /// How many of the changed bits in a word-level state diff (ascending
+    /// `(word byte index, xor)` pairs, as produced by
+    /// [`StateVector::diff_words_into`]) fall outside the tracked set. The
+    /// map tracks whole aligned words, so this is one merge of the diff
+    /// against the sorted tracked words, popcounting the untracked ones.
+    pub fn unmapped_changed_bits(&self, diff: &[(usize, u32)]) -> usize {
+        let mut tracked = self.word_bytes.iter().peekable();
+        let mut unmapped = 0;
+        for &(word, xor) in diff {
+            while tracked.next_if(|&&byte| byte < word).is_some() {}
+            if tracked.peek() != Some(&&word) {
+                unmapped += xor.count_ones() as usize;
+            }
+        }
+        unmapped
     }
 
     /// Materialises a predicted state: a copy of `base` with the tracked
@@ -343,8 +395,36 @@ mod tests {
         let map = ExcitationMap::new(vec![0, 40, 70]);
         let state = state_with(64, &[(0, 0xDEAD_BEEF), (4, 0x1234_5678), (8, 0xCAFE_F00D)]);
         let obs = map.observe(&state);
-        let rebuilt = map.observation_from_packed(obs.packed());
+        let mut rebuilt = PackedObservation::default();
+        map.observation_from_packed_into(obs.packed(), &mut rebuilt);
         assert_eq!(rebuilt, obs);
+    }
+
+    #[test]
+    fn tracker_state_roundtrips_byte_identically() {
+        let mut tracker = ExcitationTracker::new(1);
+        for i in 0..6u32 {
+            tracker.observe(&state_with(64, &[(0, i), (12, i * 0x0101_0101), (60, i << 29)]));
+        }
+        let mut bytes = Vec::new();
+        tracker.save_state(&mut bytes);
+        let mut restored = ExcitationTracker::new(1);
+        restored.load_state(&mut Reader::new(&bytes)).expect("roundtrip restores");
+        assert_eq!(restored.changed_bits(), tracker.changed_bits());
+        assert_eq!(restored.build_map(), tracker.build_map());
+        let mut again = Vec::new();
+        restored.save_state(&mut again);
+        assert_eq!(again, bytes);
+    }
+
+    #[test]
+    fn unmapped_changed_bits_counts_only_untracked_words() {
+        // Tracks the words at bytes 0 and 8.
+        let map = ExcitationMap::new(vec![3, 64]);
+        assert_eq!(map.unmapped_changed_bits(&[]), 0);
+        assert_eq!(map.unmapped_changed_bits(&[(0, 0xFFFF), (8, 0b1)]), 0);
+        assert_eq!(map.unmapped_changed_bits(&[(0, 1), (4, 0b111), (8, 1), (12, 0xF0)]), 7);
+        assert_eq!(map.unmapped_changed_bits(&[(16, u32::MAX)]), 32);
     }
 
     #[test]

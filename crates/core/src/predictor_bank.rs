@@ -1,33 +1,46 @@
 //! The predictor bank: excitation tracking plus the learning ensemble, bound
 //! to one recognized instruction pointer (§4.4).
 //!
-//! The bank is the runtime end of the packed prediction pipeline:
+//! The bank is the runtime end of the packed prediction pipeline. One
+//! occurrence is one scan of the state and one traversal of each learner:
 //!
 //! ```text
-//! StateVector ──ExcitationMap::observe──▶ PackedObservation
-//!     (one 32-bit read per tracked word)        │
-//!                                               ├─ Ensemble::observe ── block
-//!                                               │  training, XOR mistake masks
-//!                                               └─ Ensemble::predict_ml ──▶
-//!                                                  packed ML block
-//!                                                        │
-//!                        ExcitationMap::materialize ◀────┘
-//!                        (patch tracked words onto the live state)
+//!                  ┌─ retained previous state (clone_from, no allocation)
+//! StateVector ─────┤
+//!   │              └─ StateVector::diff_words_into ──▶ (word, xor) pairs
+//!   │                   one word-wise scan                 │
+//!   │                         ┌────────────────────────────┤
+//!   │                         ▼                            ▼
+//!   │        ExcitationTracker change counts     ExcitationMap::unmapped_changed_bits
+//!   │        (one map lookup per changed word)   (merge vs tracked words → drift)
+//!   │
+//!   └─ExcitationMap::observe_into──▶ PackedObservation (reused buffer)
+//!       (one 32-bit read per tracked word)   │
+//!                                            ├─ Ensemble::observe: predict_block
+//!                                            │  per member → XOR mistake masks →
+//!                                            │  observe_transition(prev, next,
+//!                                            │  that member's own confidences)
+//!                                            └─ Ensemble::predict_ml_with ──▶
+//!                                               packed ML block (reused scratch)
+//!                                                     │
+//!                     ExcitationMap::materialize ◀────┘
+//!                     (patch tracked words onto the live state)
 //! ```
 //!
 //! It first warms up an [`ExcitationTracker`] over the stream of occurrence
 //! states to discover which bits actually change, then freezes an
 //! [`ExcitationMap`] and instantiates the block-predictor ensemble over
 //! exactly those bits. Every subsequent occurrence trains the ensemble with
-//! one block call per predictor. Given a current state it produces the
-//! maximum-likelihood predicted next state — and recursive rollouts of it,
-//! chained in packed observation space so only the returned states are
-//! materialised — each a *full* state vector built by patching only the
-//! tracked words: the paper's sparsity argument made concrete.
+//! one forward pass and one training call per predictor. Given a current
+//! state it produces the maximum-likelihood predicted next state — and
+//! recursive rollouts of it, chained in packed observation space through one
+//! set of reused buffers so only the returned states are materialised — each
+//! a *full* state vector built by patching only the tracked words: the
+//! paper's sparsity argument made concrete.
 
 use crate::config::{AscConfig, PredictorComplement};
 use crate::excitation::{ExcitationMap, ExcitationTracker};
-use asc_learn::ensemble::{Ensemble, EnsembleErrors};
+use asc_learn::ensemble::{Ensemble, EnsembleErrors, PredictionScratch};
 use asc_learn::features::PackedObservation;
 use asc_learn::persist::{self, Reader};
 use asc_learn::traits::{default_predictors, extended_predictors};
@@ -44,6 +57,24 @@ pub struct PredictedState {
     pub depth: usize,
 }
 
+/// Where the bank's training origin — the previous occurrence — came from,
+/// which decides what a full observe's drift check diffs the new state
+/// against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Origin {
+    /// There is no previous occurrence: the stream just started, was severed
+    /// or restored, or the ensemble was rebuilt.
+    None,
+    /// The previous occurrence went through [`PredictorBank::observe`]: the
+    /// tracker's retained state *is* the previous state, so the diff it just
+    /// computed serves the drift check too.
+    Tracked,
+    /// The previous occurrence went through
+    /// [`PredictorBank::observe_incremental`], which bypasses the tracker;
+    /// its state is kept in `detached_state`.
+    Detached,
+}
+
 /// Excitation tracking + ensemble for one recognized IP.
 pub struct PredictorBank {
     rip: u32,
@@ -55,7 +86,18 @@ pub struct PredictorBank {
     tracker: ExcitationTracker,
     map: Option<ExcitationMap>,
     ensemble: Option<Ensemble>,
-    previous: Option<(StateVector, PackedObservation)>,
+    /// Packed observations of the previous and the current occurrence. They
+    /// swap roles after every occurrence, so neither is ever reallocated;
+    /// `previous` is the training origin, meaningful unless `origin` is
+    /// [`Origin::None`].
+    previous: PackedObservation,
+    current: PackedObservation,
+    origin: Origin,
+    /// The previous occurrence's state while `origin` is
+    /// [`Origin::Detached`] (one retained buffer), and the scratch diff
+    /// against it.
+    detached_state: Option<StateVector>,
+    detached_diff: Vec<(usize, u32)>,
     observations: u64,
     /// Consecutive occurrences whose changes fell substantially outside the
     /// frozen map.
@@ -88,7 +130,11 @@ impl PredictorBank {
             tracker: ExcitationTracker::new(config.excitation_threshold),
             map: None,
             ensemble: None,
-            previous: None,
+            previous: PackedObservation::default(),
+            current: PackedObservation::default(),
+            origin: Origin::None,
+            detached_state: None,
+            detached_diff: Vec::new(),
             observations: 0,
             drift: 0,
             last_rebuild: 0,
@@ -151,7 +197,7 @@ impl PredictorBank {
         if let Some(map) = self.tracker.build_map_with_limit(self.max_excited_bits) {
             self.ensemble = Some(self.make_ensemble(&map));
             self.map = Some(map);
-            self.previous = None;
+            self.origin = Origin::None;
             self.drift = 0;
             self.last_rebuild = self.observations;
         }
@@ -247,7 +293,7 @@ impl PredictorBank {
         self.last_rebuild = last_rebuild;
         self.map = map;
         self.ensemble = ensemble;
-        self.previous = None;
+        self.origin = Origin::None;
         Some(())
     }
 
@@ -255,6 +301,8 @@ impl PredictorBank {
     /// the ensemble on the transition from the previous occurrence.
     pub fn observe(&mut self, state: &StateVector) {
         self.observations += 1;
+        // The one full-state scan of this occurrence: it updates the change
+        // counts and leaves the word-level diff behind for the drift check.
         self.tracker.observe(state);
 
         if self.ensemble.is_none() {
@@ -266,27 +314,22 @@ impl PredictorBank {
             }
         }
 
-        // Detect drift: *substantial* changes outside the frozen map mean the
-        // program moved to a new phase; rebuild from the (still accumulating)
-        // tracker. A handful of unmapped bits per superstep — the freshly
-        // written output cell of a kernel like 2mm, which no later superstep
-        // reads — is expected and must not trigger a rebuild.
         let map = self.map.as_ref().expect("ensemble implies map");
-        let observation = map.observe(state);
-        if let Some((previous_state, previous_observation)) = &self.previous {
-            let unmapped_changed_bits: usize = previous_state
-                .diff_bytes(state)
-                .iter()
-                .map(|&byte| {
-                    (0..8)
-                        .filter(|bit| {
-                            let index = byte * 8 + bit;
-                            (previous_state.bit(index) != state.bit(index))
-                                && map.bit_indices().binary_search(&index).is_err()
-                        })
-                        .count()
-                })
-                .sum();
+        map.observe_into(state, &mut self.current);
+        if self.origin != Origin::None {
+            // Detect drift: *substantial* changes outside the frozen map mean the
+            // program moved to a new phase; rebuild from the (still accumulating)
+            // tracker. A handful of unmapped bits per superstep — the freshly
+            // written output cell of a kernel like 2mm, which no later superstep
+            // reads — is expected and must not trigger a rebuild.
+            let unmapped_changed_bits = match (self.origin, &self.detached_state) {
+                (Origin::Detached, Some(previous_state)) => {
+                    self.detached_diff.clear();
+                    previous_state.diff_words_into(state, &mut self.detached_diff);
+                    map.unmapped_changed_bits(&self.detached_diff)
+                }
+                _ => map.unmapped_changed_bits(self.tracker.last_diff()),
+            };
             if unmapped_changed_bits > 64 {
                 self.drift += 1;
             } else {
@@ -296,17 +339,18 @@ impl PredictorBank {
             if self.drift >= 3 && rebuild_allowed {
                 // The paper's recognizer calls reset() on its predictors when
                 // program behaviour changes; rebuilding widens the map to the
-                // newly excited bits.
+                // newly excited bits. This state becomes the new map's first
+                // training origin.
                 self.build_ensemble();
                 let map = self.map.as_ref().expect("rebuild keeps a map");
-                let observation = map.observe(state);
-                self.previous = Some((state.clone(), observation));
-                return;
+                map.observe_into(state, &mut self.current);
+            } else {
+                let ensemble = self.ensemble.as_mut().expect("checked above");
+                ensemble.observe(&self.previous, &self.current);
             }
-            let ensemble = self.ensemble.as_mut().expect("checked above");
-            ensemble.observe(previous_observation, &observation);
         }
-        self.previous = Some((state.clone(), observation));
+        std::mem::swap(&mut self.previous, &mut self.current);
+        self.origin = Origin::Tracked;
     }
 
     /// Cheap training path for high-rate occurrence streams (the planner's
@@ -316,12 +360,12 @@ impl PredictorBank {
     /// full-state excitation diff and drift scan that [`observe`] pays.
     /// Falls back to the full path until the ensemble is ready.
     ///
-    /// The packed refactor removed most of the gap between the two paths:
-    /// what remains in [`observe`] is the full-state `diff_bytes` scan that
-    /// keeps excitation discovery and drift detection alive — a cost
-    /// proportional to the *state* size, not the excitation count, so it
-    /// stays worth amortising. Callers should still route occasional
-    /// occurrences through [`observe`] (the planner does so every
+    /// What remains in [`observe`] beyond this path is the word-wise
+    /// full-state scan that keeps excitation discovery and drift detection
+    /// alive — a cost proportional to the *state* size, not the excitation
+    /// count, so it stays worth amortising on large states. Callers should
+    /// still route occasional occurrences through [`observe`] (the planner
+    /// does so every
     /// [`full_observe_interval`](crate::config::PlannerConfig::full_observe_interval)-th
     /// occurrence). Between full updates the tracker's diff spans several
     /// supersteps, which coarsens change *counts* but cannot hide a changing
@@ -335,12 +379,19 @@ impl PredictorBank {
         }
         self.observations += 1;
         let map = self.map.as_ref().expect("ensemble implies map");
-        let observation = map.observe(state);
-        if let Some((_, previous_observation)) = &self.previous {
+        map.observe_into(state, &mut self.current);
+        if self.origin != Origin::None {
             let ensemble = self.ensemble.as_mut().expect("checked above");
-            ensemble.observe(previous_observation, &observation);
+            ensemble.observe(&self.previous, &self.current);
         }
-        self.previous = Some((state.clone(), observation));
+        std::mem::swap(&mut self.previous, &mut self.current);
+        // The tracker did not see this state; keep it for the next full
+        // observe's drift check.
+        match &mut self.detached_state {
+            Some(buffer) => buffer.clone_from(state),
+            None => self.detached_state = Some(state.clone()),
+        }
+        self.origin = Origin::Detached;
     }
 
     /// Severs the training stream: the next [`observe`] or
@@ -354,7 +405,7 @@ impl PredictorBank {
     /// [`observe`]: PredictorBank::observe
     /// [`observe_incremental`]: PredictorBank::observe_incremental
     pub fn break_stream(&mut self) {
-        self.previous = None;
+        self.origin = Origin::None;
     }
 
     /// Predicts the state at the next occurrence of the RIP, conditioned on
@@ -390,17 +441,18 @@ impl PredictorBank {
         let (Some(map), Some(ensemble)) = (self.map.as_ref(), self.ensemble.as_ref()) else {
             return results;
         };
+        // One observation and one prediction scratch serve the whole chain.
         let mut observation = map.observe(state);
+        let mut scratch = PredictionScratch::default();
         let mut cumulative_log_probability = 0.0;
         for k in 1..=depth {
-            let (block, log_probability) = ensemble.predict_ml(&observation);
-            cumulative_log_probability += log_probability;
+            cumulative_log_probability += ensemble.predict_ml_with(&observation, &mut scratch);
             results.push(PredictedState {
-                state: map.materialize(state, &block),
+                state: map.materialize(state, scratch.bits()),
                 log_probability: cumulative_log_probability,
                 depth: k,
             });
-            observation = map.observation_from_packed(&block);
+            map.observation_from_packed_into(scratch.bits(), &mut observation);
         }
         results
     }
@@ -622,5 +674,321 @@ mod tests {
         // mistake window; the windowed hindsight rate stays well-formed.
         assert!(errors.total_predictions > 100, "{errors:?}");
         assert!(errors.hindsight_optimal_error_rate <= 1.0);
+    }
+
+    /// The parent commit's `observe` scan, kept verbatim as test-only
+    /// reference code: byte-at-a-time full-state diffs into fresh vectors,
+    /// one `BTreeMap<bit, count>` insert per changed bit, a per-bit
+    /// `binary_search` over the map's bit indices for drift, and a fresh
+    /// state clone per retained "previous". The one-scan bank must be
+    /// indistinguishable from it.
+    struct ReferenceScanBank {
+        warmup: usize,
+        beta: f64,
+        max_excited_bits: usize,
+        mistake_capacity: usize,
+        threshold: u32,
+        change_counts: std::collections::BTreeMap<usize, u32>,
+        tracker_previous: Option<StateVector>,
+        tracker_observations: usize,
+        map: Option<ExcitationMap>,
+        ensemble: Option<Ensemble>,
+        previous: Option<(StateVector, PackedObservation)>,
+        observations: u64,
+        drift: u32,
+        last_rebuild: u64,
+    }
+
+    fn diff_bytes(a: &StateVector, b: &StateVector) -> Vec<usize> {
+        let pairs = a.as_bytes().iter().zip(b.as_bytes().iter()).enumerate();
+        pairs.filter_map(|(i, (x, y))| if x != y { Some(i) } else { None }).collect()
+    }
+
+    impl ReferenceScanBank {
+        fn new(config: &AscConfig) -> Self {
+            assert_eq!(config.predictors, PredictorComplement::Default);
+            ReferenceScanBank {
+                warmup: config.excitation_warmup.max(2),
+                beta: config.ensemble_beta,
+                max_excited_bits: config.max_excited_bits.max(32),
+                mistake_capacity: config.mistake_log_capacity.max(1),
+                threshold: config.excitation_threshold.max(1),
+                change_counts: std::collections::BTreeMap::new(),
+                tracker_previous: None,
+                tracker_observations: 0,
+                map: None,
+                ensemble: None,
+                previous: None,
+                observations: 0,
+                drift: 0,
+                last_rebuild: 0,
+            }
+        }
+
+        fn tracker_observe(&mut self, state: &StateVector) {
+            if let Some(previous) = &self.tracker_previous {
+                for byte_index in diff_bytes(previous, state) {
+                    let changed = previous.byte(byte_index) ^ state.byte(byte_index);
+                    for bit in 0..8 {
+                        if changed & (1 << bit) != 0 {
+                            *self.change_counts.entry(byte_index * 8 + bit).or_insert(0) += 1;
+                        }
+                    }
+                }
+            }
+            self.tracker_previous = Some(state.clone());
+            self.tracker_observations += 1;
+        }
+
+        fn build_ensemble(&mut self) {
+            let mut qualifying: Vec<(usize, u32)> = self
+                .change_counts
+                .iter()
+                .filter(|(_, count)| **count >= self.threshold)
+                .map(|(bit, count)| (*bit, *count))
+                .collect();
+            if qualifying.is_empty() {
+                return;
+            }
+            if qualifying.len() > self.max_excited_bits {
+                qualifying.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                qualifying.truncate(self.max_excited_bits);
+            }
+            let map = ExcitationMap::new(qualifying.into_iter().map(|(bit, _)| bit).collect());
+            self.ensemble = Some(Ensemble::new(
+                default_predictors(map.schema()),
+                map.bit_count(),
+                self.beta,
+                self.mistake_capacity,
+            ));
+            self.map = Some(map);
+            self.previous = None;
+            self.drift = 0;
+            self.last_rebuild = self.observations;
+        }
+
+        fn observe(&mut self, state: &StateVector) {
+            self.observations += 1;
+            self.tracker_observe(state);
+            if self.ensemble.is_none() {
+                if self.tracker_observations > self.warmup {
+                    self.build_ensemble();
+                }
+                if self.ensemble.is_none() {
+                    return;
+                }
+            }
+            let map = self.map.as_ref().unwrap();
+            let observation = map.observe(state);
+            if let Some((previous_state, previous_observation)) = &self.previous {
+                let unmapped_changed_bits: usize = diff_bytes(previous_state, state)
+                    .iter()
+                    .map(|&byte| {
+                        (0..8)
+                            .filter(|bit| {
+                                let index = byte * 8 + bit;
+                                (previous_state.bit(index) != state.bit(index))
+                                    && map.bit_indices().binary_search(&index).is_err()
+                            })
+                            .count()
+                    })
+                    .sum();
+                if unmapped_changed_bits > 64 {
+                    self.drift += 1;
+                } else {
+                    self.drift = 0;
+                }
+                let rebuild_allowed =
+                    self.observations >= self.last_rebuild + (self.warmup as u64 + 8);
+                if self.drift >= 3 && rebuild_allowed {
+                    self.build_ensemble();
+                    let observation = self.map.as_ref().unwrap().observe(state);
+                    self.previous = Some((state.clone(), observation));
+                    return;
+                }
+                self.ensemble.as_mut().unwrap().observe(previous_observation, &observation);
+            }
+            self.previous = Some((state.clone(), observation));
+        }
+
+        fn observe_incremental(&mut self, state: &StateVector) {
+            if self.ensemble.is_none() {
+                self.observe(state);
+                return;
+            }
+            self.observations += 1;
+            let observation = self.map.as_ref().unwrap().observe(state);
+            if let Some((_, previous_observation)) = &self.previous {
+                self.ensemble.as_mut().unwrap().observe(previous_observation, &observation);
+            }
+            self.previous = Some((state.clone(), observation));
+        }
+
+        fn rollout(&self, state: &StateVector, depth: usize) -> Vec<(StateVector, f64)> {
+            let (Some(map), Some(ensemble)) = (self.map.as_ref(), self.ensemble.as_ref()) else {
+                return Vec::new();
+            };
+            let mut results = Vec::new();
+            let mut observation = map.observe(state);
+            let mut cumulative = 0.0;
+            for _ in 0..depth {
+                let (block, log_probability) = ensemble.predict_ml(&observation);
+                cumulative += log_probability;
+                results.push((map.materialize(state, &block), cumulative));
+                let words = (0..map.word_count())
+                    .map(|w| (block[w / 2] >> (32 * (w % 2))) as u32)
+                    .collect();
+                observation = PackedObservation::new(block, map.bit_count(), words);
+            }
+            results
+        }
+    }
+
+    /// How each occurrence of an equivalence trace is fed to the two banks.
+    #[derive(Clone, Copy)]
+    enum Feed {
+        Full,
+        /// The planner's pattern: incremental observes with a full one every
+        /// fourth occurrence, and the stream severed every 23rd.
+        Planner,
+    }
+
+    /// Drives the one-scan bank and the reference scan over `states` in
+    /// lock step; returns the rebuild ordinals they agreed on.
+    fn assert_equivalent(
+        name: &str,
+        states: &[StateVector],
+        config: &AscConfig,
+        feed: Feed,
+    ) -> Vec<u64> {
+        let mut bank = PredictorBank::new(0, config);
+        let mut reference = ReferenceScanBank::new(config);
+        let mut rebuilds = Vec::new();
+        for (i, state) in states.iter().enumerate() {
+            let full = match feed {
+                Feed::Full => true,
+                Feed::Planner => {
+                    if i % 23 == 22 {
+                        bank.break_stream();
+                        reference.previous = None;
+                    }
+                    i % 4 == 0
+                }
+            };
+            if full {
+                bank.observe(state);
+                reference.observe(state);
+            } else {
+                bank.observe_incremental(state);
+                reference.observe_incremental(state);
+            }
+            let at = format!("{name} occurrence {i}");
+            assert_eq!(bank.map, reference.map, "{at}: excitation map");
+            assert_eq!(bank.drift, reference.drift, "{at}: drift count");
+            assert_eq!(bank.last_rebuild, reference.last_rebuild, "{at}: rebuild ordinal");
+            if rebuilds.last() != Some(&bank.last_rebuild) && bank.is_ready() {
+                rebuilds.push(bank.last_rebuild);
+            }
+            assert_eq!(
+                bank.errors(),
+                reference.ensemble.as_ref().map(|e| e.errors()),
+                "{at}: ensemble errors"
+            );
+            // Rollouts are compared on a stride (each costs a few full-state
+            // clones) and always right after a rebuild.
+            if i % 7 == 0 || rebuilds.last() == Some(&bank.observations()) {
+                let predicted = bank.rollout(state, 3);
+                let expected = reference.rollout(state, 3);
+                assert_eq!(predicted.len(), expected.len(), "{at}: rollout length");
+                for (k, (got, want)) in predicted.iter().zip(&expected).enumerate() {
+                    assert_eq!(got.state, want.0, "{at}: rollout state at depth {}", k + 1);
+                    assert_eq!(got.log_probability, want.1, "{at}: rollout log-probability");
+                }
+            }
+        }
+        let mut bytes = Vec::new();
+        bank.tracker.save_state(&mut bytes);
+        let mut expected = Vec::new();
+        persist::put_u32(&mut expected, reference.threshold);
+        persist::put_usize(&mut expected, reference.tracker_observations);
+        persist::put_usize(&mut expected, reference.change_counts.len());
+        for (&bit, &count) in &reference.change_counts {
+            persist::put_usize(&mut expected, bit);
+            persist::put_u32(&mut expected, count);
+        }
+        assert_eq!(bytes, expected, "{name}: tracker statistics (wire form)");
+        rebuilds
+    }
+
+    /// Occurrence states of a registry workload at the IP (and stride) its
+    /// own recognizer run selects, recorded from the initial state.
+    fn workload_trace(
+        benchmark: asc_workloads::registry::Benchmark,
+        limit: usize,
+    ) -> Vec<StateVector> {
+        use asc_workloads::registry::{build, Scale};
+        let workload = build(benchmark, Scale::Tiny).unwrap();
+        let config = AscConfig::for_tests();
+        let initial = workload.program.initial_state().unwrap();
+        let outcome = crate::recognizer::recognize(&initial, &config).unwrap();
+        // Record from the program's start, not from where recognition
+        // stopped: Tiny programs are mostly over by then, and the
+        // initialisation phase is exactly what provokes drift.
+        let mut machine = Machine::from_state(initial);
+        let mut states = Vec::new();
+        'trace: while states.len() < limit {
+            for _ in 0..outcome.rip.stride {
+                machine.run_until_ip(outcome.rip.ip, 10_000_000).unwrap();
+                if machine.is_halted() {
+                    break 'trace;
+                }
+            }
+            states.push(machine.state().clone());
+        }
+        states
+    }
+
+    /// A synthetic two-phase trace: a few words count for 40 occurrences,
+    /// then a disjoint region of a dozen words starts churning — more than
+    /// 64 unmapped bits per occurrence, so the drift detector must rebuild.
+    fn phase_change_trace() -> Vec<StateVector> {
+        let mut state = StateVector::new(4096 + 3).unwrap(); // odd length: partial tail word
+        let mut states = Vec::new();
+        for i in 0..90u32 {
+            state.store_word(0, i).unwrap();
+            state.store_word(4, 0x1_0000 + i * 132).unwrap();
+            state.store_word(64, if i % 2 == 0 { 0x0F0F_0F0F } else { 0xF0F0_F0F0 }).unwrap();
+            if i >= 40 {
+                for w in 0..12u32 {
+                    let value =
+                        (i.wrapping_mul(0x9E37_79B9) ^ w.wrapping_mul(0x85EB_CA6B)).rotate_left(w);
+                    state.store_word(1024 + w * 4, value).unwrap();
+                }
+                state.store_byte(4096 + 2, i as u8).unwrap();
+            }
+            states.push(state.clone());
+        }
+        states
+    }
+
+    #[test]
+    fn one_scan_observe_is_equivalent_to_the_reference_scan_on_every_benchmark() {
+        let config = AscConfig::for_tests();
+        for benchmark in asc_workloads::registry::Benchmark::ALL {
+            let states = workload_trace(benchmark, 160);
+            assert!(states.len() > 20, "{benchmark}: trace too short ({})", states.len());
+            assert_equivalent(benchmark.name(), &states, &config, Feed::Full);
+            assert_equivalent(benchmark.name(), &states, &config, Feed::Planner);
+        }
+    }
+
+    #[test]
+    fn one_scan_observe_rebuilds_on_drift_exactly_like_the_reference_scan() {
+        let config = AscConfig::for_tests();
+        let states = phase_change_trace();
+        let rebuilds = assert_equivalent("phase-change", &states, &config, Feed::Full);
+        assert!(rebuilds.len() >= 2, "the phase change must force a drift rebuild: {rebuilds:?}");
+        let planner = assert_equivalent("phase-change/planner", &states, &config, Feed::Planner);
+        assert!(planner.len() >= 2, "drift must also fire on the detached path: {planner:?}");
     }
 }

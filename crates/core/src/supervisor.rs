@@ -481,7 +481,10 @@ impl Watchdog {
                 let mut last_change = Instant::now();
                 let mut jobs_seen = health.jobs_ok();
                 while !stop.load(Ordering::Relaxed) {
-                    std::thread::sleep(poll);
+                    // Parked, not asleep: `finish` unparks the thread, so a
+                    // run never waits out the rest of a poll interval. A
+                    // spurious wake-up only makes one poll early.
+                    std::thread::park_timeout(poll);
                     if stop.load(Ordering::Relaxed) {
                         break;
                     }
@@ -512,9 +515,12 @@ impl Watchdog {
         Some(Watchdog { shutdown, thread })
     }
 
-    /// Stops the watchdog thread and waits for it to exit.
+    /// Stops the watchdog thread and waits for it to exit. Returns promptly
+    /// however long the poll interval is: the thread is woken, not waited
+    /// out (`unpark` publishes the shutdown flag to the woken thread).
     pub fn finish(self) {
         self.shutdown.store(true, Ordering::Relaxed);
+        self.thread.thread().unpark();
         let _ = self.thread.join();
     }
 }
@@ -870,6 +876,21 @@ mod tests {
         }
         assert_eq!(hb.stalls(), stalls_at_recovery, "ticking run must not count as stalled");
         dog.finish();
+    }
+
+    #[test]
+    fn finish_does_not_wait_out_the_poll_interval() {
+        let hb = Arc::new(Heartbeat::default());
+        let health = Arc::new(HealthMonitor::default());
+        let config = WatchdogConfig { enabled: true, deadline_ms: 10_000, poll_ms: 500 };
+        let dog = Watchdog::start(&config, hb, health, 0).expect("watchdog spawns");
+        // Let the thread reach its park (finishing before it does is the
+        // easy case: the unpark token makes the first park return at once).
+        std::thread::sleep(Duration::from_millis(20));
+        let started = Instant::now();
+        dog.finish();
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(50), "finish took {took:?} at poll_ms = 500");
     }
 
     #[test]

@@ -128,6 +128,25 @@ impl MistakeRing {
     }
 }
 
+/// Caller-owned buffers for [`Ensemble::predict_ml_with`]: the member
+/// prediction blocks, the combined distribution and the resulting packed
+/// maximum-likelihood block.
+#[derive(Debug, Clone, Default)]
+pub struct PredictionScratch {
+    block_bits: Vec<u64>,
+    block_confidence: Vec<f32>,
+    distribution: Vec<f32>,
+    bits: Vec<u64>,
+}
+
+impl PredictionScratch {
+    /// The packed maximum-likelihood block of the most recent
+    /// [`Ensemble::predict_ml_with`] call.
+    pub fn bits(&self) -> &[u64] {
+        &self.bits
+    }
+}
+
 /// The per-bit weighted ensemble over block predictors.
 pub struct Ensemble {
     predictors: Vec<Box<dyn BlockPredictor>>,
@@ -220,49 +239,71 @@ impl Ensemble {
         self.mistakes.len()
     }
 
-    /// Fills `confidence` with the per-bit probabilities for the whole next
-    /// observation (the paper's Eq. 2 factors), combining every predictor by
-    /// its current weight. Prediction blocks are computed into caller-local
-    /// buffers, so this is `&self` and safe to call during rollouts.
-    fn predict_into(&self, current: &PackedObservation, confidence: &mut [f32]) {
+    /// Fills `scratch.distribution` with the per-bit probabilities for the
+    /// whole next observation (the paper's Eq. 2 factors), combining every
+    /// predictor by its current weight. Prediction blocks are computed into
+    /// the caller's scratch, so this is `&self` and safe to call during
+    /// rollouts.
+    fn predict_into(&self, current: &PackedObservation, scratch: &mut PredictionScratch) {
         let p_count = self.predictors.len();
-        let packed = packed_len(self.bit_count);
-        let mut block_bits = vec![0u64; packed];
-        let mut block_confidence = vec![0.0f32; self.bit_count * p_count];
+        scratch.block_bits.resize(packed_len(self.bit_count), 0);
+        scratch.block_confidence.resize(self.bit_count * p_count, 0.0);
+        scratch.distribution.resize(self.bit_count, 0.0);
         for (p, predictor) in self.predictors.iter().enumerate() {
-            block_bits.fill(0);
+            scratch.block_bits.fill(0);
             predictor.predict_block(
                 current,
-                &mut block_bits,
-                &mut block_confidence[p * self.bit_count..(p + 1) * self.bit_count],
+                &mut scratch.block_bits,
+                &mut scratch.block_confidence[p * self.bit_count..(p + 1) * self.bit_count],
             );
         }
-        combine_weighted(&self.weights, &block_confidence, self.bit_count, p_count, confidence);
+        combine_weighted(
+            &self.weights,
+            &scratch.block_confidence,
+            self.bit_count,
+            p_count,
+            &mut scratch.distribution,
+        );
     }
 
     /// Per-bit probabilities for the whole next observation.
     pub fn predict_distribution(&self, current: &PackedObservation) -> Vec<f32> {
-        let mut confidence = vec![0.0f32; self.bit_count];
-        self.predict_into(current, &mut confidence);
-        confidence
+        let mut scratch = PredictionScratch::default();
+        self.predict_into(current, &mut scratch);
+        scratch.distribution
     }
 
     /// The maximum-likelihood prediction: every bit rounded to its most
     /// probable value (as a packed block), together with the joint
     /// log-probability under Eq. 2.
     pub fn predict_ml(&self, current: &PackedObservation) -> (Vec<u64>, f64) {
-        let distribution = self.predict_distribution(current);
-        let mut bits = vec![0u64; packed_len(self.bit_count)];
+        let mut scratch = PredictionScratch::default();
+        let log_probability = self.predict_ml_with(current, &mut scratch);
+        (scratch.bits, log_probability)
+    }
+
+    /// [`predict_ml`](Ensemble::predict_ml) into reusable buffers: the packed
+    /// maximum-likelihood block is left in [`PredictionScratch::bits`] and
+    /// the joint log-probability returned. A rollout chain calls this once
+    /// per step with one scratch and allocates nothing after the first.
+    pub fn predict_ml_with(
+        &self,
+        current: &PackedObservation,
+        scratch: &mut PredictionScratch,
+    ) -> f64 {
+        self.predict_into(current, scratch);
+        scratch.bits.clear();
+        scratch.bits.resize(packed_len(self.bit_count), 0);
         let mut log_probability = 0.0f64;
-        for (j, &p) in distribution.iter().enumerate() {
+        for (j, &p) in scratch.distribution.iter().enumerate() {
             let bit = p >= 0.5;
             if bit {
-                bits[j / 64] |= 1u64 << (j % 64);
+                scratch.bits[j / 64] |= 1u64 << (j % 64);
             }
             let bit_probability = if bit { p as f64 } else { 1.0 - p as f64 };
             log_probability += bit_probability.max(1e-12).ln();
         }
-        (bits, log_probability)
+        log_probability
     }
 
     /// Alternate predictions generated by flipping the most uncertain bits of
@@ -302,7 +343,7 @@ impl Ensemble {
     /// itself) on the realised `next` observation via packed mistake masks,
     /// applies the RWMA multiplicative update to exactly the mistaken
     /// `(bit, predictor)` weights, and then lets every predictor train on the
-    /// new example.
+    /// new example — one traversal of each learner per occurrence.
     pub fn observe(&mut self, prev: &PackedObservation, next: &PackedObservation) {
         let p_count = self.predictors.len();
         let bit_count = self.bit_count.min(next.bit_count());
@@ -399,9 +440,12 @@ impl Ensemble {
             self.equal_weight_mistakes += 1;
         }
 
-        // 4. Finally train the member predictors on the new example.
-        for predictor in &mut self.predictors {
-            predictor.observe_transition(prev, next);
+        // 4. Finally train the member predictors on the new example, handing
+        //    each its own step-1 confidences: the forward pass is never
+        //    recomputed.
+        for (p, predictor) in self.predictors.iter_mut().enumerate() {
+            let predicted = &self.scratch_confidence[p * self.bit_count..(p + 1) * self.bit_count];
+            predictor.observe_transition(prev, next, predicted);
         }
     }
 
@@ -595,7 +639,13 @@ mod tests {
         fn name(&self) -> &'static str {
             "contrarian"
         }
-        fn observe_transition(&mut self, _prev: &PackedObservation, _next: &PackedObservation) {}
+        fn observe_transition(
+            &mut self,
+            _prev: &PackedObservation,
+            _next: &PackedObservation,
+            _predicted: &[f32],
+        ) {
+        }
         fn predict_block(
             &self,
             current: &PackedObservation,

@@ -175,19 +175,53 @@ impl PackedObservation {
         self.words[w]
     }
 
-    /// Appends the indices of the set tracked bits to `indices` (ascending).
-    /// This is the iteration order every sparse predictor uses, so packed and
+    /// Calls `visit` with the index of every set tracked bit, ascending. This
+    /// is the iteration order every sparse predictor uses, so packed and
     /// reference implementations accumulate in the same order.
-    pub fn set_bit_indices_into(&self, indices: &mut Vec<u32>) {
-        indices.clear();
+    pub fn for_each_set_bit(&self, mut visit: impl FnMut(usize)) {
         for (w, &word) in self.packed.iter().enumerate() {
             let mut remaining = word;
             while remaining != 0 {
-                let bit = remaining.trailing_zeros();
-                indices.push((w * 64) as u32 + bit);
+                visit(w * 64 + remaining.trailing_zeros() as usize);
                 remaining &= remaining - 1;
             }
         }
+    }
+
+    /// Overwrites this observation in place with a *full-word* observation —
+    /// every bit of every tracked word is tracked, so the packed bit view is
+    /// the word values laid end to end (the shape the runtime's excitation
+    /// map always produces). Reuses both buffers: the steady-state hot path
+    /// allocates nothing.
+    pub fn fill_from_words(&mut self, words: impl IntoIterator<Item = u32>) {
+        self.words.clear();
+        self.words.extend(words);
+        self.bit_count = self.words.len() * 32;
+        self.packed.clear();
+        self.packed.extend(
+            self.words
+                .chunks(2)
+                .map(|pair| pair[0] as u64 | (pair.get(1).copied().unwrap_or(0) as u64) << 32),
+        );
+    }
+
+    /// The inverse direction of [`fill_from_words`]: overwrites this
+    /// observation in place from a packed block of `word_count` full tracked
+    /// words (a predicted block being rolled forward).
+    ///
+    /// # Panics
+    /// Panics when `bits` does not hold exactly one packed word per two
+    /// tracked words.
+    ///
+    /// [`fill_from_words`]: PackedObservation::fill_from_words
+    pub fn fill_from_packed_words(&mut self, bits: &[u64], word_count: usize) {
+        assert_eq!(bits.len(), packed_len(word_count * 32), "predicted block has wrong arity");
+        self.bit_count = word_count * 32;
+        self.packed.clear();
+        self.packed.extend_from_slice(bits);
+        mask_tail(&mut self.packed, self.bit_count);
+        self.words.clear();
+        self.words.extend((0..word_count).map(|w| (self.packed[w / 2] >> (32 * (w % 2))) as u32));
     }
 
     /// Builds the observation that follows from a packed bit prediction: the
@@ -264,12 +298,29 @@ mod tests {
     }
 
     #[test]
-    fn set_bit_indices_are_ascending() {
+    fn set_bits_are_visited_ascending() {
         let bits: Vec<bool> = (0..70).map(|j| j == 0 || j == 63 || j == 65).collect();
         let obs = PackedObservation::from_bits(&bits, vec![]);
         let mut indices = Vec::new();
-        obs.set_bit_indices_into(&mut indices);
+        obs.for_each_set_bit(|j| indices.push(j));
         assert_eq!(indices, vec![0, 63, 65]);
+    }
+
+    #[test]
+    fn in_place_fills_match_the_allocating_constructors() {
+        let schema = ExcitationSchema::new(
+            3,
+            (0..3).flat_map(|w| (0..32u8).map(move |bit| (w, bit))).collect(),
+        );
+        let words = vec![0xDEAD_BEEF, 0x1234_5678, 0xCAFE_F00D];
+        let expected = PackedObservation::from_words(&schema, words.clone());
+        // Refill a differently shaped observation: every buffer is reshaped.
+        let mut obs = PackedObservation::from_bits(&[true; 5], vec![9]);
+        obs.fill_from_words(words.iter().copied());
+        assert_eq!(obs, expected);
+        let mut rebuilt = PackedObservation::default();
+        rebuilt.fill_from_packed_words(expected.packed(), 3);
+        assert_eq!(rebuilt, expected);
     }
 
     #[test]

@@ -8,21 +8,25 @@
 //! trains and predicts whole blocks of bits per call —
 //!
 //! ```text
-//! StateVector ──extract──▶ PackedObservation ──observe_transition──▶ models
-//!                                   │
-//!                                   └──predict_block──▶ packed ML prediction
-//!                                                        (+ per-bit confidence)
+//! StateVector ──extract──▶ PackedObservation ──predict_block──▶ packed ML prediction
+//!                                   │               (+ per-bit confidence)
+//!                                   │                        │
+//!                                   └──observe_transition◀───┘ (trains on its
+//!                                                     own forward pass)
 //! ```
 //!
 //! * the packed feature representation over a program's *excitations*
 //!   ([`features`]): bits as `u64` words plus the raw 32-bit values of the
 //!   words containing them,
 //! * the block predictor interface every learner implements ([`traits`]):
-//!   one virtual call trains or predicts *all* bits, with flat `f32` weight
-//!   arrays underneath instead of per-bit nested vectors,
+//!   one virtual call predicts *all* bits and one trains them — training is
+//!   handed the forward pass the ensemble already made, so an occurrence is
+//!   one traversal of each learner — with flat `f32` weight arrays
+//!   underneath instead of per-bit nested vectors,
 //! * the paper's four prediction algorithms: [`mean`], [`weatherman`],
-//!   [`logistic`] regression (sparse set-bit SGD) and word-level [`linear`]
-//!   regression,
+//!   [`logistic`] regression (feature-major, lazily grown weight columns;
+//!   a score or an SGD step is a few contiguous vector additions) and
+//!   word-level [`linear`] regression,
 //! * the Randomized Weighted Majority ensemble that combines them with
 //!   bounded regret ([`ensemble`]): a flat `f32` weight matrix, XOR mistake
 //!   masks on packed words, and a bounded mistake-history ring,

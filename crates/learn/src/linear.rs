@@ -172,7 +172,12 @@ impl BlockPredictor for LinearRegression {
         "linear"
     }
 
-    fn observe_transition(&mut self, prev: &PackedObservation, next: &PackedObservation) {
+    fn observe_transition(
+        &mut self,
+        prev: &PackedObservation,
+        next: &PackedObservation,
+        _predicted: &[f32],
+    ) {
         if prev.words().len() != self.schema.word_count
             || next.words().len() != self.schema.word_count
         {
@@ -331,7 +336,7 @@ mod tests {
     fn learns_an_induction_variable_exactly() {
         let mut p = LinearRegression::new(schema(1), 0.1);
         for i in 0u32..30 {
-            p.observe_transition(&obs_words(&[i]), &obs_words(&[i + 1]));
+            p.observe_transition(&obs_words(&[i]), &obs_words(&[i + 1]), &[]);
         }
         assert_eq!(p.predict_word(&obs_words(&[30]), 0), Some(31));
         assert_eq!(p.predict_word(&obs_words(&[1000]), 0), Some(1001));
@@ -347,6 +352,7 @@ mod tests {
             p.observe_transition(
                 &obs_words(&[base + i * 132]),
                 &obs_words(&[base + (i + 1) * 132]),
+                &[],
             );
         }
         assert_eq!(
@@ -359,7 +365,7 @@ mod tests {
     fn learns_a_constant_word() {
         let mut p = LinearRegression::new(schema(1), 0.1);
         for _ in 0..20 {
-            p.observe_transition(&obs_words(&[7777]), &obs_words(&[7777]));
+            p.observe_transition(&obs_words(&[7777]), &obs_words(&[7777]), &[]);
         }
         assert_eq!(p.predict_word(&obs_words(&[7777]), 0), Some(7777));
     }
@@ -368,7 +374,7 @@ mod tests {
     fn bit_predictions_follow_the_word_prediction() {
         let mut p = LinearRegression::new(schema(1), 0.1);
         for i in 0u32..40 {
-            p.observe_transition(&obs_words(&[i]), &obs_words(&[i + 1]));
+            p.observe_transition(&obs_words(&[i]), &obs_words(&[i + 1]), &[]);
         }
         // From 7 (0b0111) the next value is 8 (0b1000).
         let current = obs_words(&[7]);
@@ -385,7 +391,7 @@ mod tests {
         for i in 0i32..30 {
             let a = (5 - i) as u32;
             let b = (4 - i) as u32;
-            p.observe_transition(&obs_words(&[a]), &obs_words(&[b]));
+            p.observe_transition(&obs_words(&[a]), &obs_words(&[b]), &[]);
         }
         assert_eq!(p.predict_word(&obs_words(&[(-30i32) as u32]), 0), Some(-31));
     }
@@ -395,7 +401,7 @@ mod tests {
         let mut p = LinearRegression::new(schema(1), 0.1);
         assert_eq!(predict_probs(&p, &obs_words(&[3]))[0], 0.5);
         for i in 0u32..20 {
-            p.observe_transition(&obs_words(&[i]), &obs_words(&[i + 1]));
+            p.observe_transition(&obs_words(&[i]), &obs_words(&[i + 1]), &[]);
         }
         assert!(p.predict_word(&obs_words(&[5]), 0).is_some());
         p.reset();
@@ -410,7 +416,7 @@ mod tests {
         for i in 0u32..60 {
             let x = i * 100;
             let y = i * i;
-            p.observe_transition(&obs_words(&[x]), &obs_words(&[y]));
+            p.observe_transition(&obs_words(&[x]), &obs_words(&[y]), &[]);
         }
         let predicted = p.predict_word(&obs_words(&[50 * 100]), 0).unwrap();
         assert!((predicted - 2500).abs() <= 25, "predicted {predicted}");

@@ -43,7 +43,12 @@ impl BlockPredictor for MeanPredictor {
         "mean"
     }
 
-    fn observe_transition(&mut self, _prev: &PackedObservation, next: &PackedObservation) {
+    fn observe_transition(
+        &mut self,
+        _prev: &PackedObservation,
+        next: &PackedObservation,
+        _predicted: &[f32],
+    ) {
         if next.bit_count() > self.ones.len() {
             // Excitation sets only ever grow when the recognizer resets the
             // whole bank, but be robust to a wider observation.
@@ -107,7 +112,7 @@ mod tests {
         let mut p = MeanPredictor::new(1);
         let x = obs(&[false]);
         for i in 0..10 {
-            p.observe_transition(&x, &obs(&[i % 4 == 0])); // 1 in 4 are 1
+            p.observe_transition(&x, &obs(&[i % 4 == 0]), &[]); // 1 in 4 are 1
         }
         let (bits, confidence) = predict(&p, &x);
         assert!((confidence[0] - 0.3).abs() < 1e-6);
@@ -127,7 +132,7 @@ mod tests {
     fn reset_forgets() {
         let mut p = MeanPredictor::new(1);
         let x = obs(&[true]);
-        p.observe_transition(&x, &x);
+        p.observe_transition(&x, &x, &[]);
         assert!(p.mean(0) > 0.9);
         p.reset();
         assert_eq!(p.mean(0), 0.5);
@@ -137,7 +142,7 @@ mod tests {
     fn tolerates_wider_observations() {
         let mut p = MeanPredictor::new(1);
         let wide = obs(&[true, false, true]);
-        p.observe_transition(&wide, &wide);
+        p.observe_transition(&wide, &wide, &[]);
         assert!(p.mean(2) > 0.9);
         assert!(p.mean(1) < 0.1);
     }

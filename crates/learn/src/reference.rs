@@ -75,16 +75,50 @@ impl PerBitPredictor for RefWeatherman {
 }
 
 /// Per-bit logistic regression over dense `{0, 1}` features with a leading
-/// bias term (the reference twin of [`crate::logistic`]; the packed port
-/// sums only the set-bit weights, which is arithmetically identical).
-struct RefLogistic {
+/// bias term (the reference twin of [`crate::logistic`]): one dense weight
+/// row per output bit, scored by a full dot product and scored *again*
+/// inside every training step. The feature-major port adds the same weights
+/// in the same per-bit order (bias, then ascending set features; the zero
+/// terms of the dense product change nothing), which is arithmetically
+/// identical. Public so the golden suite can drive the two side by side
+/// through lazy-column growth, arity resets and save/load.
+pub struct ReferenceLogistic {
     /// `rows[j]` is the weight vector for bit `j`, bias first.
     rows: Vec<Vec<f32>>,
     learning_rate: f32,
     bit_count: usize,
 }
 
-impl RefLogistic {
+impl ReferenceLogistic {
+    /// Creates the reference model for `bit_count` bits.
+    pub fn new(bit_count: usize, learning_rate: f32) -> Self {
+        ReferenceLogistic {
+            rows: vec![vec![0.0; bit_count + 1]; bit_count],
+            learning_rate,
+            bit_count,
+        }
+    }
+
+    /// Trains on one observed transition (an arity change restarts the
+    /// model, exactly as the packed port does).
+    pub fn train(&mut self, prev: &PackedObservation, next: &PackedObservation) {
+        PerBitPredictor::train(self, prev, next);
+    }
+
+    /// Per-bit probabilities for the observation following `current` (0.5
+    /// everywhere when its arity is not the model's).
+    pub fn predict(&self, current: &PackedObservation) -> Vec<f32> {
+        (0..current.bit_count()).map(|j| PerBitPredictor::predict(self, current, j)).collect()
+    }
+
+    /// Appends the checkpoint wire form the row-major implementation wrote:
+    /// the bit count, then the flat `bit_count × (bit_count + 1)` matrix. The
+    /// feature-major port must keep writing — and reading — exactly this.
+    pub fn save_state(&self, out: &mut Vec<u8>) {
+        crate::persist::put_usize(out, self.bit_count);
+        crate::persist::put_f32_slice(out, &self.rows.concat());
+    }
+
     fn features(observation: &PackedObservation) -> Vec<f32> {
         let mut x = Vec::with_capacity(observation.bit_count() + 1);
         x.push(1.0);
@@ -103,7 +137,7 @@ impl RefLogistic {
     }
 }
 
-impl PerBitPredictor for RefLogistic {
+impl PerBitPredictor for ReferenceLogistic {
     fn train(&mut self, prev: &PackedObservation, next: &PackedObservation) {
         if prev.bit_count() != self.bit_count {
             self.bit_count = prev.bit_count();
@@ -138,7 +172,7 @@ struct RefLinear {
 
 impl PerBitPredictor for RefLinear {
     fn train(&mut self, prev: &PackedObservation, next: &PackedObservation) {
-        self.model.observe_transition(prev, next);
+        self.model.observe_transition(prev, next, &[]);
     }
 
     fn predict(&self, current: &PackedObservation, j: usize) -> f32 {
@@ -201,11 +235,7 @@ impl ReferenceEnsemble {
         let predictors: Vec<Box<dyn PerBitPredictor>> = vec![
             Box::new(RefMean { ones: vec![0; bit_count], total: 0 }),
             Box::new(RefWeatherman { confidence: 0.9 }),
-            Box::new(RefLogistic {
-                rows: vec![vec![0.0; bit_count + 1]; bit_count],
-                learning_rate: 0.5,
-                bit_count,
-            }),
+            Box::new(ReferenceLogistic::new(bit_count, 0.5)),
             Box::new(RefLinear {
                 schema: schema.clone(),
                 model: LinearRegression::new(schema.clone(), 0.1),

@@ -1,17 +1,24 @@
 //! The predictor interface (paper §4.4.1).
 //!
-//! Each predictor must implement `observe_transition`, `predict_block` and
+//! Each predictor must implement `predict_block`, `observe_transition` and
 //! `reset`. Predictors are free to extract whatever features they want from
 //! the conditioning observation but must express their predictions at the
 //! bit level — a packed rounded prediction plus one confidence per bit — so
 //! the allocator can mix and match predictors per bit with the
 //! regret-minimizing ensemble.
 //!
-//! The contract is *block-oriented*: one virtual call trains (or predicts)
-//! every tracked bit, and the per-bit work inside the call runs over flat
-//! `f32` arrays and packed `u64` words. The previous design made three to
-//! twelve virtual calls per bit per occurrence, which dominated
-//! `PredictorBank::observe` (~100µs/occurrence at 128 excitation bits).
+//! The contract is *block-oriented* and *one pass per occurrence*: one
+//! virtual call predicts every tracked bit, one trains every tracked bit,
+//! and the per-bit work inside runs over flat `f32` arrays and packed `u64`
+//! words. On-line learning is predict-then-train — the ensemble must score a
+//! member's prediction for the transition before the member may learn from
+//! it — so the forward pass has always already happened when training
+//! starts. [`observe_transition`] therefore *receives* that forward pass (the
+//! model's own block confidences for `prev`) instead of recomputing it:
+//! there is exactly one training entry point and no second scoring pass
+//! behind it.
+//!
+//! [`observe_transition`]: BlockPredictor::observe_transition
 
 use crate::features::{ExcitationSchema, PackedObservation};
 use crate::persist::Reader;
@@ -35,7 +42,20 @@ pub trait BlockPredictor: Send {
 
     /// Trains the model on one observed transition: every bit (and word) of
     /// `next` is a training target conditioned on `prev`.
-    fn observe_transition(&mut self, prev: &PackedObservation, next: &PackedObservation);
+    ///
+    /// `predicted` is the forward pass the caller already made: the
+    /// confidences this model's own [`predict_block`]`(prev, ..)` produced
+    /// against its current, not-yet-trained state (at least
+    /// `next.bit_count()` entries). Gradient learners take their error from
+    /// it; models that do not need it ignore it.
+    ///
+    /// [`predict_block`]: BlockPredictor::predict_block
+    fn observe_transition(
+        &mut self,
+        prev: &PackedObservation,
+        next: &PackedObservation,
+        predicted: &[f32],
+    );
 
     /// Predicts the observation following `current`.
     ///

@@ -40,7 +40,12 @@ impl BlockPredictor for Weatherman {
         "weatherman"
     }
 
-    fn observe_transition(&mut self, _prev: &PackedObservation, _next: &PackedObservation) {
+    fn observe_transition(
+        &mut self,
+        _prev: &PackedObservation,
+        _next: &PackedObservation,
+        _predicted: &[f32],
+    ) {
         // Stateless: persistence needs no training.
     }
 

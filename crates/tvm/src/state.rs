@@ -34,9 +34,22 @@ pub const MEM_BASE: usize = HEADER_BYTES;
 /// assert_eq!(s.reg_index(3), 42);
 /// assert_eq!(s.len_bits(), (asc_tvm::state::HEADER_BYTES + 1024) * 8);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct StateVector {
     bytes: Vec<u8>,
+}
+
+impl Clone for StateVector {
+    fn clone(&self) -> Self {
+        StateVector { bytes: self.bytes.clone() }
+    }
+
+    /// Copies `source` into this vector's existing buffer: callers that keep
+    /// one retained "previous state" pay a `memcpy` per update, not an
+    /// allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.bytes.clone_from(&source.bytes);
+    }
 }
 
 impl StateVector {
@@ -261,18 +274,41 @@ impl StateVector {
         Ok(&self.bytes[index..index + len])
     }
 
-    /// Indices (absolute byte indices) at which `self` and `other` differ.
+    /// Appends to `out` one `(byte index, xor)` pair per aligned 32-bit word
+    /// in which `self` and `other` differ, in ascending order: the byte index
+    /// of the word's first byte and the little-endian XOR of the two words
+    /// (bit `b` of the XOR is absolute state bit `index * 8 + b`). A trailing
+    /// partial word is zero-extended.
     ///
     /// Both vectors must have the same length; differing lengths are treated
-    /// as if the shorter one were truncated (callers compare states of the
+    /// as if the longer one were truncated (callers compare states of the
     /// same machine, so lengths normally agree).
-    pub fn diff_bytes(&self, other: &StateVector) -> Vec<usize> {
-        self.bytes
-            .iter()
-            .zip(other.bytes.iter())
-            .enumerate()
-            .filter_map(|(i, (a, b))| if a != b { Some(i) } else { None })
-            .collect()
+    ///
+    /// The scan compares 32 bytes at a time and only looks inside blocks
+    /// that differ, so its cost is a `memcmp` of the state plus work
+    /// proportional to the handful of words that actually changed.
+    pub fn diff_words_into(&self, other: &StateVector, out: &mut Vec<(usize, u32)>) {
+        const BLOCK: usize = 32;
+        let len = self.bytes.len().min(other.bytes.len());
+        let (a, b) = (&self.bytes[..len], &other.bytes[..len]);
+        let mut push_words = |base: usize, a: &[u8], b: &[u8]| {
+            for (k, (x, y)) in a.chunks(4).zip(b.chunks(4)).enumerate() {
+                if x != y {
+                    let (mut wx, mut wy) = ([0u8; 4], [0u8; 4]);
+                    wx[..x.len()].copy_from_slice(x);
+                    wy[..y.len()].copy_from_slice(y);
+                    out.push((base + k * 4, u32::from_le_bytes(wx) ^ u32::from_le_bytes(wy)));
+                }
+            }
+        };
+        let blocks = a.chunks_exact(BLOCK).zip(b.chunks_exact(BLOCK));
+        for (k, (x, y)) in blocks.enumerate() {
+            if x != y {
+                push_words(k * BLOCK, x, y);
+            }
+        }
+        let tail = len - len % BLOCK;
+        push_words(tail, &a[tail..], &b[tail..]);
     }
 }
 
@@ -354,16 +390,41 @@ mod tests {
     }
 
     #[test]
-    fn diff_bytes_reports_changes() {
-        let mut a = StateVector::new(32).unwrap();
+    fn diff_words_reports_changed_words_in_order() {
+        let mut a = StateVector::new(101).unwrap(); // 173 bytes: partial tail word
         let b = a.clone();
-        assert!(a.diff_bytes(&b).is_empty());
+        let mut diff = Vec::new();
+        a.diff_words_into(&b, &mut diff);
+        assert!(diff.is_empty());
         a.set_reg_index(1, 5);
-        a.store_byte(10, 9).unwrap();
-        let diff = a.diff_bytes(&b);
-        assert!(diff.contains(&(REG_OFFSET + 4)));
-        assert!(diff.contains(&(MEM_BASE + 10)));
-        assert_eq!(diff.len(), 2);
+        a.store_byte(10, 0x80).unwrap();
+        a.store_byte(11, 0x01).unwrap(); // same aligned word as byte 10
+        a.store_byte(100, 0xFF).unwrap(); // the last byte of the state
+        a.diff_words_into(&b, &mut diff);
+        assert_eq!(
+            diff,
+            vec![(REG_OFFSET + 4, 5), (MEM_BASE + 8, 0x0180_0000), (MEM_BASE + 100, 0xFF),]
+        );
+        // Every reported bit really differs, and nothing else does.
+        let changed: usize = diff.iter().map(|&(_, xor)| xor.count_ones() as usize).sum();
+        let by_bit = (0..a.len_bits()).filter(|&bit| a.bit(bit) != b.bit(bit)).count();
+        assert_eq!(changed, by_bit);
+        for &(index, xor) in &diff {
+            for offset in (0..32).filter(|offset| xor >> offset & 1 == 1) {
+                assert_ne!(a.bit(index * 8 + offset), b.bit(index * 8 + offset));
+            }
+        }
+    }
+
+    #[test]
+    fn clone_from_reuses_the_buffer() {
+        let mut a = StateVector::new(64).unwrap();
+        let mut b = StateVector::new(64).unwrap();
+        b.set_ip(77);
+        let buffer = a.as_bytes().as_ptr();
+        a.clone_from(&b);
+        assert_eq!(a, b);
+        assert_eq!(a.as_bytes().as_ptr(), buffer);
     }
 
     #[test]
