@@ -12,22 +12,19 @@ use asc_workloads::registry::{build, Benchmark, Scale};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-/// The seed-dispatch replica is shared with the `tier` bench (see
-/// `asc_bench::seed_dispatch`): one permanent anchor, two comparisons.
-use asc_bench::seed_dispatch;
-
 fn bench_transition(c: &mut Criterion) {
     let workload = build(Benchmark::Collatz, Scale::Tiny).unwrap();
     let initial = workload.program.initial_state().unwrap();
 
-    // Sanity: the seed replica and the current interpreter retire identical
-    // trajectories, so the timing comparison is apples-to-apples.
+    // Sanity: the reference dispatch and the main thread's hot path retire
+    // identical trajectories, so the timing comparison is apples-to-apples.
     {
         let mut a = initial.clone();
         let mut b = initial.clone();
+        let mut icache = DecodedCache::new(&b);
         for _ in 0..10_000 {
-            let ra = seed_dispatch::transition(&mut a, None).unwrap();
-            let rb = transition(&mut b, None).unwrap();
+            let ra = transition(&mut a, None).unwrap();
+            let rb = transition_cached(&mut b, &mut NoDeps, &mut icache).unwrap();
             assert_eq!(ra, rb);
             if ra == asc_tvm::exec::StepOutcome::Halted {
                 break;
@@ -37,21 +34,8 @@ fn bench_transition(c: &mut Criterion) {
     }
 
     let mut group = c.benchmark_group("transition");
-    // The seed's dispatch: an Option<&mut DepVector> branch on every state
-    // access plus a fetch+decode of 8 raw bytes per retired instruction.
-    group.bench_function("seed_dispatch_1k_instructions", |b| {
-        b.iter(|| {
-            let mut state = initial.clone();
-            for _ in 0..1000 {
-                if seed_dispatch::transition(black_box(&mut state), None).unwrap()
-                    == asc_tvm::exec::StepOutcome::Halted
-                {
-                    break;
-                }
-            }
-            state
-        })
-    });
+    // The reference entry point: one Option<&mut DepVector> dispatch and a
+    // fetch+decode of 8 raw bytes per retired instruction.
     group.bench_function("baseline_1k_instructions", |b| {
         b.iter(|| {
             let mut state = initial.clone();

@@ -1,7 +1,7 @@
-//! Tier-up dispatch micro-benchmarks: the seed's dispatch (permanent
-//! anchor) vs the tier-0 monomorphized `transition_cached` hot path vs
-//! tier-1 block-threaded dispatch of compiled, fused micro-op blocks — on
-//! the no-deps counting loop and on a fused-chain-heavy kernel.
+//! Tier-up dispatch micro-benchmarks: the tier-0 monomorphized
+//! `transition_cached` hot path vs tier-1 block-threaded dispatch of
+//! compiled, fused micro-op blocks — on the no-deps counting loop and on a
+//! fused-chain-heavy kernel.
 //!
 //! The bench gate's acceptance bar: `block_threaded_1k_loop` must be at
 //! least 1.5× faster (minimum over samples) than
@@ -10,9 +10,8 @@
 //! supersteps, so steady-state dispatch — not the one-time compile — is
 //! what the main loop actually pays.
 
-use asc_bench::seed_dispatch;
 use asc_tvm::encode::encode_all;
-use asc_tvm::exec::{transition_cached, DecodedCache, NoDeps, StepOutcome};
+use asc_tvm::exec::{transition, transition_cached, DecodedCache, NoDeps, StepOutcome};
 use asc_tvm::isa::{Instruction as I, Opcode, Reg, SP};
 use asc_tvm::state::StateVector;
 use asc_tvm::tier::{run_segment, BlockCache, SegmentExit, TierConfig};
@@ -83,13 +82,13 @@ fn warmed_cache(initial: &StateVector, budget: u64) -> BlockCache {
     cache
 }
 
-/// Retires exactly `budget` instructions of `initial` through each of the
-/// three dispatch layers and asserts bit-identical final states, so the
-/// timing comparison below is apples-to-apples.
+/// Retires exactly `budget` instructions of `initial` through the reference
+/// `transition` and both timed dispatch layers and asserts bit-identical
+/// final states, so the timing comparison below is apples-to-apples.
 fn assert_dispatch_layers_agree(initial: &StateVector, cache: &mut BlockCache, budget: u64) {
-    let mut seed = initial.clone();
+    let mut reference = initial.clone();
     for _ in 0..budget {
-        let outcome = seed_dispatch::transition(&mut seed, None).unwrap();
+        let outcome = transition(&mut reference, None).unwrap();
         assert_eq!(outcome, StepOutcome::Continue, "kernel halted inside the budget");
     }
     let mut cached = initial.clone();
@@ -101,8 +100,8 @@ fn assert_dispatch_layers_agree(initial: &StateVector, cache: &mut BlockCache, b
     let mut tiered = initial.clone();
     let (retired, exit) = run_segment(&mut tiered, &mut NoDeps, cache, u32::MAX, budget);
     assert_eq!(retired, budget, "tiered dispatch miscounted ({exit:?})");
-    assert_eq!(seed, cached, "transition_cached diverged from the seed replica");
-    assert_eq!(seed, tiered, "block-threaded dispatch diverged from the seed replica");
+    assert_eq!(reference, cached, "transition_cached diverged from the reference dispatch");
+    assert_eq!(reference, tiered, "block-threaded dispatch diverged from the reference dispatch");
 }
 
 fn bench_kernel(c: &mut Criterion, label: &str, initial: &StateVector) {
@@ -111,21 +110,6 @@ fn bench_kernel(c: &mut Criterion, label: &str, initial: &StateVector) {
     assert_dispatch_layers_agree(initial, &mut cache, BUDGET);
 
     let mut group = c.benchmark_group("tier");
-    // The permanent anchor: the seed's dispatch, re-fetching and re-decoding
-    // every instruction with an Option<&mut DepVector> branch per access.
-    group.bench_function(format!("seed_dispatch_1k_{label}"), |b| {
-        b.iter(|| {
-            let mut state = initial.clone();
-            for _ in 0..BUDGET {
-                if seed_dispatch::transition(black_box(&mut state), None).unwrap()
-                    == StepOutcome::Halted
-                {
-                    break;
-                }
-            }
-            state
-        })
-    });
     // Tier-0: the monomorphized single-step hot path with a decoded cache.
     group.bench_function(format!("transition_cached_1k_{label}"), |b| {
         b.iter(|| {

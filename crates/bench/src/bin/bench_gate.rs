@@ -26,6 +26,7 @@
 //! refresh procedure is documented next to that step in
 //! `.github/workflows/ci.yml`.
 
+use asc_bench::{append_step_summary, number_field, string_field};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -40,34 +41,6 @@ const DEFAULT_TOLERANCE: f64 = 0.20;
 #[derive(Debug, Clone, Copy)]
 struct Record {
     min_ns: f64,
-}
-
-/// Extracts the string value of `"key":"…"` from a flat JSON object line.
-fn string_field(line: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\":\"");
-    let start = line.find(&marker)? + marker.len();
-    let mut value = String::new();
-    let mut chars = line[start..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(value),
-            '\\' => value.push(chars.next()?),
-            other => value.push(other),
-        }
-    }
-    None
-}
-
-/// Extracts the numeric value of `"key":<number>` from a flat JSON object
-/// line.
-fn number_field(line: &str, key: &str) -> Option<f64> {
-    let marker = format!("\"{key}\":");
-    let start = line.find(&marker)? + marker.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Parses a JSON-lines bench report into id → record. An id that appears
@@ -183,24 +156,6 @@ fn summary_markdown(rows: &[GateRow], tolerance: f64) -> String {
         ));
     }
     out
-}
-
-/// Appends the markdown delta table to the file `$GITHUB_STEP_SUMMARY`
-/// names, when running under GitHub Actions. Failures only warn: the
-/// summary is cosmetic, the exit code is the gate.
-fn append_step_summary(markdown: &str) {
-    let Ok(path) = std::env::var("GITHUB_STEP_SUMMARY") else { return };
-    if path.is_empty() {
-        return;
-    }
-    let written = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut file| std::io::Write::write_all(&mut file, markdown.as_bytes()));
-    if let Err(error) = written {
-        eprintln!("warning: could not append to GITHUB_STEP_SUMMARY {path}: {error}");
-    }
 }
 
 fn run(current_path: &str, baseline_path: &str, tolerance: f64) -> Result<bool, String> {

@@ -14,6 +14,7 @@
 //! `true`, and the parser treats any `false` — or an unreadable or empty
 //! artifact — as exit code 2 so a silently-missing soak fails the CI step.
 
+use asc_bench::{append_step_summary, number_field, string_field};
 use std::process::ExitCode;
 
 /// One parsed soak-scenario emission.
@@ -26,34 +27,6 @@ struct SoakRow {
     kill_at: Option<u64>,
     detail: String,
     bit_identical: bool,
-}
-
-/// Extracts the string value of `"key":"…"` from a flat JSON object line.
-fn string_field(line: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\":\"");
-    let start = line.find(&marker)? + marker.len();
-    let mut value = String::new();
-    let mut chars = line[start..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(value),
-            '\\' => value.push(chars.next()?),
-            other => value.push(other),
-        }
-    }
-    None
-}
-
-/// Extracts the numeric value of `"key":<number>` from a flat JSON object
-/// line.
-fn number_field(line: &str, key: &str) -> Option<f64> {
-    let marker = format!("\"{key}\":");
-    let start = line.find(&marker)? + marker.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 /// Extracts the boolean value of `"key":true|false` from a flat JSON
@@ -130,24 +103,6 @@ fn summary_markdown(rows: &[SoakRow]) -> String {
         ));
     }
     out
-}
-
-/// Appends the markdown table to the file `$GITHUB_STEP_SUMMARY` names,
-/// when running under GitHub Actions. Failures only warn: the summary is
-/// cosmetic.
-fn append_step_summary(markdown: &str) {
-    let Ok(path) = std::env::var("GITHUB_STEP_SUMMARY") else { return };
-    if path.is_empty() {
-        return;
-    }
-    let written = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut file| std::io::Write::write_all(&mut file, markdown.as_bytes()));
-    if let Err(error) = written {
-        eprintln!("warning: could not append to GITHUB_STEP_SUMMARY {path}: {error}");
-    }
 }
 
 fn run(path: &str) -> Result<(), String> {

@@ -17,6 +17,7 @@
 //! empty input so a silently-missing artifact fails the CI step; otherwise
 //! the summary is informational and always exits 0.
 
+use asc_bench::{append_step_summary, number_field, string_field};
 use std::process::ExitCode;
 
 /// One parsed `EconomicsStats` emission.
@@ -32,34 +33,6 @@ struct EconRow {
     realized_hit_rate: f64,
     suppressed_cost: f64,
     last_horizon: u64,
-}
-
-/// Extracts the string value of `"key":"…"` from a flat JSON object line.
-fn string_field(line: &str, key: &str) -> Option<String> {
-    let marker = format!("\"{key}\":\"");
-    let start = line.find(&marker)? + marker.len();
-    let mut value = String::new();
-    let mut chars = line[start..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(value),
-            '\\' => value.push(chars.next()?),
-            other => value.push(other),
-        }
-    }
-    None
-}
-
-/// Extracts the numeric value of `"key":<number>` from a flat JSON object
-/// line.
-fn number_field(line: &str, key: &str) -> Option<f64> {
-    let marker = format!("\"{key}\":");
-    let start = line.find(&marker)? + marker.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 fn parse_rows(text: &str, path: &str) -> Result<Vec<EconRow>, String> {
@@ -134,24 +107,6 @@ fn summary_markdown(rows: &[EconRow]) -> String {
         ));
     }
     out
-}
-
-/// Appends the markdown table to the file `$GITHUB_STEP_SUMMARY` names,
-/// when running under GitHub Actions. Failures only warn: the summary is
-/// cosmetic.
-fn append_step_summary(markdown: &str) {
-    let Ok(path) = std::env::var("GITHUB_STEP_SUMMARY") else { return };
-    if path.is_empty() {
-        return;
-    }
-    let written = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut file| std::io::Write::write_all(&mut file, markdown.as_bytes()));
-    if let Err(error) = written {
-        eprintln!("warning: could not append to GITHUB_STEP_SUMMARY {path}: {error}");
-    }
 }
 
 fn run(path: &str) -> Result<(), String> {

@@ -19,8 +19,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod seed_dispatch;
-
 use asc_core::cluster::{self, PlatformProfile, ScalingMode};
 use asc_core::config::AscConfig;
 use asc_core::runtime::{LascRuntime, RunReport};
@@ -126,6 +124,53 @@ pub fn print_curve(
     println!();
 }
 
+/// Extracts the string value of `"key":"…"` from a flat JSON object line
+/// (the JSON-lines records the summary and gate bins read).
+pub fn string_field(line: &str, key: &str) -> Option<String> {
+    let marker = format!("\"{key}\":\"");
+    let start = line.find(&marker)? + marker.len();
+    let mut value = String::new();
+    let mut chars = line[start..].chars();
+    while let Some(c) = chars.next() {
+        match c {
+            '"' => return Some(value),
+            '\\' => value.push(chars.next()?),
+            other => value.push(other),
+        }
+    }
+    None
+}
+
+/// Extracts the numeric value of `"key":<number>` from a flat JSON object
+/// line.
+pub fn number_field(line: &str, key: &str) -> Option<f64> {
+    let marker = format!("\"{key}\":");
+    let start = line.find(&marker)? + marker.len();
+    let rest = &line[start..];
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
+/// Appends a markdown table to the file `$GITHUB_STEP_SUMMARY` names, when
+/// running under GitHub Actions. Failures only warn: the summary is
+/// cosmetic, the bin's exit code is the verdict.
+pub fn append_step_summary(markdown: &str) {
+    let Ok(path) = std::env::var("GITHUB_STEP_SUMMARY") else { return };
+    if path.is_empty() {
+        return;
+    }
+    let written = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&path)
+        .and_then(|mut file| std::io::Write::write_all(&mut file, markdown.as_bytes()));
+    if let Err(error) = written {
+        eprintln!("warning: could not append to GITHUB_STEP_SUMMARY {path}: {error}");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,5 +196,24 @@ mod tests {
         let (report, _) = measure(Benchmark::Collatz, Scale::Tiny);
         assert!(report.halted);
         assert!(!report.supersteps.is_empty());
+    }
+
+    #[test]
+    fn field_extractors_handle_escapes_and_malformed_lines() {
+        let line = r#"{"id":"we\"ird\\name","min_ns":2.5e8,"seed":-3,"mode":"inline"}"#;
+        assert_eq!(string_field(line, "id").as_deref(), Some("we\"ird\\name"));
+        assert_eq!(string_field(line, "mode").as_deref(), Some("inline"));
+        assert_eq!(number_field(line, "min_ns"), Some(2.5e8));
+        assert_eq!(number_field(line, "seed"), Some(-3.0));
+        // Absent keys, a key of the wrong type, an unterminated string, a
+        // dangling escape and an empty number are all `None`, never a panic.
+        assert_eq!(string_field(line, "absent"), None);
+        assert_eq!(number_field(line, "absent"), None);
+        assert_eq!(string_field(line, "min_ns"), None);
+        assert_eq!(number_field(line, "mode"), None);
+        assert_eq!(string_field(r#"{"id":"cut off"#, "id"), None);
+        assert_eq!(string_field(r#"{"id":"dangling\"#, "id"), None);
+        assert_eq!(number_field(r#"{"min_ns":}"#, "min_ns"), None);
+        assert_eq!(number_field(r#"{"min_ns":1.2.3}"#, "min_ns"), None);
     }
 }

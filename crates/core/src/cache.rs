@@ -95,15 +95,7 @@
 //!
 //! The pre-index linear scan is retained as [`TrajectoryCache::
 //! scan_best_match`]: tests and benches use it as the reference the index
-//! must agree with, and the `scan-check` cargo feature debug-asserts that
-//! agreement on every lookup. The probe and the scan are two separate lock
-//! acquisitions, so an insert landing between them can make the pair
-//! disagree without either being wrong; the assertion therefore guards
-//! itself with a seqlock-style quiescence test (writer count and mutation
-//! count unchanged across the window) and silently skips lookups that raced
-//! a writer. Single-threaded tests are always quiescent, so the equivalence
-//! suite still checks every lookup, and the feature is safe to leave on
-//! under live workers — the CI feature matrix runs the full suite with it.
+//! must agree with; it is on no runtime path.
 
 use asc_tvm::delta::{PositionSchema, SparseBytes};
 use asc_tvm::state::StateVector;
@@ -656,43 +648,6 @@ pub struct TrajectoryCache {
     /// inserts all flow to the peer without any caller changing; unset, the
     /// hot path pays one atomic load per insert.
     insert_observer: std::sync::OnceLock<InsertObserver>,
-    /// Writers currently inside [`insert`](TrajectoryCache::insert). The
-    /// indexed probe and the reference scan take the shard locks separately,
-    /// so a concurrent insert between the two can legitimately make them
-    /// disagree; the cross-check only asserts when no writer overlapped the
-    /// lookup window (see `scan_check_mutations`).
-    #[cfg(feature = "scan-check")]
-    scan_check_writers: AtomicU64,
-    /// Completed [`insert`](TrajectoryCache::insert) calls, bumped *after*
-    /// the shard lock is released. Together with `scan_check_writers` this
-    /// forms a seqlock-style quiescence test: a lookup window with zero
-    /// writers at both ends and an unchanged mutation count observed a
-    /// stable cache, so index and scan must agree.
-    #[cfg(feature = "scan-check")]
-    scan_check_mutations: AtomicU64,
-}
-
-/// RAII scope marking one writer in flight for the `scan-check` quiescence
-/// test: increments the writer count on construction; on drop (after the
-/// shard lock is released — declare it *before* the lock guard) bumps the
-/// mutation count and retires the writer.
-#[cfg(feature = "scan-check")]
-struct ScanCheckWriteScope<'a>(&'a TrajectoryCache);
-
-#[cfg(feature = "scan-check")]
-impl<'a> ScanCheckWriteScope<'a> {
-    fn enter(cache: &'a TrajectoryCache) -> Self {
-        cache.scan_check_writers.fetch_add(1, Ordering::SeqCst);
-        ScanCheckWriteScope(cache)
-    }
-}
-
-#[cfg(feature = "scan-check")]
-impl Drop for ScanCheckWriteScope<'_> {
-    fn drop(&mut self) {
-        self.0.scan_check_mutations.fetch_add(1, Ordering::SeqCst);
-        self.0.scan_check_writers.fetch_sub(1, Ordering::SeqCst);
-    }
 }
 
 impl std::fmt::Debug for TrajectoryCache {
@@ -754,10 +709,6 @@ impl TrajectoryCache {
             checksum_rejects: AtomicU64::new(0),
             instructions_served: AtomicU64::new(0),
             insert_observer: std::sync::OnceLock::new(),
-            #[cfg(feature = "scan-check")]
-            scan_check_writers: AtomicU64::new(0),
-            #[cfg(feature = "scan-check")]
-            scan_check_mutations: AtomicU64::new(0),
         }
     }
 
@@ -838,11 +789,6 @@ impl TrajectoryCache {
     /// tier (read-through hits, peer bulk transfers, snapshot loads), which
     /// streaming back out would only echo.
     pub(crate) fn insert_unobserved(&self, entry: CacheEntry) -> bool {
-        // Declared before the lock guard so its drop (which publishes the
-        // mutation count) runs after the lock is released and the write is
-        // visible to scanners.
-        #[cfg(feature = "scan-check")]
-        let _write_scope = ScanCheckWriteScope::enter(self);
         let shard_lock = self.shard_for(&entry.start);
         let mut guard = write_shard(shard_lock);
         let shard = &mut *guard;
@@ -1025,10 +971,6 @@ impl TrajectoryCache {
         scratch: &'s mut LookupScratch,
     ) -> Option<&'s CacheEntry> {
         let LookupScratch { entry: buffer, memo } = scratch;
-        #[cfg(feature = "scan-check")]
-        let writers_before = self.scan_check_writers.load(Ordering::SeqCst);
-        #[cfg(feature = "scan-check")]
-        let mutations_before = self.scan_check_mutations.load(Ordering::SeqCst);
         let mut best: Option<u64> = None;
         self.probe_groups(rip, state, memo, true, |entry| {
             if best.is_none_or(|b| entry.instructions > b) {
@@ -1040,21 +982,6 @@ impl TrajectoryCache {
             }
             ControlFlow::Continue(())
         });
-        // The indexed probe and the reference scan take the shard locks
-        // separately, so a concurrent insert between them can make the pair
-        // disagree without either being wrong. Only assert when the window
-        // was quiescent: no writer in flight at either end and no insert
-        // completed in between — exactly the seqlock read protocol, and
-        // always true in single-threaded tests, so coverage there is total.
-        #[cfg(feature = "scan-check")]
-        {
-            let scanned = self.scan_best_match(rip, state).map(|e| e.instructions);
-            let mutations_after = self.scan_check_mutations.load(Ordering::SeqCst);
-            let writers_after = self.scan_check_writers.load(Ordering::SeqCst);
-            if writers_before == 0 && writers_after == 0 && mutations_before == mutations_after {
-                debug_assert_eq!(best, scanned, "indexed lookup diverged from the reference scan");
-            }
-        }
         if best.is_some() {
             scratch.entry.as_ref()
         } else {
@@ -1065,8 +992,8 @@ impl TrajectoryCache {
     /// Reference linear scan: the longest entry for `rip` whose dependencies
     /// match `state`, found by byte-comparing *every* entry — the pre-index
     /// behaviour the value-hash lookup must be equivalent to. Kept for the
-    /// equivalence tests, the `cache_lookup` benchmark's baseline and the
-    /// `scan-check` debug assertion; not used on any runtime path.
+    /// equivalence tests and the `cache_lookup` benchmark's baseline; not
+    /// used on any runtime path.
     pub fn scan_best_match(&self, rip: u32, state: &StateVector) -> Option<CacheEntry> {
         let mut best: Option<CacheEntry> = None;
         for shard in &self.shards {

@@ -1,109 +1,90 @@
 //! The LASC runtime: the full architecture of Figure 1 wired together.
 //!
-//! Two entry points are provided:
-//!
 //! * [`LascRuntime::measure`] runs the program *unaccelerated* while the
 //!   recognizer, predictors and dependency tracking observe it, producing a
 //!   [`RunReport`] with a per-superstep trace (length, dependency footprint,
 //!   prediction correctness). This trace is what the experiment harnesses
 //!   feed to the [`cluster`](crate::cluster) cost model to obtain the paper's
 //!   scaling curves, and what Tables 1 and 2 are computed from.
-//!
+//! * [`LascRuntime::memoize`] is Figure 6's single-core generalized
+//!   memoization: the cache is filled from the program's own past.
 //! * [`LascRuntime::accelerate`] runs the program *with* the trajectory
-//!   cache in the loop: at every recognized-IP occurrence the main thread
-//!   queries the cache and fast-forwards on a hit; on a miss it trains the
-//!   predictors, asks the allocator for speculative work, executes the
-//!   speculation (inline or on worker threads) and inserts the results into
-//!   the cache. Program results are bit-for-bit identical to sequential
-//!   execution — speculation can only ever skip work, never change it.
+//!   cache, predictors and speculation in the loop. Program results are
+//!   bit-for-bit identical to sequential execution — speculation can only
+//!   ever skip work, never change it.
 //!
-//! # The occurrence → plan → dispatch → supervise → insert pipeline
+//! # One occurrence loop
 //!
-//! With [`AscConfig::workers`] > 0 and the planner enabled (the default),
-//! `accelerate` runs the paper's *continuously speculating* multi-core
-//! architecture for real rather than simulating it:
+//! `accelerate` is Figure 1 as a single loop over one owned run context
+//! (`Run::drive`). At every recognized-IP occurrence the main thread
 //!
-//! 1. **Occurrence.** At recognized-IP occurrences the main thread clones
-//!    its state into a bounded, drop-oldest channel and immediately goes
-//!    back to executing (or fast-forwarding) — every miss is reported, but
-//!    during an uninterrupted hit streak only a sparse sample is, because
-//!    mid-streak the clone costs the fast-forwarding main thread more than
-//!    the planner gains. It never trains predictors, plans or dispatches:
-//!    speculation cadence is not its job.
-//! 2. **Plan.** The [`PlannerHandle`]'s thread consumes the occurrence
-//!    stream. It trains the predictor bank (the cheap incremental path most
-//!    of the time), matches each occurrence against its current plan —
-//!    confirming or invalidating the predicted trajectory — and keeps a
-//!    rollout horizon of [`PlannerConfig::horizon`] predicted future
-//!    supersteps planned at all times.
-//! 3. **Dispatch.** The planner tops the persistent [`SpeculationPool`]'s
-//!    queue up with undispatched, uncovered plan entries, nearest-first,
-//!    after every occurrence *and* whenever worker progress (a landed cache
-//!    insert, or slots freed by faulted, exhausted or deduplicated jobs)
-//!    leaves the queue below its watermark — so workers stay busy even while
-//!    the main thread fast-forwards through a hit streak without ever
-//!    missing.
-//! 4. **Speculate + Insert.** Each worker executes one superstep from its
-//!    predicted start state with full per-byte dependency tracking (the
-//!    paper's `g` vector) into a per-worker reusable scratch, and completed
-//!    supersteps become compressed cache entries (read-set keyed start,
-//!    write-set keyed end) in the sharded, thread-safe [`TrajectoryCache`];
-//!    the main thread picks them up at its next occurrence and
-//!    fast-forwards.
-//! 5. **Supervise.** Every stage of the speculation machinery is allowed
-//!    to *fail* without touching program results (see
-//!    [`supervisor`](crate::supervisor)): jobs run under `catch_unwind`
-//!    with an optional per-job instruction deadline, panicked workers are
-//!    respawned with backoff by a monitor thread up to a restart budget,
-//!    corrupted cache entries are rejected by checksum at apply time, and
-//!    a dead planner is detected by the main loop, which finishes the run
-//!    under miss-driven dispatch on a fresh pool. A [`CircuitBreaker`] on
-//!    the main thread watches the windowed failure rate (worker panics,
-//!    deadline kills, cache integrity rejects vs. normally retired jobs)
-//!    and trips the run to plain inline execution while the machinery is
-//!    sick, half-opening after a cooldown to probe for recovery — a sick
-//!    runtime degrades toward sequential speed, never below it. The full
-//!    failure model and thresholds are documented on
-//!    [`BreakerConfig`](crate::config::BreakerConfig); every contained
-//!    failure is counted in [`RunReport::health`].
+//! 1. runs the **prelude**: counts the occurrence, feeds the watchdog's
+//!    heartbeat, honours its escalations and the shutdown flag, checkpoints
+//!    on the interval and advances the circuit breaker;
+//! 2. **consults the cache** — local shards, then one bounded probe of the
+//!    remote tier — and fast-forwards on a hit;
+//! 3. on a miss lets the run's `Dispatch` mode **speculate**, then executes
+//!    the superstep itself.
 //!
-//! With the planner disabled, a worker-pool run falls back to PR 1's
-//! miss-driven dispatch: the main thread itself trains the bank at every
-//! cache miss and hands the expected-utility-ranked [`SpeculationTask`]s to
-//! the pool, skipping re-planning while the pool is saturated. The same
-//! supervision layer (deadlines, respawn, breaker, health counters) wraps
-//! this mode and the `workers == 0` inline mode too.
+//! `Dispatch` is the only thing that differs between the modes, and it is
+//! consulted at three points — before the lookup, on a hit, on a miss:
+//!
+//! * **Planned** ([`AscConfig::workers`] > 0 and the planner enabled, the
+//!   default): the paper's *continuously speculating* architecture. The
+//!   main thread clones its state into a bounded, drop-oldest channel —
+//!   every miss, but only a sparse sample of an uninterrupted hit streak —
+//!   and goes straight back to executing. The [`PlannerHandle`]'s thread
+//!   trains the predictor bank, confirms or invalidates its plan against
+//!   each occurrence, keeps [`PlannerConfig::horizon`] predicted supersteps
+//!   planned and tops the [`SpeculationPool`] up nearest-first, also
+//!   whenever worker progress frees queue slots, so workers stay busy while
+//!   the main thread fast-forwards without ever missing.
+//! * **Miss-driven** (planner disabled, or `workers == 0`): the main thread
+//!   itself trains the bank at every occurrence and, on a miss, prices a
+//!   rollout through the dispatch economics and hands the ranked
+//!   [`SpeculationTask`]s to the pool — or, with no pool, executes them
+//!   inline, which makes the whole run, statistics included, reproducible.
+//!
+//! Either way a speculated superstep runs from its predicted start state
+//! with full per-byte dependency tracking (the paper's `g` vector) and
+//! becomes a compressed entry (read-set keyed start, write-set keyed end)
+//! in the sharded [`TrajectoryCache`], where the main thread finds it at a
+//! later occurrence.
+//!
+//! **Supervision** (see [`supervisor`](crate::supervisor)) lets every stage
+//! of that machinery *fail* without touching program results: jobs run
+//! under `catch_unwind` with an optional instruction deadline, panicked
+//! workers are respawned with backoff, corrupted entries are rejected by
+//! checksum at apply time, and a [`CircuitBreaker`] trips the run to plain
+//! execution while the windowed failure rate is high (thresholds on
+//! [`BreakerConfig`]). The two degradations that change *mode* are a
+//! `mem::replace` of the `Dispatch` value inside the loop iteration that
+//! notices them: a dead planner becomes miss-driven dispatch on a fresh
+//! pool and bank, and the watchdog's stage-2 escalation tears the pool (or
+//! the planner) down and finishes inline. Every contained failure is
+//! counted in [`RunReport::health`]; a sick runtime degrades toward
+//! sequential speed, never below it.
 //!
 //! Determinism of *results* is scheduling-independent in every mode: an
 //! entry is applied only when its entire read set matches the live state, so
 //! the worst a racing, stale or dropped speculation can do is fail to save
 //! work. Which supersteps are skipped (and therefore the reported cache
-//! statistics) may vary between runs; `final_state` never does.
-//! `workers == 0` executes the same tasks inline on the main thread, giving
-//! a fully reproducible run.
+//! statistics) may vary between threaded runs; `final_state` never does.
 //!
 //! # Interpreter cost model
 //!
-//! The main thread's hot loop uses the TVM's monomorphized transition
-//! entry points (see [`asc_tvm::exec::DepSink`]): untracked execution runs
-//! with the zero-cost `NoDeps` sink and a decoded-instruction cache, so
-//! retiring an instruction pays neither a dependency-tracking branch per
-//! state access nor a fetch+decode of the raw 8 instruction bytes.
-//! Speculative workers run the same generic code monomorphized over a real
-//! `DepVector` — tracking cost is paid exactly where the architecture needs
-//! the information, on the spare cores.
-//!
-//! On top of that tier-0 baseline, `accelerate` *tiers up* every executor
-//! (see [`asc_tvm::tier`]): the recognized IP is seeded into a per-machine
-//! [`BlockCache`](asc_tvm::tier::BlockCache), so the hot inter-occurrence
-//! region is compiled into a block of pre-decoded, fused micro-ops and
-//! replayed with a threaded dispatch loop instead of being re-dispatched
-//! one instruction at a time. The main thread runs blocks with `NoDeps`,
-//! workers run the *same* blocks monomorphized over `DepVector` — tier-1
-//! changes the cost of an instruction, never its semantics, and
-//! [`TierStats`] in the [`RunReport`] records how much execution each run
-//! actually promoted. `measure` and `memoize` deliberately stay tier-0:
-//! they are the measurement baseline.
+//! The main thread executes with the TVM's zero-cost `NoDeps` sink and a
+//! decoded-instruction cache; speculation runs the same generic code
+//! monomorphized over a real `DepVector` (see [`asc_tvm::exec::DepSink`]),
+//! so dependency tracking is paid exactly where the architecture needs the
+//! information — on the spare cores. `accelerate` also *tiers up* every
+//! executor (see [`asc_tvm::tier`]): the recognized IP is seeded hot in each
+//! block cache, so the inter-occurrence region runs as compiled, fused
+//! micro-op blocks from its first arrival — tier-1 changes the cost of an
+//! instruction, never its semantics — and [`TierStats`] in the
+//! [`RunReport`] records how much execution each run promoted. `measure`
+//! and `memoize` deliberately stay tier-0: they are the measurement
+//! baseline.
 //!
 //! [`SpeculationTask`]: crate::allocator::SpeculationTask
 //! [`SpeculationPool`]: crate::workers::SpeculationPool
@@ -112,18 +93,19 @@
 //! [`PlannerHandle`]: crate::planner::PlannerHandle
 //! [`PlannerConfig::horizon`]: crate::config::PlannerConfig::horizon
 //! [`CircuitBreaker`]: crate::supervisor::CircuitBreaker
+//! [`BreakerConfig`]: crate::config::BreakerConfig
 
 use crate::allocator::plan_speculation;
-use crate::cache::{CacheStats, LookupScratch, TrajectoryCache};
+use crate::cache::{CacheEntry, CacheStats, LookupScratch, TrajectoryCache};
 use crate::checkpoint::{self, CheckpointStats, RunCheckpoint};
-use crate::config::{AscConfig, BreakerConfig, CheckpointConfig};
+use crate::config::AscConfig;
 use crate::economics::{EconomicsStats, SpeculationEconomics};
 use crate::error::AscResult;
 use crate::planner::{OccurrenceEvent, PlannerHandle, PlannerOutcome, PlannerStats};
 use crate::predictor_bank::PredictorBank;
 use crate::recognizer::{recognize, RecognizedIp, RecognizerOutcome};
 use crate::remote::{snapshot, RemoteStats, RemoteTier};
-use crate::speculator::{execute_superstep_with, SpeculationScratch};
+use crate::speculator::{execute_superstep_with, SpeculationResult, SpeculationScratch};
 use crate::supervisor::{
     watchdog_stage, CircuitBreaker, HealthStats, Heartbeat, Supervision, Watchdog,
 };
@@ -233,6 +215,42 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// The report every entry point starts from: the recognizer's verdict,
+    /// the instruction accounting and the final state, with every
+    /// mode-specific section empty. Each caller overrides the sections it
+    /// populates.
+    fn base(
+        outcome: &RecognizerOutcome,
+        machine: Machine,
+        fast_forwarded: u64,
+        halted: bool,
+    ) -> Self {
+        let executed_instructions = outcome.resume_instret + machine.instret();
+        RunReport {
+            rip: outcome.rip,
+            unique_ips: outcome.unique_ips,
+            state_bits: machine.state().len_bits(),
+            excited_bits: 0,
+            converge_instructions: outcome.instructions_spent,
+            total_instructions: executed_instructions + fast_forwarded,
+            executed_instructions,
+            fast_forwarded_instructions: fast_forwarded,
+            supersteps: Vec::new(),
+            ensemble_errors: None,
+            weight_matrix: None,
+            cache_stats: CacheStats::default(),
+            speculation: None,
+            planner: None,
+            health: HealthStats::default(),
+            economics: None,
+            remote: None,
+            checkpoints: None,
+            tier: TierStats::default(),
+            final_state: machine.into_state(),
+            halted,
+        }
+    }
+
     /// Mean instructions per superstep (Table 1's "average jump").
     pub fn mean_superstep(&self) -> f64 {
         if self.supersteps.is_empty() {
@@ -275,180 +293,505 @@ impl RunReport {
     }
 }
 
-/// The main loop's breaker driver: the [`CircuitBreaker`] itself plus the
-/// previous totals of the monotone success/failure counters it is fed from,
-/// so each occurrence records only the delta since the last one.
-///
-/// Failures are worker panics and deadline kills (from the shared
-/// [`HealthMonitor`](crate::supervisor::HealthMonitor)) plus cache
-/// integrity rejects (checksum and collision); successes are normally
-/// retired speculation jobs. All are relaxed atomics read twice per
-/// occurrence — the breaker itself stays single-threaded on the main loop.
-struct BreakerDriver {
-    breaker: CircuitBreaker,
-    successes_seen: u64,
-    failures_seen: u64,
-}
-
-impl BreakerDriver {
-    fn new(config: BreakerConfig) -> Self {
-        BreakerDriver { breaker: CircuitBreaker::new(config), successes_seen: 0, failures_seen: 0 }
-    }
-
-    /// Per-occurrence heartbeat: advances the breaker clock (cooldown →
-    /// half-open) and feeds it the success/failure deltas since the
-    /// previous occurrence.
-    fn on_occurrence(&mut self, supervision: &Supervision, cache: &TrajectoryCache) {
-        self.breaker.tick_occurrence();
-        let successes = supervision.health.jobs_ok();
-        let failures = supervision.health.failure_events() + cache.integrity_failures();
-        self.breaker.record(
-            successes.saturating_sub(self.successes_seen),
-            failures.saturating_sub(self.failures_seen),
-        );
-        self.successes_seen = successes;
-        self.failures_seen = failures;
-    }
-
-    fn allows_speculation(&self) -> bool {
-        self.breaker.allows_speculation()
-    }
-}
-
-/// The run's checkpoint writer: owns sequence numbering, interval gating,
-/// the per-run constants every checkpoint repeats, and the activity
-/// counters reported through [`RunReport::checkpoints`].
+/// The run's checkpoint bookkeeping: sequence numbering and the activity
+/// counters reported through [`RunReport::checkpoints`]. Present only when
+/// checkpointing is enabled; the policy itself (directory, interval,
+/// retention) is read from `AscConfig::checkpoint`.
 struct CheckpointDriver {
-    dir: std::path::PathBuf,
-    interval: u64,
-    keep: usize,
-    snapshot_cache: bool,
     fingerprint: u64,
     next_sequence: u64,
-    rip: RecognizedIp,
-    unique_ips: usize,
-    converge_instructions: u64,
     stats: CheckpointStats,
 }
 
-impl CheckpointDriver {
-    /// Saves a checkpoint when `occurrence` lands on the interval (or
-    /// unconditionally on `force` — the graceful-shutdown flush), bringing
-    /// the trajectory cache along as a sibling snapshot. Failures are
-    /// counted, never propagated: losing durability must not cost the run.
-    #[allow(clippy::too_many_arguments)]
-    fn tick(
-        &mut self,
-        occurrence: u64,
-        force: bool,
-        resume_instret: u64,
-        fast_forwarded: u64,
-        state: &StateVector,
-        bank: Option<&PredictorBank>,
-        economics: Option<&SpeculationEconomics>,
-        cache: &TrajectoryCache,
-    ) {
-        if !force && occurrence % self.interval != 0 {
-            return;
-        }
-        if force && self.stats.saves > 0 && self.stats.last_occurrence == occurrence {
-            return; // The interval save this very occurrence already flushed.
-        }
-        let sequence = self.next_sequence;
-        // The cache snapshot goes first: the checkpoint file's rename is the
-        // commit point, and a checkpoint whose sibling is missing merely
-        // resumes with a cold cache.
-        let _ = std::fs::create_dir_all(&self.dir);
-        if self.snapshot_cache {
-            let _ = snapshot::save(cache, &checkpoint::cache_path_for(&self.dir, sequence));
-        }
-        let ckpt = RunCheckpoint {
-            sequence,
-            fingerprint: self.fingerprint,
-            occurrence,
-            rip: self.rip,
-            unique_ips: self.unique_ips,
-            converge_instructions: self.converge_instructions,
-            resume_instret,
-            fast_forwarded,
-            state: state.as_bytes().to_vec(),
-            bank: bank.map(|bank| {
-                let mut blob = Vec::new();
-                bank.save_state(&mut blob);
-                blob
-            }),
-            economics: economics.map(|economics| {
-                let mut blob = Vec::new();
-                economics.save_state(&mut blob);
-                blob
-            }),
-        };
-        match checkpoint::save(&self.dir, &ckpt, self.keep) {
-            Ok(bytes) => {
-                self.stats.saves += 1;
-                self.stats.last_occurrence = occurrence;
-                self.stats.bytes_written += bytes;
-                self.next_sequence += 1;
-            }
-            Err(_) => self.stats.save_failures += 1,
+/// During an uninterrupted hit streak the main thread only applies sparse
+/// deltas, so cloning the full state for the planner on *every* occurrence
+/// costs more than the planner gains (a flooded channel drops most of them
+/// anyway) — mid-streak, only every `STREAK_SEND_INTERVAL`-th occurrence is
+/// reported. Clamped to the plan horizon at use: a sample arriving more
+/// supersteps past the previous one than the horizon is deep could never
+/// match a plan entry, so it would invalidate the plan on every sample.
+const STREAK_SEND_INTERVAL: u64 = 8;
+
+/// Who owns speculation cadence for the run. `Run::drive` consults it
+/// before the lookup, on a hit and on a miss; a dead planner or a watchdog
+/// teardown swaps `Planned` for `MissDriven` in place.
+// One value per run, never stored in a collection: the size gap between
+// the variants costs nothing.
+#[allow(clippy::large_enum_variant)]
+enum Dispatch {
+    /// The planner thread trains, plans and dispatches; the main thread
+    /// only streams occurrences to it.
+    Planned {
+        planner: PlannerHandle,
+        /// Consecutive cache hits since the last miss.
+        hit_streak: u64,
+        /// Whether the previous occurrence was reported: a send after a
+        /// throttled occurrence is marked non-contiguous so the planner's
+        /// bank does not train across the gap.
+        prev_sent: bool,
+    },
+    /// The main thread trains at every occurrence and plans and dispatches
+    /// on every miss — to the pool, or inline when there is none.
+    MissDriven {
+        bank: PredictorBank,
+        economics: SpeculationEconomics,
+        pool: Option<SpeculationPool>,
+        /// Final counters of a pool the watchdog tore down mid-run.
+        torn_down: Option<PoolStats>,
+        /// Inline speculation reuses one scratch across the whole run, so
+        /// blocks the tier compiles for the first speculated superstep keep
+        /// paying off for every later one.
+        scratch: SpeculationScratch,
+        superstep_estimate: f64,
+    },
+}
+
+impl Dispatch {
+    /// Miss-driven dispatch from a cold bank and the economics' optimistic
+    /// prior — how a run without a planner starts, and how one whose
+    /// planner is gone continues (its learned state died with its thread).
+    fn miss_driven(config: &AscConfig, rip: RecognizedIp, pool: Option<SpeculationPool>) -> Self {
+        Dispatch::MissDriven {
+            bank: PredictorBank::new(rip.ip, config),
+            economics: SpeculationEconomics::new(&config.economics),
+            pool,
+            torn_down: None,
+            scratch: SpeculationScratch::with_tier(config.tier),
+            superstep_estimate: rip.mean_superstep,
         }
     }
 }
 
-/// Crash-durability context threaded through both occurrence loops: the
-/// watchdog heartbeat, the optional checkpoint writer, the cooperative
-/// shutdown flag and the run-wide occurrence counter (which survives the
-/// planned → miss-driven handoff and, via checkpoints, process restarts).
-struct Durability {
+fn new_pool(
+    config: &AscConfig,
+    cache: &Arc<TrajectoryCache>,
+    supervision: &Supervision,
+) -> SpeculationPool {
+    SpeculationPool::with_supervision(config.workers, Arc::clone(cache), supervision.clone())
+}
+
+/// Everything one `accelerate` call owns between recognition and its
+/// report: the main thread's machine, the cache tiers, the supervision and
+/// durability context, and the `Dispatch` mode.
+struct Run<'a> {
+    config: &'a AscConfig,
+    outcome: &'a RecognizerOutcome,
+    machine: Machine,
+    cache: Arc<TrajectoryCache>,
+    remote: Option<RemoteTier>,
+    supervision: Supervision,
+    breaker: CircuitBreaker,
+    /// Totals of the monotone success and failure counters the breaker is
+    /// fed from, as of the previous occurrence: it records only deltas.
+    breaker_seen: (u64, u64),
+    dispatch: Dispatch,
+    /// The watchdog's liveness signal, ticked once per occurrence.
     heartbeat: Arc<Heartbeat>,
     checkpoints: Option<CheckpointDriver>,
     shutdown: Option<Arc<AtomicBool>>,
+    /// Run-wide occurrence ordinal; survives a `Dispatch` swap and, via
+    /// checkpoints, process restarts.
     occurrence: u64,
-    /// Fast-forward total restored from a checkpoint (0 on a fresh run).
-    resume_fast_forwarded: u64,
     /// Whether the watchdog's stage-1 escalation has been applied — the
     /// breaker is force-opened once, then left to its own recovery clock.
     breaker_forced: bool,
-    /// Set when the shutdown flag is observed: flush and return early.
-    stop: bool,
+    fast_forwarded: u64,
+    halted: bool,
 }
 
-impl Durability {
-    fn shutdown_requested(&self) -> bool {
-        self.shutdown.as_ref().is_some_and(|flag| flag.load(Ordering::Relaxed))
+impl Run<'_> {
+    /// The occurrence loop (see the module documentation): runs until the
+    /// program halts, the instruction budget is exhausted or the shutdown
+    /// flag is raised, then assembles the report.
+    fn drive(mut self) -> AscResult<RunReport> {
+        // Hits are cloned into one reusable scratch: the loop allocates
+        // nothing per occurrence.
+        let mut lookup = LookupScratch::new();
+        let rip = self.outcome.rip;
+        while !self.halted && within_budget(self.config, self.outcome, &self.machine) {
+            if !self.begin_occurrence() {
+                break;
+            }
+            let speculating = self.breaker.allows_speculation();
+            let sent = self.notify_planner(speculating);
+            // Local miss: one bounded peer probe before paying for the
+            // superstep. A remote entry fast-forwards exactly like a local
+            // hit — it passed the same `matches` + checksum guards — and was
+            // read-through into the local cache inside `fetch`.
+            let fetched;
+            let hit = match self.cache.lookup_with(rip.ip, self.machine.state(), &mut lookup) {
+                Some(entry) => Some(entry),
+                None => {
+                    let remote = self.remote.as_ref();
+                    fetched = remote.and_then(|tier| tier.fetch(rip.ip, self.machine.state()));
+                    fetched.as_ref()
+                }
+            };
+            if let Some(entry) = hit {
+                self.apply_hit(entry, sent);
+                continue;
+            }
+            self.speculate_on_miss(speculating, sent, &mut lookup);
+            let (executed, now_halted) =
+                LascRuntime::run_one_superstep(&mut self.machine, rip, self.config.max_superstep)?;
+            self.halted = now_halted;
+            if executed == 0 {
+                break;
+            }
+            if let Dispatch::MissDriven { superstep_estimate, .. } = &mut self.dispatch {
+                *superstep_estimate = 0.9 * *superstep_estimate + 0.1 * executed as f64;
+            }
+        }
+        Ok(self.finish())
+    }
+
+    /// The occurrence prelude: the main thread is at a recognized-IP
+    /// occurrence (or at the very start of the post-recognition phase), so
+    /// replace a dead planner, count the occurrence, feed the watchdog's
+    /// heartbeat, take the escalation, shutdown and checkpoint decisions,
+    /// and advance the breaker — all before any speculation bookkeeping.
+    /// Returns `false` when the shutdown flag ends the run here.
+    fn begin_occurrence(&mut self) -> bool {
+        // A dead planner leaves occurrences landing in a channel nobody
+        // drains: finish the run under miss-driven dispatch on a fresh pool.
+        // Its unwind already shut its own pool down.
+        if matches!(&self.dispatch, Dispatch::Planned { planner, .. } if !planner.is_alive()) {
+            self.supervision.health.record_planner_panics(1);
+            let pool = new_pool(self.config, &self.cache, &self.supervision);
+            self.degrade_to_miss_driven(Some(pool));
+        }
+        self.occurrence += 1;
+        self.heartbeat.tick();
+        if self.supervision.abort_at(self.occurrence) {
+            // Injected crash: die as SIGABRT mid-run, exactly like a kill
+            // signal, leaving whatever checkpoints already landed.
+            std::process::abort();
+        }
+        if self.supervision.stall_at(self.occurrence) {
+            stall_until_escalation(&self.heartbeat);
+        }
+        let stage = self.heartbeat.stage();
+        if stage >= watchdog_stage::FORCE_BREAKER && !self.breaker_forced {
+            self.breaker_forced = true;
+            self.breaker.force_open();
+        }
+        if stage >= watchdog_stage::TEAR_DOWN_POOL {
+            // Shed the stalled machinery and finish inline: no fresh pool.
+            match &mut self.dispatch {
+                Dispatch::Planned { .. } => self.degrade_to_miss_driven(None),
+                Dispatch::MissDriven { pool, torn_down, .. } => {
+                    if let Some(pool) = pool.take() {
+                        *torn_down = Some(pool.shutdown());
+                    }
+                }
+            }
+        }
+        // A raised shutdown flag flushes a final checkpoint and stops.
+        let stop = self.shutdown.as_ref().is_some_and(|flag| flag.load(Ordering::Relaxed));
+        self.checkpoint(stop);
+        if stop {
+            return false;
+        }
+        self.tick_breaker();
+        true
+    }
+
+    /// Advances the breaker clock (cooldown → half-open) and feeds it the
+    /// success/failure deltas since the previous occurrence. Failures are
+    /// worker panics and deadline kills (from the shared
+    /// [`HealthMonitor`](crate::supervisor::HealthMonitor)) plus cache
+    /// integrity rejects (checksum and collision); successes are normally
+    /// retired speculation jobs. All are relaxed atomic loads — the breaker
+    /// itself stays single-threaded on the main loop.
+    fn tick_breaker(&mut self) {
+        self.breaker.tick_occurrence();
+        let successes = self.supervision.health.jobs_ok();
+        let failures = self.supervision.health.failure_events() + self.cache.integrity_failures();
+        let (successes_seen, failures_seen) = self.breaker_seen;
+        self.breaker.record(
+            successes.saturating_sub(successes_seen),
+            failures.saturating_sub(failures_seen),
+        );
+        self.breaker_seen = (successes, failures);
+    }
+
+    /// Saves a checkpoint when the occurrence count lands on the interval
+    /// (or unconditionally on `force` — the graceful-shutdown flush),
+    /// bringing the trajectory cache along as a sibling snapshot. The
+    /// learned state rides along when the main thread owns it: a planned
+    /// run's bank and economics live on the planner thread and re-warm
+    /// after resume, like the dead-planner degrade. Failures are counted,
+    /// never propagated: losing durability must not cost the run.
+    fn checkpoint(&mut self, force: bool) {
+        let Some(driver) = &mut self.checkpoints else { return };
+        let cfg = &self.config.checkpoint;
+        let occurrence = self.occurrence;
+        if !force && occurrence % cfg.interval != 0 {
+            return;
+        }
+        if force && driver.stats.saves > 0 && driver.stats.last_occurrence == occurrence {
+            return; // The interval save this very occurrence already flushed.
+        }
+        let dir = cfg.directory.as_deref().expect("validated: checkpointing needs a directory");
+        // The cache snapshot goes first: the checkpoint file's rename is the
+        // commit point, and a checkpoint whose sibling is missing merely
+        // resumes with a cold cache.
+        let _ = std::fs::create_dir_all(dir);
+        if cfg.snapshot_cache {
+            let _ =
+                snapshot::save(&self.cache, &checkpoint::cache_path_for(dir, driver.next_sequence));
+        }
+        let mut ckpt = RunCheckpoint {
+            sequence: driver.next_sequence,
+            fingerprint: driver.fingerprint,
+            occurrence,
+            rip: self.outcome.rip,
+            unique_ips: self.outcome.unique_ips,
+            converge_instructions: self.outcome.instructions_spent,
+            resume_instret: self.outcome.resume_instret + self.machine.instret(),
+            fast_forwarded: self.fast_forwarded,
+            state: self.machine.state().as_bytes().to_vec(),
+            bank: None,
+            economics: None,
+        };
+        if let Dispatch::MissDriven { bank, economics, .. } = &self.dispatch {
+            bank.save_state(ckpt.bank.insert(Vec::new()));
+            economics.save_state(ckpt.economics.insert(Vec::new()));
+        }
+        match checkpoint::save(dir, &ckpt, cfg.keep) {
+            Ok(bytes) => {
+                driver.stats.saves += 1;
+                driver.stats.last_occurrence = occurrence;
+                driver.stats.bytes_written += bytes;
+                driver.next_sequence += 1;
+            }
+            Err(_) => driver.stats.save_failures += 1,
+        }
+    }
+
+    /// Swaps a planner (joining its thread and pool) for miss-driven
+    /// dispatch on `pool`. Degrades the run, never aborts it.
+    fn degrade_to_miss_driven(&mut self, pool: Option<SpeculationPool>) {
+        let fresh = Dispatch::miss_driven(self.config, self.outcome.rip, pool);
+        if let Dispatch::Planned { planner, .. } = std::mem::replace(&mut self.dispatch, fresh) {
+            let _ = planner.shutdown();
+        }
+    }
+
+    /// Planned mode, before the lookup: reports the occurrence to the
+    /// planner (never blocks; drop-oldest) and yields. Returns whether the
+    /// occurrence was reported. An open breaker suppresses the report — a
+    /// planner that hears no occurrences trains nothing, re-plans nothing
+    /// and tops nothing up, so speculation quiesces while the machinery is
+    /// sick (residual queued jobs drain and stragglers are dropped by the
+    /// breaker).
+    fn notify_planner(&self, speculating: bool) -> bool {
+        let Dispatch::Planned { planner, hit_streak, prev_sent } = &self.dispatch else {
+            return false;
+        };
+        let interval = STREAK_SEND_INTERVAL.min(self.config.planner.horizon as u64);
+        let sent = speculating && hit_streak % interval == 0;
+        if sent {
+            planner.send(OccurrenceEvent {
+                state: self.machine.state().clone(),
+                contiguous: *prev_sent,
+            });
+        }
+        // An occurrence boundary is the natural preemption point: on
+        // machines with fewer spare cores than threads, handing the
+        // scheduler an explicit yield here is what keeps the planner and
+        // workers running ahead of a fast-forwarding main thread — a
+        // starved planner plans from stale states and every speculation
+        // it dispatches arrives too late to matter. Unlike the state
+        // clone, the yield is kept on *every* occurrence: skipping it
+        // mid-streak lets the main thread outrun the workers extending
+        // the cached frontier and collapses the hit rate on
+        // core-constrained hosts. With the breaker open there is nobody
+        // worth yielding to.
+        if speculating {
+            std::thread::yield_now();
+        }
+        sent
+    }
+
+    /// Fast-forwards through a cache hit, local or remote.
+    fn apply_hit(&mut self, entry: &CacheEntry, sent: bool) {
+        self.machine.apply_sparse(&entry.end);
+        self.fast_forwarded += entry.instructions;
+        match &mut self.dispatch {
+            Dispatch::Planned { hit_streak, prev_sent, .. } => {
+                *hit_streak += 1;
+                *prev_sent = sent;
+            }
+            Dispatch::MissDriven { bank, economics, .. } => {
+                economics.record_lookup(true);
+                bank.observe(&self.machine.state().clone());
+            }
+        }
+    }
+
+    /// A miss: planned mode makes sure the planner has this state as its
+    /// re-plan anchor; miss-driven mode trains on the occurrence and
+    /// dispatches speculative work.
+    fn speculate_on_miss(&mut self, speculating: bool, sent: bool, lookup: &mut LookupScratch) {
+        let rip = self.outcome.rip;
+        match &mut self.dispatch {
+            Dispatch::Planned { planner, hit_streak, prev_sent } => {
+                // If the streak throttle skipped this occurrence, report it
+                // now. An open breaker leaves the gap in place; the first
+                // report after it re-opens is marked non-contiguous so the
+                // planner's bank never trains across it.
+                if speculating && !sent {
+                    planner.send(OccurrenceEvent {
+                        state: self.machine.state().clone(),
+                        contiguous: *prev_sent,
+                    });
+                }
+                *prev_sent = speculating;
+                *hit_streak = 0;
+            }
+            Dispatch::MissDriven { bank, economics, pool, scratch, superstep_estimate, .. } => {
+                economics.record_lookup(false);
+                let state = self.machine.state().clone();
+                bank.observe(&state);
+                economics.observe_model(bank.recent_error_rate());
+                // Re-planning is skipped while the pool is saturated: the
+                // predictor rollout is expensive, and a saturated pool means
+                // the predictions from the previous occurrence are still
+                // being speculated — re-deriving (largely overlapping) ones
+                // would only be deduplicated at dispatch anyway. An open
+                // breaker skips it entirely: a sick runtime executes
+                // plainly, paying nothing for speculation until the
+                // half-open probe.
+                let pool_saturated = pool.as_ref().is_some_and(SpeculationPool::is_saturated);
+                if !speculating || !bank.is_ready() || pool_saturated {
+                    return;
+                }
+                // The rollout itself is priced: a rip whose predictions are
+                // not landing gets a collapsed horizon, so the expensive
+                // chained prediction work shrinks along with the dispatches.
+                let horizon = economics.horizon(self.config.rollout_depth);
+                let tasks = plan_speculation(
+                    bank.rollout(&state, horizon),
+                    *superstep_estimate,
+                    self.config.rollout_depth,
+                    &self.cache,
+                    rip.ip,
+                    lookup,
+                    economics,
+                );
+                for task in tasks {
+                    let job = SpeculationJob {
+                        start: task.predicted.state,
+                        rip: rip.ip,
+                        stride: rip.stride,
+                        max_instructions: self.config.max_superstep,
+                    };
+                    match pool.as_mut() {
+                        // Hand the superstep to a worker; the main thread
+                        // continues immediately. A full queue drops the task.
+                        Some(pool) => _ = pool.dispatch(job),
+                        None => speculate_inline(&job, &self.cache, &self.supervision, scratch),
+                    }
+                }
+            }
+        }
+    }
+
+    /// Joins the speculation machinery, so every in-flight insert has
+    /// landed (and passed through the remote tier's observer before its
+    /// write-behind drains and the shutdown snapshot is written) and the
+    /// reported statistics are stable, then assembles the report.
+    fn finish(self) -> RunReport {
+        let mut tier = self.machine.tier_stats();
+        let mut report =
+            RunReport::base(self.outcome, self.machine, self.fast_forwarded, self.halted);
+        let bank = match self.dispatch {
+            Dispatch::MissDriven { bank, economics, pool, torn_down, mut scratch, .. } => {
+                // A pool the watchdog tore down mid-run already joined; its
+                // counters stand.
+                report.speculation = pool.map(SpeculationPool::shutdown).or(torn_down);
+                report.economics = Some(economics.stats());
+                tier.merge(&scratch.take_tier_stats());
+                Some(bank)
+            }
+            Dispatch::Planned { planner, .. } => match planner.shutdown() {
+                Some(PlannerOutcome { stats, pool, bank, economics }) => {
+                    report.speculation = Some(pool);
+                    report.planner = Some(stats);
+                    report.economics = Some(economics);
+                    Some(bank)
+                }
+                // The planner panicked between the loop's last liveness
+                // check and the join: the program result is unaffected (it
+                // was computed on the main thread), only the planner-side
+                // statistics died with the thread.
+                None => {
+                    self.supervision.health.record_planner_panics(1);
+                    None
+                }
+            },
+        };
+        if let Some(bank) = bank {
+            report.excited_bits = bank.excited_bits();
+            report.ensemble_errors = bank.errors();
+            report.weight_matrix = bank.weight_matrix();
+        }
+        report.remote = self.remote.map(RemoteTier::finish);
+        if let Some(stats) = &report.speculation {
+            tier.merge(&stats.tier);
+        }
+        report.tier = tier;
+        report.cache_stats = self.cache.stats();
+        // Health counters have three homes: the shared monitor, the main
+        // loop's breaker and heartbeat, and the cache's checksum rejects.
+        report.health = self.supervision.health.snapshot();
+        self.breaker.fill_stats(&mut report.health);
+        self.heartbeat.fill_stats(&mut report.health);
+        report.health.checksum_rejects = report.cache_stats.checksum_rejects;
+        report.checkpoints = self.checkpoints.map(|driver| driver.stats);
+        report
     }
 }
 
-/// Assembles a run's health counters from their three homes: the shared
-/// monitor's snapshot, the main loop's breaker, and the cache's checksum
-/// rejects.
-fn assemble_health(
-    supervision: &Supervision,
-    driver: &BreakerDriver,
-    cache: &TrajectoryCache,
-) -> HealthStats {
-    let mut health = supervision.health.snapshot();
-    driver.breaker.fill_stats(&mut health);
-    health.checksum_rejects = cache.stats().checksum_rejects;
-    health
+/// Whether a run may execute more: the budget gates *executed*
+/// instructions, recognition included — fast-forwards are free.
+fn within_budget(config: &AscConfig, outcome: &RecognizerOutcome, machine: &Machine) -> bool {
+    outcome.resume_instret + machine.instret() < config.instruction_budget
 }
 
-/// Borrowed context for one miss-driven run segment: either a whole
-/// planner-less run, or the tail of a planned run whose planner died.
-struct MissDriven<'a> {
-    machine: &'a mut Machine,
-    rip: RecognizedIp,
-    cache: &'a Arc<TrajectoryCache>,
-    bank: &'a mut PredictorBank,
-    pool: Option<SpeculationPool>,
-    driver: &'a mut BreakerDriver,
-    supervision: &'a Supervision,
-    economics: &'a mut SpeculationEconomics,
-    remote: Option<&'a RemoteTier>,
-    resume_instret: u64,
-    fast_forwarded: &'a mut u64,
-    halted: &'a mut bool,
-    dur: &'a mut Durability,
+/// Parks the main thread after an injected stall until the watchdog
+/// notices and escalates (bounded so a watchdog-less configuration
+/// cannot hang the run forever).
+fn stall_until_escalation(heartbeat: &Heartbeat) {
+    let give_up = Instant::now() + Duration::from_secs(30);
+    while heartbeat.stage() == watchdog_stage::NONE && Instant::now() < give_up {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Inline (`workers == 0`) execution of one speculation job under
+/// the same supervision policy the worker pool applies: the job deadline
+/// binds when it is tighter than the superstep budget, and every
+/// retirement feeds the breaker's success or failure counters.
+fn speculate_inline(
+    job: &SpeculationJob,
+    cache: &TrajectoryCache,
+    supervision: &Supervision,
+    scratch: &mut SpeculationScratch,
+) {
+    let (budget, deadline_bound) = supervision.job_budget(job.max_instructions);
+    let result = execute_superstep_with(&job.start, job.rip, job.stride, budget, scratch);
+    match result.ok().and_then(SpeculationResult::completed) {
+        Some(speculation) if speculation.reached_rip || speculation.halted => {
+            cache.insert(speculation.entry);
+            supervision.health.record_jobs_ok(1);
+        }
+        Some(_) if deadline_bound => supervision.health.record_deadline_kills(1),
+        // Exhausting the job's own budget, or faulting from a mispredicted
+        // start state, is a normal speculation outcome.
+        _ => supervision.health.record_jobs_ok(1),
+    }
 }
 
 /// The LASC runtime.
@@ -486,28 +829,18 @@ impl LascRuntime {
         self.shutdown = Some(flag);
     }
 
-    /// Parks the main thread after an injected stall until the watchdog
-    /// notices and escalates (bounded so a watchdog-less configuration
-    /// cannot hang the run forever).
-    fn stall_until_escalation(heartbeat: &Heartbeat) {
-        let give_up = Instant::now() + Duration::from_secs(30);
-        while heartbeat.stage() == watchdog_stage::NONE && Instant::now() < give_up {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    /// Runs the main thread until the recognized IP has occurred `stride`
+    /// Runs the main thread until the recognized IP has occurred `rip.stride`
     /// more times (or the program halts / the budget runs out). Returns the
     /// instructions executed by this call.
     fn run_one_superstep(
         machine: &mut Machine,
-        rip: u32,
-        stride: usize,
+        rip: RecognizedIp,
         budget: u64,
     ) -> AscResult<(u64, bool)> {
         let mut executed = 0u64;
-        for _ in 0..stride.max(1) {
-            let (steps, _) = machine.run_until_ip(rip, budget.saturating_sub(executed).max(1))?;
+        for _ in 0..rip.stride.max(1) {
+            let (steps, _) =
+                machine.run_until_ip(rip.ip, budget.saturating_sub(executed).max(1))?;
             executed += steps;
             if machine.is_halted() || executed >= budget {
                 break;
@@ -533,19 +866,11 @@ impl LascRuntime {
         let mut supersteps = Vec::new();
         let mut pending_prediction: Option<StateVector> = None;
         let mut halted = outcome.halted;
-        let mut index = 0usize;
 
-        while !halted {
-            if outcome.resume_instret + machine.instret() >= self.config.instruction_budget {
-                break;
-            }
+        while !halted && within_budget(&self.config, &outcome, &machine) {
             machine.enable_dep_tracking();
-            let (executed, now_halted) = Self::run_one_superstep(
-                &mut machine,
-                rip.ip,
-                rip.stride,
-                self.config.max_superstep,
-            )?;
+            let (executed, now_halted) =
+                Self::run_one_superstep(&mut machine, rip, self.config.max_superstep)?;
             halted = now_halted;
             let deps = machine.take_deps().expect("dep tracking was enabled");
             if executed == 0 {
@@ -560,14 +885,13 @@ impl LascRuntime {
                 read_set.iter().all(|&byte| predicted.byte(byte) == state.byte(byte))
             });
             supersteps.push(SuperstepRecord {
-                index,
+                index: supersteps.len(),
                 instructions: executed,
                 read_bytes: read_set.len(),
                 write_bytes: write_set.len(),
                 query_bits: query.encoded_bits(),
                 prediction_correct,
             });
-            index += 1;
 
             if !halted {
                 bank.observe(&state);
@@ -577,46 +901,23 @@ impl LascRuntime {
             }
         }
 
-        let executed_instructions = outcome.resume_instret + machine.instret();
         Ok(RunReport {
-            rip,
-            unique_ips: outcome.unique_ips,
-            state_bits: initial.len_bits(),
             excited_bits: bank.excited_bits(),
-            converge_instructions: outcome.instructions_spent,
-            total_instructions: executed_instructions,
-            executed_instructions,
-            fast_forwarded_instructions: 0,
             supersteps,
             ensemble_errors: bank.errors(),
             weight_matrix: bank.weight_matrix(),
-            cache_stats: CacheStats::default(),
-            speculation: None,
-            planner: None,
-            health: HealthStats::default(),
-            economics: None,
-            remote: None,
-            checkpoints: None,
-            tier: TierStats::default(),
-            final_state: machine.into_state(),
-            halted,
+            ..RunReport::base(&outcome, machine, 0, halted)
         })
     }
 
     /// Accelerated execution: the trajectory cache, predictors, allocator,
-    /// speculative execution and the supervision layer are all in the loop.
-    /// With [`AscConfig::workers`](crate::config::AscConfig::workers) > 0
-    /// and the planner enabled (the default), speculation cadence is owned
-    /// by a dedicated planner thread that keeps the worker pool continuously
-    /// topped up with predicted supersteps; with the planner disabled the
-    /// pool is fed miss-driven from the main thread, and with `workers == 0`
-    /// speculation executes inline, which makes the whole run — statistics
-    /// included — reproducible (see the module documentation for the
-    /// pipeline). Final program state is bit-for-bit identical to sequential
-    /// execution in every mode, *including* runs where workers panic, jobs
-    /// overrun their deadline, cache entries are corrupted in flight, the
-    /// planner dies, or the circuit breaker degrades the run to plain
-    /// inline execution — failures only ever cost speed.
+    /// speculative execution and the supervision layer are all in the loop
+    /// (see the module documentation for the loop and its dispatch modes).
+    /// Final program state is bit-for-bit identical to sequential execution
+    /// in every mode, *including* runs where workers panic, jobs overrun
+    /// their deadline, cache entries are corrupted in flight, the planner
+    /// dies, or the circuit breaker degrades the run to plain inline
+    /// execution — failures only ever cost speed.
     ///
     /// # Errors
     /// Propagates recognizer and simulator errors.
@@ -629,52 +930,66 @@ impl LascRuntime {
             self.config.cache_capacity,
             self.config.cache_junk_threshold,
         ));
-        let mut dur = Durability {
-            heartbeat: Arc::new(Heartbeat::default()),
-            checkpoints: self.config.checkpoint.enabled.then(|| {
-                let cfg: &CheckpointConfig = &self.config.checkpoint;
-                CheckpointDriver {
-                    dir: cfg.directory.clone().expect("validated: checkpointing needs a directory"),
-                    interval: cfg.interval,
-                    keep: cfg.keep,
-                    snapshot_cache: cfg.snapshot_cache,
-                    fingerprint,
-                    next_sequence: restored.as_ref().map_or(1, |ckpt| ckpt.sequence + 1),
-                    rip,
-                    unique_ips: outcome.unique_ips,
-                    converge_instructions: outcome.instructions_spent,
-                    stats: resume_stats,
-                }
-            }),
-            shutdown: self.shutdown.clone(),
-            occurrence: restored.as_ref().map_or(0, |ckpt| ckpt.occurrence),
-            resume_fast_forwarded: restored.as_ref().map_or(0, |ckpt| ckpt.fast_forwarded),
-            breaker_forced: false,
-            stop: false,
-        };
+        let mut checkpoints = self.config.checkpoint.enabled.then(|| CheckpointDriver {
+            fingerprint,
+            next_sequence: restored.as_ref().map_or(1, |ckpt| ckpt.sequence + 1),
+            stats: resume_stats,
+        });
         // Warm the cache from the checkpoint's sibling snapshot before any
         // speculation machinery starts; a missing or damaged sibling is a
         // cold cache, nothing worse.
-        if let (Some(driver), Some(ckpt)) = (dur.checkpoints.as_mut(), restored.as_ref()) {
-            if driver.snapshot_cache {
-                if let Ok(load) =
-                    snapshot::load(&cache, &checkpoint::cache_path_for(&driver.dir, ckpt.sequence))
-                {
-                    driver.stats.cache_entries_loaded = load.loaded;
-                }
+        let cfg = &self.config.checkpoint;
+        if let (Some(driver), Some(ckpt), Some(dir), true) =
+            (checkpoints.as_mut(), restored.as_ref(), &cfg.directory, cfg.snapshot_cache)
+        {
+            if let Ok(load) =
+                snapshot::load(&cache, &checkpoint::cache_path_for(dir, ckpt.sequence))
+            {
+                driver.stats.cache_entries_loaded = load.loaded;
             }
         }
         let supervision = Supervision::from_config(&self.config);
+        let heartbeat = Arc::new(Heartbeat::default());
         let watchdog = Watchdog::start(
             &self.config.watchdog,
-            Arc::clone(&dur.heartbeat),
+            Arc::clone(&heartbeat),
             Arc::clone(&supervision.health),
             rip.ip,
         );
-        let result =
-            self.accelerate_inner(&initial, &outcome, restored, cache, supervision, &mut dur);
-        // The watchdog outlives the loops so a hang *anywhere* in the run is
-        // caught; it joins before the report so its counters are stable.
+        // The remote tier starts before any speculation machinery so the
+        // snapshot load and the peer's bulk transfer warm the cache the very
+        // first occurrence can hit; its insert observer then streams
+        // everything the workers land to the peer.
+        let remote = RemoteTier::start(&self.config.remote, &cache, &supervision);
+        let dispatch = self.start_dispatch(rip, &cache, &supervision, restored.as_ref());
+        let mut machine = Machine::from_state(outcome.resume_state.clone());
+        // Tier-up the main thread: the inter-occurrence region starting at
+        // the recognized IP is hot by construction, so seed it rather than
+        // waiting for the arrival counter to discover what the recognizer
+        // already measured.
+        machine.enable_tier(self.config.tier);
+        machine.seed_hot(rip.ip);
+        let run = Run {
+            config: &self.config,
+            outcome: &outcome,
+            machine,
+            cache,
+            remote,
+            supervision,
+            breaker: CircuitBreaker::new(self.config.breaker.clone()),
+            breaker_seen: (0, 0),
+            dispatch,
+            heartbeat,
+            checkpoints,
+            shutdown: self.shutdown.clone(),
+            occurrence: restored.as_ref().map_or(0, |ckpt| ckpt.occurrence),
+            breaker_forced: false,
+            fast_forwarded: restored.as_ref().map_or(0, |ckpt| ckpt.fast_forwarded),
+            halted: outcome.halted,
+        };
+        let result = run.drive();
+        // The watchdog outlives the loop and the joins in `Run::finish`, so
+        // a hang *anywhere* in the run is caught.
         if let Some(watchdog) = watchdog {
             watchdog.finish();
         }
@@ -692,669 +1007,79 @@ impl LascRuntime {
     ) -> AscResult<(RecognizerOutcome, Option<RunCheckpoint>, CheckpointStats)> {
         let mut stats = CheckpointStats::default();
         let cfg = &self.config.checkpoint;
-        if cfg.enabled && cfg.resume {
-            if let Some(dir) = &cfg.directory {
-                let scan = checkpoint::load_newest(dir, fingerprint);
-                stats.rejected_files = scan.rejected_files;
-                if let Some(ckpt) = scan.checkpoint {
-                    match StateVector::from_bytes(ckpt.state.clone()) {
-                        Ok(resume_state) => {
-                            stats.resumed = true;
-                            stats.resume_sequence = ckpt.sequence;
-                            let outcome = RecognizerOutcome {
-                                rip: ckpt.rip,
-                                evaluated: vec![ckpt.rip],
-                                unique_ips: ckpt.unique_ips,
-                                instructions_spent: ckpt.converge_instructions,
-                                resume_state,
-                                resume_instret: ckpt.resume_instret,
-                                halted: false,
-                            };
-                            return Ok((outcome, Some(ckpt), stats));
-                        }
-                        // A state the TVM rejects cannot have been written
-                        // by a healthy save; treat it as damage.
-                        Err(_) => stats.rejected_files += 1,
+        if let Some(dir) = cfg.directory.as_ref().filter(|_| cfg.enabled && cfg.resume) {
+            let scan = checkpoint::load_newest(dir, fingerprint);
+            stats.rejected_files = scan.rejected_files;
+            if let Some(ckpt) = scan.checkpoint {
+                match StateVector::from_bytes(ckpt.state.clone()) {
+                    Ok(resume_state) => {
+                        stats.resumed = true;
+                        stats.resume_sequence = ckpt.sequence;
+                        let outcome = RecognizerOutcome {
+                            rip: ckpt.rip,
+                            evaluated: vec![ckpt.rip],
+                            unique_ips: ckpt.unique_ips,
+                            instructions_spent: ckpt.converge_instructions,
+                            resume_state,
+                            resume_instret: ckpt.resume_instret,
+                            halted: false,
+                        };
+                        return Ok((outcome, Some(ckpt), stats));
                     }
+                    // A state the TVM rejects cannot have been written by a
+                    // healthy save; treat it as damage.
+                    Err(_) => stats.rejected_files += 1,
                 }
             }
         }
         Ok((recognize(initial, &self.config)?, None, stats))
     }
 
-    /// The body of [`accelerate`](LascRuntime::accelerate) once the resume
-    /// decision, cache and durability context exist: picks the planned or
-    /// miss-driven pipeline and assembles the report.
-    fn accelerate_inner(
+    /// Picks the run's starting `Dispatch` mode: planned when there are
+    /// workers and the planner is enabled (and its thread starts),
+    /// miss-driven otherwise.
+    fn start_dispatch(
         &self,
-        initial: &StateVector,
-        outcome: &RecognizerOutcome,
-        restored: Option<RunCheckpoint>,
-        cache: Arc<TrajectoryCache>,
-        supervision: Supervision,
-        dur: &mut Durability,
-    ) -> AscResult<RunReport> {
-        let rip = outcome.rip;
-        // The remote tier starts before any speculation machinery so the
-        // snapshot load and the peer's bulk transfer warm the cache the very
-        // first occurrence can hit; its insert observer then streams
-        // everything the workers land to the peer.
-        let remote = RemoteTier::start(&self.config.remote, &cache, &supervision);
-        let mut driver = BreakerDriver::new(self.config.breaker.clone());
-        if self.config.workers > 0 && self.config.planner.enabled {
-            let pool = SpeculationPool::with_supervision(
-                self.config.workers,
-                Arc::clone(&cache),
-                supervision.clone(),
-            );
-            match PlannerHandle::spawn(&self.config, rip, Arc::clone(&cache), pool) {
+        rip: RecognizedIp,
+        cache: &Arc<TrajectoryCache>,
+        supervision: &Supervision,
+        restored: Option<&RunCheckpoint>,
+    ) -> Dispatch {
+        let config = &self.config;
+        if config.workers > 0 && config.planner.enabled {
+            let pool = new_pool(config, cache, supervision);
+            match PlannerHandle::spawn(config, rip, Arc::clone(cache), pool) {
                 Ok(planner) => {
-                    return self.accelerate_planned(
-                        initial,
-                        outcome,
-                        &cache,
-                        planner,
-                        &supervision,
-                        driver,
-                        remote,
-                        dur,
-                    );
+                    return Dispatch::Planned { planner, hit_streak: 0, prev_sent: true }
                 }
-                Err(_) => {
-                    // A planner that cannot start degrades the run to
-                    // miss-driven dispatch instead of aborting it. The pool
-                    // travelled into the failed spawn; a fresh one is built
-                    // below.
-                    supervision.health.record_spawn_failures(1);
-                }
+                // A planner that cannot start degrades the run to
+                // miss-driven dispatch instead of aborting it. The pool
+                // travelled into the failed spawn; a fresh one is built
+                // below.
+                Err(_) => supervision.health.record_spawn_failures(1),
             }
         }
-        let pool = (self.config.workers > 0).then(|| {
-            SpeculationPool::with_supervision(
-                self.config.workers,
-                Arc::clone(&cache),
-                supervision.clone(),
-            )
-        });
-        let mut machine = Machine::from_state(outcome.resume_state.clone());
-        // Tier-up the main thread: the inter-occurrence region starting at
-        // the recognized IP is hot by construction, so seed it rather than
-        // waiting for the arrival counter to discover what the recognizer
-        // already measured.
-        machine.enable_tier(self.config.tier);
-        machine.seed_hot(rip.ip);
-        let mut bank = PredictorBank::new(rip.ip, &self.config);
-        let mut economics = SpeculationEconomics::new(&self.config.economics);
+        let pool = (config.workers > 0).then(|| new_pool(config, cache, supervision));
+        let mut dispatch = Dispatch::miss_driven(config, rip, pool);
         // The learned state rides along from the checkpoint purely as a
         // warm-up: a blob that fails to restore (or was never saved —
         // planner-mode checkpoints omit it) re-warms from scratch exactly
         // like the dead-planner degrade. Bit-identity never depends on it.
-        if let Some(ckpt) = &restored {
+        if let (Some(ckpt), Dispatch::MissDriven { bank, economics, .. }) =
+            (restored, &mut dispatch)
+        {
             if let Some(blob) = &ckpt.bank {
                 if bank.load_state(&mut Reader::new(blob)).is_none() {
-                    bank = PredictorBank::new(rip.ip, &self.config);
+                    *bank = PredictorBank::new(rip.ip, config);
                 }
             }
             if let Some(blob) = &ckpt.economics {
                 if economics.load_state(&mut Reader::new(blob)).is_none() {
-                    economics = SpeculationEconomics::new(&self.config.economics);
+                    *economics = SpeculationEconomics::new(&config.economics);
                 }
             }
         }
-        let mut fast_forwarded = dur.resume_fast_forwarded;
-        let mut halted = outcome.halted;
-        let (speculation, inline_tier) = self.run_miss_driven(MissDriven {
-            machine: &mut machine,
-            rip,
-            cache: &cache,
-            bank: &mut bank,
-            pool,
-            driver: &mut driver,
-            supervision: &supervision,
-            economics: &mut economics,
-            remote: remote.as_ref(),
-            resume_instret: outcome.resume_instret,
-            fast_forwarded: &mut fast_forwarded,
-            halted: &mut halted,
-            dur,
-        })?;
-        // The pool joined inside `run_miss_driven`, so every insert has
-        // passed through the observer; the tier can now drain and snapshot.
-        let remote_stats = remote.map(RemoteTier::finish);
-        let executed_instructions = outcome.resume_instret + machine.instret();
-        let mut tier = machine.tier_stats();
-        tier.merge(&inline_tier);
-        if let Some(stats) = &speculation {
-            tier.merge(&stats.tier);
-        }
-        let mut health = assemble_health(&supervision, &driver, &cache);
-        dur.heartbeat.fill_stats(&mut health);
-        Ok(RunReport {
-            rip,
-            unique_ips: outcome.unique_ips,
-            state_bits: initial.len_bits(),
-            excited_bits: bank.excited_bits(),
-            converge_instructions: outcome.instructions_spent,
-            total_instructions: executed_instructions + fast_forwarded,
-            executed_instructions,
-            fast_forwarded_instructions: fast_forwarded,
-            supersteps: Vec::new(),
-            ensemble_errors: bank.errors(),
-            weight_matrix: bank.weight_matrix(),
-            cache_stats: cache.stats(),
-            speculation,
-            planner: None,
-            health,
-            economics: Some(economics.stats()),
-            remote: remote_stats,
-            checkpoints: dur.checkpoints.as_ref().map(|driver| driver.stats),
-            tier,
-            final_state: machine.into_state(),
-            halted,
-        })
-    }
-
-    /// The miss-driven occurrence loop shared by the planner-less modes:
-    /// consult the cache, train on misses, plan and dispatch (to the pool,
-    /// or inline when there is none), execute the current superstep — all
-    /// under the breaker's per-occurrence watch. Runs until the program
-    /// halts or the instruction budget is exhausted, then joins the pool so
-    /// the reported statistics are stable, returning its final counters
-    /// alongside the inline-speculation scratch's drained tier counters.
-    fn run_miss_driven(&self, run: MissDriven<'_>) -> AscResult<(Option<PoolStats>, TierStats)> {
-        let MissDriven {
-            machine,
-            rip,
-            cache,
-            bank,
-            mut pool,
-            driver,
-            supervision,
-            economics,
-            remote,
-            resume_instret,
-            fast_forwarded,
-            halted,
-            dur,
-        } = run;
-        // Pool statistics survive a watchdog-ordered mid-run teardown.
-        let mut torn_down: Option<PoolStats> = None;
-        // Inline speculation reuses one scratch across the whole run — so
-        // blocks the tier compiles for the first speculated superstep keep
-        // paying off for every later one — and cache hits are cloned into a
-        // reusable lookup scratch: the occurrence loop allocates nothing per
-        // iteration.
-        let mut scratch = SpeculationScratch::with_tier(self.config.tier);
-        let mut lookup = LookupScratch::new();
-        let mut superstep_estimate = rip.mean_superstep;
-
-        while !*halted {
-            if resume_instret + machine.instret() >= self.config.instruction_budget {
-                break;
-            }
-            // The main thread is at a recognized-IP occurrence (or at the very
-            // start of the post-recognition phase): count it, feed the
-            // watchdog's heartbeat, and take the checkpoint/escalation
-            // decisions before any speculation bookkeeping.
-            dur.occurrence += 1;
-            dur.heartbeat.tick();
-            if supervision.abort_at(dur.occurrence) {
-                // Injected crash: die as SIGABRT mid-run, exactly like a
-                // kill signal, leaving whatever checkpoints already landed.
-                std::process::abort();
-            }
-            if supervision.stall_at(dur.occurrence) {
-                Self::stall_until_escalation(&dur.heartbeat);
-            }
-            let stage = dur.heartbeat.stage();
-            if stage >= watchdog_stage::FORCE_BREAKER && !dur.breaker_forced {
-                dur.breaker_forced = true;
-                driver.breaker.force_open();
-            }
-            if stage >= watchdog_stage::TEAR_DOWN_POOL {
-                if let Some(pool) = pool.take() {
-                    torn_down = Some(pool.shutdown());
-                }
-            }
-            if dur.shutdown_requested() {
-                dur.stop = true;
-            }
-            if let Some(ckpt) = dur.checkpoints.as_mut() {
-                ckpt.tick(
-                    dur.occurrence,
-                    dur.stop,
-                    resume_instret + machine.instret(),
-                    *fast_forwarded,
-                    machine.state(),
-                    Some(bank),
-                    Some(economics),
-                    cache,
-                );
-            }
-            if dur.stop {
-                break;
-            }
-            // Advance the breaker and consult the cache first.
-            driver.on_occurrence(supervision, cache);
-            if let Some(entry) = cache.lookup_with(rip.ip, machine.state(), &mut lookup) {
-                machine.apply_sparse(&entry.end);
-                *fast_forwarded += entry.instructions;
-                economics.record_lookup(true);
-                bank.observe(&machine.state().clone());
-                continue;
-            }
-            // Local miss: one bounded peer probe before paying for the
-            // superstep. A remote entry fast-forwards exactly like a local
-            // hit — it passed the same `matches` + checksum guards — and was
-            // read-through into the local cache inside `fetch`.
-            if let Some(entry) = remote.and_then(|tier| tier.fetch(rip.ip, machine.state())) {
-                machine.apply_sparse(&entry.end);
-                *fast_forwarded += entry.instructions;
-                economics.record_lookup(true);
-                bank.observe(&machine.state().clone());
-                continue;
-            }
-
-            // Miss: train on this occurrence and dispatch speculative work.
-            economics.record_lookup(false);
-            let state = machine.state().clone();
-            bank.observe(&state);
-            economics.observe_model(bank.recent_error_rate());
-            // Re-planning is skipped while the pool is saturated: the
-            // predictor rollout is expensive, and a saturated pool means the
-            // predictions from the previous occurrence are still being
-            // speculated — re-deriving (largely overlapping) ones would only
-            // be deduplicated at dispatch anyway. An open breaker skips it
-            // entirely: a sick runtime executes plainly, paying nothing for
-            // speculation until the half-open probe.
-            let pool_saturated = pool.as_ref().is_some_and(SpeculationPool::is_saturated);
-            if driver.allows_speculation() && bank.is_ready() && !pool_saturated {
-                // The rollout itself is priced: a rip whose predictions are
-                // not landing gets a collapsed horizon, so the expensive
-                // chained prediction work shrinks along with the dispatches.
-                let horizon = economics.horizon(self.config.rollout_depth);
-                let rollouts = bank.rollout(&state, horizon);
-                let tasks = plan_speculation(
-                    rollouts,
-                    superstep_estimate,
-                    self.config.rollout_depth,
-                    cache,
-                    rip.ip,
-                    &mut lookup,
-                    economics,
-                );
-                for task in tasks {
-                    if let Some(pool) = pool.as_mut() {
-                        // Hand the superstep to a worker; the main thread
-                        // continues immediately. A full queue drops the task.
-                        pool.dispatch(SpeculationJob {
-                            start: task.predicted.state,
-                            rip: rip.ip,
-                            stride: rip.stride,
-                            max_instructions: self.config.max_superstep,
-                        });
-                    } else {
-                        self.speculate_inline(
-                            &task.predicted.state,
-                            rip,
-                            cache,
-                            supervision,
-                            &mut scratch,
-                        );
-                    }
-                }
-            }
-
-            // Execute the current superstep on the main thread.
-            let (executed, now_halted) =
-                Self::run_one_superstep(machine, rip.ip, rip.stride, self.config.max_superstep)?;
-            *halted = now_halted;
-            if executed == 0 {
-                break;
-            }
-            superstep_estimate = 0.9 * superstep_estimate + 0.1 * executed as f64;
-        }
-
-        // Joining the pool before snapshotting makes the reported cache and
-        // speculation statistics stable (all in-flight inserts land). A pool
-        // the watchdog tore down mid-run already joined; its counters stand.
-        Ok((pool.map(SpeculationPool::shutdown).or(torn_down), scratch.take_tier_stats()))
-    }
-
-    /// Inline (`workers == 0`) speculation of one predicted superstep under
-    /// the same supervision policy the worker pool applies: the job deadline
-    /// binds when it is tighter than the superstep budget, and every
-    /// retirement feeds the breaker's success or failure counters.
-    fn speculate_inline(
-        &self,
-        start: &StateVector,
-        rip: RecognizedIp,
-        cache: &TrajectoryCache,
-        supervision: &Supervision,
-        scratch: &mut SpeculationScratch,
-    ) {
-        let (budget, deadline_bound) = supervision.job_budget(self.config.max_superstep);
-        match execute_superstep_with(start, rip.ip, rip.stride, budget, scratch) {
-            Ok(result) => match result.completed() {
-                Some(speculation) if speculation.reached_rip || speculation.halted => {
-                    cache.insert(speculation.entry);
-                    supervision.health.record_jobs_ok(1);
-                }
-                Some(_) if deadline_bound => supervision.health.record_deadline_kills(1),
-                // Exhausting the job's own budget, or faulting from a
-                // mispredicted start state, is a normal speculation outcome.
-                Some(_) | None => supervision.health.record_jobs_ok(1),
-            },
-            Err(_) => supervision.health.record_jobs_ok(1),
-        }
-    }
-
-    /// The planner-owned variant of [`accelerate`](LascRuntime::accelerate):
-    /// the main thread only executes, fast-forwards, streams occurrences and
-    /// drives the circuit breaker; training, planning and dispatch happen on
-    /// the planner thread (see the module documentation's pipeline). A
-    /// planner death mid-run (a panic — injected or real) is detected by
-    /// its liveness flag, counted, and the rest of the run finishes under
-    /// miss-driven dispatch on a fresh pool and predictor bank.
-    #[allow(clippy::too_many_arguments)]
-    fn accelerate_planned(
-        &self,
-        initial: &StateVector,
-        outcome: &RecognizerOutcome,
-        cache: &Arc<TrajectoryCache>,
-        planner: PlannerHandle,
-        supervision: &Supervision,
-        mut driver: BreakerDriver,
-        remote: Option<RemoteTier>,
-        dur: &mut Durability,
-    ) -> AscResult<RunReport> {
-        let rip = outcome.rip;
-        let mut machine = Machine::from_state(outcome.resume_state.clone());
-        // Same tier-up as the miss-driven main loop: the recognized IP seeds
-        // the block cache so the inter-occurrence region compiles on the
-        // first arrival instead of after `hot_threshold` of them.
-        machine.enable_tier(self.config.tier);
-        machine.seed_hot(rip.ip);
-        let mut fast_forwarded = dur.resume_fast_forwarded;
-        let mut halted = outcome.halted;
-        let mut planner_died = false;
-        // Stage-2 watchdog escalation: the planner (and its pool) are torn
-        // down and the run finishes inline via the miss-driven tail.
-        let mut watchdog_teardown = false;
-        // Hits are cloned into a reusable buffer: the fast-forward loop must
-        // not allocate per occurrence.
-        let mut lookup = LookupScratch::new();
-        // Consecutive cache hits since the last miss. During an uninterrupted
-        // hit streak the main thread only applies sparse deltas, so cloning
-        // the full state for the planner on *every* occurrence costs more
-        // than the planner gains (a flooded channel drops most of them
-        // anyway) — mid-streak, only every
-        // `STREAK_SEND_INTERVAL`-th occurrence is reported. Clamped to the
-        // plan horizon: a sample arriving more supersteps past the previous
-        // one than the horizon is deep could never match a plan entry, so
-        // it would invalidate the plan on every sample.
-        const STREAK_SEND_INTERVAL: u64 = 8;
-        let streak_send_interval = STREAK_SEND_INTERVAL.min(self.config.planner.horizon as u64);
-        let mut hit_streak = 0u64;
-        // Whether the previous occurrence was reported: a send after a
-        // throttled occurrence is marked non-contiguous so the planner's
-        // bank does not train across the gap.
-        let mut prev_sent = true;
-
-        while !halted {
-            if outcome.resume_instret + machine.instret() >= self.config.instruction_budget {
-                break;
-            }
-            // A dead planner leaves occurrences landing in a channel nobody
-            // drains: detect it here and hand the rest of the run to the
-            // miss-driven fallback below.
-            if !planner.is_alive() {
-                planner_died = true;
-                break;
-            }
-            // Durability preamble, mirroring the miss-driven loop: count the
-            // occurrence, feed the watchdog, honour its escalations, and
-            // checkpoint on the interval. Planner-mode checkpoints omit the
-            // bank/economics sections — that state lives on the planner
-            // thread and re-warms after resume, like the dead-planner
-            // degrade.
-            dur.occurrence += 1;
-            dur.heartbeat.tick();
-            if supervision.abort_at(dur.occurrence) {
-                std::process::abort();
-            }
-            if supervision.stall_at(dur.occurrence) {
-                Self::stall_until_escalation(&dur.heartbeat);
-            }
-            let stage = dur.heartbeat.stage();
-            if stage >= watchdog_stage::FORCE_BREAKER && !dur.breaker_forced {
-                dur.breaker_forced = true;
-                driver.breaker.force_open();
-            }
-            if stage >= watchdog_stage::TEAR_DOWN_POOL {
-                watchdog_teardown = true;
-                break;
-            }
-            if dur.shutdown_requested() {
-                dur.stop = true;
-            }
-            if let Some(ckpt) = dur.checkpoints.as_mut() {
-                ckpt.tick(
-                    dur.occurrence,
-                    dur.stop,
-                    outcome.resume_instret + machine.instret(),
-                    fast_forwarded,
-                    machine.state(),
-                    None,
-                    None,
-                    cache,
-                );
-            }
-            if dur.stop {
-                break;
-            }
-            driver.on_occurrence(supervision, cache);
-            let speculating = driver.allows_speculation();
-            // The main thread is at a recognized-IP occurrence: report it to
-            // the planner (never blocks; drop-oldest) and consult the cache.
-            // An open breaker suppresses the report — a planner that hears
-            // no occurrences trains nothing, re-plans nothing and tops
-            // nothing up, so speculation quiesces while the machinery is
-            // sick (residual queued jobs drain and stragglers are dropped
-            // by the breaker).
-            let sent = speculating && hit_streak % streak_send_interval == 0;
-            if sent {
-                planner.send(OccurrenceEvent {
-                    state: machine.state().clone(),
-                    contiguous: prev_sent,
-                });
-            }
-            // An occurrence boundary is the natural preemption point: on
-            // machines with fewer spare cores than threads, handing the
-            // scheduler an explicit yield here is what keeps the planner and
-            // workers running ahead of a fast-forwarding main thread — a
-            // starved planner plans from stale states and every speculation
-            // it dispatches arrives too late to matter. Unlike the state
-            // clone, the yield is kept on *every* occurrence: skipping it
-            // mid-streak lets the main thread outrun the workers extending
-            // the cached frontier and collapses the hit rate on
-            // core-constrained hosts. With the breaker open there is nobody
-            // worth yielding to.
-            if speculating {
-                std::thread::yield_now();
-            }
-            if let Some(entry) = cache.lookup_with(rip.ip, machine.state(), &mut lookup) {
-                machine.apply_sparse(&entry.end);
-                fast_forwarded += entry.instructions;
-                hit_streak += 1;
-                prev_sent = sent;
-                continue;
-            }
-            // Local miss: one bounded peer probe before the superstep (and
-            // before anchoring a re-plan — a remote hit continues the streak
-            // exactly like a local one).
-            if let Some(entry) =
-                remote.as_ref().and_then(|tier| tier.fetch(rip.ip, machine.state()))
-            {
-                machine.apply_sparse(&entry.end);
-                fast_forwarded += entry.instructions;
-                hit_streak += 1;
-                prev_sent = sent;
-                continue;
-            }
-            // A miss state is the planner's re-plan anchor: if the throttle
-            // skipped it above, report it now. An open breaker leaves the
-            // gap in place; the first report after it re-opens is marked
-            // non-contiguous so the planner's bank never trains across it.
-            if speculating && !sent {
-                planner.send(OccurrenceEvent {
-                    state: machine.state().clone(),
-                    contiguous: prev_sent,
-                });
-            }
-            prev_sent = speculating;
-            hit_streak = 0;
-            let (executed, now_halted) = Self::run_one_superstep(
-                &mut machine,
-                rip.ip,
-                rip.stride,
-                self.config.max_superstep,
-            )?;
-            halted = now_halted;
-            if executed == 0 {
-                break;
-            }
-        }
-
-        if planner_died || watchdog_teardown {
-            if planner_died {
-                supervision.health.record_planner_panics(1);
-            }
-            // A panicking planner's unwind dropped it, which already shut
-            // its pool down; its bank and statistics died with it. A
-            // watchdog teardown shuts a *live* planner (and its pool) down
-            // the same way. Either way: retrain a fresh bank and finish the
-            // run miss-driven — on a fresh pool after a planner death, but
-            // *inline* (no pool) after a watchdog escalation, whose whole
-            // point is shedding the stalled machinery. Both degrade the
-            // run, never abort it.
-            let _ = planner.shutdown();
-            let mut bank = PredictorBank::new(rip.ip, &self.config);
-            // The dead planner's economics died with its thread; the tail
-            // restarts from the optimistic prior, like the fresh bank.
-            let mut economics = SpeculationEconomics::new(&self.config.economics);
-            let pool = (!watchdog_teardown).then(|| {
-                SpeculationPool::with_supervision(
-                    self.config.workers,
-                    Arc::clone(cache),
-                    supervision.clone(),
-                )
-            });
-            let (speculation, inline_tier) = self.run_miss_driven(MissDriven {
-                machine: &mut machine,
-                rip,
-                cache,
-                bank: &mut bank,
-                pool,
-                driver: &mut driver,
-                supervision,
-                economics: &mut economics,
-                remote: remote.as_ref(),
-                resume_instret: outcome.resume_instret,
-                fast_forwarded: &mut fast_forwarded,
-                halted: &mut halted,
-                dur,
-            })?;
-            let remote_stats = remote.map(RemoteTier::finish);
-            let executed_instructions = outcome.resume_instret + machine.instret();
-            let mut tier = machine.tier_stats();
-            tier.merge(&inline_tier);
-            if let Some(stats) = &speculation {
-                tier.merge(&stats.tier);
-            }
-            let mut health = assemble_health(supervision, &driver, cache);
-            dur.heartbeat.fill_stats(&mut health);
-            return Ok(RunReport {
-                rip,
-                unique_ips: outcome.unique_ips,
-                state_bits: initial.len_bits(),
-                excited_bits: bank.excited_bits(),
-                converge_instructions: outcome.instructions_spent,
-                total_instructions: executed_instructions + fast_forwarded,
-                executed_instructions,
-                fast_forwarded_instructions: fast_forwarded,
-                supersteps: Vec::new(),
-                ensemble_errors: bank.errors(),
-                weight_matrix: bank.weight_matrix(),
-                cache_stats: cache.stats(),
-                speculation,
-                planner: None,
-                health,
-                economics: Some(economics.stats()),
-                remote: remote_stats,
-                checkpoints: dur.checkpoints.as_ref().map(|driver| driver.stats),
-                tier,
-                final_state: machine.into_state(),
-                halted,
-            });
-        }
-
-        // Shutting the planner down drains its channel, joins the worker
-        // pool (all in-flight inserts land) and returns the predictor bank,
-        // so the reported statistics are stable. `None` means the planner
-        // panicked between the loop's last liveness check and the join: the
-        // program result is unaffected (it was computed on the main
-        // thread), only the planner-side statistics died with the thread.
-        let planned = planner.shutdown();
-        if planned.is_none() {
-            supervision.health.record_planner_panics(1);
-        }
-        // Planner shutdown joined the pool, so every worker insert passed
-        // through the observer before the write-behind drains and the
-        // shutdown snapshot is written.
-        let remote_stats = remote.map(RemoteTier::finish);
-        let (excited_bits, ensemble_errors, weight_matrix, speculation, planner_stats, economics) =
-            match planned {
-                Some(PlannerOutcome { stats, pool, bank, economics }) => (
-                    bank.excited_bits(),
-                    bank.errors(),
-                    bank.weight_matrix(),
-                    Some(pool),
-                    Some(stats),
-                    Some(economics),
-                ),
-                None => (0, None, None, None, None, None),
-            };
-        let executed_instructions = outcome.resume_instret + machine.instret();
-        let mut tier = machine.tier_stats();
-        if let Some(stats) = &speculation {
-            tier.merge(&stats.tier);
-        }
-        let mut health = assemble_health(supervision, &driver, cache);
-        dur.heartbeat.fill_stats(&mut health);
-        Ok(RunReport {
-            rip,
-            unique_ips: outcome.unique_ips,
-            state_bits: initial.len_bits(),
-            excited_bits,
-            converge_instructions: outcome.instructions_spent,
-            total_instructions: executed_instructions + fast_forwarded,
-            executed_instructions,
-            fast_forwarded_instructions: fast_forwarded,
-            supersteps: Vec::new(),
-            ensemble_errors,
-            weight_matrix,
-            cache_stats: cache.stats(),
-            speculation,
-            planner: planner_stats,
-            health,
-            economics,
-            remote: remote_stats,
-            checkpoints: dur.checkpoints.as_ref().map(|driver| driver.stats),
-            tier,
-            final_state: machine.into_state(),
-            halted,
-        })
+        dispatch
     }
 
     /// Single-core generalized memoization (Figure 6, rightmost plot): no
@@ -1382,16 +1107,9 @@ impl LascRuntime {
         // IP values" behaviour the paper describes for the laptop experiment.
         let mut profiling = Machine::from_state(initial.clone());
         let mut profiler = crate::recognizer::IpProfiler::new();
-        let mut profile_halted = false;
-        while profiling.instret() < self.config.explore_instructions {
-            match profiling.step()? {
-                asc_tvm::exec::StepOutcome::Continue => {
-                    profiler.record(profiling.state().ip(), profiling.instret());
-                }
-                asc_tvm::exec::StepOutcome::Halted => {
-                    profile_halted = true;
-                    break;
-                }
+        while !profiling.is_halted() && profiling.instret() < self.config.explore_instructions {
+            if profiling.step()? == asc_tvm::exec::StepOutcome::Continue {
+                profiler.record(profiling.state().ip(), profiling.instret());
             }
         }
         let candidate = profiler
@@ -1413,7 +1131,7 @@ impl LascRuntime {
             instructions_spent: profiling.instret(),
             resume_state: profiling.state().clone(),
             resume_instret: profiling.instret(),
-            halted: profile_halted,
+            halted: profiling.is_halted(),
         };
         let cache = TrajectoryCache::with_junk_threshold(
             self.config.cache_capacity,
@@ -1427,10 +1145,7 @@ impl LascRuntime {
         let mut series = Vec::new();
         let mut lookup = LookupScratch::new();
 
-        while !halted {
-            if outcome.resume_instret + machine.instret() >= self.config.instruction_budget {
-                break;
-            }
+        while !halted && within_budget(&self.config, &outcome, &machine) {
             overhead += query_overhead;
             if let Some(entry) = cache.lookup_with(rip.ip, machine.state(), &mut lookup) {
                 machine.apply_sparse(&entry.end);
@@ -1440,18 +1155,14 @@ impl LascRuntime {
                 // it: the program's own past becomes the cache contents.
                 let start_state = machine.state().clone();
                 machine.enable_dep_tracking();
-                let (executed, now_halted) = Self::run_one_superstep(
-                    &mut machine,
-                    rip.ip,
-                    rip.stride,
-                    self.config.max_superstep,
-                )?;
+                let (executed, now_halted) =
+                    Self::run_one_superstep(&mut machine, rip, self.config.max_superstep)?;
                 halted = now_halted;
                 let deps = machine.take_deps().expect("dep tracking was enabled");
                 if executed == 0 {
                     break;
                 }
-                cache.insert(crate::cache::CacheEntry::new(
+                cache.insert(CacheEntry::new(
                     rip.ip,
                     SparseBytes::capture(&start_state, deps.read_set()),
                     SparseBytes::capture(machine.state(), deps.write_set()),
@@ -1463,29 +1174,9 @@ impl LascRuntime {
             series.push((virtual_instructions, virtual_instructions as f64 / real_cost.max(1.0)));
         }
 
-        let executed_instructions = outcome.resume_instret + machine.instret();
         let report = RunReport {
-            rip,
-            unique_ips: outcome.unique_ips,
-            state_bits: initial.len_bits(),
-            excited_bits: 0,
-            converge_instructions: outcome.instructions_spent,
-            total_instructions: executed_instructions + fast_forwarded,
-            executed_instructions,
-            fast_forwarded_instructions: fast_forwarded,
-            supersteps: Vec::new(),
-            ensemble_errors: None,
-            weight_matrix: None,
             cache_stats: cache.stats(),
-            speculation: None,
-            planner: None,
-            health: HealthStats::default(),
-            economics: None,
-            remote: None,
-            checkpoints: None,
-            tier: TierStats::default(),
-            final_state: machine.into_state(),
-            halted,
+            ..RunReport::base(&outcome, machine, fast_forwarded, halted)
         };
         Ok((report, series))
     }

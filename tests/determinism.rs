@@ -8,27 +8,15 @@
 //! equally bit-identical.
 
 use asc::core::config::AscConfig;
-use asc::core::runtime::LascRuntime;
-use asc::workloads::registry::{build, Benchmark, Scale};
-
-fn tiny_config() -> AscConfig {
-    AscConfig {
-        explore_instructions: 5_000,
-        evaluation_occurrences: 6,
-        evaluation_training: 10,
-        candidate_count: 8,
-        min_superstep: 50,
-        rollout_depth: 8,
-        ..AscConfig::default()
-    }
-}
+use asc::core::runtime::{LascRuntime, RunReport};
+use asc::workloads::registry::{build, Benchmark, BuiltWorkload, Scale};
 
 fn config_for(benchmark: Benchmark, workers: usize) -> AscConfig {
     let base = match benchmark {
         // Ising's init phase is long; the exploration window must reach the
         // list walk (same sizing as the end-to-end tests).
-        Benchmark::Ising => AscConfig { explore_instructions: 25_000, ..tiny_config() },
-        _ => tiny_config(),
+        Benchmark::Ising => AscConfig { explore_instructions: 25_000, ..AscConfig::for_tests() },
+        _ => AscConfig::for_tests(),
     };
     AscConfig { workers, ..base }
 }
@@ -40,45 +28,72 @@ fn scale_for(benchmark: Benchmark) -> Scale {
     }
 }
 
-/// `workers = 4` must match `workers = 0` bit-for-bit on the final state.
+fn accelerate(config: AscConfig, workload: &BuiltWorkload) -> RunReport {
+    LascRuntime::new(config).unwrap().accelerate(&workload.program).unwrap()
+}
+
+/// What every mode owes the inline run, whatever its threads did: it
+/// halts, its final state is bit-identical, and the pure-Rust reference
+/// agrees.
+fn assert_same_result(
+    label: &str,
+    inline: &RunReport,
+    report: &RunReport,
+    workload: &BuiltWorkload,
+) {
+    assert!(report.halted, "{label}: run did not halt");
+    assert_eq!(
+        inline.final_state.as_bytes(),
+        report.final_state.as_bytes(),
+        "{label}: diverged from inline execution"
+    );
+    assert!(workload.verify(&report.final_state), "{label}: produced a wrong result");
+}
+
+/// `workers = 4` must match `workers = 0` bit-for-bit on the final state,
+/// under the planner and under miss-driven dispatch — the planner thread
+/// decides *which* speculations run, never what the main thread computes,
+/// so planner on and off are bit-identical to each other too. That the pool
+/// *really ran* is asserted only on the miss-driven leg: there the main thread
+/// itself dispatches its first ready plan, so it is a function of the
+/// program, while a planner thread may never get a timeslice before a
+/// `Tiny` run ends.
 #[test]
 fn parallel_speculation_is_bit_identical_to_inline_on_every_benchmark() {
     for benchmark in Benchmark::ALL {
         let workload = build(benchmark, scale_for(benchmark)).unwrap();
-
-        let inline_report = LascRuntime::new(config_for(benchmark, 0))
-            .unwrap()
-            .accelerate(&workload.program)
-            .unwrap();
-        let parallel_report = LascRuntime::new(config_for(benchmark, 4))
-            .unwrap()
-            .accelerate(&workload.program)
-            .unwrap();
-
+        let inline_report = accelerate(config_for(benchmark, 0), &workload);
         assert!(inline_report.halted, "{benchmark}: inline run did not halt");
-        assert!(parallel_report.halted, "{benchmark}: parallel run did not halt");
-        assert_eq!(
-            inline_report.final_state.as_bytes(),
-            parallel_report.final_state.as_bytes(),
-            "{benchmark}: workers = 4 diverged from inline execution"
-        );
-        // Both runs also verify against the pure-Rust reference.
-        assert!(
-            workload.verify(&parallel_report.final_state),
-            "{benchmark}: parallel run produced a wrong result"
-        );
-        // The pool really ran: work was dispatched to workers.
-        let stats = parallel_report.speculation.expect("workers > 0 must report pool stats");
-        assert!(stats.dispatched > 0, "{benchmark}: no speculation dispatched ({stats:?})");
-        assert_eq!(
-            stats.dispatched,
-            stats.completed
-                + stats.faulted
-                + stats.exhausted
-                + stats.panicked
-                + stats.deadline_killed,
-            "{benchmark}: pool shutdown lost jobs ({stats:?})"
-        );
+
+        for planner in [true, false] {
+            let mut config = config_for(benchmark, 4);
+            config.planner.enabled = planner;
+            let parallel_report = accelerate(config, &workload);
+            let label = format!("{benchmark}/planner={planner}");
+            assert_same_result(&label, &inline_report, &parallel_report, &workload);
+            let stats = parallel_report.speculation.expect("workers > 0 must report pool stats");
+            assert_eq!(
+                stats.dispatched,
+                stats.completed
+                    + stats.faulted
+                    + stats.exhausted
+                    + stats.panicked
+                    + stats.deadline_killed,
+                "{label}: pool shutdown lost jobs ({stats:?})"
+            );
+            // The planner reports exactly when it ran, and it heard the
+            // main thread: shutdown drains its channel before it reports.
+            match parallel_report.planner {
+                Some(seen) => assert!(planner && seen.occurrences > 0, "{label}: {seen:?}"),
+                None => assert!(!planner, "{label}: planner on must report planner stats"),
+            }
+            // Until the first dispatch a miss-driven pool run is the inline
+            // run step for step, so whenever inline speculation produced a
+            // task at all, the pool was handed that same task.
+            if !planner && inline_report.cache_stats.inserted > 0 {
+                assert!(stats.dispatched > 0, "{label}: no speculation dispatched ({stats:?})");
+            }
+        }
     }
 }
 
@@ -92,10 +107,7 @@ fn parallel_speculation_matches_plain_sequential_execution() {
     let mut sequential = Machine::load(&workload.program).unwrap();
     sequential.run_to_halt(200_000_000).unwrap();
 
-    let report = LascRuntime::new(config_for(Benchmark::Collatz, 4))
-        .unwrap()
-        .accelerate(&workload.program)
-        .unwrap();
+    let report = accelerate(config_for(Benchmark::Collatz, 4), &workload);
     assert!(report.halted);
     assert_eq!(
         sequential.state().as_bytes(),
@@ -104,64 +116,14 @@ fn parallel_speculation_matches_plain_sequential_execution() {
     );
 }
 
-/// The planner thread decides *which* speculations run, never what the main
-/// thread computes: with the planner on vs. off (miss-driven dispatch), the
-/// final state must stay bit-identical on every benchmark — and both must
-/// verify against the pure-Rust reference.
-#[test]
-fn planner_on_and_off_are_bit_identical_on_every_benchmark() {
-    for benchmark in Benchmark::ALL {
-        let workload = build(benchmark, scale_for(benchmark)).unwrap();
-
-        let mut planner_off = config_for(benchmark, 4);
-        planner_off.planner.enabled = false;
-        let mut planner_on = config_for(benchmark, 4);
-        planner_on.planner.enabled = true;
-
-        let off_report =
-            LascRuntime::new(planner_off).unwrap().accelerate(&workload.program).unwrap();
-        let on_report =
-            LascRuntime::new(planner_on).unwrap().accelerate(&workload.program).unwrap();
-
-        assert!(off_report.halted, "{benchmark}: miss-driven run did not halt");
-        assert!(on_report.halted, "{benchmark}: planner run did not halt");
-        assert_eq!(
-            off_report.final_state.as_bytes(),
-            on_report.final_state.as_bytes(),
-            "{benchmark}: planner on diverged from planner off"
-        );
-        assert!(
-            workload.verify(&on_report.final_state),
-            "{benchmark}: planner run produced a wrong result"
-        );
-        // The planner really ran and fed the pool.
-        assert!(off_report.planner.is_none(), "{benchmark}: miss-driven run reported a planner");
-        let stats = on_report.planner.expect("planner on must report planner stats");
-        assert!(stats.occurrences > 0, "{benchmark}: planner saw no occurrences ({stats:?})");
-        let pool = on_report.speculation.expect("planner run must report pool stats");
-        assert_eq!(
-            pool.dispatched,
-            pool.completed + pool.faulted + pool.exhausted + pool.panicked + pool.deadline_killed,
-            "{benchmark}: planner-fed pool lost jobs ({pool:?})"
-        );
-    }
-}
-
 /// Worker counts beyond the rollout width still behave (threads idle but
 /// nothing deadlocks or diverges).
 #[test]
 fn oversubscribed_worker_pool_is_safe() {
     let workload = build(Benchmark::Collatz, Scale::Tiny).unwrap();
-    let inline_report = LascRuntime::new(config_for(Benchmark::Collatz, 0))
-        .unwrap()
-        .accelerate(&workload.program)
-        .unwrap();
-    let report = LascRuntime::new(config_for(Benchmark::Collatz, 16))
-        .unwrap()
-        .accelerate(&workload.program)
-        .unwrap();
-    assert!(report.halted);
-    assert_eq!(inline_report.final_state.as_bytes(), report.final_state.as_bytes());
+    let inline_report = accelerate(config_for(Benchmark::Collatz, 0), &workload);
+    let report = accelerate(config_for(Benchmark::Collatz, 16), &workload);
+    assert_same_result("16 workers", &inline_report, &report, &workload);
 }
 
 /// The remote tier shares trajectories between runs, never results: peer
@@ -183,55 +145,76 @@ mod remote {
         config
     }
 
+    /// A `workers = 0` run whose inserts all happen on the main thread and
+    /// whose write-behind queue is drained before it reports, so what it
+    /// streams to the peer is a function of the program — with a planner-fed
+    /// pool it depends on the planner thread getting a timeslice before a
+    /// `Tiny` run ends. The generous deadline keeps a loaded machine from
+    /// turning a loopback round trip into a counted failure.
+    fn inline_remote_config(benchmark: Benchmark, peer: &CachePeer) -> AscConfig {
+        let mut config = remote_config(benchmark, peer);
+        config.workers = 0;
+        config.remote.deadline_ms = 10_000;
+        config
+    }
+
+    /// PUTs are fire-and-forget: after a run that streamed some, the peer's
+    /// handler thread may still be storing them. Waits for the first to
+    /// land rather than racing the next run's bulk transfer.
+    fn wait_until_stored(peer: &CachePeer) {
+        let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while peer.is_empty() && std::time::Instant::now() < give_up {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+
     /// Two accelerated runs sharing one peer — run 1 populates it, run 2
     /// probes it — must both stay bit-identical to single-process inline
-    /// execution on every benchmark.
+    /// execution on every benchmark, with worker threads and without. That
+    /// the tier *really ran* is asserted only on the `workers = 0` leg (see
+    /// `inline_remote_config`).
     #[test]
     fn two_runs_sharing_one_peer_stay_bit_identical_on_every_benchmark() {
         for benchmark in Benchmark::ALL {
             let workload = build(benchmark, scale_for(benchmark)).unwrap();
-            let inline_report = LascRuntime::new(config_for(benchmark, 0))
-                .unwrap()
-                .accelerate(&workload.program)
-                .unwrap();
-            let peer = CachePeer::bind("127.0.0.1:0", 1 << 16).unwrap();
+            let inline_report = accelerate(config_for(benchmark, 0), &workload);
+            for workers in [4, 0] {
+                let peer = CachePeer::bind("127.0.0.1:0", 1 << 16).unwrap();
+                let config = match workers {
+                    0 => inline_remote_config(benchmark, &peer),
+                    _ => remote_config(benchmark, &peer),
+                };
+                let first = accelerate(config.clone(), &workload);
+                let streamed = first.remote.expect("remote tier was enabled").puts_streamed;
+                if streamed > 0 {
+                    wait_until_stored(&peer);
+                }
+                let second = accelerate(config, &workload);
 
-            let first = LascRuntime::new(remote_config(benchmark, &peer))
-                .unwrap()
-                .accelerate(&workload.program)
-                .unwrap();
-            let second = LascRuntime::new(remote_config(benchmark, &peer))
-                .unwrap()
-                .accelerate(&workload.program)
-                .unwrap();
-
-            for (label, report) in [("first", &first), ("second", &second)] {
-                assert!(report.halted, "{benchmark}: {label} shared-peer run did not halt");
+                for (run, report) in [("first", &first), ("second", &second)] {
+                    let label = format!("{benchmark}/workers={workers}: {run} shared-peer run");
+                    assert_same_result(&label, &inline_report, report, &workload);
+                }
                 assert_eq!(
-                    inline_report.final_state.as_bytes(),
-                    report.final_state.as_bytes(),
-                    "{benchmark}: {label} shared-peer run diverged from inline execution"
+                    peer.contained_panics(),
+                    0,
+                    "{benchmark}/workers={workers}: a peer handler panicked"
                 );
-                assert!(
-                    workload.verify(&report.final_state),
-                    "{benchmark}: {label} shared-peer run produced a wrong result"
-                );
+                // The tier really ran: run 1 streamed its inserts into the
+                // peer, and run 2 found them (bulk transfer at connect,
+                // and/or GET hits).
+                if workers == 0 && inline_report.cache_stats.inserted > 0 {
+                    assert!(streamed > 0, "{benchmark}: nothing streamed to the peer");
+                    assert!(!peer.is_empty(), "{benchmark}: peer stored nothing");
+                    let second_remote = second.remote.expect("remote tier was enabled");
+                    assert!(
+                        second_remote.snapshot_loaded > 0 || second_remote.remote_hits > 0,
+                        "{benchmark}: second run never benefited from the peer \
+                         ({second_remote:?})"
+                    );
+                }
+                peer.shutdown();
             }
-            // The tier really ran: run 1 streamed inserts into the peer, and
-            // run 2 found them (bulk transfer at connect, and/or GET hits).
-            let first_remote = first.remote.expect("remote tier was enabled");
-            assert!(
-                first_remote.puts_streamed > 0,
-                "{benchmark}: nothing streamed to the peer ({first_remote:?})"
-            );
-            assert!(!peer.is_empty(), "{benchmark}: peer stored nothing");
-            let second_remote = second.remote.expect("remote tier was enabled");
-            assert!(
-                second_remote.snapshot_loaded > 0 || second_remote.remote_hits > 0,
-                "{benchmark}: second run never benefited from the peer ({second_remote:?})"
-            );
-            assert_eq!(peer.contained_panics(), 0, "{benchmark}: a peer handler panicked");
-            peer.shutdown();
         }
     }
 
@@ -244,10 +227,7 @@ mod remote {
     fn peer_killed_mid_run_degrades_to_local_only() {
         let benchmark = Benchmark::Collatz;
         let workload = build(benchmark, scale_for(benchmark)).unwrap();
-        let inline_report = LascRuntime::new(config_for(benchmark, 0))
-            .unwrap()
-            .accelerate(&workload.program)
-            .unwrap();
+        let inline_report = accelerate(config_for(benchmark, 0), &workload);
 
         let peer = CachePeer::bind("127.0.0.1:0", 1 << 16).unwrap();
         let mut config = remote_config(benchmark, &peer);
@@ -256,16 +236,10 @@ mod remote {
             std::thread::sleep(std::time::Duration::from_millis(30));
             peer.shutdown();
         });
-        let report = LascRuntime::new(config).unwrap().accelerate(&workload.program).unwrap();
+        let report = accelerate(config, &workload);
         killer.join().unwrap();
 
-        assert!(report.halted, "peer kill stalled the run");
-        assert_eq!(
-            inline_report.final_state.as_bytes(),
-            report.final_state.as_bytes(),
-            "peer kill changed the program result"
-        );
-        assert!(workload.verify(&report.final_state));
+        assert_same_result("peer killed mid-run", &inline_report, &report, &workload);
         // Whether the tier noticed depends on timing (the run may finish
         // first); what must never happen is an unbounded stall or a wrong
         // result, both asserted above. When the kill did land, the failure
@@ -294,10 +268,7 @@ mod remote {
         let seed = std::env::var("ASC_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(1);
         let benchmark = Benchmark::Collatz;
         let workload = build(benchmark, scale_for(benchmark)).unwrap();
-        let inline_report = LascRuntime::new(config_for(benchmark, 0))
-            .unwrap()
-            .accelerate(&workload.program)
-            .unwrap();
+        let inline_report = accelerate(config_for(benchmark, 0), &workload);
 
         let faults = Arc::new(asc::core::fault::FaultState::new(FaultPlan {
             seed,
@@ -308,25 +279,14 @@ mod remote {
             asc::core::remote::CachePeer::bind_faulty("127.0.0.1:0", 1 << 16, faults).unwrap();
 
         // Run 1 populates the peer (PUTs are client → peer, uncorrupted).
-        let populate = LascRuntime::new(remote_config(benchmark, &peer))
-            .unwrap()
-            .accelerate(&workload.program)
-            .unwrap();
+        let populate = accelerate(inline_remote_config(benchmark, &peer), &workload);
         assert!(populate.remote.expect("tier enabled").puts_streamed > 0);
+        wait_until_stored(&peer);
         assert!(!peer.is_empty(), "nothing to corrupt: peer stored no entries");
 
         // Run 2 reads from it: every entry-carrying reply is bit-flipped.
-        let victim = LascRuntime::new(remote_config(benchmark, &peer))
-            .unwrap()
-            .accelerate(&workload.program)
-            .unwrap();
-        assert!(victim.halted);
-        assert_eq!(
-            inline_report.final_state.as_bytes(),
-            victim.final_state.as_bytes(),
-            "a corrupted frame changed the program result"
-        );
-        assert!(workload.verify(&victim.final_state));
+        let victim = accelerate(remote_config(benchmark, &peer), &workload);
+        assert_same_result("corrupting peer", &inline_report, &victim, &workload);
         let remote = victim.remote.expect("remote tier was enabled");
         assert!(
             remote.frames_rejected + remote.snapshot_rejected > 0,
@@ -706,6 +666,46 @@ mod checkpoint {
             }
         }
     }
+
+    /// `runtime`'s module docs promise that inline (`workers = 0`) runs are
+    /// fully reproducible, statistics included: training, planning,
+    /// speculation and inserts all happen on the main thread in program
+    /// order. So does the checkpoint tick in the occurrence prelude: it
+    /// saves at exactly every `interval`-th occurrence — one cache lookup
+    /// per occurrence makes the lookup count the occurrence count — and
+    /// writes the same bytes every time.
+    #[test]
+    fn inline_runs_reproduce_statistics_and_checkpoint_cadence_exactly() {
+        for benchmark in Benchmark::ALL {
+            let workload = build(benchmark, scale_for(benchmark)).unwrap();
+            let run = |tag: &str| {
+                let dir = TempDir::new(&format!("{benchmark}-{tag}"));
+                let base = config_for(benchmark, 0);
+                let budget = base.instruction_budget;
+                let mut config = checkpointed(base, &dir, budget);
+                config.checkpoint.interval = 8;
+                config.checkpoint.resume = false;
+                accelerate(config, &workload)
+            };
+            let (first, second) = (run("repro-a"), run("repro-b"));
+            assert_eq!(first.cache_stats, second.cache_stats, "{benchmark}: cache statistics");
+            assert_eq!(first.economics, second.economics, "{benchmark}: economics");
+            assert_eq!(first.tier, second.tier, "{benchmark}: tier statistics");
+            assert_eq!(first.executed_instructions, second.executed_instructions, "{benchmark}");
+            assert_eq!(
+                first.fast_forwarded_instructions, second.fast_forwarded_instructions,
+                "{benchmark}"
+            );
+            assert_eq!(first.checkpoints, second.checkpoints, "{benchmark}: checkpoint activity");
+            // Inline speculation is where the statistics come from; a run
+            // that speculated nothing would make the equalities vacuous.
+            assert!(first.economics.is_some_and(|stats| stats.considered > 0), "{benchmark}");
+            let stats = first.checkpoints.expect("checkpointing was on");
+            assert_eq!(stats.save_failures, 0, "{benchmark}: {stats:?}");
+            assert_eq!(stats.saves, first.cache_stats.queries / 8, "{benchmark}: {stats:?}");
+            assert_eq!(stats.last_occurrence, stats.saves * 8, "{benchmark}: {stats:?}");
+        }
+    }
 }
 
 /// Fault-soak mode (`--features fault-inject`): the supervision layer's
@@ -935,5 +935,90 @@ mod fault_soak {
         assert!(health.watchdog_stalls >= 1, "stall was never detected ({health:?})");
         assert!(health.watchdog_escalations >= 1, "stall was never escalated ({health:?})");
         emit_health(Benchmark::Collatz, seed, health);
+    }
+
+    /// The two degradations that change the run's dispatch mode happen
+    /// inside the occurrence loop, so the caller gets one report, in the
+    /// miss-driven shape, with exact instruction accounting:
+    ///
+    /// * *A planner that dies mid-run* is replaced by miss-driven dispatch
+    ///   on a fresh pool, its death counted once. The injected stall parks
+    ///   the main thread right after its first reports, so the planner
+    ///   thread has certainly processed one (and died of it) before the next
+    ///   occurrence checks on it — without the stall, whether the death is
+    ///   noticed mid-run or only at the final join is up to the scheduler.
+    /// * *The watchdog's stage-2 escalation* sheds the machinery — a
+    ///   miss-driven pool is torn down and its counters kept for the report,
+    ///   a planner is joined and forgotten — and the run finishes inline.
+    ///   Both stages are climbed before the first occurrence: a peer that
+    ///   accepts connections but never answers holds the remote tier's
+    ///   connect-time bulk transfer for the full one-second remote deadline,
+    ///   ten watchdog deadlines without a heartbeat tick.
+    #[test]
+    fn degrade_handoffs_happen_inside_the_loop_and_return_one_report() {
+        let workload = build(Benchmark::Collatz, Scale::Tiny).unwrap();
+        let reference = accelerate(config_for(Benchmark::Collatz, 0), &workload);
+        let silent_peer = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+
+        for (label, planner, planner_dies, escalations) in [
+            ("dead planner", true, true, 1),
+            ("stage 2, miss-driven pool", false, false, 2),
+            ("stage 2, planner", true, false, 2),
+        ] {
+            let mut config = config_for(Benchmark::Collatz, 4);
+            config.planner.enabled = planner;
+            config.watchdog.enabled = true;
+            config.watchdog.deadline_ms = 100;
+            config.watchdog.poll_ms = 10;
+            if planner_dies {
+                config.fault = Some(FaultPlan {
+                    seed: fault_seed(),
+                    planner_death_after: Some(1),
+                    stall_at_occurrence: Some(3),
+                    ..FaultPlan::default()
+                });
+            } else {
+                config.remote.enabled = true;
+                config.remote.peer = Some(silent_peer.local_addr().unwrap().to_string());
+                config.remote.deadline_ms = 1_000;
+                // One failure spends the budget, and the cooldown outlasts
+                // the run: the only stall is the one before the first
+                // occurrence.
+                config.remote.max_retries = 1;
+                config.remote.retry_backoff_ms = 60_000;
+                // Stage 1 force-opens the breaker; a short cooldown lets
+                // inline speculation resume within the run.
+                config.breaker.cooldown_occurrences = 4;
+                config.breaker.probe_successes = 1;
+            }
+            let report = accelerate(config, &workload);
+
+            assert_same_result(label, &reference, &report, &workload);
+            assert_eq!(reference.total_instructions, report.total_instructions, "{label}");
+            let health = &report.health;
+            assert_eq!(health.planner_panics, u64::from(planner_dies), "{label}: {health:?}");
+            assert_eq!(health.watchdog_escalations, escalations, "{label}: {health:?}");
+            assert!(report.planner.is_none(), "{label}: planner statistics outlived the planner");
+            assert!(report.economics.is_some(), "{label}: no miss-driven economics reported");
+            if planner_dies {
+                assert!(report.speculation.is_some(), "{label}: replacement pool not reported");
+                continue;
+            }
+            match report.speculation {
+                Some(pool) => {
+                    assert!(!planner, "{label}: a joined planner's pool was reported ({pool:?})");
+                    assert_eq!(
+                        pool.dispatched, 0,
+                        "{label}: pool outlived its teardown ({pool:?})"
+                    );
+                }
+                None => assert!(planner, "{label}: the torn-down pool's counters were dropped"),
+            }
+            assert!(
+                report.cache_stats.inserted > 0,
+                "{label}: nothing speculated inline after the teardown ({:?})",
+                report.cache_stats
+            );
+        }
     }
 }

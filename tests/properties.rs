@@ -135,10 +135,38 @@ fn transition_is_deterministic_and_dep_tracking_is_transparent() {
 /// including replace and FIFO-evict churn, shared and singleton dependency
 /// shapes, and with the junk filter on or off — `peek` returns an entry
 /// whose instruction count equals the scan's best and whose start set
-/// matches the query state, and misses exactly when the scan misses.
+/// matches the query state, and misses exactly when the scan misses. The
+/// synthetic churn is followed by real read-set shapes: caches populated by
+/// dependency-tracked supersteps of ising and collatz.
 #[test]
 fn indexed_cache_lookup_is_equivalent_to_reference_scan_under_churn() {
     use asc::core::cache::{CacheEntry, TrajectoryCache};
+
+    fn assert_index_matches_scan(
+        cache: &TrajectoryCache,
+        rip: u32,
+        state: &StateVector,
+        case: &str,
+    ) {
+        let indexed = cache.peek(rip, state);
+        let scanned = cache.scan_best_match(rip, state);
+        match (&indexed, &scanned) {
+            (Some(found), Some(reference)) => {
+                assert_eq!(
+                    found.instructions, reference.instructions,
+                    "{case}: index and scan disagree on the best entry"
+                );
+                assert!(found.matches(state), "{case}: index returned a non-matching entry");
+            }
+            (None, None) => {}
+            other => panic!("{case}: hit/miss divergence: {other:?}"),
+        }
+        assert_eq!(
+            cache.covers(rip, state),
+            scanned.is_some(),
+            "{case}: covers() diverged from the scan"
+        );
+    }
 
     let mut rng = XorShiftRng::new(0x5eed_cac8);
     // A small pool of byte positions so shapes recur (grouping) while some
@@ -178,27 +206,7 @@ fn indexed_cache_lookup_is_equivalent_to_reference_scan_under_churn() {
                 state.set_byte(position as usize, (rng.next_u64() % 3) as u8);
             }
             for rip in RIPS {
-                let indexed = cache.peek(rip, &state);
-                let scanned = cache.scan_best_match(rip, &state);
-                match (&indexed, &scanned) {
-                    (Some(found), Some(reference)) => {
-                        assert_eq!(
-                            found.instructions, reference.instructions,
-                            "case {case}: index and scan disagree on the best entry"
-                        );
-                        assert!(
-                            found.matches(&state),
-                            "case {case}: index returned a non-matching entry"
-                        );
-                    }
-                    (None, None) => {}
-                    other => panic!("case {case}: hit/miss divergence: {other:?}"),
-                }
-                assert_eq!(
-                    cache.covers(rip, &state),
-                    scanned.is_some(),
-                    "case {case}: covers() diverged from the scan"
-                );
+                assert_index_matches_scan(&cache, rip, &state, &format!("case {case}"));
             }
         }
         let stats = cache.stats();
@@ -211,6 +219,56 @@ fn indexed_cache_lookup_is_equivalent_to_reference_scan_under_churn() {
             stats.inserted - stats.evicted,
             "case {case}: eviction accounting drifted ({stats:?})"
         );
+    }
+
+    // Real read-set shapes: walk a program's recognized-IP occurrences,
+    // executing every superstep with dependency tracking exactly as a
+    // speculation worker would, and demand equivalence at every occurrence
+    // state — against the entries of the program's own past before the
+    // insert, and against the whole population at the end.
+    use asc::core::config::AscConfig;
+    use asc::core::recognizer::recognize;
+    use asc::core::speculator::{execute_superstep_with, SpeculationScratch};
+    use asc::workloads::registry::{build, Benchmark, Scale};
+
+    for (benchmark, scale, explore_instructions) in
+        [(Benchmark::Ising, Scale::Small, 25_000), (Benchmark::Collatz, Scale::Tiny, 5_000)]
+    {
+        let config = AscConfig { explore_instructions, ..AscConfig::for_tests() };
+        let workload = build(benchmark, scale).unwrap();
+        let outcome = recognize(&workload.program.initial_state().unwrap(), &config).unwrap();
+        let rip = outcome.rip;
+        let cache = TrajectoryCache::with_junk_threshold(1 << 12, config.cache_junk_threshold);
+        let mut scratch = SpeculationScratch::with_tier(config.tier);
+        let mut state = outcome.resume_state;
+        let mut visited = Vec::new();
+        while visited.len() < 400 {
+            assert_index_matches_scan(&cache, rip.ip, &state, &format!("{benchmark} walk"));
+            let superstep = execute_superstep_with(
+                &state,
+                rip.ip,
+                rip.stride,
+                config.max_superstep,
+                &mut scratch,
+            )
+            .unwrap()
+            .completed()
+            .expect("a superstep from a real occurrence state completes");
+            cache.insert(superstep.entry);
+            visited.push(state);
+            if superstep.halted || !superstep.reached_rip {
+                break;
+            }
+            state = superstep.end_state;
+        }
+        assert!(visited.len() > 20, "{benchmark}: too few occurrences ({})", visited.len());
+        assert!(cache.stats().groups > 0, "{benchmark}: nothing was indexed");
+        for state in &visited {
+            assert_index_matches_scan(&cache, rip.ip, state, &format!("{benchmark} replay"));
+        }
+        // The junk filter may refuse singleton shapes, but not everything.
+        let found = visited.iter().filter(|state| cache.covers(rip.ip, state)).count();
+        assert!(found > 0, "{benchmark}: no inserted superstep is found again");
     }
 }
 
