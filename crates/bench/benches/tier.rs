@@ -73,7 +73,7 @@ fn fused_chain() -> StateVector {
 /// A `BlockCache` with every region already compiled for `initial`, so the
 /// timed loop measures steady-state block-threaded dispatch.
 fn warmed_cache(initial: &StateVector, budget: u64) -> BlockCache {
-    let config = TierConfig { enabled: true, hot_threshold: 1, max_block_len: 64 };
+    let config = TierConfig { enabled: true, hot_threshold: 1 };
     let mut cache = BlockCache::new(initial, config);
     let mut state = initial.clone();
     let (_, exit) = run_segment(&mut state, &mut NoDeps, &mut cache, u32::MAX, budget);

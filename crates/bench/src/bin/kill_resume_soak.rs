@@ -9,7 +9,10 @@
 //! exactly as un-catchable for user code as SIGKILL — no `Drop`, no
 //! `atexit`, no flush).
 //!
-//! Scenarios, one JSON line each to `--out` (or `$ASC_CKPT_OUT`):
+//! Scenarios, one JSON line each to stdout and `--out` as they finish — a
+//! failing scenario is a `"bit_identical":false` line carrying its error,
+//! and the campaign runs on to the end before exiting non-zero, so a red
+//! soak still uploads every row (`report_summary soak` renders them):
 //!
 //! * `kill-resume` — per seed × benchmark (mode rotated so every benchmark
 //!   × {inline, workers, planner} pair is covered): run a reference
@@ -26,6 +29,10 @@
 //! The separate `overhead` subcommand asserts the bench-gate bound: with
 //! checkpointing on, the min-of-5 wall clock of the `accelerate_collatz
 //! _small` configuration stays within 5% of checkpointing off.
+//!
+//! Exit codes: 0 all scenarios bit-identical, 1 a scenario failed (or the
+//! overhead bound broke), 2 unusable input (`ASC_SOAK_SEEDS`, `--tolerance`,
+//! an `--out` that cannot be created).
 //!
 //! ```sh
 //! cargo run --release -p asc-bench --features fault-inject \
@@ -47,8 +54,9 @@ mod soak {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    use asc_bench::small_collatz_config;
+    use asc_bench::{bool_field, number_field, small_collatz_config, string_field};
     use asc_core::config::AscConfig;
+    use asc_core::report::JsonLine;
     use asc_core::runtime::{LascRuntime, RunReport};
     use asc_core::FaultPlan;
     use asc_learn::rng::{Rng, XorShiftRng};
@@ -203,18 +211,14 @@ mod soak {
             assert!(workload.verify(&report.final_state), "child produced a wrong result");
         }
 
-        let stats = report.checkpoints.expect("checkpointing was on");
-        let body = format!(
-            "halted={}\nstate={}\ntotal={}\nsaves={}\nresumed={}\nrejected={}\n",
-            report.halted,
-            hex(report.final_state.as_bytes()),
-            report.total_instructions,
-            stats.saves,
-            stats.resumed,
-            stats.rejected_files,
-        );
-        std::fs::write(result_path, body).map_err(|e| format!("cannot write result: {e}"))?;
-        Ok(())
+        // The run report itself is the result: the parent reads the state,
+        // the instruction total and the checkpoint counters back out of it.
+        let state = hex(report.final_state.as_bytes());
+        let mut file = std::fs::File::create(result_path)
+            .map_err(|e| format!("cannot create result {result_path}: {e}"))?;
+        report
+            .write_json(&mut file, &[("state", state.as_str().into())])
+            .map_err(|e| format!("cannot write result: {e}"))
     }
 
     // ------------------------------------------------------------------
@@ -233,22 +237,16 @@ mod soak {
     fn read_result(path: &Path) -> Result<ChildResult, String> {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("no child result {path:?}: {e}"))?;
-        let mut fields = HashMap::new();
-        for line in text.lines() {
-            if let Some((key, value)) = line.split_once('=') {
-                fields.insert(key.to_string(), value.to_string());
-            }
-        }
-        let get = |key: &str| {
-            fields.get(key).cloned().ok_or_else(|| format!("child result missing {key}"))
-        };
+        let missing = |key: &str| format!("child result missing {key}");
+        let number = |key| number_field(&text, key).map(|v| v as u64).ok_or_else(|| missing(key));
+        let flag = |key| bool_field(&text, key).ok_or_else(|| missing(key));
         Ok(ChildResult {
-            halted: get("halted")? == "true",
-            state: get("state")?,
-            total: get("total")?.parse().map_err(|e| format!("bad total: {e}"))?,
-            saves: get("saves")?.parse().map_err(|e| format!("bad saves: {e}"))?,
-            resumed: get("resumed")? == "true",
-            rejected: get("rejected")?.parse().map_err(|e| format!("bad rejected: {e}"))?,
+            halted: flag("halted")?,
+            state: string_field(&text, "state").ok_or_else(|| missing("state"))?,
+            total: number("total_instructions")?,
+            saves: number("checkpoints.saves")?,
+            resumed: flag("checkpoints.resumed")?,
+            rejected: number("checkpoints.rejected_files")?,
         })
     }
 
@@ -342,12 +340,17 @@ mod soak {
         Ok(())
     }
 
+    /// A scenario's lines on success, each still lacking its verdict: the
+    /// [`Campaign`] appends `bit_identical`.
+    type Scenario = Result<Vec<JsonLine>, String>;
+
     fn kill_resume_scenario(
+        base: &JsonLine,
         benchmark: Benchmark,
         mode: &str,
         seed: u64,
         rng: &mut XorShiftRng,
-    ) -> Result<String, String> {
+    ) -> Scenario {
         let label = format!("{benchmark}/{mode}/seed{seed}");
         let reference = reference_run(benchmark, mode);
         let dir = scenario_dir(&format!("kill-{benchmark}-{mode}-{seed}"));
@@ -368,13 +371,10 @@ mod soak {
         assert_matches(&label, &reference, &resumed)?;
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_file(&result);
-        Ok(format!(
-            "{{\"scenario\":\"kill-resume\",\"benchmark\":\"{benchmark}\",\"mode\":\"{mode}\",\
-             \"seed\":{seed},\"kill_at\":{kill_at},\"resumed\":true,\"bit_identical\":true}}"
-        ))
+        Ok(vec![base.clone().field("kill_at", kill_at).field("resumed", true)])
     }
 
-    fn damage_scenario(rng: &mut XorShiftRng) -> Result<Vec<String>, String> {
+    fn damage_scenario(base: &JsonLine, rng: &mut XorShiftRng) -> Scenario {
         let (benchmark, mode) = (Benchmark::Collatz, "workers");
         let reference = reference_run(benchmark, mode);
         let dir = scenario_dir("damage");
@@ -416,14 +416,10 @@ mod soak {
         assert_matches("damage/cold-start", &reference, &cold)?;
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_file(&result);
-        Ok(vec![
-            "{\"scenario\":\"damage-sweep\",\"case\":\"older-intact\",\"bit_identical\":true}"
-                .into(),
-            "{\"scenario\":\"damage-sweep\",\"case\":\"cold-start\",\"bit_identical\":true}".into(),
-        ])
+        Ok(["older-intact", "cold-start"].map(|case| base.clone().field("case", case)).into())
     }
 
-    fn graceful_scenario() -> Result<String, String> {
+    fn graceful_scenario(base: &JsonLine) -> Scenario {
         let (benchmark, mode) = (Benchmark::Collatz, "workers");
         let reference = reference_run(benchmark, mode);
         let dir = scenario_dir("graceful");
@@ -470,42 +466,70 @@ mod soak {
         assert_matches("graceful", &reference, &resumed)?;
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_file(&result);
-        Ok(format!(
-            "{{\"scenario\":\"graceful-shutdown\",\"flushed_saves\":{},\"bit_identical\":true}}",
-            stopped.saves
-        ))
+        Ok(vec![base.clone().field("flushed_saves", stopped.saves)])
     }
 
-    fn campaign(out: Option<&str>, seeds: &[u64]) -> Result<(), String> {
-        let mut lines = Vec::new();
+    /// Where the campaign's lines go as they are produced, and how many
+    /// scenarios failed so far.
+    struct Campaign<W> {
+        out: W,
+        failures: usize,
+    }
+
+    impl<W: Write> Campaign<W> {
+        /// Runs one scenario and writes its lines: its own with
+        /// `"bit_identical":true`, or — for an `Err` — `base` with `false`
+        /// and the error, so a failure is a row instead of a missing file.
+        fn run(
+            &mut self,
+            base: JsonLine,
+            scenario: impl FnOnce(&JsonLine) -> Scenario,
+        ) -> Result<(), String> {
+            let lines = match scenario(&base) {
+                Ok(lines) => lines.into_iter().map(|l| l.field("bit_identical", true)).collect(),
+                Err(error) => {
+                    self.failures += 1;
+                    vec![base.field("bit_identical", false).field("error", error.as_str())]
+                }
+            };
+            for line in lines {
+                let line = line.finish();
+                print!("{line}");
+                self.out
+                    .write_all(line.as_bytes())
+                    .map_err(|e| format!("cannot write the --out file: {e}"))?;
+            }
+            Ok(())
+        }
+    }
+
+    fn campaign(out: impl Write, seeds: &[u64]) -> Result<(), String> {
+        let mut campaign = Campaign { out, failures: 0 };
         for (seed_index, &seed) in seeds.iter().enumerate() {
             let mut rng = XorShiftRng::new(0x50a4_0000 ^ seed.wrapping_mul(0x9e37));
             for (bench_index, benchmark) in Benchmark::ALL.into_iter().enumerate() {
                 // Rotate the mode with the seed so three seeds cover every
                 // benchmark × {inline, workers, planner} pair exactly once.
                 let mode = MODES[(seed_index + bench_index) % MODES.len()];
-                let line = kill_resume_scenario(benchmark, mode, seed, &mut rng)?;
-                println!("{line}");
-                lines.push(line);
+                let base = JsonLine::new()
+                    .field("scenario", "kill-resume")
+                    .field("benchmark", format!("{benchmark}").as_str())
+                    .field("mode", mode)
+                    .field("seed", seed);
+                campaign.run(base, |base| {
+                    kill_resume_scenario(base, benchmark, mode, seed, &mut rng)
+                })?;
             }
         }
-        let mut rng = XorShiftRng::new(0xda3a_6e00 ^ seeds.first().copied().unwrap_or(1));
-        for line in damage_scenario(&mut rng)? {
-            println!("{line}");
-            lines.push(line);
-        }
-        let line = graceful_scenario()?;
-        println!("{line}");
-        lines.push(line);
+        let mut rng = XorShiftRng::new(0xda3a_6e00 ^ seeds[0]);
+        let base = JsonLine::new().field("scenario", "damage-sweep");
+        campaign.run(base, |base| damage_scenario(base, &mut rng))?;
+        campaign.run(JsonLine::new().field("scenario", "graceful-shutdown"), graceful_scenario)?;
 
-        if let Some(path) = out {
-            let mut file =
-                std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-            for line in &lines {
-                writeln!(file, "{line}").map_err(|e| format!("cannot write {path}: {e}"))?;
-            }
+        match campaign.failures {
+            0 => Ok(()),
+            failures => Err(format!("{failures} scenario(s) failed; see the rows above")),
         }
-        Ok(())
     }
 
     /// The bench-gate bound: checkpointing on (default interval) must stay
@@ -536,12 +560,13 @@ mod soak {
         }
 
         let ratio = on_min.as_secs_f64() / off_min.as_secs_f64();
-        println!(
-            "{{\"scenario\":\"checkpoint-overhead\",\"off_min_ns\":{},\"on_min_ns\":{},\
-             \"ratio\":{ratio:.4},\"tolerance\":{tolerance}}}",
-            off_min.as_nanos(),
-            on_min.as_nanos(),
-        );
+        let line = JsonLine::new()
+            .field("scenario", "checkpoint-overhead")
+            .field("off_min_ns", off_min.as_nanos() as u64)
+            .field("on_min_ns", on_min.as_nanos() as u64)
+            .field("ratio", ratio)
+            .field("tolerance", tolerance);
+        print!("{}", line.finish());
         if ratio > 1.0 + tolerance {
             return Err(format!(
                 "checkpointing costs {:.1}% on accelerate_collatz_small minima (bound {:.0}%)",
@@ -550,6 +575,17 @@ mod soak {
             ));
         }
         Ok(())
+    }
+
+    /// Input this driver cannot use: reported and exit code 2, never a
+    /// silently smaller campaign.
+    fn usage_error(message: String) -> ExitCode {
+        eprintln!("kill-resume soak: {message}");
+        ExitCode::from(2)
+    }
+
+    fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a String> {
+        args.iter().position(|a| a == name).and_then(|i| args.get(i + 1))
     }
 
     pub fn main() -> ExitCode {
@@ -568,26 +604,31 @@ mod soak {
                 run_child(&map)
             }
             Some("overhead") => {
-                let tolerance = args
-                    .iter()
-                    .position(|a| a == "--tolerance")
-                    .and_then(|i| args.get(i + 1))
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(0.05);
+                let tolerance = match flag(&args, "--tolerance").map(|v| v.parse::<f64>()) {
+                    None => 0.05,
+                    Some(Ok(tolerance)) if tolerance >= 0.0 => tolerance,
+                    Some(_) => {
+                        return usage_error("--tolerance needs a non-negative number".into())
+                    }
+                };
                 overhead(tolerance)
             }
             _ => {
-                let out = args
-                    .iter()
-                    .position(|a| a == "--out")
-                    .and_then(|i| args.get(i + 1).cloned())
-                    .or_else(|| std::env::var("ASC_CKPT_OUT").ok());
-                let seeds: Vec<u64> = std::env::var("ASC_SOAK_SEEDS")
-                    .unwrap_or_else(|_| "1,2,3".into())
-                    .split(',')
-                    .filter_map(|s| s.trim().parse().ok())
-                    .collect();
-                campaign(out.as_deref(), &seeds)
+                let seeds = std::env::var("ASC_SOAK_SEEDS").unwrap_or_else(|_| "1,2,3".into());
+                let Ok(seeds) =
+                    seeds.split(',').map(|s| s.trim().parse()).collect::<Result<Vec<u64>, _>>()
+                else {
+                    return usage_error(format!(
+                        "ASC_SOAK_SEEDS={seeds:?} is not a comma-separated list of integers"
+                    ));
+                };
+                match flag(&args, "--out") {
+                    None => campaign(std::io::sink(), &seeds),
+                    Some(path) => match std::fs::File::create(path) {
+                        Ok(file) => campaign(file, &seeds),
+                        Err(error) => return usage_error(format!("cannot create {path}: {error}")),
+                    },
+                }
             }
         };
         match outcome {
@@ -596,6 +637,29 @@ mod soak {
                 eprintln!("kill-resume soak error: {message}");
                 ExitCode::FAILURE
             }
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn a_failing_scenario_is_recorded_as_a_row_and_counted() {
+            let mut campaign = Campaign { out: Vec::new(), failures: 0 };
+            let base = JsonLine::new().field("scenario", "kill-resume").field("seed", 2u64);
+            campaign
+                .run(base.clone(), |base| Ok(vec![base.clone().field("kill_at", 9u64)]))
+                .unwrap();
+            campaign.run(base, |_| Err("resume \"diverged\"".into())).unwrap();
+            assert_eq!(campaign.failures, 1);
+            let text = String::from_utf8(campaign.out).unwrap();
+            let lines: Vec<&str> = text.lines().collect();
+            assert_eq!(lines.len(), 2);
+            assert_eq!(bool_field(lines[0], "bit_identical"), Some(true));
+            assert_eq!(bool_field(lines[1], "bit_identical"), Some(false));
+            assert_eq!(string_field(lines[1], "scenario").as_deref(), Some("kill-resume"));
+            assert_eq!(string_field(lines[1], "error").as_deref(), Some("resume \"diverged\""));
         }
     }
 }

@@ -13,8 +13,14 @@
 //! | `fig6`   | Figure 6 — Collatz scaling + single-core memoization |
 //! | `cargo bench` | §5.3 — simulation rate, dependency-tracking overhead, cache lookup, predictor update, rollout latency |
 //!
-//! Every binary accepts an optional scale argument (`tiny`, `small`,
-//! `medium`, `large`; default `small`) controlling the workload size.
+//! Each of these binaries accepts an optional scale argument (`tiny`,
+//! `small`, `medium`, `large`; default `medium`) controlling the workload
+//! size.
+//!
+//! CI's side of the evaluation is `report_summary <table> <file>`: it
+//! renders the run-report lines the test suites and soak drivers append to
+//! `$ASC_REPORT_OUT` (see `asc_core::report`) as the `economics`, `tier`,
+//! `health` and `soak` tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -125,7 +131,8 @@ pub fn print_curve(
 }
 
 /// Extracts the string value of `"key":"…"` from a flat JSON object line
-/// (the JSON-lines records the summary and gate bins read).
+/// (the JSON-lines records the summary and gate bins read), undoing the
+/// escapes `asc_core::report::JsonLine` writes except `\u`.
 pub fn string_field(line: &str, key: &str) -> Option<String> {
     let marker = format!("\"{key}\":\"");
     let start = line.find(&marker)? + marker.len();
@@ -134,7 +141,12 @@ pub fn string_field(line: &str, key: &str) -> Option<String> {
     while let Some(c) = chars.next() {
         match c {
             '"' => return Some(value),
-            '\\' => value.push(chars.next()?),
+            '\\' => value.push(match chars.next()? {
+                'n' => '\n',
+                'r' => '\r',
+                't' => '\t',
+                escaped => escaped,
+            }),
             other => value.push(other),
         }
     }
@@ -151,6 +163,20 @@ pub fn number_field(line: &str, key: &str) -> Option<f64> {
         .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
+}
+
+/// Extracts the boolean value of `"key":true|false` from a flat JSON object
+/// line.
+pub fn bool_field(line: &str, key: &str) -> Option<bool> {
+    let marker = format!("\"{key}\":");
+    let rest = &line[line.find(&marker)? + marker.len()..];
+    if rest.starts_with("true") {
+        Some(true)
+    } else if rest.starts_with("false") {
+        Some(false)
+    } else {
+        None
+    }
 }
 
 /// Appends a markdown table to the file `$GITHUB_STEP_SUMMARY` names, when
@@ -198,6 +224,108 @@ mod tests {
         assert!(!report.supersteps.is_empty());
     }
 
+    /// The golden key set of `RunReport::write_json`: labels, the scalar
+    /// accounting, then every public counter of all eight stats structs
+    /// exactly once under `<section>.<field>`, each reading back through the
+    /// extractors as the struct's own value.
+    #[test]
+    fn run_report_lines_carry_every_stats_field_once_under_its_dotted_key() {
+        use asc_core::{CheckpointStats, PlannerStats, PoolStats, RemoteStats};
+
+        let workload = build(Benchmark::Collatz, Scale::Tiny).unwrap();
+        let runtime = LascRuntime::new(config_for(Scale::Tiny)).unwrap();
+        let mut report = runtime.accelerate(&workload.program).unwrap();
+        assert!(report.cache_stats.hits > 0 && report.tier.tier1_instructions > 0);
+        let weird = "we\"ird\\label, \"seed\":9";
+        let write = |report: &RunReport| {
+            let mut out = Vec::new();
+            report.write_json(&mut out, &[("test", weird.into()), ("seed", 7u64.into())]).unwrap();
+            String::from_utf8(out).unwrap()
+        };
+
+        // An inline run has no pool, planner, remote tier or checkpoints:
+        // those sections write no keys at all.
+        let inline = write(&report);
+        for absent in ["\"speculation.", "\"planner.", "\"remote.", "\"checkpoints."] {
+            assert!(!inline.contains(absent), "{absent} in {inline}");
+        }
+
+        // Stand-ins for them so all eight structs are covered, and two
+        // non-finite floats.
+        let pool = PoolStats { dispatched: 101, panicked_joins: 110, ..Default::default() };
+        let planner = PlannerStats { occurrences: 201, insert_wakeups: 208, ..Default::default() };
+        let remote = RemoteStats { remote_hits: 301, degraded: true, ..Default::default() };
+        let checkpoints = CheckpointStats { saves: 401, resumed: true, ..Default::default() };
+        (report.speculation, report.planner) = (Some(pool), Some(planner));
+        (report.remote, report.checkpoints) = (Some(remote), Some(checkpoints));
+        (report.rip.accuracy, report.rip.score) = (f64::INFINITY, f64::NAN);
+        let line = write(&report);
+        assert!(line.ends_with("}\n") && line.matches('\n').count() == 1, "{line}");
+
+        macro_rules! section {
+            ($prefix:literal, $stats:expr; $($field:ident),*) => {
+                vec![$((concat!($prefix, stringify!($field)), $stats.$field as u64 as f64)),*]
+            };
+        }
+        let (cache, health, tier) = (report.cache_stats, report.health, report.tier);
+        let economics = report.economics.unwrap();
+        let numbers: Vec<(&str, f64)> = [
+            vec![
+                ("seed", 7.0),
+                ("rip.mean_superstep", report.rip.mean_superstep),
+                ("economics.expected_value", economics.expected_value),
+                ("economics.suppressed_cost", economics.suppressed_cost),
+                ("economics.realized_hit_rate", economics.realized_hit_rate),
+            ],
+            section!("rip.", report.rip; ip, stride),
+            section!("", report; unique_ips, state_bits, excited_bits, converge_instructions,
+                total_instructions, executed_instructions, fast_forwarded_instructions),
+            section!("cache.", cache; queries, hits, inserted, duplicates, replaced, evicted,
+                junk_rejected, groups, probes, collision_rejects, checksum_rejects,
+                instructions_served),
+            section!("speculation.", pool; dispatched, dropped, deduplicated, completed, faulted,
+                exhausted, inserted, panicked, deadline_killed, panicked_joins),
+            section!("planner.", planner; occurrences, dropped, replans, extensions, confirmed,
+                invalidated, dispatched, insert_wakeups),
+            section!("health.", health; worker_panics, worker_restarts, workers_lost,
+                spawn_failures, panicked_joins, deadline_kills, planner_panics, breaker_trips,
+                breaker_recoveries, breaker_open_occurrences, checksum_rejects, injected_faults,
+                watchdog_stalls, watchdog_escalations),
+            section!("economics.", economics; considered, dispatched, suppressed, probes, lookups,
+                hits, last_horizon),
+            section!("remote.", remote; remote_hits, remote_misses, remote_timeouts,
+                frames_rejected, snapshot_loaded, snapshot_rejected, snapshot_saved,
+                puts_streamed, puts_dropped, peer_reconnects),
+            section!("checkpoints.", checkpoints; saves, save_failures, last_occurrence,
+                bytes_written, resume_sequence, cache_entries_loaded, rejected_files),
+            section!("tier.", tier; blocks_compiled, blocks_invalidated, fused_ops,
+                tier1_instructions, tier0_instructions),
+        ]
+        .concat();
+        for &(key, value) in &numbers {
+            assert_eq!(number_field(&line, key), Some(value), "{key} in {line}");
+        }
+        let flags =
+            [("halted", report.halted), ("remote.degraded", true), ("checkpoints.resumed", true)];
+        for (key, value) in flags {
+            assert_eq!(bool_field(&line, key), Some(value), "{key} in {line}");
+        }
+        // The awkward label survives the round trip — and its embedded
+        // `"seed":9` is not mistaken for the real key; non-finite floats
+        // are `null`, which is JSON, where `NaN` and `inf` are not.
+        assert_eq!(string_field(&line, "test").as_deref(), Some(weird));
+        assert!(line.contains("\"rip.accuracy\":null,\"rip.score\":null,"), "{line}");
+
+        // Exactly once, and nothing else: no string here contains `,"`, so
+        // that sequence counts the fields.
+        let keys = numbers.iter().map(|&(key, _)| key).chain(flags.map(|(key, _)| key));
+        let keys: Vec<&str> = keys.chain(["test", "rip.accuracy", "rip.score"]).collect();
+        for key in &keys {
+            assert_eq!(line.matches(&format!("\"{key}\":")).count(), 1, "{key} in {line}");
+        }
+        assert_eq!(line.matches(",\"").count() + 1, keys.len(), "{line}");
+    }
+
     #[test]
     fn field_extractors_handle_escapes_and_malformed_lines() {
         let line = r#"{"id":"we\"ird\\name","min_ns":2.5e8,"seed":-3,"mode":"inline"}"#;
@@ -215,5 +343,9 @@ mod tests {
         assert_eq!(string_field(r#"{"id":"dangling\"#, "id"), None);
         assert_eq!(number_field(r#"{"min_ns":}"#, "min_ns"), None);
         assert_eq!(number_field(r#"{"min_ns":1.2.3}"#, "min_ns"), None);
+        assert_eq!(bool_field(r#"{"ok":true,"bad":false}"#, "bad"), Some(false));
+        assert_eq!(bool_field(r#"{"ok":true}"#, "ok"), Some(true));
+        assert_eq!(bool_field(line, "seed"), None);
+        assert_eq!(bool_field(line, "absent"), None);
     }
 }

@@ -143,10 +143,7 @@ pub fn config_fingerprint(config: &AscConfig) -> u64 {
     persist::put_u64(&mut buf, config.min_superstep);
     persist::put_u64(&mut buf, config.max_superstep);
     persist::put_usize(&mut buf, config.rollout_depth);
-    persist::put_f64(&mut buf, config.ensemble_beta);
     persist::put_str(&mut buf, &format!("{:?}", config.predictors));
-    persist::put_u32(&mut buf, config.excitation_threshold);
-    persist::put_usize(&mut buf, config.excitation_warmup);
     persist::put_usize(&mut buf, config.max_excited_bits);
     persist::put_usize(&mut buf, config.mistake_log_capacity);
     fnv1a(buf)

@@ -14,7 +14,7 @@ pub enum PredictorComplement {
     Extended,
 }
 
-/// Cadence and horizon knobs of the continuous-speculation planner thread.
+/// Cadence knobs of the continuous-speculation planner thread.
 ///
 /// With [`AscConfig::workers`] > 0 and `enabled`, [`accelerate`] spawns a
 /// planner that consumes the main thread's stream of recognized-IP
@@ -32,21 +32,18 @@ pub enum PredictorComplement {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlannerConfig {
     /// Whether the planner thread runs (ignored when `workers == 0`; inline
-    /// speculation has no pool to feed). Disabled, a worker-pool run uses the
-    /// PR 1 miss-driven dispatch instead.
+    /// speculation has no pool to feed). Disabled, a worker-pool run uses
+    /// miss-driven dispatch instead: the main thread plans and dispatches at
+    /// each cache miss.
     pub enabled: bool,
-    /// How many predicted supersteps ahead of the main thread the planner
-    /// keeps planned (its rollout horizon). The plan is extended back to this
-    /// depth whenever confirmations consume its front.
-    pub horizon: usize,
     /// Capacity of the occurrence channel from the main thread. The channel
     /// never blocks the sender: when full, the *oldest* queued occurrence is
     /// dropped — a late planner should anchor on fresh states, not stale
     /// ones.
     pub channel_capacity: usize,
     /// How often the planner pays the full predictor-bank update (excitation
-    /// tracking + drift detection, ~80µs on TVM-sized states) instead of the
-    /// cheap incremental ensemble-only path. 1 trains fully on every
+    /// tracking + drift detection, ~9µs on TVM-sized states) instead of the
+    /// cheaper incremental ensemble-only path. 1 trains fully on every
     /// occurrence; the default keeps discovery alive at a fraction of the
     /// cost.
     pub full_observe_interval: usize,
@@ -59,7 +56,6 @@ impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
             enabled: true,
-            horizon: 8,
             channel_capacity: 64,
             full_observe_interval: 16,
             idle_poll_ms: 1,
@@ -67,64 +63,22 @@ impl Default for PlannerConfig {
     }
 }
 
-/// Knobs of the per-rip speculation value model; see the
-/// [`economics`](crate::economics) module docs for the full model. The
-/// defaults keep warm-up and predictable workloads fully dispatched (the
+/// The switch of the per-rip speculation value model; see the
+/// [`economics`](crate::economics) module docs for the full model, whose
+/// constants keep warm-up and predictable workloads fully dispatched (the
 /// optimistic prior puts the evidence cap at 1.0 until misses accumulate)
 /// while collapsing chaotic rips to shallow, mostly-suppressed speculation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EconomicsConfig {
     /// Whether dispatch gating runs at all. Disabled, every candidate
     /// dispatches (the pre-economics behaviour) but decisions are still
     /// counted, so gated and ungated reports stay comparable.
     pub enabled: bool,
-    /// Half-life, in lookup outcomes, of the realized hit-rate EMA: after
-    /// this many all-miss lookups the rate halves. Shorter adapts faster;
-    /// longer rides out bursty hit streaks.
-    pub half_life: f64,
-    /// The prior hit rate a fresh rip starts from — and the level a single
-    /// realized hit re-admits a suppressed rip back to. Must be high enough
-    /// that warm-up speculation is never suppressed before evidence exists.
-    pub optimism: f64,
-    /// Minimum `P(hit) / overhead` ratio a candidate must clear to
-    /// dispatch: expected benefit must be at least this fraction of the
-    /// worker cost of executing the rollout.
-    pub dispatch_threshold: f64,
-    /// Cost multiplier of speculative execution relative to the main
-    /// thread's: a speculating core pays dependency tracking and insert
-    /// bookkeeping on top of the superstep itself.
-    pub speculation_overhead: f64,
-    /// Slack factor on the realized-rate evidence cap (`cap = slack ×
-    /// realized`): how much benefit of the doubt the model's confidence
-    /// gets beyond observed hit rates.
-    pub calibration_slack: f64,
-    /// Floor on the adaptive per-rip rollout horizon (suppressed rips still
-    /// roll out this deep so probe dispatches have candidates).
-    pub min_horizon: usize,
-    /// Ceiling on the adaptive per-rip rollout horizon. The effective depth
-    /// is additionally bounded by the mode's legacy depth
-    /// ([`AscConfig::rollout_depth`] miss-driven, [`PlannerConfig::horizon`]
-    /// planned).
-    pub max_horizon: usize,
-    /// Consecutive value-test refusals after which one candidate is
-    /// dispatched anyway — the leak that lets a written-off rip produce the
-    /// hit that re-admits it.
-    pub probe_interval: u64,
 }
 
 impl Default for EconomicsConfig {
     fn default() -> Self {
-        EconomicsConfig {
-            enabled: true,
-            half_life: 64.0,
-            optimism: 0.5,
-            dispatch_threshold: 0.02,
-            speculation_overhead: 1.25,
-            calibration_slack: 4.0,
-            min_horizon: 1,
-            max_horizon: 32,
-            probe_interval: 64,
-        }
+        EconomicsConfig { enabled: true }
     }
 }
 
@@ -232,11 +186,6 @@ pub struct RemoteConfig {
     /// Consecutive failed peer operations after which the client declares
     /// the peer dead for the rest of the run and degrades to local-only.
     pub max_retries: u32,
-    /// Bounded write-behind queue between local inserts and the peer
-    /// stream. When the streaming thread falls behind, the *oldest* queued
-    /// entry is dropped (counted in `puts_dropped`) — inserts from the main
-    /// loop and workers never block on the network.
-    pub write_behind_capacity: usize,
     /// Snapshot file to load into the local cache before the run starts;
     /// `None` starts cold. A missing or unreadable file is counted and
     /// ignored, and individually corrupt entries are skipped.
@@ -254,7 +203,6 @@ impl Default for RemoteConfig {
             deadline_ms: 20,
             retry_backoff_ms: 50,
             max_retries: 3,
-            write_behind_capacity: 256,
             snapshot_load: None,
             snapshot_save: None,
         }
@@ -278,9 +226,10 @@ pub struct CheckpointConfig {
     /// Whether checkpointing runs at all. Disabled (the default), the
     /// runtime touches no files.
     pub enabled: bool,
-    /// Directory checkpoint files live in (`ckpt-<seq>.asc` plus an optional
-    /// `.cache` trajectory-cache sibling). Created if absent. Required when
-    /// enabled.
+    /// Directory checkpoint files live in (`ckpt-<seq>.asc` plus a `.cache`
+    /// trajectory-cache sibling: pure acceleration state — resume is
+    /// bit-identical without it — that preserves warm-start speed). Created
+    /// if absent. Required when enabled.
     pub directory: Option<std::path::PathBuf>,
     /// Recognized-IP occurrences between checkpoint writes.
     pub interval: u64,
@@ -292,23 +241,11 @@ pub struct CheckpointConfig {
     /// [`directory`](CheckpointConfig::directory) before running. With no
     /// intact checkpoint present the run starts fresh.
     pub resume: bool,
-    /// Whether each checkpoint also saves the trajectory cache alongside (a
-    /// `.cache` sibling via [`crate::remote::snapshot`]). The cache is pure
-    /// acceleration state — resume is bit-identical with or without it —
-    /// but reloading it preserves warm-start speed.
-    pub snapshot_cache: bool,
 }
 
 impl Default for CheckpointConfig {
     fn default() -> Self {
-        CheckpointConfig {
-            enabled: false,
-            directory: None,
-            interval: 256,
-            keep: 3,
-            resume: false,
-            snapshot_cache: true,
-        }
+        CheckpointConfig { enabled: false, directory: None, interval: 256, keep: 3, resume: false }
     }
 }
 
@@ -365,17 +302,8 @@ pub struct AscConfig {
     pub max_superstep: u64,
     /// How many supersteps ahead the allocator rolls out predictions.
     pub rollout_depth: usize,
-    /// Multiplicative weight update applied to a predictor that mispredicts a
-    /// bit (the RWMA `beta`).
-    pub ensemble_beta: f64,
     /// Which predictor complement to instantiate.
     pub predictors: PredictorComplement,
-    /// A bit must change at least this many times between occurrences of the
-    /// recognized IP to be treated as an excitation (the paper's default: once).
-    pub excitation_threshold: u32,
-    /// Number of occurrences used to warm up the excitation map before
-    /// predictors start training.
-    pub excitation_warmup: usize,
     /// Upper bound on the number of excitation bits modelled per recognized
     /// IP (most frequently changing bits win); bounds learner memory for
     /// programs that touch fresh output locations every superstep.
@@ -468,10 +396,7 @@ impl Default for AscConfig {
             min_superstep: 200,
             max_superstep: 2_000_000,
             rollout_depth: 32,
-            ensemble_beta: 0.5,
             predictors: PredictorComplement::Default,
-            excitation_threshold: 1,
-            excitation_warmup: 3,
             max_excited_bits: 4096,
             mistake_log_capacity: 4096,
             cache_capacity: 1 << 16,
@@ -525,9 +450,6 @@ impl AscConfig {
         if self.rollout_depth == 0 {
             return Err(AscError::InvalidConfig("rollout_depth must be at least 1".into()));
         }
-        if !(self.ensemble_beta > 0.0 && self.ensemble_beta < 1.0) {
-            return Err(AscError::InvalidConfig("ensemble_beta must be in (0, 1)".into()));
-        }
         if self.candidate_count == 0 || self.evaluation_occurrences == 0 {
             return Err(AscError::InvalidConfig(
                 "candidate_count and evaluation_occurrences must be positive".into(),
@@ -565,9 +487,6 @@ impl AscConfig {
             }
         }
         if self.planner.enabled {
-            if self.planner.horizon == 0 {
-                return Err(AscError::InvalidConfig("planner horizon must be at least 1".into()));
-            }
             if self.planner.channel_capacity == 0 {
                 return Err(AscError::InvalidConfig(
                     "planner channel_capacity must be at least 1".into(),
@@ -603,24 +522,9 @@ impl AscConfig {
                     "remote max_retries must be at least 1".into(),
                 ));
             }
-            if self.remote.write_behind_capacity == 0 {
-                return Err(AscError::InvalidConfig(
-                    "remote write_behind_capacity must be at least 1".into(),
-                ));
-            }
         }
-        if self.tier.enabled {
-            if self.tier.hot_threshold == 0 {
-                return Err(AscError::InvalidConfig(
-                    "tier hot_threshold must be at least 1".into(),
-                ));
-            }
-            if self.tier.max_block_len < 2 {
-                return Err(AscError::InvalidConfig(
-                    "tier max_block_len must be at least 2 (a block fuses multiple instructions)"
-                        .into(),
-                ));
-            }
+        if self.tier.enabled && self.tier.hot_threshold == 0 {
+            return Err(AscError::InvalidConfig("tier hot_threshold must be at least 1".into()));
         }
         if self.checkpoint.enabled {
             if self.checkpoint.directory.is_none() {
@@ -639,48 +543,6 @@ impl AscConfig {
             return Err(AscError::InvalidConfig(
                 "watchdog deadline_ms and poll_ms must be at least 1".into(),
             ));
-        }
-        if self.economics.enabled {
-            if !(self.economics.half_life >= 1.0 && self.economics.half_life.is_finite()) {
-                return Err(AscError::InvalidConfig(
-                    "economics half_life must be at least 1".into(),
-                ));
-            }
-            if !(self.economics.optimism > 0.0 && self.economics.optimism <= 1.0) {
-                return Err(AscError::InvalidConfig("economics optimism must be in (0, 1]".into()));
-            }
-            if !(self.economics.dispatch_threshold > 0.0 && self.economics.dispatch_threshold < 1.0)
-            {
-                return Err(AscError::InvalidConfig(
-                    "economics dispatch_threshold must be in (0, 1)".into(),
-                ));
-            }
-            if !(self.economics.speculation_overhead > 0.0
-                && self.economics.speculation_overhead.is_finite())
-            {
-                return Err(AscError::InvalidConfig(
-                    "economics speculation_overhead must be positive".into(),
-                ));
-            }
-            if !(self.economics.calibration_slack >= 1.0
-                && self.economics.calibration_slack.is_finite())
-            {
-                return Err(AscError::InvalidConfig(
-                    "economics calibration_slack must be at least 1".into(),
-                ));
-            }
-            if self.economics.min_horizon == 0
-                || self.economics.max_horizon < self.economics.min_horizon
-            {
-                return Err(AscError::InvalidConfig(
-                    "economics horizons must satisfy 0 < min <= max".into(),
-                ));
-            }
-            if self.economics.probe_interval == 0 {
-                return Err(AscError::InvalidConfig(
-                    "economics probe_interval must be at least 1".into(),
-                ));
-            }
         }
         Ok(())
     }
@@ -701,9 +563,6 @@ mod tests {
         let c = AscConfig { rollout_depth: 0, ..AscConfig::default() };
         assert!(c.validate().is_err());
 
-        let c = AscConfig { ensemble_beta: 1.0, ..AscConfig::default() };
-        assert!(c.validate().is_err());
-
         let c = AscConfig { max_superstep: 1, min_superstep: 10, ..AscConfig::default() };
         assert!(c.validate().is_err());
 
@@ -711,10 +570,6 @@ mod tests {
         assert!(c.validate().is_err());
 
         let c = AscConfig { mistake_log_capacity: 0, ..AscConfig::default() };
-        assert!(c.validate().is_err());
-
-        let mut c = AscConfig::default();
-        c.planner.horizon = 0;
         assert!(c.validate().is_err());
 
         let mut c = AscConfig::default();
@@ -747,39 +602,7 @@ mod tests {
         // Disabled planner knobs are not validated: the planner never runs.
         let mut c = AscConfig::default();
         c.planner.enabled = false;
-        c.planner.horizon = 0;
-        assert!(c.validate().is_ok());
-
-        let mut c = AscConfig::default();
-        c.economics.half_life = 0.5;
-        assert!(c.validate().is_err());
-
-        let mut c = AscConfig::default();
-        c.economics.optimism = 0.0;
-        assert!(c.validate().is_err());
-
-        let mut c = AscConfig::default();
-        c.economics.dispatch_threshold = 1.0;
-        assert!(c.validate().is_err());
-
-        let mut c = AscConfig::default();
-        c.economics.calibration_slack = 0.5;
-        assert!(c.validate().is_err());
-
-        let mut c = AscConfig::default();
-        c.economics.min_horizon = 4;
-        c.economics.max_horizon = 2;
-        assert!(c.validate().is_err());
-
-        let mut c = AscConfig::default();
-        c.economics.probe_interval = 0;
-        assert!(c.validate().is_err());
-
-        // A disabled value model's knobs are not validated: every candidate
-        // dispatches without consulting them.
-        let mut c = AscConfig::default();
-        c.economics.enabled = false;
-        c.economics.probe_interval = 0;
+        c.planner.channel_capacity = 0;
         assert!(c.validate().is_ok());
 
         // An enabled remote tier needs a reason to exist (peer or snapshot)
@@ -805,9 +628,6 @@ mod tests {
         c.remote.retry_backoff_ms = 1;
         c.remote.max_retries = 0;
         assert!(c.validate().is_err());
-        c.remote.max_retries = 1;
-        c.remote.write_behind_capacity = 0;
-        assert!(c.validate().is_err());
 
         // Disabled remote knobs are not validated: the tier never starts.
         let mut c = AscConfig::default();
@@ -816,10 +636,6 @@ mod tests {
 
         let mut c = AscConfig::default();
         c.tier.hot_threshold = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = AscConfig::default();
-        c.tier.max_block_len = 1;
         assert!(c.validate().is_err());
 
         // Disabled tier knobs are not validated: blocks never compile.

@@ -50,8 +50,8 @@
 //! depth-`k` candidate is worth predicting only while `per_stepᵏ × cap`
 //! clears the dispatch threshold — with `per_step = max(accuracy_recent,
 //! realized)`, for the same read-set-versus-whole-state reason as above —
-//! so the horizon is the largest such `k`, clamped to the configured
-//! `[min_horizon, max_horizon]` band (and never beyond the caller's legacy
+//! so the horizon is the largest such `k`, clamped to the
+//! `[MIN_HORIZON, MAX_HORIZON]` band (and never beyond the caller's legacy
 //! depth). A chaotic rip collapses to depth-1 rollouts — the predictor-bank
 //! rollout itself was a large share of the logistic-map miss cost — while a
 //! rip whose speculation keeps landing keeps the full depth.
@@ -65,10 +65,10 @@
 //! unchanged: entries are applied only on a full read-set match, so the
 //! worst any gating decision can do is fail to save work.
 //!
-//! Suppression is also deliberately *leaky*: after `probe_interval`
+//! Suppression is also deliberately *leaky*: after `PROBE_INTERVAL`
 //! consecutive suppressions the next candidate is dispatched anyway, and any
-//! realized hit snaps the EMA back to the optimistic prior
-//! ([`EconomicsConfig::optimism`]). A rip written off by a junk-saturated
+//! realized hit snaps the EMA back to the optimistic prior (`OPTIMISM`). A
+//! rip written off by a junk-saturated
 //! history therefore re-admits itself the moment speculation starts landing
 //! again — the model can only throttle, never permanently blacklist.
 //!
@@ -76,6 +76,34 @@
 
 use crate::config::EconomicsConfig;
 use asc_learn::persist::{self, Reader};
+
+/// Half-life, in lookup outcomes, of the realized hit-rate EMA: after this
+/// many all-miss lookups the rate halves.
+const HALF_LIFE: f64 = 64.0;
+/// The prior hit rate a fresh rip starts from — and the level a single
+/// realized hit re-admits a suppressed rip back to. High enough that
+/// warm-up speculation is never suppressed before evidence exists.
+const OPTIMISM: f64 = 0.5;
+/// Minimum `P(hit) / overhead` ratio a candidate must clear to dispatch.
+const DISPATCH_THRESHOLD: f64 = 0.02;
+/// Cost multiplier of speculative execution relative to the main thread's:
+/// a speculating core pays dependency tracking and insert bookkeeping on
+/// top of the superstep itself.
+const SPECULATION_OVERHEAD: f64 = 1.25;
+/// Slack factor on the realized-rate evidence cap (`cap = slack ×
+/// realized`): the benefit of the doubt the model's confidence gets beyond
+/// observed hit rates.
+const CALIBRATION_SLACK: f64 = 4.0;
+/// Floor on the adaptive per-rip rollout horizon (suppressed rips still roll
+/// out this deep so probe dispatches have candidates).
+const MIN_HORIZON: usize = 1;
+/// Ceiling on the adaptive per-rip rollout horizon, on top of the caller's
+/// legacy depth.
+const MAX_HORIZON: usize = 32;
+/// Consecutive value-test refusals after which one candidate is dispatched
+/// anyway — the leak that lets a written-off rip produce the hit that
+/// re-admits it.
+const PROBE_INTERVAL: u64 = 64;
 
 /// Running counters of the value model's decisions, reported per run in
 /// [`RunReport::economics`](crate::runtime::RunReport::economics).
@@ -105,17 +133,6 @@ pub struct EconomicsStats {
     pub last_horizon: usize,
 }
 
-impl EconomicsStats {
-    /// Realized hit rate over the raw counted outcomes (not the EMA).
-    pub fn counted_hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
-    }
-}
-
 /// Per-rip dispatch economics: the realized hit-rate EMA, the model-accuracy
 /// signal, and the decision procedure over both. Single-threaded by design —
 /// each dispatch site (the miss-driven main loop, or the planner thread)
@@ -124,15 +141,8 @@ impl EconomicsStats {
 #[derive(Debug, Clone)]
 pub struct SpeculationEconomics {
     enabled: bool,
-    /// Per-outcome EMA step, derived from the configured half-life.
+    /// Per-outcome EMA step, derived from [`HALF_LIFE`].
     alpha: f64,
-    optimism: f64,
-    threshold: f64,
-    overhead: f64,
-    slack: f64,
-    min_horizon: usize,
-    max_horizon: usize,
-    probe_interval: u64,
     /// EMA of lookup outcomes (1 = hit), the evidence side of calibration.
     realized: f64,
     /// Windowed whole-state accuracy of the ensemble (1 − recent error
@@ -154,19 +164,12 @@ impl SpeculationEconomics {
     /// comparable across gated and ungated runs.
     pub fn new(config: &EconomicsConfig) -> Self {
         // Half-life h ⇒ per-outcome retention (1 − α) with (1 − α)^h = ½.
-        let alpha = 1.0 - 0.5f64.powf(1.0 / config.half_life.max(1.0));
+        let alpha = 1.0 - 0.5f64.powf(1.0 / HALF_LIFE);
         SpeculationEconomics {
             enabled: config.enabled,
             alpha,
-            optimism: config.optimism,
-            threshold: config.dispatch_threshold,
-            overhead: config.speculation_overhead,
-            slack: config.calibration_slack,
-            min_horizon: config.min_horizon,
-            max_horizon: config.max_horizon,
-            probe_interval: config.probe_interval,
-            realized: config.optimism,
-            step_accuracy: config.optimism.max(0.5),
+            realized: OPTIMISM,
+            step_accuracy: OPTIMISM,
             queries_seen: 0,
             hits_seen: 0,
             suppressed_streak: 0,
@@ -182,7 +185,7 @@ impl SpeculationEconomics {
         self.stats.lookups += 1;
         if hit {
             self.stats.hits += 1;
-            self.realized = (self.realized + self.alpha * (1.0 - self.realized)).max(self.optimism);
+            self.realized = (self.realized + self.alpha * (1.0 - self.realized)).max(OPTIMISM);
             self.suppressed_streak = 0;
         } else {
             self.realized *= 1.0 - self.alpha;
@@ -209,7 +212,7 @@ impl SpeculationEconomics {
             // First hit takes the re-admission snap, exactly as
             // `record_lookup` would; once at or above the prior the EMA only
             // grows, so the remaining hits fold in closed form.
-            self.realized = (self.realized + self.alpha * (1.0 - self.realized)).max(self.optimism);
+            self.realized = (self.realized + self.alpha * (1.0 - self.realized)).max(OPTIMISM);
             let keep = (1.0 - self.alpha).powi((hit_delta - 1).min(1 << 30) as i32);
             self.realized = 1.0 - (1.0 - self.realized) * keep;
             self.suppressed_streak = 0;
@@ -227,10 +230,9 @@ impl SpeculationEconomics {
     }
 
     /// Calibration cap on any candidate's believed probability: evidence of
-    /// realized hits, with configured slack for optimism while evidence is
-    /// thin.
+    /// realized hits, with slack for optimism while evidence is thin.
     fn cap(&self) -> f64 {
-        (self.realized * self.slack).clamp(1e-6, 1.0)
+        (self.realized * CALIBRATION_SLACK).clamp(1e-6, 1.0)
     }
 
     /// Outcomes to observe before the adaptive horizon trusts the EMA: one
@@ -240,7 +242,7 @@ impl SpeculationEconomics {
     }
 
     /// The per-rip rollout horizon: the deepest `k` for which a depth-`k`
-    /// candidate could still clear the value test, clamped to the configured
+    /// candidate could still clear the value test, clamped to the horizon
     /// band and never beyond `fallback` (the mode's legacy global depth).
     /// Disabled economics return `fallback` unchanged.
     pub fn horizon(&mut self, fallback: usize) -> usize {
@@ -252,12 +254,12 @@ impl SpeculationEconomics {
             self.stats.last_horizon = fallback;
             return fallback;
         }
-        let ceiling = self.max_horizon.min(fallback).max(1);
-        let floor = self.min_horizon.min(ceiling).max(1);
+        let ceiling = MAX_HORIZON.min(fallback).max(1);
+        let floor = MIN_HORIZON.min(ceiling).max(1);
         // Largest k with per_stepᵏ × cap ≥ threshold × overhead, where
         // per-step survival is the better of the model's whole-state
         // accuracy and the realized (read-set) hit evidence.
-        let needed = (self.threshold * self.overhead).max(1e-12);
+        let needed = (DISPATCH_THRESHOLD * SPECULATION_OVERHEAD).max(1e-12);
         let per_step = self.step_accuracy.max(self.realized).clamp(0.01, 0.9999);
         let budget = (needed / self.cap()).min(1.0);
         let depth = if budget >= 1.0 {
@@ -293,14 +295,14 @@ impl SpeculationEconomics {
         // the model is).
         let modeled = log_probability.exp().max(self.step_accuracy.powi(depth.max(1) as i32));
         let p_hit = modeled.max(self.realized).min(self.cap());
-        if p_hit >= self.threshold * self.overhead {
+        if p_hit >= DISPATCH_THRESHOLD * SPECULATION_OVERHEAD {
             self.stats.dispatched += 1;
             self.stats.expected_value += p_hit * superstep;
             self.suppressed_streak = 0;
             return true;
         }
         self.suppressed_streak += 1;
-        if self.suppressed_streak >= self.probe_interval {
+        if self.suppressed_streak >= PROBE_INTERVAL {
             // The leak: dispatch anyway so a rip whose behaviour changed can
             // produce the hit that re-admits it.
             self.suppressed_streak = 0;
@@ -310,7 +312,7 @@ impl SpeculationEconomics {
             return true;
         }
         self.stats.suppressed += 1;
-        self.stats.suppressed_cost += self.overhead * superstep;
+        self.stats.suppressed_cost += SPECULATION_OVERHEAD * superstep;
         false
     }
 
@@ -420,20 +422,14 @@ mod tests {
 
     #[test]
     fn probe_leak_dispatches_after_enough_suppressions() {
-        let cfg = EconomicsConfig { probe_interval: 5, ..config() };
-        let mut econ = SpeculationEconomics::new(&cfg);
+        let mut econ = SpeculationEconomics::new(&config());
         for _ in 0..1_000 {
             econ.record_lookup(false);
         }
-        let mut outcomes = Vec::new();
-        for _ in 0..10 {
-            outcomes.push(econ.evaluate(0.0, 1, 500.0));
+        // Exactly every `PROBE_INTERVAL`-th decision leaks through as a probe.
+        for decision in 1..=2 * PROBE_INTERVAL {
+            assert_eq!(econ.evaluate(0.0, 1, 500.0), decision % PROBE_INTERVAL == 0, "{decision}");
         }
-        // Exactly every 5th decision leaks through as a probe.
-        assert_eq!(
-            outcomes,
-            vec![false, false, false, false, true, false, false, false, false, true]
-        );
         assert_eq!(econ.stats().probes, 2);
     }
 
@@ -452,7 +448,7 @@ mod tests {
         for _ in 0..1_000 {
             econ.record_lookup(false);
         }
-        assert_eq!(econ.horizon(32), config().min_horizon);
+        assert_eq!(econ.horizon(32), MIN_HORIZON);
         // The caller's legacy depth stays an upper bound.
         for _ in 0..64 {
             econ.record_lookup(true);
@@ -463,7 +459,7 @@ mod tests {
 
     #[test]
     fn disabled_economics_pass_everything_at_the_fallback_horizon() {
-        let cfg = EconomicsConfig { enabled: false, ..config() };
+        let cfg = EconomicsConfig { enabled: false };
         let mut econ = SpeculationEconomics::new(&cfg);
         for _ in 0..1_000 {
             econ.record_lookup(false);
@@ -536,6 +532,5 @@ mod tests {
         let stats = econ.stats();
         // P(hit) is capped by slack × realized prior, never above 1.
         assert!(stats.expected_value > 0.0 && stats.expected_value <= 1_000.0);
-        assert_eq!(stats.counted_hit_rate(), 0.0);
     }
 }

@@ -29,6 +29,9 @@
 //! * [`runtime`] — the LASC main loop: `measure` (instrumented, for the
 //!   experiment harnesses), `accelerate` (cache + speculation in the loop)
 //!   and `memoize` (single-core generalized memoization).
+//! * [`report`] — the one serializer of a run's statistics: a
+//!   [`RunReport`] as one flat JSON line, every stats section under dotted
+//!   keys.
 //! * [`supervisor`] — the supervision layer over the speculation machinery:
 //!   panic containment, job deadlines, worker respawn, health counters, and
 //!   the degrade-to-inline circuit breaker (speculation failures may only
@@ -78,6 +81,7 @@ pub mod planner;
 pub mod predictor_bank;
 pub mod recognizer;
 pub mod remote;
+pub mod report;
 pub mod runtime;
 pub mod speculator;
 pub mod supervisor;
@@ -97,6 +101,7 @@ pub use fault::FaultPlan;
 pub use planner::{OccurrenceEvent, PlannerHandle, PlannerStats};
 pub use recognizer::{RecognizedIp, RecognizerOutcome};
 pub use remote::{CachePeer, RemoteStats};
+pub use report::{JsonLine, JsonValue};
 pub use runtime::{LascRuntime, RunReport, SuperstepRecord};
 pub use supervisor::{BreakerState, CircuitBreaker, HealthMonitor, HealthStats, Supervision};
 pub use workers::{PoolStats, SpeculationJob, SpeculationPool};

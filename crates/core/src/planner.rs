@@ -56,6 +56,11 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+/// How many predicted supersteps ahead of the main thread the planner keeps
+/// planned (its rollout horizon). The plan is extended back to this depth
+/// whenever confirmations consume its front.
+pub(crate) const HORIZON: usize = 8;
+
 /// One recognized-IP occurrence reported by the main thread: the state
 /// vector observed at the occurrence. Everything the planner needs — the
 /// training signal, the plan-match target and the re-plan anchor — is the
@@ -457,13 +462,13 @@ impl Planner {
         }
     }
 
-    /// Grows the plan back to the rip's *economic* horizon — the configured
-    /// horizon shortened by the value model when this rip's predictions are
+    /// Grows the plan back to the rip's *economic* horizon — [`HORIZON`]
+    /// shortened by the value model when this rip's predictions are
     /// not landing, so chained rollout work shrinks with the evidence — by
     /// rolling out from the deepest surviving prediction (or from the live
     /// state after an invalidation or at the very start).
     fn extend_plan(&mut self) {
-        let target = self.economics.horizon(self.config.horizon);
+        let target = self.economics.horizon(HORIZON);
         if !self.bank.is_ready() || self.plan.len() >= target {
             return;
         }

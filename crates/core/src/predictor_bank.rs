@@ -46,6 +46,16 @@ use asc_learn::persist::{self, Reader};
 use asc_learn::traits::{default_predictors, extended_predictors};
 use asc_tvm::state::StateVector;
 
+/// Multiplicative weight update applied to a predictor that mispredicts a
+/// bit (the RWMA `beta`).
+const ENSEMBLE_BETA: f64 = 0.5;
+/// A bit must change at least this many times between occurrences of the
+/// recognized IP to be treated as an excitation (the paper's default: once).
+const EXCITATION_THRESHOLD: u32 = 1;
+/// Number of occurrences used to warm up the excitation map before
+/// predictors start training.
+pub(crate) const EXCITATION_WARMUP: usize = 3;
+
 /// A predicted future state together with its probability under the model.
 #[derive(Debug, Clone)]
 pub struct PredictedState {
@@ -78,8 +88,6 @@ enum Origin {
 /// Excitation tracking + ensemble for one recognized IP.
 pub struct PredictorBank {
     rip: u32,
-    warmup: usize,
-    beta: f64,
     max_excited_bits: usize,
     mistake_capacity: usize,
     complement: PredictorComplement,
@@ -122,12 +130,10 @@ impl PredictorBank {
     pub fn new(rip: u32, config: &AscConfig) -> Self {
         PredictorBank {
             rip,
-            warmup: config.excitation_warmup.max(2),
-            beta: config.ensemble_beta,
             max_excited_bits: config.max_excited_bits.max(32),
             mistake_capacity: config.mistake_log_capacity.max(1),
             complement: config.predictors,
-            tracker: ExcitationTracker::new(config.excitation_threshold),
+            tracker: ExcitationTracker::new(EXCITATION_THRESHOLD),
             map: None,
             ensemble: None,
             previous: PackedObservation::default(),
@@ -190,7 +196,7 @@ impl PredictorBank {
             PredictorComplement::Default => default_predictors(&schema),
             PredictorComplement::Extended => extended_predictors(&schema),
         };
-        Ensemble::new(predictors, map.bit_count(), self.beta, self.mistake_capacity)
+        Ensemble::new(predictors, map.bit_count(), ENSEMBLE_BETA, self.mistake_capacity)
     }
 
     fn build_ensemble(&mut self) {
@@ -306,7 +312,7 @@ impl PredictorBank {
         self.tracker.observe(state);
 
         if self.ensemble.is_none() {
-            if self.tracker.observations() > self.warmup {
+            if self.tracker.observations() > EXCITATION_WARMUP {
                 self.build_ensemble();
             }
             if self.ensemble.is_none() {
@@ -335,7 +341,8 @@ impl PredictorBank {
             } else {
                 self.drift = 0;
             }
-            let rebuild_allowed = self.observations >= self.last_rebuild + (self.warmup as u64 + 8);
+            let rebuild_allowed =
+                self.observations >= self.last_rebuild + (EXCITATION_WARMUP as u64 + 8);
             if self.drift >= 3 && rebuild_allowed {
                 // The paper's recognizer calls reset() on its predictors when
                 // program behaviour changes; rebuilding widens the map to the
@@ -683,11 +690,8 @@ mod tests {
     /// state clone per retained "previous". The one-scan bank must be
     /// indistinguishable from it.
     struct ReferenceScanBank {
-        warmup: usize,
-        beta: f64,
         max_excited_bits: usize,
         mistake_capacity: usize,
-        threshold: u32,
         change_counts: std::collections::BTreeMap<usize, u32>,
         tracker_previous: Option<StateVector>,
         tracker_observations: usize,
@@ -708,11 +712,8 @@ mod tests {
         fn new(config: &AscConfig) -> Self {
             assert_eq!(config.predictors, PredictorComplement::Default);
             ReferenceScanBank {
-                warmup: config.excitation_warmup.max(2),
-                beta: config.ensemble_beta,
                 max_excited_bits: config.max_excited_bits.max(32),
                 mistake_capacity: config.mistake_log_capacity.max(1),
-                threshold: config.excitation_threshold.max(1),
                 change_counts: std::collections::BTreeMap::new(),
                 tracker_previous: None,
                 tracker_observations: 0,
@@ -744,7 +745,7 @@ mod tests {
             let mut qualifying: Vec<(usize, u32)> = self
                 .change_counts
                 .iter()
-                .filter(|(_, count)| **count >= self.threshold)
+                .filter(|(_, count)| **count >= EXCITATION_THRESHOLD)
                 .map(|(bit, count)| (*bit, *count))
                 .collect();
             if qualifying.is_empty() {
@@ -758,7 +759,7 @@ mod tests {
             self.ensemble = Some(Ensemble::new(
                 default_predictors(map.schema()),
                 map.bit_count(),
-                self.beta,
+                ENSEMBLE_BETA,
                 self.mistake_capacity,
             ));
             self.map = Some(map);
@@ -771,7 +772,7 @@ mod tests {
             self.observations += 1;
             self.tracker_observe(state);
             if self.ensemble.is_none() {
-                if self.tracker_observations > self.warmup {
+                if self.tracker_observations > EXCITATION_WARMUP {
                     self.build_ensemble();
                 }
                 if self.ensemble.is_none() {
@@ -799,7 +800,7 @@ mod tests {
                     self.drift = 0;
                 }
                 let rebuild_allowed =
-                    self.observations >= self.last_rebuild + (self.warmup as u64 + 8);
+                    self.observations >= self.last_rebuild + (EXCITATION_WARMUP as u64 + 8);
                 if self.drift >= 3 && rebuild_allowed {
                     self.build_ensemble();
                     let observation = self.map.as_ref().unwrap().observe(state);
@@ -909,7 +910,7 @@ mod tests {
         let mut bytes = Vec::new();
         bank.tracker.save_state(&mut bytes);
         let mut expected = Vec::new();
-        persist::put_u32(&mut expected, reference.threshold);
+        persist::put_u32(&mut expected, EXCITATION_THRESHOLD);
         persist::put_usize(&mut expected, reference.tracker_observations);
         persist::put_usize(&mut expected, reference.change_counts.len());
         for (&bit, &count) in &reference.change_counts {

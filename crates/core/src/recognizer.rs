@@ -12,7 +12,7 @@
 
 use crate::config::AscConfig;
 use crate::error::{AscError, AscResult};
-use crate::predictor_bank::PredictorBank;
+use crate::predictor_bank::{PredictorBank, EXCITATION_WARMUP};
 use asc_tvm::machine::Machine;
 use asc_tvm::state::StateVector;
 use std::collections::HashMap;
@@ -285,10 +285,8 @@ pub fn recognize(initial: &StateVector, config: &AscConfig) -> AscResult<Recogni
             .collect();
 
         // Warm-up and training occurrences plus the scored ones, per candidate.
-        let needed = config.evaluation_occurrences
-            + config.evaluation_training
-            + config.excitation_warmup
-            + 2;
+        let needed =
+            config.evaluation_occurrences + config.evaluation_training + EXCITATION_WARMUP + 2;
         // Bound phase 2 so pathological candidates cannot stall recognition.
         let budget = config
             .explore_instructions
@@ -331,7 +329,7 @@ pub fn recognize(initial: &StateVector, config: &AscConfig) -> AscResult<Recogni
                         }
                         evaluation.bank.observe(&state);
                         let trained_enough = evaluation.bank.observations()
-                            >= (config.excitation_warmup + config.evaluation_training) as u64;
+                            >= (EXCITATION_WARMUP + config.evaluation_training) as u64;
                         if evaluation.bank.is_ready()
                             && trained_enough
                             && evaluation.scored < config.evaluation_occurrences

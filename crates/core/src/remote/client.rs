@@ -217,13 +217,18 @@ impl PeerClient {
     }
 }
 
+/// Bound on the write-behind queue between local inserts and the peer
+/// stream. When the streaming thread falls behind, the *oldest* queued entry
+/// is dropped (counted in `puts_dropped`) — inserts from the main loop and
+/// workers never block on the network.
+const WRITE_BEHIND_CAPACITY: usize = 256;
+
 /// The write-behind queue's shared half: bounded, drop-oldest, observable
 /// from the insert-observer closure.
 pub(crate) struct WriteBehindShared {
     queue: Mutex<VecDeque<CacheEntry>>,
     wake: Condvar,
     shutting_down: AtomicBool,
-    capacity: usize,
 }
 
 impl WriteBehindShared {
@@ -232,7 +237,7 @@ impl WriteBehindShared {
     /// about to need, and the insert path must never block.
     pub(crate) fn push(&self, entry: CacheEntry, counters: &RemoteCounters) {
         let mut queue = lock(&self.queue);
-        if queue.len() >= self.capacity {
+        if queue.len() >= WRITE_BEHIND_CAPACITY {
             queue.pop_front();
             counters.record_put_dropped();
         }
@@ -258,15 +263,13 @@ impl WriteBehind {
     /// policy as a failed worker spawn.
     pub(crate) fn start(
         client: PeerClient,
-        capacity: usize,
         counters: Arc<RemoteCounters>,
         health: &Arc<HealthMonitor>,
     ) -> Option<WriteBehind> {
         let shared = Arc::new(WriteBehindShared {
-            queue: Mutex::new(VecDeque::with_capacity(capacity)),
+            queue: Mutex::new(VecDeque::with_capacity(WRITE_BEHIND_CAPACITY)),
             wake: Condvar::new(),
             shutting_down: AtomicBool::new(false),
-            capacity,
         });
         let thread_shared = Arc::clone(&shared);
         let spawned = std::thread::Builder::new()

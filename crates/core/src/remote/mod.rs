@@ -270,12 +270,8 @@ impl RemoteTier {
                 Err(_) => shared.counters.record_remote_timeout(),
             }
             let streamer = PeerClient::new(addr.clone(), deadline, backoff, config.max_retries);
-            write_behind = WriteBehind::start(
-                streamer,
-                config.write_behind_capacity,
-                Arc::clone(&shared.counters),
-                &supervision.health,
-            );
+            write_behind =
+                WriteBehind::start(streamer, Arc::clone(&shared.counters), &supervision.health);
             client = Some(Mutex::new(fetcher));
         }
 

@@ -35,7 +35,7 @@
 //!   every miss, but only a sparse sample of an uninterrupted hit streak —
 //!   and goes straight back to executing. The [`PlannerHandle`]'s thread
 //!   trains the predictor bank, confirms or invalidates its plan against
-//!   each occurrence, keeps [`PlannerConfig::horizon`] predicted supersteps
+//!   each occurrence, keeps a fixed horizon of predicted supersteps
 //!   planned and tops the [`SpeculationPool`] up nearest-first, also
 //!   whenever worker progress frees queue slots, so workers stay busy while
 //!   the main thread fast-forwards without ever missing.
@@ -91,7 +91,6 @@
 //! [`TrajectoryCache`]: crate::cache::TrajectoryCache
 //! [`AscConfig::workers`]: crate::config::AscConfig::workers
 //! [`PlannerHandle`]: crate::planner::PlannerHandle
-//! [`PlannerConfig::horizon`]: crate::config::PlannerConfig::horizon
 //! [`CircuitBreaker`]: crate::supervisor::CircuitBreaker
 //! [`BreakerConfig`]: crate::config::BreakerConfig
 
@@ -307,10 +306,10 @@ struct CheckpointDriver {
 /// deltas, so cloning the full state for the planner on *every* occurrence
 /// costs more than the planner gains (a flooded channel drops most of them
 /// anyway) — mid-streak, only every `STREAK_SEND_INTERVAL`-th occurrence is
-/// reported. Clamped to the plan horizon at use: a sample arriving more
+/// reported. The plan horizon is its upper bound: a sample arriving more
 /// supersteps past the previous one than the horizon is deep could never
 /// match a plan entry, so it would invalidate the plan on every sample.
-const STREAK_SEND_INTERVAL: u64 = 8;
+const STREAK_SEND_INTERVAL: u64 = crate::planner::HORIZON as u64;
 
 /// Who owns speculation cadence for the run. `Run::drive` consults it
 /// before the lookup, on a hit and on a miss; a dead planner or a watchdog
@@ -537,10 +536,7 @@ impl Run<'_> {
         // commit point, and a checkpoint whose sibling is missing merely
         // resumes with a cold cache.
         let _ = std::fs::create_dir_all(dir);
-        if cfg.snapshot_cache {
-            let _ =
-                snapshot::save(&self.cache, &checkpoint::cache_path_for(dir, driver.next_sequence));
-        }
+        let _ = snapshot::save(&self.cache, &checkpoint::cache_path_for(dir, driver.next_sequence));
         let mut ckpt = RunCheckpoint {
             sequence: driver.next_sequence,
             fingerprint: driver.fingerprint,
@@ -589,8 +585,7 @@ impl Run<'_> {
         let Dispatch::Planned { planner, hit_streak, prev_sent } = &self.dispatch else {
             return false;
         };
-        let interval = STREAK_SEND_INTERVAL.min(self.config.planner.horizon as u64);
-        let sent = speculating && hit_streak % interval == 0;
+        let sent = speculating && hit_streak % STREAK_SEND_INTERVAL == 0;
         if sent {
             planner.send(OccurrenceEvent {
                 state: self.machine.state().clone(),
@@ -939,8 +934,8 @@ impl LascRuntime {
         // speculation machinery starts; a missing or damaged sibling is a
         // cold cache, nothing worse.
         let cfg = &self.config.checkpoint;
-        if let (Some(driver), Some(ckpt), Some(dir), true) =
-            (checkpoints.as_mut(), restored.as_ref(), &cfg.directory, cfg.snapshot_cache)
+        if let (Some(driver), Some(ckpt), Some(dir)) =
+            (checkpoints.as_mut(), restored.as_ref(), &cfg.directory)
         {
             if let Ok(load) =
                 snapshot::load(&cache, &checkpoint::cache_path_for(dir, ckpt.sequence))

@@ -65,13 +65,15 @@ pub struct TierConfig {
     /// compiled. Seeded entries ([`BlockCache::seed_hot`], fed from the
     /// recognizer's hot IPs) skip the count and compile on first arrival.
     pub hot_threshold: u32,
-    /// Maximum number of constituent instructions per compiled block.
-    pub max_block_len: usize,
 }
+
+/// Maximum number of constituent instructions per compiled block (well
+/// inside the `u16` constituent indices a `MicroOp` carries).
+const MAX_BLOCK_LEN: usize = 64;
 
 impl Default for TierConfig {
     fn default() -> Self {
-        TierConfig { enabled: true, hot_threshold: 16, max_block_len: 64 }
+        TierConfig { enabled: true, hot_threshold: 16 }
     }
 }
 
@@ -107,11 +109,6 @@ impl TierStats {
         self.fused_ops += other.fused_ops;
         self.tier1_instructions += other.tier1_instructions;
         self.tier0_instructions += other.tier0_instructions;
-    }
-
-    /// Total instructions retired under [`run_segment`].
-    pub fn instructions(&self) -> u64 {
-        self.tier1_instructions + self.tier0_instructions
     }
 }
 
@@ -382,7 +379,7 @@ impl BlockCache {
                 if *n < self.config.hot_threshold.max(1) {
                     return None;
                 }
-                match compile_block(state, ip, self.config.max_block_len) {
+                match compile_block(state, ip) {
                     Some(block) => {
                         self.stats.blocks_compiled += 1;
                         self.stats.fused_ops += block.fused as u64;
@@ -848,12 +845,11 @@ fn fusible(first: Opcode, second: Opcode) -> bool {
 /// *not* through a [`DepSink`] — because speculatively decoded bytes are
 /// not dependencies; only retired constituents record their fetch at
 /// execution time.
-fn compile_block(state: &StateVector, entry: u32, max_block_len: usize) -> Option<CompiledBlock> {
-    let max_len = max_block_len.min(u16::MAX as usize).max(2);
+fn compile_block(state: &StateVector, entry: u32) -> Option<CompiledBlock> {
     let mut straight: Vec<Instruction> = Vec::new();
     let mut terminator: Option<Instruction> = None;
     let mut addr = entry;
-    while straight.len() < max_len {
+    while straight.len() < MAX_BLOCK_LEN {
         let Ok(index) = state.mem_index(addr, INSTRUCTION_BYTES) else { break };
         let mut bytes = [0u8; INSTRUCTION_BYTES as usize];
         bytes.copy_from_slice(&state.as_bytes()[index..index + INSTRUCTION_BYTES as usize]);
@@ -972,7 +968,7 @@ mod tests {
     }
 
     fn eager() -> TierConfig {
-        TierConfig { enabled: true, hot_threshold: 1, max_block_len: 64 }
+        TierConfig { enabled: true, hot_threshold: 1 }
     }
 
     /// The down-counting loop used across the repo's tests and benches.

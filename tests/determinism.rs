@@ -6,8 +6,16 @@
 //! inserts into the trajectory cache. The continuous-speculation planner
 //! only chooses *which* speculations run, so planner on vs. off must be
 //! equally bit-identical.
+//!
+//! With `ASC_REPORT_OUT=<file>` set, the economics, tier and fault-soak tests
+//! append the reports of the runs they judge to that file, one
+//! [`RunReport::write_json`] line each, labelled with the emitting test;
+//! CI renders them with `report_summary <economics|tier|health> <file>` and
+//! uploads the file. Under `--features fault-inject`, `ASC_FAULT_SEED=<n>`
+//! picks the fault campaign's seed (default 1).
 
 use asc::core::config::AscConfig;
+use asc::core::report::JsonValue;
 use asc::core::runtime::{LascRuntime, RunReport};
 use asc::workloads::registry::{build, Benchmark, BuiltWorkload, Scale};
 
@@ -30,6 +38,31 @@ fn scale_for(benchmark: Benchmark) -> Scale {
 
 fn accelerate(config: AscConfig, workload: &BuiltWorkload) -> RunReport {
     LascRuntime::new(config).unwrap().accelerate(&workload.program).unwrap()
+}
+
+/// Appends `report` as one JSON line to the file `$ASC_REPORT_OUT` names, if
+/// any, labelled with the emitting `test`, the benchmark and `labels`. A
+/// file that cannot be opened or written fails the calling test: CI treats
+/// a missing artifact as an error, so dropping lines silently would only
+/// move the failure somewhere less legible.
+fn emit_report(
+    test: &str,
+    benchmark: Benchmark,
+    labels: &[(&str, JsonValue<'_>)],
+    report: &RunReport,
+) {
+    let Some(path) = std::env::var_os("ASC_REPORT_OUT") else { return };
+    let benchmark = format!("{benchmark}");
+    let mut all = vec![("test", test.into()), ("benchmark", benchmark.as_str().into())];
+    all.extend_from_slice(labels);
+    let written = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&path)
+        .and_then(|mut file| report.write_json(&mut file, &all));
+    if let Err(error) = written {
+        panic!("ASC_REPORT_OUT={path:?} cannot be appended to: {error}");
+    }
 }
 
 /// What every mode owes the inline run, whatever its threads did: it
@@ -265,7 +298,7 @@ mod remote {
         use asc::core::FaultPlan;
         use std::sync::Arc;
 
-        let seed = std::env::var("ASC_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(1);
+        let seed = super::fault_soak::fault_seed();
         let benchmark = Benchmark::Collatz;
         let workload = build(benchmark, scale_for(benchmark)).unwrap();
         let inline_report = accelerate(config_for(benchmark, 0), &workload);
@@ -306,38 +339,8 @@ mod remote {
 /// every benchmark. Suppression is never a correctness event: a suppressed
 /// dispatch just means the main thread executes that superstep itself,
 /// exactly as it would on any cache miss.
-///
-/// The CI determinism job collects per-benchmark `EconomicsStats` as JSON
-/// lines from the file named by `ASC_ECON_OUT` (uploaded as
-/// `ECON_stats.json` and summarized into the step summary).
 mod economics {
     use super::*;
-    use asc::core::economics::EconomicsStats;
-
-    fn emit_econ(benchmark: Benchmark, mode: &str, stats: &EconomicsStats) {
-        let Ok(path) = std::env::var("ASC_ECON_OUT") else { return };
-        use std::io::Write;
-        let Ok(mut file) = std::fs::OpenOptions::new().create(true).append(true).open(path) else {
-            return;
-        };
-        let _ = writeln!(
-            file,
-            "{{\"benchmark\":\"{benchmark}\",\"mode\":\"{mode}\",\
-             \"considered\":{},\"dispatched\":{},\"suppressed\":{},\"probes\":{},\
-             \"lookups\":{},\"hits\":{},\"realized_hit_rate\":{:.6},\
-             \"expected_value\":{:.1},\"suppressed_cost\":{:.1},\"last_horizon\":{}}}",
-            stats.considered,
-            stats.dispatched,
-            stats.suppressed,
-            stats.probes,
-            stats.lookups,
-            stats.hits,
-            stats.realized_hit_rate,
-            stats.expected_value,
-            stats.suppressed_cost,
-            stats.last_horizon,
-        );
-    }
 
     /// Gating on vs. off, across all three execution modes, on every
     /// benchmark: the final state never moves.
@@ -383,9 +386,7 @@ mod economics {
                         "{benchmark}: economics counters disagree ({on:?})"
                     );
                 }
-                if let Some(stats) = gated_report.economics {
-                    emit_econ(benchmark, mode, &stats);
-                }
+                emit_report("economics", benchmark, &[("mode", mode.into())], &gated_report);
             }
         }
     }
@@ -430,38 +431,9 @@ mod economics {
 /// bit-identical in every execution mode — inline, miss-driven workers and
 /// planner — on every benchmark, and the instruction accounting (supersteps,
 /// budgets, deadlines) must stay exact at block boundaries.
-///
-/// The CI determinism job collects per-benchmark `TierStats` as JSON lines
-/// from the file named by `ASC_TIER_OUT` (uploaded as `TIER_stats.json` and
-/// summarized into the step summary next to the economics table).
 mod tier {
     use super::*;
-    use asc::tvm::{TierConfig, TierStats};
-
-    fn emit_tier(benchmark: Benchmark, mode: &str, stats: &TierStats) {
-        let Ok(path) = std::env::var("ASC_TIER_OUT") else { return };
-        use std::io::Write;
-        let Ok(mut file) = std::fs::OpenOptions::new().create(true).append(true).open(path) else {
-            return;
-        };
-        let tier1_share = if stats.instructions() == 0 {
-            0.0
-        } else {
-            stats.tier1_instructions as f64 / stats.instructions() as f64
-        };
-        let _ = writeln!(
-            file,
-            "{{\"benchmark\":\"{benchmark}\",\"mode\":\"{mode}\",\
-             \"blocks_compiled\":{},\"blocks_invalidated\":{},\"fused_ops\":{},\
-             \"tier1_instructions\":{},\"tier0_instructions\":{},\"tier1_share\":{:.6}}}",
-            stats.blocks_compiled,
-            stats.blocks_invalidated,
-            stats.fused_ops,
-            stats.tier1_instructions,
-            stats.tier0_instructions,
-            tier1_share,
-        );
-    }
+    use asc::tvm::TierConfig;
 
     /// Tier on vs. off, across all three execution modes, on every
     /// benchmark: the final state never moves, and the tier really ran.
@@ -517,7 +489,7 @@ mod tier {
                     "{benchmark}/{mode}: tier off but blocks compiled ({:?})",
                     off_report.tier
                 );
-                emit_tier(benchmark, mode, &on_report.tier);
+                emit_report("tier", benchmark, &[("mode", mode.into())], &on_report);
             }
         }
     }
@@ -716,18 +688,23 @@ mod checkpoint {
 /// inline execution, then drive the circuit breaker through a full
 /// trip-and-recover cycle.
 ///
-/// The CI soak job parameterizes the campaign with `ASC_FAULT_SEED` and
-/// collects per-benchmark `HealthStats` as JSON lines from the file named
-/// by `ASC_HEALTH_OUT`.
+/// The CI soak job parameterizes the campaign with `ASC_FAULT_SEED`.
 #[cfg(feature = "fault-inject")]
 mod fault_soak {
     use super::*;
     use asc::core::config::BreakerConfig;
-    use asc::core::supervisor::HealthStats;
     use asc::core::FaultPlan;
 
+    /// The campaign seed: `$ASC_FAULT_SEED`, or 1 when unset. A value that
+    /// is not an integer fails the test rather than silently soaking seed 1.
     pub(super) fn fault_seed() -> u64 {
-        std::env::var("ASC_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(1)
+        match std::env::var("ASC_FAULT_SEED") {
+            Err(_) => 1,
+            Ok(seed) => seed
+                .trim()
+                .parse()
+                .unwrap_or_else(|e| panic!("ASC_FAULT_SEED={seed:?} is not an integer: {e}")),
+        }
     }
 
     /// ISSUE acceptance floor: ≥ 10% worker panics, ≥ 1% entry corruption,
@@ -757,36 +734,9 @@ mod fault_soak {
         }
     }
 
-    fn emit_health(benchmark: Benchmark, seed: u64, health: &HealthStats) {
-        let Ok(path) = std::env::var("ASC_HEALTH_OUT") else { return };
-        use std::io::Write;
-        let Ok(mut file) = std::fs::OpenOptions::new().create(true).append(true).open(path) else {
-            return;
-        };
-        let _ = writeln!(
-            file,
-            "{{\"benchmark\":\"{benchmark}\",\"seed\":{seed},\
-             \"worker_panics\":{},\"worker_restarts\":{},\"workers_lost\":{},\
-             \"spawn_failures\":{},\"panicked_joins\":{},\"deadline_kills\":{},\
-             \"planner_panics\":{},\"breaker_trips\":{},\"breaker_recoveries\":{},\
-             \"breaker_open_occurrences\":{},\"checksum_rejects\":{},\
-             \"watchdog_stalls\":{},\"watchdog_escalations\":{},\
-             \"injected_faults\":{}}}",
-            health.worker_panics,
-            health.worker_restarts,
-            health.workers_lost,
-            health.spawn_failures,
-            health.panicked_joins,
-            health.deadline_kills,
-            health.planner_panics,
-            health.breaker_trips,
-            health.breaker_recoveries,
-            health.breaker_open_occurrences,
-            health.checksum_rejects,
-            health.watchdog_stalls,
-            health.watchdog_escalations,
-            health.injected_faults,
-        );
+    fn emit_health(scenario: &str, benchmark: Benchmark, seed: u64, report: &RunReport) {
+        let labels = [("scenario", scenario.into()), ("seed", seed.into())];
+        emit_report("fault_soak", benchmark, &labels, report);
     }
 
     /// Every benchmark, under the full fault campaign (panics, stalls,
@@ -838,7 +788,7 @@ mod fault_soak {
                     "{benchmark}: supervised pool lost jobs ({stats:?})"
                 );
             }
-            emit_health(benchmark, seed, health);
+            emit_health("campaign", benchmark, seed, &faulted);
         }
     }
 
@@ -897,7 +847,7 @@ mod fault_soak {
             health.breaker_recoveries >= 1,
             "breaker never recovered after the burst ({health:?})"
         );
-        emit_health(Benchmark::Collatz, seed, health);
+        emit_health("breaker", Benchmark::Collatz, seed, &report);
     }
 
     /// Liveness: an injected main-loop stall must be *detected* by the
@@ -934,7 +884,7 @@ mod fault_soak {
         let health = &report.health;
         assert!(health.watchdog_stalls >= 1, "stall was never detected ({health:?})");
         assert!(health.watchdog_escalations >= 1, "stall was never escalated ({health:?})");
-        emit_health(Benchmark::Collatz, seed, health);
+        emit_health("watchdog", Benchmark::Collatz, seed, &report);
     }
 
     /// The two degradations that change the run's dispatch mode happen
