@@ -1,12 +1,18 @@
 //! Predictor-bank micro-benchmarks: µs/occurrence for training (`observe` /
 //! `observe_incremental`) and maximum-likelihood rollout, at the two
 //! excitation widths the paper's benchmarks actually produce (~128 and ~224
-//! tracked bits, §4.4) plus the 8 160-bit width the recognizer's throw-away
-//! banks reach on `2mm` (255 tracked words — where the logistic weights'
-//! layout and laziness decide both the time and the memory). These are the
-//! numbers behind the ROADMAP "spend the ledger" item: the planner's
-//! sustainable occurrence-ingest rate is bounded by the per-occurrence
-//! training cost measured here.
+//! tracked bits, §4.4) plus the 8 160-bit width a bank that was never told a
+//! read set — the runtime's — reaches at the `max_excited_bits` cap on `2mm`
+//! (255 tracked words — where the logistic weights' layout and laziness
+//! decide both the time and the memory). These are the numbers behind the
+//! ROADMAP "spend the ledger" item: the planner's sustainable
+//! occurrence-ingest rate is bounded by the per-occurrence training cost
+//! measured here.
+//!
+//! `recognize/mm2_small` is the tripwire for the banks' other user: one whole
+//! `recognize` call on the registry's `2mm` at the benchmark's scale and
+//! window. Its twelve throw-away banks are read-targeted (32–160 bits); if
+//! they ever model write-once output cells again this id grows twentyfold.
 //!
 //! The occurrence trace is synthetic but shaped like the real thing: a fixed
 //! set of 32-bit words mutates every occurrence with the four patterns the
@@ -20,6 +26,7 @@
 
 use asc_core::config::AscConfig;
 use asc_core::predictor_bank::PredictorBank;
+use asc_core::recognizer::recognize;
 use asc_tvm::machine::Machine;
 use asc_tvm::state::StateVector;
 use asc_workloads::registry::{build, Benchmark, Scale};
@@ -112,8 +119,9 @@ fn bench_observe(c: &mut Criterion) {
 }
 
 fn bench_observe_wide(c: &mut Criterion) {
-    // The recognizer-sized bank: 255 tracked words = 8 160 bits, the width
-    // `max_excited_bits` truncation produces on 2mm. One iteration is a short
+    // The capped bank: 255 tracked words = 8 160 bits, the width
+    // `max_excited_bits` truncation produces on 2mm for a bank that models
+    // every changed bit (the runtime's). One iteration is a short
     // trace through the full path — at this width a single occurrence walks
     // megabytes of logistic weights, so 16 occurrences is plenty to time.
     const WIDE_WORDS: usize = 255;
@@ -161,6 +169,19 @@ fn bench_observe_logistic_map(c: &mut Criterion) {
     });
 }
 
+fn bench_recognize_mm2(c: &mut Criterion) {
+    // The benchmark's mm2 workload: registry `Small`, 80 000 / 200 window.
+    let workload = build(Benchmark::Mm2, Scale::Small).unwrap();
+    let initial = workload.program.initial_state().unwrap();
+    let config = asc_bench::config_for(Scale::Small);
+    c.bench_function("recognize/mm2_small", |b| {
+        b.iter(|| {
+            let outcome = recognize(black_box(&initial), &config).expect("2mm has a loop");
+            outcome.instructions_spent
+        })
+    });
+}
+
 fn bench_rollout(c: &mut Criterion) {
     let config = AscConfig::for_tests();
     let mut group = c.benchmark_group("predictor_rollout");
@@ -181,6 +202,7 @@ fn bench_rollout(c: &mut Criterion) {
 criterion_group!(
     name = predictor;
     config = Criterion::default().sample_size(10);
-    targets = bench_observe, bench_observe_wide, bench_observe_logistic_map, bench_rollout
+    targets = bench_observe, bench_observe_wide, bench_observe_logistic_map, bench_rollout,
+        bench_recognize_mm2
 );
 criterion_main!(predictor);

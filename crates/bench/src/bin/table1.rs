@@ -1,6 +1,7 @@
 //! Reproduces Table 1: recognizer statistics for each benchmark.
 
-use asc_bench::{measure, row, scale_from_args, sci};
+use asc_bench::{config_for, measure, row, scale_from_args, sci};
+use asc_core::recognizer::recognize;
 use asc_workloads::registry::{build, Benchmark};
 
 fn main() {
@@ -36,4 +37,19 @@ fn main() {
     println!("{}", row("Workload", &cell(&|_, d| d.to_string())));
     println!("{}", row("Unique IP values", &cell(&|r, _| r.unique_ips.to_string())));
     println!("{}", row("Excited bits", &cell(&|r, _| r.excited_bits.to_string())));
+    // What the recognizer's read-targeted bank for the selected IP saw change
+    // against what it modelled (the row above is the runtime's bank, which
+    // models every changed bit up to `max_excited_bits`).
+    let recognizer_bits: Vec<String> = Benchmark::ALL
+        .iter()
+        .map(|&b| {
+            let workload = build(b, scale).expect("workload must build");
+            let initial = workload.program.initial_state().expect("program must load");
+            let outcome = recognize(&initial, &config_for(scale)).expect("recognition succeeds");
+            let selected = outcome.candidates.iter().find(|c| c.ip == outcome.rip.ip);
+            selected
+                .map_or("?".to_string(), |c| format!("{} / {}", c.changed_bits, c.modelled_bits))
+        })
+        .collect();
+    println!("{}", row("Recognizer changed/modelled", &recognizer_bits));
 }

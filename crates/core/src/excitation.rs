@@ -13,11 +13,46 @@
 //! words, the packed bit view of an observation is just the tracked word
 //! values laid end to end — extraction and materialisation are pure word
 //! moves with no per-bit work.
+//!
+//! The same sparsity argument applies to the *target* set: a cached superstep
+//! is reusable when its **read set** matches, so a bit that changes between
+//! occurrences but that no superstep ever reads (an output cell written
+//! before it is read) needs no classifier. A tracker that has been told read
+//! sets ([`ExcitationTracker::note_reads`]) freezes its map over *changed ∩
+//! ever-read* words only; one that never was models everything that changed.
 
 use asc_learn::features::{packed_len, ExcitationSchema, PackedObservation};
 use asc_learn::persist::{self, Reader};
 use asc_tvm::state::StateVector;
 use std::collections::BTreeMap;
+
+/// The aligned 32-bit state words some superstep was seen to read: one bit per
+/// word, so iteration order — and every map derived from the set — is a
+/// function of the noted positions alone. Empty means "never told", which
+/// every consumer treats as "all words count".
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ReadWords {
+    bits: Vec<u64>,
+}
+
+impl ReadWords {
+    /// Marks the aligned word containing state byte `byte` as read.
+    pub fn insert(&mut self, byte: usize) {
+        let word = byte / 4;
+        if word / 64 >= self.bits.len() {
+            self.bits.resize(word / 64 + 1, 0);
+        }
+        self.bits[word / 64] |= 1 << (word % 64);
+    }
+
+    /// Whether a change in the aligned word at byte index `word_byte` matters:
+    /// always while the set is empty, otherwise only when the word was read.
+    pub fn admits(&self, word_byte: usize) -> bool {
+        let word = word_byte / 4;
+        self.bits.is_empty()
+            || self.bits.get(word / 64).is_some_and(|b| b & (1 << (word % 64)) != 0)
+    }
+}
 
 /// Accumulates per-bit change counts between successive occurrence states.
 ///
@@ -42,6 +77,10 @@ pub struct ExcitationTracker {
     /// [`observe`]: ExcitationTracker::observe
     last_diff: Vec<(usize, u32)>,
     observations: usize,
+    /// Words supersteps from this IP were seen to read; restricts the frozen
+    /// map and the drift check once non-empty. Not checkpointed: only the
+    /// recognizer's throw-away banks are told read sets.
+    read_words: ReadWords,
 }
 
 impl ExcitationTracker {
@@ -54,7 +93,25 @@ impl ExcitationTracker {
             change_counts: BTreeMap::new(),
             last_diff: Vec::new(),
             observations: 0,
+            read_words: ReadWords::default(),
         }
+    }
+
+    /// Records the read set of a superstep that started at this tracker's IP
+    /// (state byte positions, e.g. `entry.start.positions()`). From the first
+    /// noted read on, [`build_map_with_limit`] keeps only changed bits in
+    /// ever-read words.
+    ///
+    /// [`build_map_with_limit`]: ExcitationTracker::build_map_with_limit
+    pub fn note_reads(&mut self, positions: impl IntoIterator<Item = u32>) {
+        for position in positions {
+            self.read_words.insert(position as usize);
+        }
+    }
+
+    /// The words noted through [`note_reads`](ExcitationTracker::note_reads).
+    pub fn read_words(&self) -> &ReadWords {
+        &self.read_words
     }
 
     /// Number of occurrence states observed so far.
@@ -158,12 +215,23 @@ impl ExcitationTracker {
 
     /// Like [`ExcitationTracker::build_map`], but keeps at most `max_bits`
     /// bits (before word expansion), preferring the most frequently changing
-    /// ones. Bounding the excitation set bounds the memory and training cost
-    /// of the block learners for programs (such as `2mm`) that touch a new
-    /// output location on every superstep.
+    /// ones.
+    ///
+    /// Once read sets have been noted, only bits in ever-read words qualify:
+    /// the recognizer's throw-away banks are read-targeted this way, so a
+    /// program (such as `2mm`) that writes a fresh output cell on every
+    /// superstep keeps a map of its counters and pointers and never reaches
+    /// the cap. A tracker that was never told a read set — the runtime's, the
+    /// planner's and the benchmark replay's banks — keeps every changed bit,
+    /// and for those the cap is still what bounds the block learners' memory
+    /// and training cost on such programs. Returns `None` when the
+    /// intersection is empty: the bank stays not-ready and the recognizer
+    /// scores the candidate 0.
     pub fn build_map_with_limit(&self, max_bits: usize) -> Option<ExcitationMap> {
-        let mut qualifying: Vec<(usize, u32)> =
-            self.counted_bits().filter(|&(_, count)| count >= self.threshold).collect();
+        let mut qualifying: Vec<(usize, u32)> = self
+            .counted_bits()
+            .filter(|&(bit, count)| count >= self.threshold && self.read_words.admits(bit / 8))
+            .collect();
         if qualifying.is_empty() {
             return None;
         }
@@ -282,15 +350,17 @@ impl ExcitationMap {
 
     /// How many of the changed bits in a word-level state diff (ascending
     /// `(word byte index, xor)` pairs, as produced by
-    /// [`StateVector::diff_words_into`]) fall outside the tracked set. The
-    /// map tracks whole aligned words, so this is one merge of the diff
-    /// against the sorted tracked words, popcounting the untracked ones.
-    pub fn unmapped_changed_bits(&self, diff: &[(usize, u32)]) -> usize {
+    /// [`StateVector::diff_words_into`]) fall outside the tracked set, among
+    /// the words `reads` admits (all of them while it is empty) — a change
+    /// in a word no superstep reads is not a phase change. The map tracks
+    /// whole aligned words, so this is one merge of the diff against the
+    /// sorted tracked words, popcounting the untracked ones.
+    pub fn unmapped_changed_bits(&self, diff: &[(usize, u32)], reads: &ReadWords) -> usize {
         let mut tracked = self.word_bytes.iter().peekable();
         let mut unmapped = 0;
         for &(word, xor) in diff {
             while tracked.next_if(|&&byte| byte < word).is_some() {}
-            if tracked.peek() != Some(&&word) {
+            if tracked.peek() != Some(&&word) && reads.admits(word) {
                 unmapped += xor.count_ones() as usize;
             }
         }
@@ -421,10 +491,83 @@ mod tests {
     fn unmapped_changed_bits_counts_only_untracked_words() {
         // Tracks the words at bytes 0 and 8.
         let map = ExcitationMap::new(vec![3, 64]);
-        assert_eq!(map.unmapped_changed_bits(&[]), 0);
-        assert_eq!(map.unmapped_changed_bits(&[(0, 0xFFFF), (8, 0b1)]), 0);
-        assert_eq!(map.unmapped_changed_bits(&[(0, 1), (4, 0b111), (8, 1), (12, 0xF0)]), 7);
-        assert_eq!(map.unmapped_changed_bits(&[(16, u32::MAX)]), 32);
+        let all = ReadWords::default();
+        assert_eq!(map.unmapped_changed_bits(&[], &all), 0);
+        assert_eq!(map.unmapped_changed_bits(&[(0, 0xFFFF), (8, 0b1)], &all), 0);
+        assert_eq!(map.unmapped_changed_bits(&[(0, 1), (4, 0b111), (8, 1), (12, 0xF0)], &all), 7);
+        assert_eq!(map.unmapped_changed_bits(&[(16, u32::MAX)], &all), 32);
+    }
+
+    #[test]
+    fn unmapped_changed_bits_ignores_unread_words() {
+        let map = ExcitationMap::new(vec![3, 64]);
+        // Bytes 13 and 1000 were read: words 12 and 1000.
+        let mut reads = ReadWords::default();
+        reads.insert(13);
+        reads.insert(1000);
+        assert!(reads.admits(12) && reads.admits(1000));
+        assert!(!reads.admits(4) && !reads.admits(16) && !reads.admits(1 << 20));
+        // Word 4 changed but is never read; word 12 is read and unmapped.
+        assert_eq!(map.unmapped_changed_bits(&[(0, 1), (4, 0b111), (8, 1), (12, 0xF0)], &reads), 4);
+        assert_eq!(map.unmapped_changed_bits(&[(16, u32::MAX), (1000, 0b11)], &reads), 2);
+    }
+
+    /// Three memory words change every occurrence: a counter at 0, a fresh
+    /// "output" value at 8 and a one-bit toggle at 16.
+    fn three_word_tracker() -> ExcitationTracker {
+        let mut tracker = ExcitationTracker::new(1);
+        for i in 0..5u32 {
+            tracker
+                .observe(&state_with(64, &[(0, i), (8, i.wrapping_mul(0x9E37_79B1)), (16, i & 1)]));
+        }
+        tracker
+    }
+
+    #[test]
+    fn noted_reads_restrict_the_map_to_changed_and_read_words() {
+        let mem = asc_tvm::state::MEM_BASE;
+        let untold = three_word_tracker().build_map().unwrap();
+        assert_eq!(untold.word_count(), 3);
+
+        let mut tracker = three_word_tracker();
+        // The superstep reads the counter, the toggle (through its second
+        // byte, which never changes) and a constant word; never the output.
+        tracker.note_reads([mem as u32, mem as u32 + 17, mem as u32 + 40]);
+        let map = tracker.build_map().unwrap();
+        // Changed ∩ read: the counter and the toggle. The constant word is
+        // read but never changed; the output word changed but is never read.
+        assert_eq!(map.word_count(), 2);
+        // Word expansion happens after filtering: the toggle contributes one
+        // changed bit and is modelled as a whole word.
+        assert_eq!(map.bit_count(), 64);
+        assert!(map.bit_indices().contains(&((mem + 16) * 8 + 31)));
+        assert!(!map.bit_indices().iter().any(|&b| ((mem + 8) * 8..(mem + 12) * 8).contains(&b)));
+        // The cap applies to what survives the filter.
+        assert_eq!(tracker.build_map_with_limit(1).unwrap().word_count(), 1);
+        // A later read widens the next build.
+        tracker.note_reads([mem as u32 + 8]);
+        assert_eq!(tracker.build_map(), Some(untold));
+    }
+
+    #[test]
+    fn reads_with_an_empty_intersection_build_no_map() {
+        let mut tracker = three_word_tracker();
+        tracker.note_reads([asc_tvm::state::MEM_BASE as u32 + 40]);
+        assert!(tracker.changed_bits() > 0);
+        assert!(tracker.build_map().is_none());
+    }
+
+    #[test]
+    fn noted_reads_are_not_part_of_the_wire_form() {
+        let untold = three_word_tracker();
+        let mut told = three_word_tracker();
+        told.note_reads([asc_tvm::state::MEM_BASE as u32]);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        untold.save_state(&mut a);
+        told.save_state(&mut b);
+        assert_eq!(a, b);
+        // threshold, observations, entry count, then (bit, count) pairs only.
+        assert_eq!(a.len(), 4 + 8 + 8 + untold.changed_bits() * 12);
     }
 
     #[test]

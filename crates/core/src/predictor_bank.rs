@@ -13,6 +13,10 @@
 //!   │                         ▼                            ▼
 //!   │        ExcitationTracker change counts     ExcitationMap::unmapped_changed_bits
 //!   │        (one map lookup per changed word)   (merge vs tracked words → drift)
+//!   │                         ▲                            ▲
+//!   │   note_reads ──▶ ReadWords (optional) ───────────────┘
+//!   │   (recognizer only: the map freezes over changed ∩ ever-read words,
+//!   │    and only changes in read words count as drift)
 //!   │
 //!   └─ExcitationMap::observe_into──▶ PackedObservation (reused buffer)
 //!       (one 32-bit read per tracked word)   │
@@ -37,6 +41,12 @@
 //! set of reused buffers so only the returned states are materialised — each
 //! a *full* state vector built by patching only the tracked words: the
 //! paper's sparsity argument made concrete.
+//!
+//! A bank may additionally be told what supersteps from its IP *read*
+//! ([`PredictorBank::note_reads`]). The recognizer's throw-away banks are:
+//! they then model changed ∩ ever-read words, which is all a cache hit needs.
+//! The runtime's, the planner's and the benchmark replay's banks are never
+//! told and model every changed bit up to `max_excited_bits`.
 
 use crate::config::{AscConfig, PredictorComplement};
 use crate::excitation::{ExcitationMap, ExcitationTracker};
@@ -165,6 +175,21 @@ impl PredictorBank {
     /// Number of occurrence states observed.
     pub fn observations(&self) -> u64 {
         self.observations
+    }
+
+    /// Number of distinct bits seen to change between occurrences, modelled
+    /// or not (compare [`excited_bits`](PredictorBank::excited_bits)).
+    pub fn changed_bits(&self) -> usize {
+        self.tracker.changed_bits()
+    }
+
+    /// Tells the bank the read set (state byte positions) of a superstep that
+    /// started at its IP. From the first noted read on, the warm-up build and
+    /// every drift rebuild freeze the map over changed ∩ ever-read words, and
+    /// only changes in read words count towards drift. Noted reads are not
+    /// part of [`save_state`](PredictorBank::save_state).
+    pub fn note_reads(&mut self, positions: impl IntoIterator<Item = u32>) {
+        self.tracker.note_reads(positions);
     }
 
     /// Error statistics of the ensemble, if it has been built.
@@ -327,14 +352,16 @@ impl PredictorBank {
             // program moved to a new phase; rebuild from the (still accumulating)
             // tracker. A handful of unmapped bits per superstep — the freshly
             // written output cell of a kernel like 2mm, which no later superstep
-            // reads — is expected and must not trigger a rebuild.
+            // reads — is expected and must not trigger a rebuild; a bank that
+            // knows its read words does not count such cells at all.
+            let reads = self.tracker.read_words();
             let unmapped_changed_bits = match (self.origin, &self.detached_state) {
                 (Origin::Detached, Some(previous_state)) => {
                     self.detached_diff.clear();
                     previous_state.diff_words_into(state, &mut self.detached_diff);
-                    map.unmapped_changed_bits(&self.detached_diff)
+                    map.unmapped_changed_bits(&self.detached_diff, reads)
                 }
-                _ => map.unmapped_changed_bits(self.tracker.last_diff()),
+                _ => map.unmapped_changed_bits(self.tracker.last_diff(), reads),
             };
             if unmapped_changed_bits > 64 {
                 self.drift += 1;
@@ -681,6 +708,130 @@ mod tests {
         // mistake window; the windowed hindsight rate stays well-formed.
         assert!(errors.total_predictions > 100, "{errors:?}");
         assert!(errors.hindsight_optimal_error_rate <= 1.0);
+    }
+
+    /// `a[i] = f(i)`: every iteration stores one fresh, never-read output
+    /// cell; one superstep is eight iterations (~128 freshly changed bits).
+    fn fresh_output_program() -> (Program, u32) {
+        let program = assemble(
+            r#"
+            main:
+                movi r1, 0
+                movi r2, out
+            loop:
+                mul  r3, r1, 2654435761
+                stw  [r2], r3
+                add  r2, r2, 4
+                add  r1, r1, 1
+                cmpi r1, 4000
+                jlt  loop
+                halt
+            .data
+            out:
+                .space 16000
+            "#,
+        )
+        .unwrap();
+        let rip = program.symbol("loop").unwrap();
+        (program, rip)
+    }
+
+    #[test]
+    fn read_targeted_bank_stays_bounded_on_a_write_once_output_stream() {
+        const STRIDE: usize = 8;
+        let (program, rip) = fresh_output_program();
+        let states: Vec<StateVector> =
+            occurrence_states(&program, rip, 240 * STRIDE).into_iter().step_by(STRIDE).collect();
+        assert!(states.len() >= 200, "{} occurrences", states.len());
+        let config = AscConfig { max_excited_bits: 256, ..AscConfig::for_tests() };
+        let mut told = PredictorBank::new(rip, &config);
+        let mut untold = PredictorBank::new(rip, &config);
+        let mut changed_at = Vec::new();
+        for (i, state) in states.iter().enumerate() {
+            if !told.is_ready() {
+                // What the recognizer does while a bank warms up.
+                let probe = crate::speculator::execute_superstep(state, rip, STRIDE, 10_000)
+                    .unwrap()
+                    .completed()
+                    .unwrap();
+                assert!(probe.reached_rip);
+                told.note_reads(probe.entry.start.positions());
+            }
+            told.observe(state);
+            if i < 40 {
+                // Wide banks are slow; the first drift rebuild is all it takes.
+                untold.observe(state);
+            }
+            if i == 50 || i == 100 || i == 200 {
+                changed_at.push(told.changed_bits());
+            }
+        }
+        // The tracker keeps seeing the output cells: changed bits grow by a
+        // steady amount per occurrence...
+        let (first, second) = (changed_at[1] - changed_at[0], changed_at[2] - changed_at[1]);
+        assert!(first > 50 * 64 && second > first, "{changed_at:?}");
+        // ...but the bank models only the counter and the output pointer, and
+        // never mistakes a fresh cell for a phase change.
+        assert!(told.is_ready());
+        assert_eq!(told.excited_bits(), 64, "counter + pointer");
+        assert_eq!(told.last_rebuild, EXCITATION_WARMUP as u64 + 1, "no drift rebuild fired");
+        // Never told, the bank is today's: it drifts after the cells and
+        // rebuilds, up to the cap, to a map that includes them.
+        assert!(untold.last_rebuild > told.last_rebuild);
+        assert!(untold.excited_bits() > 32 * 16, "{}", untold.excited_bits());
+        // What the read-targeted bank predicts is what a superstep needs: a
+        // superstep speculated from its prediction matches the real next
+        // state on its read set.
+        let n = states.len();
+        let predicted = told.predict_next(&states[n - 2]).unwrap();
+        let entry = crate::speculator::execute_superstep(&predicted.state, rip, STRIDE, 10_000)
+            .unwrap()
+            .completed()
+            .unwrap()
+            .entry;
+        assert!(entry.matches(&states[n - 1]));
+        assert_ne!(predicted.state, states[n - 1], "the stale output cells are not modelled");
+    }
+
+    #[test]
+    fn never_told_bank_wire_form_has_no_read_set_section() {
+        // The checkpoint's predictor section is this blob; its layout is the
+        // parent commit's — rip, counters, tracker blob, map, ensemble blob —
+        // and noting reads adds nothing to it.
+        let (program, rip) = counting_program(200);
+        let states = occurrence_states(&program, rip, 40);
+        let config = AscConfig::for_tests();
+        let mut bank = PredictorBank::new(rip, &config);
+        for state in &states {
+            bank.observe(state);
+        }
+        let mut bytes = Vec::new();
+        bank.save_state(&mut bytes);
+
+        let mut expected = Vec::new();
+        persist::put_u32(&mut expected, rip);
+        persist::put_u64(&mut expected, bank.observations);
+        persist::put_u32(&mut expected, bank.drift);
+        persist::put_u64(&mut expected, bank.last_rebuild);
+        let mut blob = Vec::new();
+        bank.tracker.save_state(&mut blob);
+        persist::put_bytes(&mut expected, &blob);
+        let map = bank.map.as_ref().unwrap();
+        persist::put_u32(&mut expected, 1);
+        persist::put_usize(&mut expected, map.bit_indices().len());
+        for &bit in map.bit_indices() {
+            persist::put_usize(&mut expected, bit);
+        }
+        persist::put_u32(&mut expected, 1);
+        blob.clear();
+        bank.ensemble.as_ref().unwrap().save_state(&mut blob);
+        persist::put_bytes(&mut expected, &blob);
+        assert_eq!(bytes, expected);
+
+        bank.note_reads([0, 4, 8]);
+        let mut told = Vec::new();
+        bank.save_state(&mut told);
+        assert_eq!(told, bytes);
     }
 
     /// The parent commit's `observe` scan, kept verbatim as test-only

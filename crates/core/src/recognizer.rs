@@ -10,9 +10,12 @@
 //! most promising candidates by training throw-away predictor banks on them
 //! and measuring realised prediction accuracy.
 
+use crate::cache::CacheEntry;
 use crate::config::AscConfig;
 use crate::error::{AscError, AscResult};
 use crate::predictor_bank::{PredictorBank, EXCITATION_WARMUP};
+use crate::speculator::{execute_superstep_with, SpeculationScratch};
+use asc_tvm::exec::StepOutcome;
 use asc_tvm::machine::Machine;
 use asc_tvm::state::StateVector;
 use std::collections::HashMap;
@@ -175,6 +178,29 @@ pub struct RecognizedIp {
     pub score: f64,
 }
 
+/// What phase 2 learned about one candidate, in candidate (phase-1 ranking)
+/// order — the numbers behind its [`RecognizedIp`] score. The bank counters
+/// are as of the candidate's last *scored* occurrence: a finished candidate's
+/// bank is not trained further.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CandidateRecord {
+    /// The instruction pointer value.
+    pub ip: u32,
+    /// Occurrence stride defining one superstep.
+    pub stride: usize,
+    /// Supersteps whose speculative entry was checked against the real state.
+    pub scored: usize,
+    /// Scored supersteps whose entry matched on its read set.
+    pub correct: usize,
+    /// Distinct bits the bank's tracker saw change between occurrences.
+    pub changed_bits: usize,
+    /// Bits the bank models: changed ∩ ever-read words, word-expanded
+    /// (0 when the bank never became ready).
+    pub modelled_bits: usize,
+    /// Occurrence states the bank was trained on.
+    pub bank_observations: u64,
+}
+
 /// Outcome of the full two-phase recognizer run.
 #[derive(Debug, Clone)]
 pub struct RecognizerOutcome {
@@ -182,6 +208,9 @@ pub struct RecognizerOutcome {
     pub rip: RecognizedIp,
     /// All evaluated candidates with their scores, best first.
     pub evaluated: Vec<RecognizedIp>,
+    /// One record per candidate phase 2 evaluated (empty when the outcome
+    /// was restored from a checkpoint or built without evaluation).
+    pub candidates: Vec<CandidateRecord>,
     /// Unique IP values observed while profiling.
     pub unique_ips: usize,
     /// Instructions consumed by profiling plus evaluation (the sequential
@@ -196,12 +225,69 @@ pub struct RecognizerOutcome {
     pub halted: bool,
 }
 
+/// Phase-2 bookkeeping of one candidate.
+struct Evaluation {
+    candidate: Candidate,
+    bank: PredictorBank,
+    pending: Option<CacheEntry>,
+    raw_occurrences_left: usize,
+    scored: usize,
+    correct: usize,
+    superstep_instructions: u64,
+    supersteps: usize,
+    last_occurrence_instret: Option<u64>,
+}
+
+impl Evaluation {
+    fn new(candidate: Candidate, config: &AscConfig) -> Self {
+        Evaluation {
+            candidate,
+            bank: PredictorBank::new(candidate.ip, config),
+            pending: None,
+            raw_occurrences_left: candidate.stride,
+            scored: 0,
+            correct: 0,
+            superstep_instructions: 0,
+            supersteps: 0,
+            last_occurrence_instret: None,
+        }
+    }
+
+    /// Runs one dependency-tracked superstep of this candidate from `start`
+    /// and, when it came back to the candidate's IP, tells the bank what it
+    /// read. Faults (expected from mispredicted starts) yield `None`.
+    fn speculate(
+        &mut self,
+        start: &StateVector,
+        config: &AscConfig,
+        scratch: &mut SpeculationScratch,
+    ) -> Option<CacheEntry> {
+        let (ip, stride) = (self.candidate.ip, self.candidate.stride);
+        let outcome = execute_superstep_with(start, ip, stride, config.max_superstep, scratch)
+            .ok()?
+            .completed()?;
+        if outcome.reached_rip {
+            self.bank.note_reads(outcome.entry.start.positions());
+        }
+        Some(outcome.entry)
+    }
+}
+
+/// The instruction count past which a candidate last seen at `since` counts
+/// as *stalled*: `since + ⌊20 × expected superstep⌋`. For integer instruction
+/// counts `instret > stall_deadline(c, since)` is exactly the float predicate
+/// `(instret - since) as f64 > 20.0 * expected_gap`.
+fn stall_deadline(candidate: &Candidate, since: u64) -> u64 {
+    let expected_gap = (candidate.mean_gap * candidate.stride as f64).max(1.0);
+    since.saturating_add((20.0 * expected_gap) as u64)
+}
+
 /// Runs both recognizer phases starting from `initial` state.
 ///
 /// Phase 1 executes `config.explore_instructions` while profiling IP
 /// occurrences. Phase 2 continues execution, feeding every candidate's
-/// occurrences to a throw-away [`PredictorBank`] and scoring realised
-/// prediction accuracy, until each candidate has had
+/// occurrences to a throw-away, read-targeted [`PredictorBank`] and scoring
+/// realised prediction accuracy, until each candidate has had
 /// `config.evaluation_occurrences` scored supersteps (or a bounded budget is
 /// exhausted).
 ///
@@ -229,10 +315,10 @@ pub fn recognize(initial: &StateVector, config: &AscConfig) -> AscResult<Recogni
         let phase1_end = machine.instret() + config.explore_instructions;
         while machine.instret() < phase1_end {
             match machine.step()? {
-                asc_tvm::exec::StepOutcome::Continue => {
+                StepOutcome::Continue => {
                     profiler.record(machine.state().ip(), machine.instret());
                 }
-                asc_tvm::exec::StepOutcome::Halted => {
+                StepOutcome::Halted => {
                     halted = true;
                     break;
                 }
@@ -258,31 +344,19 @@ pub fn recognize(initial: &StateVector, config: &AscConfig) -> AscResult<Recogni
         // from the predicted state and keep the resulting cache entry in a local
         // cache of predictions; at the candidate's next occurrence we check
         // whether the real state matches that entry on its dependency (read) set.
-        struct Evaluation {
-            candidate: Candidate,
-            bank: PredictorBank,
-            pending: Option<crate::cache::CacheEntry>,
-            raw_occurrences_left: usize,
-            scored: usize,
-            correct: usize,
-            superstep_instructions: u64,
-            supersteps: usize,
-            last_occurrence_instret: Option<u64>,
-        }
-        let mut evaluations: Vec<Evaluation> = candidates
-            .iter()
-            .map(|candidate| Evaluation {
-                candidate: *candidate,
-                bank: PredictorBank::new(candidate.ip, config),
-                pending: None,
-                raw_occurrences_left: candidate.stride,
-                scored: 0,
-                correct: 0,
-                superstep_instructions: 0,
-                supersteps: 0,
-                last_occurrence_instret: None,
-            })
-            .collect();
+        //
+        // Since a match needs only the read set, the banks learn only what a
+        // superstep reads: while a bank is warming up (its first
+        // `EXCITATION_WARMUP + 1` occurrences) each occurrence also runs one
+        // dependency-tracked superstep from the *real* state and notes its read
+        // set, so the map freezes over changed ∩ read words; afterwards every
+        // speculative entry built for scoring is noted the same way, so drift
+        // rebuilds see a grown set. A candidate that has all its scored
+        // supersteps is *finished*: it keeps only its superstep-spacing
+        // accounting — no state copy, no training of a bank nobody consults.
+        let mut evaluations: Vec<Evaluation> =
+            candidates.iter().map(|candidate| Evaluation::new(*candidate, config)).collect();
+        let mut scratch = SpeculationScratch::with_tier(config.tier);
 
         // Warm-up and training occurrences plus the scored ones, per candidate.
         let needed =
@@ -296,12 +370,33 @@ pub fn recognize(initial: &StateVector, config: &AscConfig) -> AscResult<Recogni
 
         let mut spent = 0u64;
         let phase2_start = machine.instret();
+        // Phase 2 ends at the first instruction past the horizon: the latest
+        // stall deadline among unfinished candidates (`None` once every
+        // candidate is finished). A candidate is written off as *stalled*
+        // when it has not occurred for 20 times its expected superstep spacing
+        // (e.g. an initialisation loop that will never run again) — waiting
+        // for it would let short programs run to completion inside the
+        // recognizer. Candidates that have not occurred yet in *this* attempt
+        // are measured from this attempt's phase-2 start: on retry attempts
+        // instret is far beyond the exploration budget.
+        let stall_horizon = |evaluations: &[Evaluation]| {
+            evaluations
+                .iter()
+                .filter(|e| e.scored < config.evaluation_occurrences)
+                .map(|e| {
+                    stall_deadline(&e.candidate, e.last_occurrence_instret.unwrap_or(phase2_start))
+                })
+                .max()
+        };
+        let mut horizon = stall_horizon(&evaluations);
         while spent < budget && !halted {
             match machine.step()? {
-                asc_tvm::exec::StepOutcome::Continue => {
+                StepOutcome::Continue => {
                     spent += 1;
-                    let ip = machine.state().ip();
+                    let state = machine.state();
+                    let ip = state.ip();
                     let instret = machine.instret();
+                    let mut occurred = false;
                     for evaluation in &mut evaluations {
                         if evaluation.candidate.ip != ip {
                             continue;
@@ -312,69 +407,49 @@ pub fn recognize(initial: &StateVector, config: &AscConfig) -> AscResult<Recogni
                         }
                         evaluation.raw_occurrences_left = evaluation.candidate.stride;
                         // A strided occurrence of this candidate.
+                        occurred = true;
                         if let Some(previous) = evaluation.last_occurrence_instret {
                             evaluation.superstep_instructions += instret - previous;
                             evaluation.supersteps += 1;
                         }
                         evaluation.last_occurrence_instret = Some(instret);
-                        let state = machine.state().clone();
+                        if evaluation.scored >= config.evaluation_occurrences {
+                            continue;
+                        }
                         // Score the speculative entry produced from the previous
                         // occurrence's prediction: a hit means the real state
                         // matches the entry's dependency set.
                         if let Some(entry) = evaluation.pending.take() {
                             evaluation.scored += 1;
-                            if entry.matches(&state) {
+                            if entry.matches(state) {
                                 evaluation.correct += 1;
                             }
                         }
-                        evaluation.bank.observe(&state);
+                        if !evaluation.bank.is_ready() {
+                            // Warm-up probe: only its read set is wanted.
+                            evaluation.speculate(state, config, &mut scratch);
+                        }
+                        evaluation.bank.observe(state);
                         let trained_enough = evaluation.bank.observations()
                             >= (EXCITATION_WARMUP + config.evaluation_training) as u64;
                         if evaluation.bank.is_ready()
                             && trained_enough
                             && evaluation.scored < config.evaluation_occurrences
                         {
-                            if let Some(predicted) = evaluation.bank.predict_next(&state) {
-                                if let Ok(result) = crate::speculator::execute_superstep(
-                                    &predicted.state,
-                                    evaluation.candidate.ip,
-                                    evaluation.candidate.stride,
-                                    config.max_superstep,
-                                ) {
-                                    if let Some(outcome) = result.completed() {
-                                        evaluation.pending = Some(outcome.entry);
-                                    }
-                                }
+                            if let Some(predicted) = evaluation.bank.predict_next(state) {
+                                evaluation.pending =
+                                    evaluation.speculate(&predicted.state, config, &mut scratch);
                             }
                         }
                     }
-                    // A candidate is finished when it has enough scored
-                    // supersteps; it is written off as *stalled* when it has not
-                    // occurred for many times its expected superstep spacing
-                    // (e.g. an initialisation loop that will never run again).
-                    // Waiting for stalled candidates would let short programs run
-                    // to completion inside the recognizer.
-                    let done = evaluations.iter().all(|e| {
-                        if e.scored >= config.evaluation_occurrences {
-                            return true;
-                        }
-                        let expected_gap =
-                            (e.candidate.mean_gap * e.candidate.stride as f64).max(1.0);
-                        // Candidates that have not occurred yet in *this*
-                        // attempt are measured from this attempt's phase-2
-                        // start, not from the literal exploration budget —
-                        // on retry attempts instret is far beyond it and the
-                        // old baseline wrote every candidate off as stalled
-                        // before evaluation could begin.
-                        let since_last =
-                            instret - e.last_occurrence_instret.unwrap_or(phase2_start);
-                        since_last as f64 > 20.0 * expected_gap
-                    });
-                    if done {
+                    if occurred {
+                        horizon = stall_horizon(&evaluations);
+                    }
+                    if horizon.is_none_or(|deadline| instret > deadline) {
                         break;
                     }
                 }
-                asc_tvm::exec::StepOutcome::Halted => {
+                StepOutcome::Halted => {
                     halted = true;
                 }
             }
@@ -413,9 +488,22 @@ pub fn recognize(initial: &StateVector, config: &AscConfig) -> AscResult<Recogni
             None => evaluated.first().copied().ok_or(AscError::NoRecognizedIp)?,
         };
 
+        let candidates = evaluations
+            .iter()
+            .map(|e| CandidateRecord {
+                ip: e.candidate.ip,
+                stride: e.candidate.stride,
+                scored: e.scored,
+                correct: e.correct,
+                changed_bits: e.bank.changed_bits(),
+                modelled_bits: e.bank.excited_bits(),
+                bank_observations: e.bank.observations(),
+            })
+            .collect();
         return Ok(RecognizerOutcome {
             rip,
             evaluated,
+            candidates,
             unique_ips: total_unique_ips,
             instructions_spent: machine.instret(),
             resume_state: machine.state().clone(),
@@ -430,6 +518,8 @@ pub fn recognize(initial: &StateVector, config: &AscConfig) -> AscResult<Recogni
 mod tests {
     use super::*;
     use asc_asm::assemble;
+    use asc_learn::rng::{Rng, XorShiftRng};
+    use asc_workloads::registry::{build, Benchmark, Scale};
     use asc_workloads::{collatz, ising};
 
     #[test]
@@ -510,6 +600,135 @@ mod tests {
         assert!(outcome.rip.mean_superstep >= 200.0, "{:?}", outcome.rip);
         // Pointer-chasing is predictable here because allocation was sequential.
         assert!(outcome.rip.accuracy >= 0.5, "{:?}", outcome.rip);
+    }
+
+    /// The stall predicate as phase 2 evaluated it after every instruction
+    /// before it kept an integer deadline.
+    fn stalled_by_the_float_predicate(
+        candidate: &Candidate,
+        last_occurrence: Option<u64>,
+        phase2_start: u64,
+        instret: u64,
+    ) -> bool {
+        let expected_gap = (candidate.mean_gap * candidate.stride as f64).max(1.0);
+        let since_last = instret - last_occurrence.unwrap_or(phase2_start);
+        since_last as f64 > 20.0 * expected_gap
+    }
+
+    #[test]
+    fn stall_deadline_is_the_float_predicate() {
+        let mut rng = XorShiftRng::new(24);
+        let mut checked = 0;
+        for round in 0..4_000 {
+            // Gaps from far below the `max(1.0)` floor up to loop-nest sized,
+            // with fractional parts that put 20·gap·stride between integers.
+            let mean_gap = match round % 4 {
+                0 => rng.gen_f64() * 0.06,
+                1 => 1.0 + rng.gen_f64() * 30.0,
+                2 => (rng.next_u64() % 5_000) as f64 / 20.0,
+                _ => rng.gen_f64() * 20_000.0,
+            };
+            let stride = 1 + (rng.next_u64() % 60) as usize;
+            let candidate = Candidate { ip: 8, stride, mean_gap, occurrences: 3 };
+            let phase2_start = rng.next_u64() % 3_000_000;
+            let last_occurrence =
+                (round % 3 != 0).then(|| phase2_start + rng.next_u64() % 1_000_000);
+            let since = last_occurrence.unwrap_or(phase2_start);
+            let deadline = stall_deadline(&candidate, since);
+            // Around the flip, at the origin, and anywhere.
+            let near = (deadline.saturating_sub(3)..=deadline + 3).filter(|&i| i >= since);
+            for instret in near.chain([since, since + rng.next_u64() % 10_000_000]) {
+                assert_eq!(
+                    instret > deadline,
+                    stalled_by_the_float_predicate(
+                        &candidate,
+                        last_occurrence,
+                        phase2_start,
+                        instret
+                    ),
+                    "gap {mean_gap} stride {stride} since {since} instret {instret}"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 20_000);
+        // The floor: a sub-instruction gap still waits 20 instructions.
+        let tight = Candidate { ip: 8, stride: 1, mean_gap: 0.001, occurrences: 3 };
+        assert_eq!(stall_deadline(&tight, 100), 120);
+        assert_eq!(stall_deadline(&tight, u64::MAX - 5), u64::MAX);
+    }
+
+    /// The benchmark's recognizer window for a registry scale.
+    fn benchmark_config(scale: Scale) -> AscConfig {
+        let (explore_instructions, min_superstep) = match scale {
+            Scale::Small => (80_000, 200),
+            _ => (250_000, 500),
+        };
+        AscConfig { explore_instructions, min_superstep, ..AscConfig::default() }
+    }
+
+    #[test]
+    fn selection_is_pinned_on_every_benchmark_at_benchmark_scale() {
+        // (ip, stride, mean superstep, accuracy, instructions spent): what
+        // the occurrence loop of each benchmark workload is built on. The
+        // first three predate read-targeted banks and must not move.
+        let pinned = [
+            (Benchmark::Collatz, 32, 2, 1065.1, 0.75, 272_859),
+            (Benchmark::LogisticMap, 64, 42, 507.638_297_872_340_44, 0.0, 2_195_551),
+            (Benchmark::Ising, 264, 1, 10_259.0, 0.875, 455_279),
+        ];
+        for (benchmark, ip, stride, mean_superstep, accuracy, spent) in pinned {
+            let workload = build(benchmark, Scale::Medium).unwrap();
+            let initial = workload.program.initial_state().unwrap();
+            let outcome = recognize(&initial, &benchmark_config(Scale::Medium)).unwrap();
+            let rip = outcome.rip;
+            assert_eq!(
+                (rip.ip, rip.stride, rip.mean_superstep, rip.accuracy, outcome.instructions_spent),
+                (ip, stride, mean_superstep, accuracy, spent),
+                "{benchmark}"
+            );
+            let record = outcome.candidates.iter().find(|c| c.ip == rip.ip).unwrap();
+            assert_eq!(record.correct as f64 / record.scored as f64, accuracy, "{benchmark}");
+            assert!(record.modelled_bits <= 32 * record.changed_bits, "{record:?}");
+        }
+
+        // 2mm: the outer loop of the first nest (i-loop head and the three
+        // instructions closing it), one 10 084-instruction superstep each.
+        let workload = build(Benchmark::Mm2, Scale::Small).unwrap();
+        let initial = workload.program.initial_state().unwrap();
+        let outcome = recognize(&initial, &benchmark_config(Scale::Small)).unwrap();
+        let outer_loop = [32, 272, 280, 288];
+        assert!(outer_loop.contains(&outcome.rip.ip), "{:?}", outcome.rip);
+        assert_eq!(outcome.rip.stride, 1);
+        assert_eq!(outcome.rip.mean_superstep, 10_084.0);
+        assert!(outcome.rip.accuracy >= 0.66, "{:?}", outcome.rip);
+        assert_eq!(outcome.instructions_spent, 443_700);
+        // Each outer-loop superstep writes 24 fresh `tmp` cells; the banks
+        // see thousands of changed bits and model the loop counter.
+        for record in outcome.candidates.iter().filter(|c| outer_loop.contains(&c.ip)) {
+            assert!(record.changed_bits > 4_096, "{record:?}");
+            assert!((32..=256).contains(&record.modelled_bits), "{record:?}");
+        }
+        assert_eq!(outcome.candidates.len(), outcome.evaluated.len());
+    }
+
+    #[test]
+    fn recognition_is_a_function_of_its_input() {
+        let workload = build(Benchmark::Mm2, Scale::Tiny).unwrap();
+        let initial = workload.program.initial_state().unwrap();
+        let config = AscConfig::for_tests();
+        let first = recognize(&initial, &config).unwrap();
+        let second = recognize(&initial, &config).unwrap();
+        assert_eq!(first.evaluated, second.evaluated);
+        assert_eq!(first.candidates, second.candidates);
+        assert_eq!(first.instructions_spent, second.instructions_spent);
+        // The tier the speculative supersteps run on is the configured one,
+        // and by the tier invariant it is invisible in the outcome.
+        let tier_off = AscConfig { tier: asc_tvm::TierConfig::disabled(), ..config };
+        let off = recognize(&initial, &tier_off).unwrap();
+        assert_eq!(off.evaluated, first.evaluated);
+        assert_eq!(off.candidates, first.candidates);
+        assert_eq!(off.resume_state, first.resume_state);
     }
 
     #[test]

@@ -1013,6 +1013,7 @@ impl LascRuntime {
                         let outcome = RecognizerOutcome {
                             rip: ckpt.rip,
                             evaluated: vec![ckpt.rip],
+                            candidates: Vec::new(),
                             unique_ips: ckpt.unique_ips,
                             instructions_spent: ckpt.converge_instructions,
                             resume_state,
@@ -1122,6 +1123,7 @@ impl LascRuntime {
         let outcome = crate::recognizer::RecognizerOutcome {
             rip,
             evaluated: vec![rip],
+            candidates: Vec::new(),
             unique_ips: profiler.unique_ips(),
             instructions_spent: profiling.instret(),
             resume_state: profiling.state().clone(),
