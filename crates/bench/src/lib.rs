@@ -225,12 +225,12 @@ mod tests {
     }
 
     /// The golden key set of `RunReport::write_json`: labels, the scalar
-    /// accounting, then every public counter of all eight stats structs
+    /// accounting, then every public counter of all seven stats structs
     /// exactly once under `<section>.<field>`, each reading back through the
     /// extractors as the struct's own value.
     #[test]
     fn run_report_lines_carry_every_stats_field_once_under_its_dotted_key() {
-        use asc_core::{CheckpointStats, PlannerStats, PoolStats, RemoteStats};
+        use asc_core::{CheckpointStats, PlannerStats, PoolStats};
 
         let workload = build(Benchmark::Collatz, Scale::Tiny).unwrap();
         let runtime = LascRuntime::new(config_for(Scale::Tiny)).unwrap();
@@ -243,21 +243,20 @@ mod tests {
             String::from_utf8(out).unwrap()
         };
 
-        // An inline run has no pool, planner, remote tier or checkpoints:
-        // those sections write no keys at all.
+        // An inline run has no pool, planner or checkpoints: those sections
+        // write no keys at all.
         let inline = write(&report);
-        for absent in ["\"speculation.", "\"planner.", "\"remote.", "\"checkpoints."] {
+        for absent in ["\"speculation.", "\"planner.", "\"checkpoints."] {
             assert!(!inline.contains(absent), "{absent} in {inline}");
         }
 
-        // Stand-ins for them so all eight structs are covered, and two
+        // Stand-ins for them so all seven structs are covered, and two
         // non-finite floats.
         let pool = PoolStats { dispatched: 101, panicked_joins: 110, ..Default::default() };
         let planner = PlannerStats { occurrences: 201, insert_wakeups: 208, ..Default::default() };
-        let remote = RemoteStats { remote_hits: 301, degraded: true, ..Default::default() };
         let checkpoints = CheckpointStats { saves: 401, resumed: true, ..Default::default() };
         (report.speculation, report.planner) = (Some(pool), Some(planner));
-        (report.remote, report.checkpoints) = (Some(remote), Some(checkpoints));
+        report.checkpoints = Some(checkpoints);
         (report.rip.accuracy, report.rip.score) = (f64::INFINITY, f64::NAN);
         let line = write(&report);
         assert!(line.ends_with("}\n") && line.matches('\n').count() == 1, "{line}");
@@ -293,9 +292,6 @@ mod tests {
                 watchdog_stalls, watchdog_escalations),
             section!("economics.", economics; considered, dispatched, suppressed, probes, lookups,
                 hits, last_horizon),
-            section!("remote.", remote; remote_hits, remote_misses, remote_timeouts,
-                frames_rejected, snapshot_loaded, snapshot_rejected, snapshot_saved,
-                puts_streamed, puts_dropped, peer_reconnects),
             section!("checkpoints.", checkpoints; saves, save_failures, last_occurrence,
                 bytes_written, resume_sequence, cache_entries_loaded, rejected_files),
             section!("tier.", tier; blocks_compiled, blocks_invalidated, fused_ops,
@@ -305,8 +301,7 @@ mod tests {
         for &(key, value) in &numbers {
             assert_eq!(number_field(&line, key), Some(value), "{key} in {line}");
         }
-        let flags =
-            [("halted", report.halted), ("remote.degraded", true), ("checkpoints.resumed", true)];
+        let flags = [("halted", report.halted), ("checkpoints.resumed", true)];
         for (key, value) in flags {
             assert_eq!(bool_field(&line, key), Some(value), "{key} in {line}");
         }

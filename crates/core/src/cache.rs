@@ -53,32 +53,17 @@
 //! results remain bit-identical, it just bounds how much hopeless junk a
 //! lookup must probe past.
 //!
-//! # Three tiers: local shards → cache peer → snapshot
+//! # Local shards plus the checkpoint's snapshot sibling
 //!
-//! This module is the *local* tier of a three-tier store. The
-//! [`crate::remote`] module layers the other two on top of it without
-//! touching the lookup hot path's semantics:
-//!
-//! 1. **Local shards** (here): in-process, lock-sharded, always consulted
-//!    first. The only tier on the correctness path.
-//! 2. **Cache peer** ([`crate::remote::CachePeer`]): a TCP process sharing
-//!    trajectories between runs. On a local miss the remote tier probes the
-//!    peer by `(position-hash, value-hash)` pairs — served by
-//!    [`TrajectoryCache::probe_by_hashes`] on the peer's side — re-verifies
-//!    the returned entry byte-for-byte and checksum, and inserts it locally
-//!    (read-through). Local inserts stream to the peer asynchronously
-//!    through the insert observer (write-behind; see
-//!    [`TrajectoryCache::insert`]). A dead or slow peer degrades to
-//!    local-only, never blocking or corrupting the run.
-//! 3. **Snapshot** ([`crate::remote::snapshot`]): the same wire codec
-//!    pointed at disk. [`TrajectoryCache::for_each_entry`] exports the live
-//!    entries on shutdown; startup replays the file through the same
-//!    verifying decode path, so warmup amortizes across runs.
-//!
-//! Every cross-boundary entry — socket or disk — re-proves itself with the
-//! [`CacheEntry::verify`] checksum before it is applied or stored; a failed
-//! frame is counted and dropped, exactly the "free to fail" economy
-//! speculation itself follows.
+//! The in-process, lock-sharded cache here is the only tier on the lookup
+//! path. What outlives a process is the [`snapshot`](crate::snapshot) each
+//! checkpoint writes beside itself: [`TrajectoryCache::for_each_entry`]
+//! exports the live entries at every checkpoint, and a resumed run replays
+//! the newest one's file through the codec's verifying decode path before
+//! its first occurrence. Every entry read from disk re-proves itself with
+//! the [`CacheEntry::verify`] checksum before it is stored; a failed frame
+//! is counted and dropped, exactly the "free to fail" economy speculation
+//! itself follows.
 //!
 //! The cache is sharded and internally synchronised so speculative worker
 //! threads can insert entries while the main thread queries, mirroring the
@@ -228,7 +213,7 @@ impl CacheEntry {
     /// with*, without re-deriving the mix — re-deriving would turn a
     /// corrupted payload into a freshly-sealed valid entry, which is exactly
     /// the laundering the integrity guard exists to prevent. Gated to the
-    /// wire/snapshot codec (`crate::remote::codec`), which must call
+    /// frame codec (`crate::codec`), which must call
     /// [`verify`](CacheEntry::verify) on the result and drop anything that
     /// fails; nothing else may construct unsealed entries.
     pub(crate) fn from_parts_unchecked(
@@ -319,7 +304,7 @@ impl CacheStats {
     }
 
     /// The counters as a fixed field-order array, the single source of truth
-    /// for [`merge`](CacheStats::merge) and the serialized form.
+    /// for the serialized form.
     fn fields(&self) -> [u64; CACHE_STAT_FIELDS] {
         [
             self.queries,
@@ -357,22 +342,8 @@ impl CacheStats {
         }
     }
 
-    /// Adds every counter of `other` into `self` — the aggregation the
-    /// remote tier uses to combine local shards with a peer's STATS reply,
-    /// and the snapshot loader uses to carry a saved cache's history across
-    /// a restart. All counters are monotone totals, so merging is a plain
-    /// sum (saturating: two u64 totals cannot meaningfully overflow, but a
-    /// wrapped counter must not turn into nonsense).
-    pub fn merge(&mut self, other: &CacheStats) {
-        let mut merged = self.fields();
-        for (into, from) in merged.iter_mut().zip(other.fields()) {
-            *into = into.saturating_add(from);
-        }
-        *self = CacheStats::from_fields(merged);
-    }
-
     /// The serialized form: every counter as little-endian `u64` in field
-    /// order. Carried in the STATS wire reply and the snapshot header.
+    /// order. Carried in the snapshot header.
     pub fn to_le_bytes(&self) -> [u8; CACHE_STATS_WIRE_LEN] {
         let mut bytes = [0u8; CACHE_STATS_WIRE_LEN];
         for (slot, field) in bytes.chunks_exact_mut(8).zip(self.fields()) {
@@ -611,10 +582,6 @@ impl LookupScratch {
     }
 }
 
-/// Hook observing every accepted insert; see
-/// [`TrajectoryCache::set_insert_observer`].
-pub(crate) type InsertObserver = std::sync::Arc<dyn Fn(&CacheEntry) + Send + Sync>;
-
 /// A concurrent, sharded trajectory cache.
 ///
 /// Entries are sharded by a hash of their start-set key bytes (indices and
@@ -642,12 +609,6 @@ pub struct TrajectoryCache {
     collision_rejects: AtomicU64,
     checksum_rejects: AtomicU64,
     instructions_served: AtomicU64,
-    /// Optional hook observing every accepted insert (fresh or replacing),
-    /// called *after* the shard lock is released. The remote tier's
-    /// write-behind stream attaches here so worker, planner and main-thread
-    /// inserts all flow to the peer without any caller changing; unset, the
-    /// hot path pays one atomic load per insert.
-    insert_observer: std::sync::OnceLock<InsertObserver>,
 }
 
 impl std::fmt::Debug for TrajectoryCache {
@@ -708,7 +669,6 @@ impl TrajectoryCache {
             collision_rejects: AtomicU64::new(0),
             checksum_rejects: AtomicU64::new(0),
             instructions_served: AtomicU64::new(0),
-            insert_observer: std::sync::OnceLock::new(),
         }
     }
 
@@ -755,40 +715,7 @@ impl TrajectoryCache {
     /// already fast-forwards at least as far (a `duplicate`) or when the
     /// junk filter refused the insert (`junk_rejected`; see the module
     /// docs).
-    ///
-    /// Accepted inserts are reported to the attached insert observer (the
-    /// remote tier's write-behind stream) if one is set; entries arriving
-    /// *from* the remote tier land through
-    /// [`insert_unobserved`](TrajectoryCache::insert_unobserved) instead, so
-    /// read-through hits and snapshot loads never echo back to the peer.
     pub fn insert(&self, entry: CacheEntry) -> bool {
-        let Some(observer) = self.insert_observer.get() else {
-            return self.insert_unobserved(entry);
-        };
-        // The observer needs an owned copy (the entry is moved into the
-        // shards) and runs only for accepted inserts, after every lock is
-        // released.
-        let copy = entry.clone();
-        let changed = self.insert_unobserved(entry);
-        if changed {
-            observer(&copy);
-        }
-        changed
-    }
-
-    /// Attaches the insert observer; returns `false` (leaving the existing
-    /// hook in place) if one was already attached. One observer per cache
-    /// lifetime: the hook exists for the remote tier, which owns the cache's
-    /// whole run.
-    pub(crate) fn set_insert_observer(&self, observer: InsertObserver) -> bool {
-        self.insert_observer.set(observer).is_ok()
-    }
-
-    /// [`insert`](TrajectoryCache::insert) without notifying the insert
-    /// observer: the landing path for entries that *came from* the remote
-    /// tier (read-through hits, peer bulk transfers, snapshot loads), which
-    /// streaming back out would only echo.
-    pub(crate) fn insert_unobserved(&self, entry: CacheEntry) -> bool {
         let shard_lock = self.shard_for(&entry.start);
         let mut guard = write_shard(shard_lock);
         let shard = &mut *guard;
@@ -1132,51 +1059,8 @@ impl TrajectoryCache {
             + self.collision_rejects.load(Ordering::Relaxed)
     }
 
-    /// The longest verified entry for `rip` matching any of the given
-    /// `(position_hash, value_hash)` pairs — the probe a cache *peer*
-    /// answers. A remote GET cannot carry the querying machine's state, so
-    /// the client sends the schema/value hash pairs it computed locally and
-    /// the server matches them against its groups' schema hashes and value
-    /// indices. Both hashes are 64-bit, so a collision can at worst return
-    /// an entry whose `matches(state)` guard the *client* then fails — the
-    /// same two-step (hash says yes, bytes decide) as a local lookup, split
-    /// across the wire. Entries are re-verified before being returned so a
-    /// peer never serves an entry corrupted in its own memory.
-    ///
-    /// Records no query statistics and no junk evidence: the serving cache's
-    /// counters describe *its* workload, not its clients'.
-    pub fn probe_by_hashes(&self, rip: u32, pairs: &[(u64, u64)]) -> Option<CacheEntry> {
-        let mut best: Option<CacheEntry> = None;
-        for shard in &self.shards {
-            let guard = read_shard(shard);
-            let Some(groups) = guard.by_ip.get(&rip) else { continue };
-            for group in groups {
-                if group.live == 0 {
-                    continue;
-                }
-                let schema_hash = group.schema.hash();
-                for &(position_hash, value_hash) in pairs {
-                    if position_hash != schema_hash {
-                        continue;
-                    }
-                    let Some(list) = group.index.get(&value_hash) else { continue };
-                    for slot in list.iter() {
-                        let entry =
-                            group.slots[slot as usize].as_ref().expect("indexed slot is live");
-                        if entry.verify()
-                            && best.as_ref().is_none_or(|b| entry.instructions > b.instructions)
-                        {
-                            best = Some(entry.clone());
-                        }
-                    }
-                }
-            }
-        }
-        best
-    }
-
     /// Visits every live entry once, shard by shard under the read locks —
-    /// the snapshot/bulk-transfer export walk. Entries inserted concurrently
+    /// the snapshot export walk. Entries inserted concurrently
     /// into an already-visited shard are missed and entries evicted from a
     /// not-yet-visited shard are skipped; a snapshot is a best-effort
     /// point-in-time export, not a consistent freeze, and every exported
@@ -1574,26 +1458,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_merge_saturates_and_roundtrips_through_bytes() {
+    fn stats_roundtrip_through_bytes() {
         let cache = TrajectoryCache::new(16);
         cache.insert(entry(7, &[(1, 1)], &[(2, 2)], 40));
         cache.lookup(7, &state_with(&[(1, 1)]));
         cache.lookup(7, &state_with(&[(1, 9)]));
         let local = cache.stats();
-
-        let mut merged = local;
-        merged.merge(&local);
-        assert_eq!(merged.queries, 2 * local.queries);
-        assert_eq!(merged.hits, 2 * local.hits);
-        assert_eq!(merged.inserted, 2 * local.inserted);
-        assert_eq!(merged.instructions_served, 2 * local.instructions_served);
-
-        // Saturation, not wraparound: a peer restarting mid-run must never
-        // make a merged counter travel backwards.
-        let mut near_max = local;
-        near_max.queries = u64::MAX - 1;
-        near_max.merge(&local);
-        assert_eq!(near_max.queries, u64::MAX);
 
         let bytes = local.to_le_bytes();
         assert_eq!(bytes.len(), CACHE_STATS_WIRE_LEN);
@@ -1609,38 +1479,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_by_hashes_finds_the_longest_verified_entry() {
-        let cache = TrajectoryCache::new(256);
-        cache.insert(entry(9, &[(5, 7)], &[(6, 1)], 100));
-        cache.insert(entry(9, &[(5, 7), (8, 3)], &[(6, 2)], 900));
-
-        let state = state_with(&[(5, 7), (8, 3)]);
-        // The pairs a remote client would send: every known schema's
-        // position hash with the value hash of the query state's bytes at
-        // those positions.
-        let short = PositionSchema::of(&SparseBytes::from_pairs(vec![(5, 7)]));
-        let long = PositionSchema::of(&SparseBytes::from_pairs(vec![(5, 7), (8, 3)]));
-        let pairs: Vec<(u64, u64)> = [&short, &long]
-            .iter()
-            .filter_map(|s| s.hash_values_of(&state).map(|v| (s.hash(), v)))
-            .collect();
-        assert_eq!(pairs.len(), 2);
-
-        let best = cache.probe_by_hashes(9, &pairs).expect("both shapes match");
-        assert_eq!(best.instructions, 900);
-        // A single pair restricts the probe to that shape.
-        let only_short: Vec<_> =
-            pairs.iter().copied().filter(|&(p, _)| p == short.hash()).collect();
-        assert_eq!(cache.probe_by_hashes(9, &only_short).unwrap().instructions, 100);
-        // Unknown rip, empty pairs, or wrong hashes all miss.
-        assert!(cache.probe_by_hashes(10, &pairs).is_none());
-        assert!(cache.probe_by_hashes(9, &[]).is_none());
-        assert!(cache.probe_by_hashes(9, &[(1, 2)]).is_none());
-        // Remote probes are not local queries: counters untouched.
-        assert_eq!(cache.stats().queries, 0);
-    }
-
-    #[test]
     fn for_each_entry_visits_every_live_entry_once() {
         let cache = TrajectoryCache::new(256);
         for i in 0..20u32 {
@@ -1651,35 +1489,6 @@ mod tests {
         seen.sort_unstable();
         let expected: Vec<u64> = (0..20).map(|i| 10 + i).collect();
         assert_eq!(seen, expected);
-    }
-
-    #[test]
-    fn insert_observer_sees_accepted_inserts_only() {
-        use std::sync::atomic::AtomicUsize;
-        use std::sync::Arc;
-
-        let cache = TrajectoryCache::new(16);
-        let observed = Arc::new(AtomicUsize::new(0));
-        let counter = Arc::clone(&observed);
-        assert!(cache.set_insert_observer(Arc::new(move |e: &CacheEntry| {
-            assert!(e.verify());
-            counter.fetch_add(1, Ordering::SeqCst);
-        })));
-        // Only one observer per cache lifetime.
-        assert!(!cache.set_insert_observer(Arc::new(|_| {})));
-
-        assert!(cache.insert(entry(2, &[(1, 1)], &[(3, 3)], 50)));
-        assert_eq!(observed.load(Ordering::SeqCst), 1);
-        // A duplicate (same start, not longer) is not an accepted insert.
-        assert!(!cache.insert(entry(2, &[(1, 1)], &[(3, 3)], 40)));
-        assert_eq!(observed.load(Ordering::SeqCst), 1);
-        // A replacement is: the cache's contents changed.
-        assert!(cache.insert(entry(2, &[(1, 1)], &[(3, 4)], 90)));
-        assert_eq!(observed.load(Ordering::SeqCst), 2);
-        // Entries landing through the unobserved path (read-through,
-        // snapshot load) never echo to the observer.
-        assert!(cache.insert_unobserved(entry(2, &[(5, 5)], &[(6, 6)], 10)));
-        assert_eq!(observed.load(Ordering::SeqCst), 2);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Crash-durable run state: occurrence-boundary checkpoints an interrupted
 //! `accelerate` run resumes from bit-identically.
 //!
-//! A checkpoint file is a short stream of [`remote::codec`](crate::remote::codec)
-//! frames — a [`CheckpointHeader`](crate::remote::codec::FrameKind::CheckpointHeader)
-//! (config fingerprint, sequence, occurrence, section count), one
-//! [`CheckpointSection`](crate::remote::codec::FrameKind::CheckpointSection)
-//! per state component, and a
-//! [`CheckpointEnd`](crate::remote::codec::FrameKind::CheckpointEnd) carrying
-//! a whole-file checksum — so checkpoints inherit the wire codec's framing
+//! A checkpoint file is a short stream of [`codec`](crate::codec) frames — a
+//! [`CheckpointHeader`](crate::codec::FrameKind::CheckpointHeader) (config
+//! fingerprint, sequence, occurrence, section count), one
+//! [`CheckpointSection`](crate::codec::FrameKind::CheckpointSection) per
+//! state component, and a
+//! [`CheckpointEnd`](crate::codec::FrameKind::CheckpointEnd) carrying a
+//! whole-file checksum — so checkpoints inherit the frame codec's framing
 //! and rejection rules. Each section payload carries its own FNV-1a checksum
 //! over the body, and the end frame's checksum chains the header and every
 //! section body, so *any* bit flip or truncation anywhere in the file is
@@ -22,10 +22,14 @@
 //! predictor bank and cold economics still converges to the identical final
 //! state — the learned state (predictor bank, economics EMA) rides along as
 //! *optional* sections purely to warm the resume, exactly like the
-//! trajectory cache snapshot that accompanies each checkpoint as a sibling
-//! `.cache` file (see [`cache_path_for`]). Planner-mode runs deliberately
-//! omit the bank/economics sections: that state lives on the planner thread
-//! and re-warms after resume, the same degrade path a dead planner takes.
+//! trajectory-cache [`snapshot`](crate::snapshot) that accompanies each
+//! checkpoint as a sibling `.cache` file (see [`cache_path_for`]). That
+//! sibling is the only way one process's cache reaches another: a fresh run
+//! always starts cold, a resumed one loads the sibling of the checkpoint it
+//! restores, and a missing or damaged sibling is a cold cache. Planner-mode
+//! runs deliberately omit the bank/economics sections: that state lives on
+//! the planner thread and re-warms after resume, the same degrade path a
+//! dead planner takes.
 //!
 //! There is no separate RNG-cursor section: the runtime has no free-running
 //! RNG. The only seeded randomness (fault injection's `event_rng`) is a pure
@@ -33,9 +37,8 @@
 //! occurrence ordinal *is* checkpointing the RNG cursor.
 //!
 //! Writes go through a temp file and an atomic rename (the
-//! [`remote::snapshot`](crate::remote::snapshot) idiom), and [`save`] prunes
-//! to the newest `keep` files, so a crash mid-save leaves prior checkpoints
-//! untouched. The failure model this module participates in is tabulated in
+//! [`snapshot`](crate::snapshot) idiom), and [`save`] prunes to the newest
+//! `keep` files, so a crash mid-save leaves prior checkpoints untouched. The failure model this module participates in is tabulated in
 //! `ROBUSTNESS.md` at the repository root.
 
 use std::fs::File;
@@ -45,9 +48,9 @@ use std::path::{Path, PathBuf};
 use asc_learn::persist::{self, Reader};
 use asc_tvm::delta::fnv1a;
 
+use crate::codec::{self, FrameKind};
 use crate::config::AscConfig;
 use crate::recognizer::RecognizedIp;
-use crate::remote::codec::{self, FrameKind};
 
 /// Section id for the run counters (rip, occurrence/instruction counters).
 const SECTION_RUN: u8 = 1;
@@ -132,7 +135,7 @@ pub struct CheckpointScan {
 /// seed a run under another: the recognized IP, excitation shapes and
 /// predictor complement would silently disagree. Deliberately *excluded*:
 /// `instruction_budget` (resuming with a larger budget is the point),
-/// `workers`/`planner` and all supervision, remote, checkpoint and watchdog
+/// `workers`/`planner` and all supervision, checkpoint and watchdog
 /// settings — those change scheduling and durability, never the trajectory.
 pub fn config_fingerprint(config: &AscConfig) -> u64 {
     let mut buf = Vec::with_capacity(128);

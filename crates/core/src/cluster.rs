@@ -246,7 +246,6 @@ mod tests {
             ensemble_errors: None,
             weight_matrix: None,
             cache_stats: Default::default(),
-            remote: None,
             speculation: None,
             planner: None,
             health: Default::default(),

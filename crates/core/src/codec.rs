@@ -1,5 +1,6 @@
-//! The versioned, length-prefixed wire codec shared by the cache-peer
-//! protocol and the on-disk snapshot format.
+//! The versioned, length-prefixed frame codec of the on-disk formats: the
+//! cache [`snapshot`](crate::snapshot) and the run
+//! [`checkpoint`](crate::checkpoint).
 //!
 //! Every frame is `magic (4) + version (u16 LE) + kind (u8) + payload
 //! length (u32 LE) + payload`. The decoder rejects — as
@@ -11,19 +12,19 @@
 //! sealed with: [`decode_entry`] rebuilds the entry *with* that checksum
 //! (never re-deriving it — that would launder corruption into a
 //! freshly-sealed valid entry) and drops anything
-//! [`CacheEntry::verify`] rejects. Corruption anywhere between two caches
-//! therefore costs one dropped frame, never a wrong fast-forward — the same
-//! "free to fail" economy as speculation itself.
+//! [`CacheEntry::verify`] rejects. Corruption anywhere in a file therefore
+//! costs one dropped frame, never a wrong fast-forward — the same "free to
+//! fail" economy as speculation itself.
 
 use std::io::{self, Read};
 
-use asc_tvm::delta::{PositionSchema, SparseBytes};
+use asc_tvm::delta::SparseBytes;
 
 use crate::cache::{CacheEntry, CacheStats, CACHE_STATS_WIRE_LEN};
 
 /// Frame magic: "ASCF".
 pub const MAGIC: [u8; 4] = *b"ASCF";
-/// Wire-format version; bumped on any incompatible layout change.
+/// Frame-format version; bumped on any incompatible layout change.
 pub const VERSION: u16 = 1;
 /// Fixed frame-header length: magic + version + kind + payload length.
 pub const HEADER_LEN: usize = 4 + 2 + 1 + 4;
@@ -32,26 +33,14 @@ pub const HEADER_LEN: usize = 4 + 2 + 1 + 4;
 /// allocate the address space.
 pub const MAX_PAYLOAD: u32 = 1 << 26;
 
-/// What a frame carries; the protocol's message vocabulary.
+/// What a frame carries. The byte values are the on-disk kind bytes of
+/// every snapshot and checkpoint ever written, so they are fixed: a kind
+/// that is retired leaves its byte unknown, never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
-    /// Client → peer: probe for `(rip, position-hash, value-hash)` pairs.
-    Get = 0,
-    /// Peer → client: the GET matched; payload is one entry.
-    GetHit = 1,
-    /// Peer → client: the GET matched nothing; empty payload.
-    GetMiss = 2,
-    /// Client → peer: store one entry (write-behind; no reply).
-    Put = 3,
-    /// Client → peer: request the peer's cache counters.
-    StatsRequest = 4,
-    /// Peer → client: serialized [`CacheStats`].
-    StatsReply = 5,
-    /// Client → peer: request a bulk transfer of every live entry.
-    SnapshotRequest = 6,
     /// First frame of a snapshot stream: serialized stats + entry count.
     SnapshotHeader = 7,
-    /// One entry of a snapshot stream (same payload as `GetHit`/`Put`).
+    /// One entry of a snapshot stream.
     Entry = 8,
     /// Terminates a snapshot stream; empty payload. A stream that ends
     /// without it was truncated.
@@ -69,13 +58,6 @@ pub enum FrameKind {
 impl FrameKind {
     fn from_byte(byte: u8) -> Option<FrameKind> {
         Some(match byte {
-            0 => FrameKind::Get,
-            1 => FrameKind::GetHit,
-            2 => FrameKind::GetMiss,
-            3 => FrameKind::Put,
-            4 => FrameKind::StatsRequest,
-            5 => FrameKind::StatsReply,
-            6 => FrameKind::SnapshotRequest,
             7 => FrameKind::SnapshotHeader,
             8 => FrameKind::Entry,
             9 => FrameKind::SnapshotEnd,
@@ -113,8 +95,8 @@ pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
 }
 
 /// Reads one frame, or `None` on a clean end-of-stream (EOF before the
-/// first header byte — how a peer closes a connection, and how a snapshot
-/// file ends early without its `SnapshotEnd`).
+/// first header byte — how a file ends after its last frame, or early
+/// without its terminating frame).
 ///
 /// # Errors
 /// [`io::ErrorKind::InvalidData`] for a malformed header (wrong magic,
@@ -194,36 +176,6 @@ pub fn decode_entry(payload: &[u8]) -> Option<CacheEntry> {
     entry.verify().then_some(entry)
 }
 
-/// Encodes a GET payload: the rip plus every `(position-hash, value-hash)`
-/// pair the client computed from its schema catalog.
-pub fn encode_get(rip: u32, pairs: &[(u64, u64)]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(4 + 4 + pairs.len() * 16);
-    buf.extend_from_slice(&rip.to_le_bytes());
-    buf.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-    for &(position_hash, value_hash) in pairs {
-        buf.extend_from_slice(&position_hash.to_le_bytes());
-        buf.extend_from_slice(&value_hash.to_le_bytes());
-    }
-    buf
-}
-
-/// Decodes a GET payload; `None` on any malformation.
-pub fn decode_get(payload: &[u8]) -> Option<(u32, Vec<(u64, u64)>)> {
-    let mut at = 0usize;
-    let rip = take_u32(payload, &mut at)?;
-    let count = take_u32(payload, &mut at)? as usize;
-    if payload.len() != at + count.checked_mul(16)? {
-        return None;
-    }
-    let mut pairs = Vec::with_capacity(count);
-    for _ in 0..count {
-        let position_hash = take_u64(payload, &mut at)?;
-        let value_hash = take_u64(payload, &mut at)?;
-        pairs.push((position_hash, value_hash));
-    }
-    Some((rip, pairs))
-}
-
 /// Encodes a snapshot-stream header: the exporting cache's counters plus
 /// the number of entry frames that follow.
 pub fn encode_snapshot_header(stats: &CacheStats, count: u64) -> Vec<u8> {
@@ -241,33 +193,6 @@ pub fn decode_snapshot_header(payload: &[u8]) -> Option<(CacheStats, u64)> {
     let stats = CacheStats::from_le_bytes(&payload[..CACHE_STATS_WIRE_LEN])?;
     let count = u64::from_le_bytes(payload[CACHE_STATS_WIRE_LEN..].try_into().ok()?);
     Some((stats, count))
-}
-
-/// Re-encodes a schema through the TVM wire hooks — exercised by the
-/// property tests; the protocol itself ships schemas only inside entries'
-/// sparse sets (the hash is recomputed on decode, never trusted from the
-/// wire).
-pub fn schema_roundtrip(schema: &PositionSchema) -> Option<PositionSchema> {
-    let mut buf = Vec::new();
-    schema.encode_into(&mut buf);
-    let (decoded, used) = PositionSchema::decode_from(&buf)?;
-    (used == buf.len()).then_some(decoded)
-}
-
-/// Flips one bit of a framed message's *payload* chosen by `selector`,
-/// leaving the header intact — the fault injector's model of a link that
-/// corrupts data in flight (a damaged header is already rejected by the
-/// magic/version/length checks; the payload bit-flip is the corruption only
-/// the checksum can catch). No-op on an empty payload.
-#[cfg(feature = "fault-inject")]
-pub fn corrupt_frame(frame: &mut [u8], selector: u64) {
-    if frame.len() <= HEADER_LEN {
-        return;
-    }
-    let payload_len = frame.len() - HEADER_LEN;
-    let byte = HEADER_LEN + (selector as usize) % payload_len;
-    let bit = ((selector >> 32) & 7) as u32;
-    frame[byte] ^= 1u8 << bit;
 }
 
 #[cfg(test)]
@@ -350,12 +275,12 @@ mod tests {
     fn frame_roundtrip_and_header_rejections() {
         let entry = random_entry(&mut XorShiftRng::new(3));
         let payload = encode_entry(&entry);
-        let framed = encode_frame(FrameKind::Put, &payload);
+        let framed = encode_frame(FrameKind::Entry, &payload);
         assert_eq!(framed.len(), HEADER_LEN + payload.len());
 
         let mut reader = std::io::Cursor::new(framed.clone());
         let frame = read_frame(&mut reader).unwrap().expect("one frame present");
-        assert_eq!(frame.kind, FrameKind::Put);
+        assert_eq!(frame.kind, FrameKind::Entry);
         assert_eq!(frame.payload, payload);
         // Clean EOF at the boundary, not an error.
         assert!(read_frame(&mut reader).unwrap().is_none());
@@ -385,19 +310,24 @@ mod tests {
     }
 
     #[test]
-    fn get_payload_roundtrips_and_rejects_malformation() {
-        let pairs: Vec<(u64, u64)> = (0..5).map(|i| (i * 31, i * 17 + 1)).collect();
-        let payload = encode_get(42, &pairs);
-        assert_eq!(decode_get(&payload), Some((42, pairs.clone())));
-        assert!(decode_get(&payload[..payload.len() - 1]).is_none());
-        let mut extended = payload.clone();
-        extended.push(0);
-        assert!(decode_get(&extended).is_none());
-        // A count field inflated past the actual payload rejects.
-        let mut lying = payload.clone();
-        lying[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_get(&lying).is_none());
-        assert_eq!(decode_get(&encode_get(7, &[])), Some((7, Vec::new())));
+    fn kind_bytes_are_pinned_to_the_on_disk_format() {
+        // Every snapshot and checkpoint on disk carries these bytes; an enum
+        // edit that moved one would orphan all of them.
+        let pinned = [
+            (FrameKind::SnapshotHeader, 7u8),
+            (FrameKind::Entry, 8),
+            (FrameKind::SnapshotEnd, 9),
+            (FrameKind::CheckpointHeader, 10),
+            (FrameKind::CheckpointSection, 11),
+            (FrameKind::CheckpointEnd, 12),
+        ];
+        for (kind, byte) in pinned {
+            assert_eq!(kind as u8, byte, "{kind:?}");
+            assert_eq!(FrameKind::from_byte(byte), Some(kind));
+        }
+        for byte in (0..=u8::MAX).filter(|b| !(7..=12).contains(b)) {
+            assert_eq!(FrameKind::from_byte(byte), None, "kind byte {byte}");
+        }
     }
 
     #[test]
@@ -410,36 +340,5 @@ mod tests {
         assert_eq!(count, 123);
         assert_eq!(decoded.inserted, stats.inserted);
         assert!(decode_snapshot_header(&payload[..payload.len() - 1]).is_none());
-    }
-
-    #[test]
-    fn schema_wire_roundtrip_survives() {
-        let mut rng = XorShiftRng::new(13);
-        for _ in 0..50 {
-            let len = (rng.next_u64() % 16) as usize;
-            let pairs: Vec<(u32, u8)> =
-                (0..len).map(|_| ((rng.next_u64() % 4096) as u32, 1)).collect();
-            let schema = PositionSchema::of(&SparseBytes::from_pairs(pairs));
-            let decoded = schema_roundtrip(&schema).expect("well-formed schema");
-            assert_eq!(decoded.positions(), schema.positions());
-            assert_eq!(decoded.hash(), schema.hash());
-        }
-    }
-
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn corrupt_frame_flips_exactly_one_payload_bit() {
-        let entry = random_entry(&mut XorShiftRng::new(21));
-        let framed = encode_frame(FrameKind::GetHit, &encode_entry(&entry));
-        for selector in [0u64, 1, 0xdead_beef, u64::MAX, 1 << 40] {
-            let mut corrupted = framed.clone();
-            corrupt_frame(&mut corrupted, selector);
-            assert_eq!(corrupted[..HEADER_LEN], framed[..HEADER_LEN], "header untouched");
-            let differing: usize =
-                corrupted.iter().zip(&framed).map(|(a, b)| (a ^ b).count_ones() as usize).sum();
-            assert_eq!(differing, 1, "selector {selector}");
-            let frame = read_frame(&mut std::io::Cursor::new(corrupted)).unwrap().unwrap();
-            assert!(decode_entry(&frame.payload).is_none(), "corruption must not decode");
-        }
     }
 }

@@ -154,61 +154,6 @@ impl Default for BreakerConfig {
     }
 }
 
-/// Distributed trajectory-cache tier: a TCP cache peer plus on-disk
-/// snapshots, layered in front of the local sharded cache by
-/// [`crate::remote`].
-///
-/// The tier is strictly best-effort: a dead, slow or absent peer and a
-/// missing or corrupt snapshot all degrade to local-only operation, never to
-/// an error or a wrong result — the same economy as speculation itself. The
-/// remote probe runs only on a local cache miss, bounded by
-/// [`deadline_ms`](RemoteConfig::deadline_ms); once
-/// [`max_retries`](RemoteConfig::max_retries) consecutive attempts have
-/// failed the client marks the peer dead and stops trying, so a killed peer
-/// costs at most `max_retries` deadlines of wall clock over the whole run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RemoteConfig {
-    /// Whether the remote tier runs at all. Disabled (the default), the
-    /// runtime touches no sockets and no files.
-    pub enabled: bool,
-    /// Cache-peer address (`host:port`) to GET from and stream inserts to;
-    /// `None` runs snapshot-only (still useful for warm starts).
-    pub peer: Option<String>,
-    /// Socket read/write deadline for one remote operation, in
-    /// milliseconds. A peer that cannot answer within this is treated as a
-    /// miss (and counted in `remote_timeouts`).
-    pub deadline_ms: u64,
-    /// Base backoff after a failed peer operation, in milliseconds; the
-    /// `n`-th consecutive failure waits `2ⁿ⁻¹` times this (capped at 64×)
-    /// before the next attempt is even allowed. While backing off, remote
-    /// probes return a miss immediately — the main loop never waits.
-    pub retry_backoff_ms: u64,
-    /// Consecutive failed peer operations after which the client declares
-    /// the peer dead for the rest of the run and degrades to local-only.
-    pub max_retries: u32,
-    /// Snapshot file to load into the local cache before the run starts;
-    /// `None` starts cold. A missing or unreadable file is counted and
-    /// ignored, and individually corrupt entries are skipped.
-    pub snapshot_load: Option<std::path::PathBuf>,
-    /// Snapshot file to write the local cache to after the run finishes;
-    /// `None` saves nothing.
-    pub snapshot_save: Option<std::path::PathBuf>,
-}
-
-impl Default for RemoteConfig {
-    fn default() -> Self {
-        RemoteConfig {
-            enabled: false,
-            peer: None,
-            deadline_ms: 20,
-            retry_backoff_ms: 50,
-            max_retries: 3,
-            snapshot_load: None,
-            snapshot_save: None,
-        }
-    }
-}
-
 /// Crash-durable checkpointing of resumable run state; see
 /// [`crate::checkpoint`] for the file format and the exact set of state that
 /// is (and deliberately is not) saved.
@@ -363,9 +308,6 @@ pub struct AscConfig {
     /// Degrade-to-inline circuit-breaker thresholds; see [`BreakerConfig`]
     /// for the failure model.
     pub breaker: BreakerConfig,
-    /// Distributed cache tier (TCP peer + disk snapshots); see
-    /// [`RemoteConfig`]. Disabled by default.
-    pub remote: RemoteConfig,
     /// Tier-1 execution (superinstruction fusion + block-threaded dispatch
     /// of hot straight-line regions); see [`TierConfig`], re-exported from
     /// `asc_tvm`. Enabled by default — results are bit-identical with the
@@ -409,7 +351,6 @@ impl Default for AscConfig {
             max_worker_restarts: 8,
             worker_restart_backoff_ms: 1,
             breaker: BreakerConfig::default(),
-            remote: RemoteConfig::default(),
             tier: TierConfig::default(),
             checkpoint: CheckpointConfig::default(),
             watchdog: WatchdogConfig::default(),
@@ -498,31 +439,6 @@ impl AscConfig {
                 ));
             }
         }
-        if self.remote.enabled {
-            if self.remote.peer.is_none()
-                && self.remote.snapshot_load.is_none()
-                && self.remote.snapshot_save.is_none()
-            {
-                return Err(AscError::InvalidConfig(
-                    "remote tier enabled with no peer and no snapshot paths".into(),
-                ));
-            }
-            if self.remote.deadline_ms == 0 {
-                return Err(AscError::InvalidConfig(
-                    "remote deadline_ms must be at least 1".into(),
-                ));
-            }
-            if self.remote.retry_backoff_ms == 0 {
-                return Err(AscError::InvalidConfig(
-                    "remote retry_backoff_ms must be at least 1".into(),
-                ));
-            }
-            if self.remote.max_retries == 0 {
-                return Err(AscError::InvalidConfig(
-                    "remote max_retries must be at least 1".into(),
-                ));
-            }
-        }
         if self.tier.enabled && self.tier.hot_threshold == 0 {
             return Err(AscError::InvalidConfig("tier hot_threshold must be at least 1".into()));
         }
@@ -603,35 +519,6 @@ mod tests {
         let mut c = AscConfig::default();
         c.planner.enabled = false;
         c.planner.channel_capacity = 0;
-        assert!(c.validate().is_ok());
-
-        // An enabled remote tier needs a reason to exist (peer or snapshot)
-        // and sane bounds.
-        let mut c = AscConfig::default();
-        c.remote.enabled = true;
-        assert!(c.validate().is_err(), "no peer and no snapshots must reject");
-        c.remote.peer = Some("127.0.0.1:9999".into());
-        assert!(c.validate().is_ok());
-
-        let mut c = AscConfig::default();
-        c.remote.enabled = true;
-        c.remote.snapshot_load = Some("warm.snap".into());
-        assert!(c.validate().is_ok(), "snapshot-only remote tier is valid");
-        c.remote.deadline_ms = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = AscConfig::default();
-        c.remote.enabled = true;
-        c.remote.peer = Some("127.0.0.1:9999".into());
-        c.remote.retry_backoff_ms = 0;
-        assert!(c.validate().is_err());
-        c.remote.retry_backoff_ms = 1;
-        c.remote.max_retries = 0;
-        assert!(c.validate().is_err());
-
-        // Disabled remote knobs are not validated: the tier never starts.
-        let mut c = AscConfig::default();
-        c.remote.deadline_ms = 0;
         assert!(c.validate().is_ok());
 
         let mut c = AscConfig::default();

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use asc_learn::rng::{Rng, XorShiftRng};
 use asc_tvm::delta::fnv1a;
 
-use crate::supervisor::InjectedFaults;
+use crate::supervisor::{watchdog_stage, InjectedFaults};
 
 /// Configured fault rates for one run; `Default` injects nothing.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,10 +56,12 @@ pub struct FaultPlan {
     /// aborts. Fires at the occurrence boundary, after any checkpoint due at
     /// it has been written.
     pub abort_at_occurrence: Option<u64>,
-    /// Stall the *main loop* (not a worker job) at the first occurrence at
-    /// or past this ordinal, spinning without ticking the heartbeat until
-    /// the watchdog escalates — the livelock the watchdog exists to detect.
-    /// Fires once per run; `None` never stalls.
+    /// Stall the *main loop* (not a worker job) at every occurrence at or
+    /// past this ordinal, spinning without ticking the heartbeat until the
+    /// watchdog escalates one stage further — the livelock the watchdog
+    /// exists to detect. Stops once the watchdog has reached
+    /// [`TEAR_DOWN_POOL`](crate::supervisor::watchdog_stage::TEAR_DOWN_POOL),
+    /// so one plan climbs the whole ladder; `None` never stalls.
     pub stall_at_occurrence: Option<u64>,
 }
 
@@ -83,7 +85,6 @@ impl Default for FaultPlan {
 /// draws independently for each fault class.
 const STREAM_JOB: u64 = 0x6a6f_625f;
 const STREAM_SPAWN: u64 = 0x7370_6177_6e5f;
-const STREAM_FRAME: u64 = 0x6672_616d_655f;
 
 fn event_rng(seed: u64, stream: u64, ordinal: u64) -> XorShiftRng {
     XorShiftRng::new(seed ^ stream ^ fnv1a(ordinal.to_le_bytes()))
@@ -96,9 +97,7 @@ pub struct FaultState {
     plan: FaultPlan,
     job_ordinal: AtomicU64,
     spawn_ordinal: AtomicU64,
-    frame_ordinal: AtomicU64,
     planner_killed: AtomicBool,
-    stalled: AtomicBool,
 }
 
 impl FaultState {
@@ -108,9 +107,7 @@ impl FaultState {
             plan,
             job_ordinal: AtomicU64::new(0),
             spawn_ordinal: AtomicU64::new(0),
-            frame_ordinal: AtomicU64::new(0),
             planner_killed: AtomicBool::new(false),
-            stalled: AtomicBool::new(false),
         }
     }
 
@@ -142,20 +139,6 @@ impl FaultState {
         event_rng(self.plan.seed, STREAM_SPAWN, ordinal).gen_bool(self.plan.spawn_failure_rate)
     }
 
-    /// Draws the corruption decision for the next wire frame a cache peer
-    /// sends: `Some(selector)` flips a payload bit chosen by `selector`
-    /// before the frame leaves the peer, exercising the codec's
-    /// checksum/length rejection path end to end. Reuses the plan's
-    /// `entry_corruption_rate` (both classes model the same physical fault —
-    /// a damaged entry payload — at different boundaries) on its own stream,
-    /// so enabling frame corruption never perturbs the in-process corruption
-    /// pattern a seed produces.
-    pub fn sample_frame_corruption(&self) -> Option<u64> {
-        let ordinal = self.frame_ordinal.fetch_add(1, Ordering::Relaxed);
-        let mut rng = event_rng(self.plan.seed, STREAM_FRAME, ordinal);
-        rng.gen_bool(self.plan.entry_corruption_rate).then(|| rng.next_u64())
-    }
-
     /// Whether the planner dies at occurrence `ordinal` — fires exactly
     /// once, at the first occurrence at or past the configured point.
     pub fn planner_death_at(&self, ordinal: u64) -> bool {
@@ -172,13 +155,12 @@ impl FaultState {
         matches!(self.plan.abort_at_occurrence, Some(at) if ordinal >= at)
     }
 
-    /// Whether the main loop stalls at occurrence `ordinal` — fires exactly
-    /// once, at the first occurrence at or past the configured point.
-    pub fn stall_at(&self, ordinal: u64) -> bool {
-        match self.plan.stall_at_occurrence {
-            Some(at) if ordinal >= at => !self.stalled.swap(true, Ordering::Relaxed),
-            _ => false,
-        }
+    /// Whether the main loop stalls at occurrence `ordinal` with the
+    /// watchdog at `stage` — fires at every occurrence at or past the
+    /// configured point until the watchdog has torn the pool down.
+    pub fn stall_at(&self, ordinal: u64, stage: u8) -> bool {
+        matches!(self.plan.stall_at_occurrence, Some(at) if ordinal >= at)
+            && stage < watchdog_stage::TEAR_DOWN_POOL
     }
 }
 
@@ -250,33 +232,18 @@ mod tests {
     }
 
     #[test]
-    fn frame_corruption_is_deterministic_and_independent() {
-        let plan = FaultPlan { seed: 11, entry_corruption_rate: 0.5, ..FaultPlan::default() };
-        let a = FaultState::new(plan.clone());
-        let b = FaultState::new(plan.clone());
-        let pattern_a: Vec<_> = (0..200).map(|_| a.sample_frame_corruption()).collect();
-        let pattern_b: Vec<_> = (0..200).map(|_| b.sample_frame_corruption()).collect();
-        assert_eq!(pattern_a, pattern_b);
-        let fired = pattern_a.iter().filter(|c| c.is_some()).count();
-        assert!((50..150).contains(&fired), "got {fired}");
-        // Its own stream: drawing frame decisions must not shift the job
-        // corruption pattern the same seed produces.
-        let fresh = FaultState::new(plan);
-        let jobs_fresh: Vec<_> = (0..50).map(|_| fresh.sample_job().corrupt).collect();
-        let jobs_after: Vec<_> = (0..50).map(|_| a.sample_job().corrupt).collect();
-        assert_eq!(jobs_fresh, jobs_after);
-    }
-
-    #[test]
-    fn stall_fires_exactly_once_and_abort_latches() {
+    fn stall_fires_until_the_pool_is_torn_down_and_abort_latches() {
+        use watchdog_stage::{FORCE_BREAKER, NONE, TEAR_DOWN_POOL};
         let state = FaultState::new(FaultPlan {
             abort_at_occurrence: Some(20),
             stall_at_occurrence: Some(10),
             ..FaultPlan::default()
         });
-        assert!(!state.stall_at(9));
-        assert!(state.stall_at(11));
-        assert!(!state.stall_at(12), "stall fires once per run");
+        assert!(!state.stall_at(9, NONE));
+        assert!(state.stall_at(11, NONE));
+        assert!(state.stall_at(12, FORCE_BREAKER), "each stage below teardown stalls again");
+        assert!(state.stall_at(12, FORCE_BREAKER), "the stall is not consumed by firing");
+        assert!(!state.stall_at(13, TEAR_DOWN_POOL), "a torn-down run is never stalled");
         assert!(!state.abort_at(19));
         assert!(state.abort_at(20));
     }

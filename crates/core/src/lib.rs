@@ -38,13 +38,13 @@
 //!   ever cost speed — including *execution* failures).
 //! * [`cluster`] — platform cost models that turn a measured trace into the
 //!   paper's scaling curves (32-core server, Blue Gene/P, laptop).
-//! * [`remote`] — the distributed cache tier: a versioned wire codec, TCP
-//!   cache peers shared between runs, and on-disk snapshots for persistent
-//!   warm starts (the paper's cluster-shared trajectory cache, §5).
 //! * [`checkpoint`] — crash durability: occurrence-boundary checkpoints of
 //!   resumable run state, written atomically and verified section by
 //!   section, from which an interrupted `accelerate` resumes to a final
 //!   state bit-identical to the uninterrupted run (see `ROBUSTNESS.md`).
+//! * [`snapshot`] / [`codec`] — the trajectory-cache snapshot each
+//!   checkpoint writes beside itself to warm the resumed run's cache, and
+//!   the versioned, checksummed frame codec both file formats share.
 //!
 //! ## Quick example
 //!
@@ -71,6 +71,7 @@ pub mod allocator;
 pub mod cache;
 pub mod checkpoint;
 pub mod cluster;
+pub mod codec;
 pub mod config;
 pub mod economics;
 pub mod error;
@@ -80,9 +81,9 @@ pub mod fault;
 pub mod planner;
 pub mod predictor_bank;
 pub mod recognizer;
-pub mod remote;
 pub mod report;
 pub mod runtime;
+pub mod snapshot;
 pub mod speculator;
 pub mod supervisor;
 pub mod workers;
@@ -92,7 +93,7 @@ pub use checkpoint::{CheckpointStats, RunCheckpoint};
 pub use cluster::{PlatformProfile, ScalingMode, ScalingPoint};
 pub use config::{
     AscConfig, BreakerConfig, CheckpointConfig, EconomicsConfig, PlannerConfig,
-    PredictorComplement, RemoteConfig, WatchdogConfig,
+    PredictorComplement, WatchdogConfig,
 };
 pub use economics::{EconomicsStats, SpeculationEconomics};
 pub use error::{AscError, AscResult};
@@ -100,7 +101,6 @@ pub use error::{AscError, AscResult};
 pub use fault::FaultPlan;
 pub use planner::{OccurrenceEvent, PlannerHandle, PlannerStats};
 pub use recognizer::{RecognizedIp, RecognizerOutcome};
-pub use remote::{CachePeer, RemoteStats};
 pub use report::{JsonLine, JsonValue};
 pub use runtime::{LascRuntime, RunReport, SuperstepRecord};
 pub use supervisor::{BreakerState, CircuitBreaker, HealthMonitor, HealthStats, Supervision};

@@ -18,7 +18,6 @@ use crate::checkpoint::CheckpointStats;
 use crate::economics::EconomicsStats;
 use crate::planner::PlannerStats;
 use crate::recognizer::RecognizedIp;
-use crate::remote::RemoteStats;
 use crate::runtime::RunReport;
 use crate::supervisor::HealthStats;
 use crate::workers::PoolStats;
@@ -187,13 +186,6 @@ impl RunReport {
             section!(line, "economics", economics => EconomicsStats {
                 considered, dispatched, suppressed, probes, lookups, hits, expected_value,
                 suppressed_cost, realized_hit_rate, last_horizon,
-            });
-        }
-        if let Some(remote) = &self.remote {
-            section!(line, "remote", remote => RemoteStats {
-                remote_hits, remote_misses, remote_timeouts, frames_rejected, snapshot_loaded,
-                snapshot_rejected, snapshot_saved, puts_streamed, puts_dropped, peer_reconnects,
-                degraded,
             });
         }
         if let Some(checkpoints) = &self.checkpoints {

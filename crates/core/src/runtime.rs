@@ -21,8 +21,7 @@
 //! 1. runs the **prelude**: counts the occurrence, feeds the watchdog's
 //!    heartbeat, honours its escalations and the shutdown flag, checkpoints
 //!    on the interval and advances the circuit breaker;
-//! 2. **consults the cache** — local shards, then one bounded probe of the
-//!    remote tier — and fast-forwards on a hit;
+//! 2. **consults the cache** and fast-forwards on a hit;
 //! 3. on a miss lets the run's `Dispatch` mode **speculate**, then executes
 //!    the superstep itself.
 //!
@@ -103,7 +102,7 @@ use crate::error::AscResult;
 use crate::planner::{OccurrenceEvent, PlannerHandle, PlannerOutcome, PlannerStats};
 use crate::predictor_bank::PredictorBank;
 use crate::recognizer::{recognize, RecognizedIp, RecognizerOutcome};
-use crate::remote::{snapshot, RemoteStats, RemoteTier};
+use crate::snapshot;
 use crate::speculator::{execute_superstep_with, SpeculationResult, SpeculationScratch};
 use crate::supervisor::{
     watchdog_stage, CircuitBreaker, HealthStats, Heartbeat, Supervision, Watchdog,
@@ -190,12 +189,6 @@ pub struct RunReport {
     /// `measure` and `memoize`, which dispatch no speculation, and for a
     /// planned run whose planner died before reporting).
     pub economics: Option<EconomicsStats>,
-    /// Remote-tier counters — peer hits/timeouts, rejected frames, snapshot
-    /// traffic and whether the run degraded to local-only (populated by
-    /// [`LascRuntime::accelerate`] when
-    /// [`RemoteConfig::enabled`](crate::config::RemoteConfig::enabled);
-    /// `None` otherwise and for `measure` / `memoize`).
-    pub remote: Option<RemoteStats>,
     /// Checkpoint activity — saves, resume provenance and damage accounting
     /// (populated by [`LascRuntime::accelerate`] when
     /// [`CheckpointConfig::enabled`](crate::config::CheckpointConfig::enabled);
@@ -242,7 +235,6 @@ impl RunReport {
             planner: None,
             health: HealthStats::default(),
             economics: None,
-            remote: None,
             checkpoints: None,
             tier: TierStats::default(),
             final_state: machine.into_state(),
@@ -370,14 +362,13 @@ fn new_pool(
 }
 
 /// Everything one `accelerate` call owns between recognition and its
-/// report: the main thread's machine, the cache tiers, the supervision and
+/// report: the main thread's machine, the cache, the supervision and
 /// durability context, and the `Dispatch` mode.
 struct Run<'a> {
     config: &'a AscConfig,
     outcome: &'a RecognizerOutcome,
     machine: Machine,
     cache: Arc<TrajectoryCache>,
-    remote: Option<RemoteTier>,
     supervision: Supervision,
     breaker: CircuitBreaker,
     /// Totals of the monotone success and failure counters the breaker is
@@ -413,20 +404,7 @@ impl Run<'_> {
             }
             let speculating = self.breaker.allows_speculation();
             let sent = self.notify_planner(speculating);
-            // Local miss: one bounded peer probe before paying for the
-            // superstep. A remote entry fast-forwards exactly like a local
-            // hit — it passed the same `matches` + checksum guards — and was
-            // read-through into the local cache inside `fetch`.
-            let fetched;
-            let hit = match self.cache.lookup_with(rip.ip, self.machine.state(), &mut lookup) {
-                Some(entry) => Some(entry),
-                None => {
-                    let remote = self.remote.as_ref();
-                    fetched = remote.and_then(|tier| tier.fetch(rip.ip, self.machine.state()));
-                    fetched.as_ref()
-                }
-            };
-            if let Some(entry) = hit {
+            if let Some(entry) = self.cache.lookup_with(rip.ip, self.machine.state(), &mut lookup) {
                 self.apply_hit(entry, sent);
                 continue;
             }
@@ -455,7 +433,6 @@ impl Run<'_> {
         // drains: finish the run under miss-driven dispatch on a fresh pool.
         // Its unwind already shut its own pool down.
         if matches!(&self.dispatch, Dispatch::Planned { planner, .. } if !planner.is_alive()) {
-            self.supervision.health.record_planner_panics(1);
             let pool = new_pool(self.config, &self.cache, &self.supervision);
             self.degrade_to_miss_driven(Some(pool));
         }
@@ -466,10 +443,12 @@ impl Run<'_> {
             // signal, leaving whatever checkpoints already landed.
             std::process::abort();
         }
-        if self.supervision.stall_at(self.occurrence) {
-            stall_until_escalation(&self.heartbeat);
-        }
         let stage = self.heartbeat.stage();
+        let stage = if self.supervision.stall_at(self.occurrence, stage) {
+            stall_until_escalation(&self.heartbeat, stage)
+        } else {
+            stage
+        };
         if stage >= watchdog_stage::FORCE_BREAKER && !self.breaker_forced {
             self.breaker_forced = true;
             self.breaker.force_open();
@@ -566,11 +545,15 @@ impl Run<'_> {
     }
 
     /// Swaps a planner (joining its thread and pool) for miss-driven
-    /// dispatch on `pool`. Degrades the run, never aborts it.
+    /// dispatch on `pool`. Degrades the run, never aborts it. A planner that
+    /// panicked — whether the liveness check caught it or it died just
+    /// before a watchdog teardown — is counted here, where it is joined.
     fn degrade_to_miss_driven(&mut self, pool: Option<SpeculationPool>) {
         let fresh = Dispatch::miss_driven(self.config, self.outcome.rip, pool);
         if let Dispatch::Planned { planner, .. } = std::mem::replace(&mut self.dispatch, fresh) {
-            let _ = planner.shutdown();
+            if planner.shutdown().is_none() {
+                self.supervision.health.record_planner_panics(1);
+            }
         }
     }
 
@@ -609,7 +592,7 @@ impl Run<'_> {
         sent
     }
 
-    /// Fast-forwards through a cache hit, local or remote.
+    /// Fast-forwards through a cache hit.
     fn apply_hit(&mut self, entry: &CacheEntry, sent: bool) {
         self.machine.apply_sparse(&entry.end);
         self.fast_forwarded += entry.instructions;
@@ -694,9 +677,8 @@ impl Run<'_> {
     }
 
     /// Joins the speculation machinery, so every in-flight insert has
-    /// landed (and passed through the remote tier's observer before its
-    /// write-behind drains and the shutdown snapshot is written) and the
-    /// reported statistics are stable, then assembles the report.
+    /// landed and the reported statistics are stable, then assembles the
+    /// report.
     fn finish(self) -> RunReport {
         let mut tier = self.machine.tier_stats();
         let mut report =
@@ -732,7 +714,6 @@ impl Run<'_> {
             report.ensemble_errors = bank.errors();
             report.weight_matrix = bank.weight_matrix();
         }
-        report.remote = self.remote.map(RemoteTier::finish);
         if let Some(stats) = &report.speculation {
             tier.merge(&stats.tier);
         }
@@ -756,13 +737,15 @@ fn within_budget(config: &AscConfig, outcome: &RecognizerOutcome, machine: &Mach
 }
 
 /// Parks the main thread after an injected stall until the watchdog
-/// notices and escalates (bounded so a watchdog-less configuration
-/// cannot hang the run forever).
-fn stall_until_escalation(heartbeat: &Heartbeat) {
+/// notices and escalates past `from` (bounded so a watchdog-less
+/// configuration cannot hang the run forever). Returns the stage now in
+/// force.
+fn stall_until_escalation(heartbeat: &Heartbeat, from: u8) -> u8 {
     let give_up = Instant::now() + Duration::from_secs(30);
-    while heartbeat.stage() == watchdog_stage::NONE && Instant::now() < give_up {
+    while heartbeat.stage() <= from && Instant::now() < give_up {
         std::thread::sleep(Duration::from_millis(1));
     }
+    heartbeat.stage()
 }
 
 /// Inline (`workers == 0`) execution of one speculation job under
@@ -951,11 +934,6 @@ impl LascRuntime {
             Arc::clone(&supervision.health),
             rip.ip,
         );
-        // The remote tier starts before any speculation machinery so the
-        // snapshot load and the peer's bulk transfer warm the cache the very
-        // first occurrence can hit; its insert observer then streams
-        // everything the workers land to the peer.
-        let remote = RemoteTier::start(&self.config.remote, &cache, &supervision);
         let dispatch = self.start_dispatch(rip, &cache, &supervision, restored.as_ref());
         let mut machine = Machine::from_state(outcome.resume_state.clone());
         // Tier-up the main thread: the inter-occurrence region starting at
@@ -969,7 +947,6 @@ impl LascRuntime {
             outcome: &outcome,
             machine,
             cache,
-            remote,
             supervision,
             breaker: CircuitBreaker::new(self.config.breaker.clone()),
             breaker_seen: (0, 0),

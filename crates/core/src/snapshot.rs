@@ -1,12 +1,14 @@
-//! The wire codec pointed at disk: cache snapshots for persistent warm
-//! starts.
+//! Trajectory-cache snapshots: the `.cache` sibling every checkpoint
+//! carries (see [`checkpoint::cache_path_for`](crate::checkpoint::cache_path_for)),
+//! which warms a resumed run's cache.
 //!
-//! A snapshot file is exactly one peer snapshot stream — a
-//! [`SnapshotHeader`](crate::remote::codec::FrameKind::SnapshotHeader)
-//! frame (stats + entry count), the entry frames, then
-//! [`SnapshotEnd`](crate::remote::codec::FrameKind::SnapshotEnd) — so the
-//! disk and socket paths share every decoder and every rejection rule.
-//! Loading re-proves each entry through the codec's checksum verification:
+//! A snapshot file is one frame stream — a
+//! [`SnapshotHeader`](crate::codec::FrameKind::SnapshotHeader) frame
+//! (stats + entry count), the entry frames, then
+//! [`SnapshotEnd`](crate::codec::FrameKind::SnapshotEnd) — so snapshots and
+//! checkpoints share every decoder and every rejection rule of
+//! [`codec`](crate::codec). Loading re-proves each entry through the codec's
+//! checksum verification:
 //! an individually corrupt entry is counted and skipped, while a truncated
 //! or desynced file stops the load at the damage, keeping everything
 //! decoded before it. [`save`] writes through a temp file and renames, so
@@ -18,7 +20,7 @@ use std::io::{self, BufReader, BufWriter, Write};
 use std::path::Path;
 
 use crate::cache::{CacheEntry, CacheStats, TrajectoryCache};
-use crate::remote::codec::{self, FrameKind};
+use crate::codec::{self, FrameKind};
 
 /// What a [`load`] accomplished.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -30,8 +32,7 @@ pub struct SnapshotLoad {
     pub rejected: u64,
     /// Whether the stream terminated cleanly with `SnapshotEnd`.
     pub complete: bool,
-    /// The saving run's cache counters, from the snapshot header — the
-    /// warm-start harness compares its own hit rate against these.
+    /// The saving run's cache counters, from the snapshot header.
     pub saved_stats: CacheStats,
 }
 
@@ -62,9 +63,8 @@ pub fn save(cache: &TrajectoryCache, path: &Path) -> io::Result<u64> {
     Ok(entries.len() as u64)
 }
 
-/// Replays a snapshot file into `cache` (through the un-echoed insert path
-/// — loaded entries never stream back out through the write-behind
-/// observer). See [`SnapshotLoad`] for the damage accounting.
+/// Replays a snapshot file into `cache`. See [`SnapshotLoad`] for the
+/// damage accounting.
 ///
 /// # Errors
 /// Propagates open failures (a missing file is the caller's cold-start
@@ -93,7 +93,7 @@ pub fn load(cache: &TrajectoryCache, path: &Path) -> io::Result<SnapshotLoad> {
         match frame.kind {
             FrameKind::Entry => match codec::decode_entry(&frame.payload) {
                 Some(entry) => {
-                    cache.insert_unobserved(entry);
+                    cache.insert(entry);
                     result.loaded += 1;
                 }
                 None => result.rejected += 1,

@@ -642,13 +642,13 @@ impl Supervision {
     }
 
     /// Whether the injector stalls the main loop at this occurrence ordinal
-    /// (the watchdog's livelock test). Always `false` without the
-    /// `fault-inject` feature.
+    /// with the watchdog at `stage` (the watchdog's livelock test). Always
+    /// `false` without the `fault-inject` feature.
     #[cfg_attr(not(feature = "fault-inject"), allow(unused_variables))]
-    pub(crate) fn stall_at(&self, occurrence: u64) -> bool {
+    pub(crate) fn stall_at(&self, occurrence: u64, stage: u8) -> bool {
         #[cfg(feature = "fault-inject")]
         if let Some(faults) = &self.faults {
-            if faults.stall_at(occurrence) {
+            if faults.stall_at(occurrence, stage) {
                 self.health.record_injected_faults(1);
                 return true;
             }

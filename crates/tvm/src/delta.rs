@@ -171,11 +171,11 @@ impl SparseBytes {
         self.entries[slot].1 ^= 1u8 << (bit % 8);
     }
 
-    /// Appends the wire encoding to `buf`: a `u32` pair count followed by a
+    /// Appends the byte encoding to `buf`: a `u32` pair count followed by a
     /// `u32` index and a `u8` value per pair, all little-endian, in index
-    /// order. The byte-level half of the remote cache tier's codec; the
-    /// frame header, versioning and integrity checks live on top of it in
-    /// `asc_core::remote`.
+    /// order. The byte-level half of the cache snapshot's entry encoding;
+    /// the frame header, versioning and integrity checks live on top of it
+    /// in `asc_core::codec`.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
         for &(index, value) in &self.entries {
@@ -189,7 +189,7 @@ impl SparseBytes {
         4 + self.entries.len() * 5
     }
 
-    /// Decodes one wire-encoded sparse set from the front of `bytes`,
+    /// Decodes one encoded sparse set from the front of `bytes`,
     /// returning the set and the number of bytes consumed. `None` when the
     /// input is truncated or the pair count overruns it — a malformed
     /// message must never turn into a partial set. Pairs are re-sorted and
@@ -273,37 +273,6 @@ impl PositionSchema {
     /// can match such a state).
     pub fn hash_values_of(&self, state: &StateVector) -> Option<u64> {
         state.hash_values_at(&self.positions)
-    }
-
-    /// Appends the wire encoding to `buf`: a `u32` position count followed
-    /// by the sorted `u32` positions, little-endian. The hash is derived, so
-    /// it never travels — a receiver recomputes it and two ends can never
-    /// disagree about what a schema hashes to.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&(self.positions.len() as u32).to_le_bytes());
-        for &position in self.positions.iter() {
-            buf.extend_from_slice(&position.to_le_bytes());
-        }
-    }
-
-    /// Decodes one wire-encoded schema from the front of `bytes`, returning
-    /// the schema and the bytes consumed; `None` on truncated input or
-    /// unsorted/duplicated positions (a valid schema is strictly sorted, and
-    /// accepting anything else would let two ends disagree on its hash).
-    pub fn decode_from(bytes: &[u8]) -> Option<(PositionSchema, usize)> {
-        let count_bytes: [u8; 4] = bytes.get(..4)?.try_into().ok()?;
-        let count = u32::from_le_bytes(count_bytes) as usize;
-        let len = 4 + count.checked_mul(4)?;
-        let body = bytes.get(4..len)?;
-        let positions: Box<[u32]> = body
-            .chunks_exact(4)
-            .map(|chunk| u32::from_le_bytes(chunk.try_into().expect("chunk is 4 bytes")))
-            .collect();
-        if positions.windows(2).any(|pair| pair[0] >= pair[1]) {
-            return None;
-        }
-        let hash = fnv1a(positions.iter().flat_map(|&p| p.to_le_bytes()));
-        Some((PositionSchema { positions, hash }, len))
     }
 }
 
@@ -516,27 +485,6 @@ mod tests {
         // A count pointing past the buffer is refused rather than read.
         let huge = u32::MAX.to_le_bytes();
         assert!(SparseBytes::decode_from(&huge).is_none());
-    }
-
-    #[test]
-    fn schema_wire_roundtrip_recomputes_the_hash() {
-        let sparse = SparseBytes::from_pairs(vec![(3, 1), (500, 2), (7, 9)]);
-        let schema = PositionSchema::of(&sparse);
-        let mut buf = Vec::new();
-        schema.encode_into(&mut buf);
-        let (decoded, consumed) = PositionSchema::decode_from(&buf).unwrap();
-        assert_eq!(consumed, buf.len());
-        assert_eq!(decoded, schema);
-        assert_eq!(decoded.hash(), schema.hash());
-        for cut in 0..buf.len() {
-            assert!(PositionSchema::decode_from(&buf[..cut]).is_none());
-        }
-        // Unsorted or duplicated positions cannot come from a real schema.
-        let mut bad = Vec::new();
-        bad.extend_from_slice(&2u32.to_le_bytes());
-        bad.extend_from_slice(&9u32.to_le_bytes());
-        bad.extend_from_slice(&3u32.to_le_bytes());
-        assert!(PositionSchema::decode_from(&bad).is_none());
     }
 
     #[test]

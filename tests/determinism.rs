@@ -159,180 +159,6 @@ fn oversubscribed_worker_pool_is_safe() {
     assert_same_result("16 workers", &inline_report, &report, &workload);
 }
 
-/// The remote tier shares trajectories between runs, never results: peer
-/// hits pass the same `matches` + checksum guards as local hits, so two
-/// runtimes sharing one cache peer must stay bit-identical to plain inline
-/// execution on every benchmark — and killing the peer mid-run may only
-/// cost speed, bounded by the configured deadline and failure budget.
-mod remote {
-    use super::*;
-    use asc::core::remote::CachePeer;
-
-    fn remote_config(benchmark: Benchmark, peer: &CachePeer) -> AscConfig {
-        let mut config = config_for(benchmark, 4);
-        config.remote.enabled = true;
-        config.remote.peer = Some(peer.local_addr().to_string());
-        config.remote.deadline_ms = 50;
-        config.remote.retry_backoff_ms = 1;
-        config.remote.max_retries = 3;
-        config
-    }
-
-    /// A `workers = 0` run whose inserts all happen on the main thread and
-    /// whose write-behind queue is drained before it reports, so what it
-    /// streams to the peer is a function of the program — with a planner-fed
-    /// pool it depends on the planner thread getting a timeslice before a
-    /// `Tiny` run ends. The generous deadline keeps a loaded machine from
-    /// turning a loopback round trip into a counted failure.
-    fn inline_remote_config(benchmark: Benchmark, peer: &CachePeer) -> AscConfig {
-        let mut config = remote_config(benchmark, peer);
-        config.workers = 0;
-        config.remote.deadline_ms = 10_000;
-        config
-    }
-
-    /// PUTs are fire-and-forget: after a run that streamed some, the peer's
-    /// handler thread may still be storing them. Waits for the first to
-    /// land rather than racing the next run's bulk transfer.
-    fn wait_until_stored(peer: &CachePeer) {
-        let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        while peer.is_empty() && std::time::Instant::now() < give_up {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-    }
-
-    /// Two accelerated runs sharing one peer — run 1 populates it, run 2
-    /// probes it — must both stay bit-identical to single-process inline
-    /// execution on every benchmark, with worker threads and without. That
-    /// the tier *really ran* is asserted only on the `workers = 0` leg (see
-    /// `inline_remote_config`).
-    #[test]
-    fn two_runs_sharing_one_peer_stay_bit_identical_on_every_benchmark() {
-        for benchmark in Benchmark::ALL {
-            let workload = build(benchmark, scale_for(benchmark)).unwrap();
-            let inline_report = accelerate(config_for(benchmark, 0), &workload);
-            for workers in [4, 0] {
-                let peer = CachePeer::bind("127.0.0.1:0", 1 << 16).unwrap();
-                let config = match workers {
-                    0 => inline_remote_config(benchmark, &peer),
-                    _ => remote_config(benchmark, &peer),
-                };
-                let first = accelerate(config.clone(), &workload);
-                let streamed = first.remote.expect("remote tier was enabled").puts_streamed;
-                if streamed > 0 {
-                    wait_until_stored(&peer);
-                }
-                let second = accelerate(config, &workload);
-
-                for (run, report) in [("first", &first), ("second", &second)] {
-                    let label = format!("{benchmark}/workers={workers}: {run} shared-peer run");
-                    assert_same_result(&label, &inline_report, report, &workload);
-                }
-                assert_eq!(
-                    peer.contained_panics(),
-                    0,
-                    "{benchmark}/workers={workers}: a peer handler panicked"
-                );
-                // The tier really ran: run 1 streamed its inserts into the
-                // peer, and run 2 found them (bulk transfer at connect,
-                // and/or GET hits).
-                if workers == 0 && inline_report.cache_stats.inserted > 0 {
-                    assert!(streamed > 0, "{benchmark}: nothing streamed to the peer");
-                    assert!(!peer.is_empty(), "{benchmark}: peer stored nothing");
-                    let second_remote = second.remote.expect("remote tier was enabled");
-                    assert!(
-                        second_remote.snapshot_loaded > 0 || second_remote.remote_hits > 0,
-                        "{benchmark}: second run never benefited from the peer \
-                         ({second_remote:?})"
-                    );
-                }
-                peer.shutdown();
-            }
-        }
-    }
-
-    /// Killing the peer mid-run degrades the run to local-only: the result
-    /// stays bit-identical and the tier reports the degradation. The kill
-    /// lands while the run is in flight (after a short delay on another
-    /// thread), so the client's failure budget — not a hang — must bound
-    /// the damage.
-    #[test]
-    fn peer_killed_mid_run_degrades_to_local_only() {
-        let benchmark = Benchmark::Collatz;
-        let workload = build(benchmark, scale_for(benchmark)).unwrap();
-        let inline_report = accelerate(config_for(benchmark, 0), &workload);
-
-        let peer = CachePeer::bind("127.0.0.1:0", 1 << 16).unwrap();
-        let mut config = remote_config(benchmark, &peer);
-        config.remote.deadline_ms = 20;
-        let killer = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(30));
-            peer.shutdown();
-        });
-        let report = accelerate(config, &workload);
-        killer.join().unwrap();
-
-        assert_same_result("peer killed mid-run", &inline_report, &report, &workload);
-        // Whether the tier noticed depends on timing (the run may finish
-        // first); what must never happen is an unbounded stall or a wrong
-        // result, both asserted above. When the kill did land, the failure
-        // accounting must show it.
-        let remote = report.remote.expect("remote tier was enabled");
-        if remote.degraded {
-            assert!(
-                remote.remote_timeouts > 0 || remote.puts_dropped > 0,
-                "degraded without any counted failure ({remote:?})"
-            );
-        }
-    }
-
-    /// Corrupt-frame soak (`--features fault-inject`): a peer that flips a
-    /// bit in *every* entry-carrying reply can only cost speed — each
-    /// corrupted frame is rejected by the client's checksum verification
-    /// and counted, never applied, and the final state stays bit-identical
-    /// to inline execution. Rides the CI fault-soak job alongside the
-    /// worker-panic campaign.
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn corrupting_peer_frames_costs_rejections_never_results() {
-        use asc::core::FaultPlan;
-        use std::sync::Arc;
-
-        let seed = super::fault_soak::fault_seed();
-        let benchmark = Benchmark::Collatz;
-        let workload = build(benchmark, scale_for(benchmark)).unwrap();
-        let inline_report = accelerate(config_for(benchmark, 0), &workload);
-
-        let faults = Arc::new(asc::core::fault::FaultState::new(FaultPlan {
-            seed,
-            entry_corruption_rate: 1.0,
-            ..FaultPlan::default()
-        }));
-        let peer =
-            asc::core::remote::CachePeer::bind_faulty("127.0.0.1:0", 1 << 16, faults).unwrap();
-
-        // Run 1 populates the peer (PUTs are client → peer, uncorrupted).
-        let populate = accelerate(inline_remote_config(benchmark, &peer), &workload);
-        assert!(populate.remote.expect("tier enabled").puts_streamed > 0);
-        wait_until_stored(&peer);
-        assert!(!peer.is_empty(), "nothing to corrupt: peer stored no entries");
-
-        // Run 2 reads from it: every entry-carrying reply is bit-flipped.
-        let victim = accelerate(remote_config(benchmark, &peer), &workload);
-        assert_same_result("corrupting peer", &inline_report, &victim, &workload);
-        let remote = victim.remote.expect("remote tier was enabled");
-        assert!(
-            remote.frames_rejected + remote.snapshot_rejected > 0,
-            "total corruption produced no rejections ({remote:?})"
-        );
-        assert_eq!(
-            remote.remote_hits, 0,
-            "a corrupted entry survived checksum verification ({remote:?})"
-        );
-        peer.shutdown();
-    }
-}
-
 /// Dispatch economics: the value model decides only *which* speculations
 /// run, so gating on vs. off must leave `final_state` bit-identical in
 /// every execution mode — inline, miss-driven workers and planner — on
@@ -639,6 +465,56 @@ mod checkpoint {
         }
     }
 
+    /// The `.cache` sibling is the one way a trajectory cache outlives its
+    /// process. An inline resume loads exactly the entries held by the
+    /// sibling of the checkpoint it restores; with every sibling deleted it
+    /// resumes from a cold cache, still bit-identical and with exact
+    /// instruction accounting.
+    #[test]
+    fn resume_loads_the_cache_sibling_and_survives_its_loss() {
+        use asc::core::cache::TrajectoryCache;
+        use asc::core::checkpoint::{cache_path_for, load_newest, run_fingerprint};
+        use asc::core::snapshot;
+
+        let workload = build(Benchmark::Collatz, Scale::Tiny).unwrap();
+        let base = config_for(Benchmark::Collatz, 0);
+        let reference = accelerate(base.clone(), &workload);
+        let converge = reference.converge_instructions;
+        let budget = converge + reference.executed_instructions.saturating_sub(converge) / 2;
+        let fingerprint = run_fingerprint(&base, &workload.program.initial_state().unwrap());
+
+        for keep_siblings in [true, false] {
+            let label = if keep_siblings { "siblings kept" } else { "siblings deleted" };
+            let dir = TempDir::new(&format!("sibling-{keep_siblings}"));
+            let first = accelerate(checkpointed(base.clone(), &dir, budget), &workload);
+            assert!(!first.halted, "{label}: the truncated leg ran to completion");
+            let newest = load_newest(&dir.0, fingerprint).checkpoint.expect("a checkpoint landed");
+            let expected = if keep_siblings {
+                let sibling = cache_path_for(&dir.0, newest.sequence);
+                let cache = TrajectoryCache::new(base.cache_capacity);
+                snapshot::load(&cache, &sibling).expect("the sibling is readable").loaded
+            } else {
+                for file in std::fs::read_dir(&dir.0).unwrap() {
+                    let path = file.unwrap().path();
+                    if path.extension().is_some_and(|extension| extension == "cache") {
+                        std::fs::remove_file(path).unwrap();
+                    }
+                }
+                0
+            };
+
+            let resumed =
+                accelerate(checkpointed(base.clone(), &dir, base.instruction_budget), &workload);
+            assert_same_result(label, &reference, &resumed, &workload);
+            assert_eq!(reference.total_instructions, resumed.total_instructions, "{label}");
+            let stats = resumed.checkpoints.expect("checkpointing was on");
+            assert!(stats.resumed, "{label}: the second leg started cold {stats:?}");
+            assert_eq!(stats.resume_sequence, newest.sequence, "{label}: {stats:?}");
+            assert_eq!(stats.cache_entries_loaded, expected, "{label}: {stats:?}");
+            assert!(!keep_siblings || expected > 0, "{label}: the sibling held no entries");
+        }
+    }
+
     /// `runtime`'s module docs promise that inline (`workers = 0`) runs are
     /// fully reproducible, statistics included: training, planning,
     /// speculation and inserts all happen on the main thread in program
@@ -889,53 +765,47 @@ mod fault_soak {
 
     /// The two degradations that change the run's dispatch mode happen
     /// inside the occurrence loop, so the caller gets one report, in the
-    /// miss-driven shape, with exact instruction accounting:
+    /// miss-driven shape, with exact instruction accounting. The injected
+    /// stall drives both: it parks every occurrence from its ordinal on until
+    /// the watchdog climbs one more stage, so the run reaches stage 2 two
+    /// watchdog deadlines after the stall begins.
     ///
     /// * *A planner that dies mid-run* is replaced by miss-driven dispatch
-    ///   on a fresh pool, its death counted once. The injected stall parks
-    ///   the main thread right after its first reports, so the planner
-    ///   thread has certainly processed one (and died of it) before the next
-    ///   occurrence checks on it — without the stall, whether the death is
-    ///   noticed mid-run or only at the final join is up to the scheduler.
+    ///   on a fresh pool, its death counted once. The stall parks the main
+    ///   thread right after its first reports, so the planner thread has
+    ///   certainly processed one (and died of it) before the next occurrence
+    ///   checks on it — without the stall, whether the death is noticed
+    ///   mid-run or only at the final join is up to the scheduler. Stage 2
+    ///   then tears the replacement pool down, and its counters are the
+    ///   ones reported.
     /// * *The watchdog's stage-2 escalation* sheds the machinery — a
     ///   miss-driven pool is torn down and its counters kept for the report,
     ///   a planner is joined and forgotten — and the run finishes inline.
-    ///   Both stages are climbed before the first occurrence: a peer that
-    ///   accepts connections but never answers holds the remote tier's
-    ///   connect-time bulk transfer for the full one-second remote deadline,
-    ///   ten watchdog deadlines without a heartbeat tick.
+    ///   The stall starts at the first occurrence, and the breaker stage 1
+    ///   force-opens keeps the second from dispatching anything before the
+    ///   teardown.
     #[test]
     fn degrade_handoffs_happen_inside_the_loop_and_return_one_report() {
         let workload = build(Benchmark::Collatz, Scale::Tiny).unwrap();
         let reference = accelerate(config_for(Benchmark::Collatz, 0), &workload);
-        let silent_peer = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
 
-        for (label, planner, planner_dies, escalations) in [
-            ("dead planner", true, true, 1),
-            ("stage 2, miss-driven pool", false, false, 2),
-            ("stage 2, planner", true, false, 2),
+        for (label, planner, planner_dies) in [
+            ("dead planner", true, true),
+            ("stage 2, miss-driven pool", false, false),
+            ("stage 2, planner", true, false),
         ] {
             let mut config = config_for(Benchmark::Collatz, 4);
             config.planner.enabled = planner;
             config.watchdog.enabled = true;
             config.watchdog.deadline_ms = 100;
             config.watchdog.poll_ms = 10;
-            if planner_dies {
-                config.fault = Some(FaultPlan {
-                    seed: fault_seed(),
-                    planner_death_after: Some(1),
-                    stall_at_occurrence: Some(3),
-                    ..FaultPlan::default()
-                });
-            } else {
-                config.remote.enabled = true;
-                config.remote.peer = Some(silent_peer.local_addr().unwrap().to_string());
-                config.remote.deadline_ms = 1_000;
-                // One failure spends the budget, and the cooldown outlasts
-                // the run: the only stall is the one before the first
-                // occurrence.
-                config.remote.max_retries = 1;
-                config.remote.retry_backoff_ms = 60_000;
+            config.fault = Some(FaultPlan {
+                seed: fault_seed(),
+                planner_death_after: planner_dies.then_some(1),
+                stall_at_occurrence: Some(if planner_dies { 3 } else { 1 }),
+                ..FaultPlan::default()
+            });
+            if !planner_dies {
                 // Stage 1 force-opens the breaker; a short cooldown lets
                 // inline speculation resume within the run.
                 config.breaker.cooldown_occurrences = 4;
@@ -947,11 +817,11 @@ mod fault_soak {
             assert_eq!(reference.total_instructions, report.total_instructions, "{label}");
             let health = &report.health;
             assert_eq!(health.planner_panics, u64::from(planner_dies), "{label}: {health:?}");
-            assert_eq!(health.watchdog_escalations, escalations, "{label}: {health:?}");
+            assert_eq!(health.watchdog_escalations, 2, "{label}: {health:?}");
             assert!(report.planner.is_none(), "{label}: planner statistics outlived the planner");
             assert!(report.economics.is_some(), "{label}: no miss-driven economics reported");
             if planner_dies {
-                assert!(report.speculation.is_some(), "{label}: replacement pool not reported");
+                assert!(report.speculation.is_some(), "{label}: torn-down pool not reported");
                 continue;
             }
             match report.speculation {

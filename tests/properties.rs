@@ -1,6 +1,6 @@
 //! Property-based tests over the core data structures and invariants:
-//! instruction encoding, dependency tracking, sparse captures, deltas and the
-//! determinism of the transition function.
+//! instruction encoding, dependency tracking, sparse captures, deltas, the
+//! determinism of the transition function and the on-disk formats.
 //!
 //! The build environment is offline, so instead of `proptest` these use a
 //! seeded in-repo generator ([`asc::learn::rng::XorShiftRng`]) driving many
@@ -272,20 +272,20 @@ fn indexed_cache_lookup_is_equivalent_to_reference_scan_under_churn() {
     }
 }
 
-/// Robustness of every length-prefixed format the system persists or ships
-/// — peer-protocol frames, snapshot streams and checkpoint files, i.e.
-/// **all** [`FrameKind`]s: under seeded random byte mutations and
-/// truncations, every consumer must reject cleanly (`InvalidData`, a
-/// dropped frame, or fallback to "no checkpoint") — never panic, never
-/// decode a wrong value, and never let a corrupted length field drive an
-/// unbounded read or allocation.
+/// Robustness of every length-prefixed format the system persists —
+/// snapshot streams and checkpoint files, i.e. **all** [`FrameKind`]s:
+/// under seeded random byte mutations and truncations, every consumer must
+/// reject cleanly (`InvalidData`, a dropped frame, or fallback to "no
+/// checkpoint") — never panic, never decode a wrong value, and never let a
+/// corrupted length field drive an unbounded read or allocation. A snapshot
+/// round trip must reproduce the saved cache's lookups exactly.
 mod format_robustness {
     use super::*;
     use asc::core::cache::{CacheEntry, TrajectoryCache};
     use asc::core::checkpoint::{self, RunCheckpoint};
+    use asc::core::codec::{self, FrameKind, HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION};
     use asc::core::recognizer::RecognizedIp;
-    use asc::core::remote::codec::{self, FrameKind, HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION};
-    use asc::core::remote::snapshot;
+    use asc::core::snapshot;
     use std::io::ErrorKind;
     use std::path::PathBuf;
 
@@ -332,16 +332,6 @@ mod format_robustness {
         let cache = TrajectoryCache::with_layout(64, 1, 0);
         cache.insert(sample_entry(rng));
         let mut corpus = vec![
-            ("get", codec::encode_frame(FrameKind::Get, &codec::encode_get(8, &[(1, 2), (3, 4)]))),
-            ("get-hit", codec::encode_frame(FrameKind::GetHit, &entry)),
-            ("get-miss", codec::encode_frame(FrameKind::GetMiss, &[])),
-            ("put", codec::encode_frame(FrameKind::Put, &entry)),
-            ("stats-request", codec::encode_frame(FrameKind::StatsRequest, &[])),
-            (
-                "stats-reply",
-                codec::encode_frame(FrameKind::StatsReply, &cache.stats().to_le_bytes()),
-            ),
-            ("snapshot-request", codec::encode_frame(FrameKind::SnapshotRequest, &[])),
             (
                 "snapshot-header",
                 codec::encode_frame(
@@ -397,7 +387,6 @@ mod format_robustness {
                     // every payload decoder must handle the bytes without
                     // panicking — a decoder trusts nothing about routing.
                     let _ = codec::decode_entry(&frame.payload);
-                    let _ = codec::decode_get(&frame.payload);
                     let _ = codec::decode_snapshot_header(&frame.payload);
                 }
                 Ok(None) => break,
@@ -446,12 +435,28 @@ mod format_robustness {
             let mut header = Vec::with_capacity(HEADER_LEN);
             header.extend_from_slice(&MAGIC);
             header.extend_from_slice(&VERSION.to_le_bytes());
-            header.push(FrameKind::Put as u8);
+            header.push(FrameKind::Entry as u8);
             header.extend_from_slice(&claimed.to_le_bytes());
             let mut reader = header.as_slice().chain(std::io::repeat(0xAB));
             let err = codec::read_frame(&mut reader)
                 .expect_err("an oversized length field must be rejected");
             assert_eq!(err.kind(), ErrorKind::InvalidData, "claimed {claimed}");
+        }
+    }
+
+    /// Kind bytes 0–6 belonged to a retired network protocol. A frame that
+    /// is well formed in every other respect but carries one of them is an
+    /// unknown kind: `InvalidData`, never a panic or a misrouted payload.
+    #[test]
+    fn retired_kind_bytes_are_unknown_frames() {
+        let entry = codec::encode_entry(&sample_entry(&mut XorShiftRng::new(0x5eed_0b50)));
+        for kind in 0u8..=6 {
+            let mut frame = codec::encode_frame(FrameKind::Entry, &entry);
+            frame[6] = kind;
+            let err = codec::read_frame(&mut frame.as_slice())
+                .expect_err("a retired kind byte must not decode");
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "kind byte {kind}");
+            assert_eq!(err.to_string(), "unknown frame kind", "kind byte {kind}");
         }
     }
 
@@ -549,5 +554,127 @@ mod format_robustness {
                 assert!(scan.rejected_files >= 1, "case {case}/{label}: damage went uncounted");
             }
         }
+    }
+
+    /// A per-test scratch path under the system temp dir; unique per process
+    /// and per label so parallel test threads never collide.
+    fn scratch_path(label: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("asc-properties-{}-{label}", std::process::id()))
+    }
+
+    /// Fills a cache with randomized grouped/singleton entries (the same shape
+    /// churn as the cache property test above) and returns it.
+    fn populated_cache(rng: &mut XorShiftRng, inserts: usize) -> TrajectoryCache {
+        const POSITION_POOL: [u32; 10] = [4, 9, 17, 40, 64, 65, 100, 128, 200, 255];
+        const RIPS: [u32; 2] = [8, 64];
+        let cache = TrajectoryCache::with_junk_threshold(4096, 0);
+        for _ in 0..inserts {
+            let deps: Vec<(u32, u8)> = (0..gen_index(rng, 4))
+                .map(|_| {
+                    (POSITION_POOL[gen_index(rng, POSITION_POOL.len())], (rng.next_u64() % 3) as u8)
+                })
+                .collect();
+            cache.insert(CacheEntry::new(
+                RIPS[gen_index(rng, RIPS.len())],
+                SparseBytes::from_pairs(deps),
+                SparseBytes::from_pairs(vec![(300, rng.next_u64() as u8)]),
+                1 + rng.next_u64() % 500,
+            ));
+        }
+        cache
+    }
+
+    /// Random probe states over the pool positions, queried against both
+    /// caches through the indexed path *and* the reference scan: a snapshot
+    /// round trip must make the copy answer every probe exactly like the
+    /// original.
+    fn assert_lookup_equivalent(original: &TrajectoryCache, copy: &TrajectoryCache, cases: usize) {
+        const POSITION_POOL: [u32; 10] = [4, 9, 17, 40, 64, 65, 100, 128, 200, 255];
+        let mut rng = XorShiftRng::new(0x5eed_9e9e);
+        for case in 0..cases {
+            let mut state = StateVector::new(512).unwrap();
+            for &position in &POSITION_POOL {
+                state.set_byte(position as usize, (rng.next_u64() % 3) as u8);
+            }
+            for rip in [8u32, 64] {
+                let live = original.scan_best_match(rip, &state);
+                let restored = copy.scan_best_match(rip, &state);
+                assert_eq!(
+                    live.as_ref().map(|e| e.instructions),
+                    restored.as_ref().map(|e| e.instructions),
+                    "case {case}: restored cache diverged from the original on the reference scan"
+                );
+                let indexed = copy.peek(rip, &state);
+                assert_eq!(
+                    indexed.map(|e| e.instructions),
+                    restored.map(|e| e.instructions),
+                    "case {case}: restored cache's index diverged from its own scan"
+                );
+            }
+        }
+    }
+
+    /// Snapshot save → load must reproduce identical lookup results on a fresh
+    /// cache — indexed path and reference scan — and round-trip every entry.
+    #[test]
+    fn snapshot_save_then_load_reproduces_identical_lookup_results() {
+        let mut rng = XorShiftRng::new(0x5eed_55aa);
+        let cache = populated_cache(&mut rng, 600);
+        let path = scratch_path("snapshot-roundtrip");
+        let saved = snapshot::save(&cache, &path).unwrap();
+        assert_eq!(saved, cache.len() as u64, "saved count must equal live entries");
+
+        let restored = TrajectoryCache::with_junk_threshold(4096, 0);
+        let load = snapshot::load(&restored, &path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(load.complete, "clean snapshot must end with SnapshotEnd");
+        assert_eq!(load.rejected, 0, "clean snapshot must reject nothing");
+        assert_eq!(load.loaded, saved);
+        assert_eq!(restored.len(), cache.len());
+        // The header carried the saving cache's counters.
+        assert_eq!(load.saved_stats.inserted, cache.stats().inserted);
+
+        assert_lookup_equivalent(&cache, &restored, 200);
+    }
+
+    /// A truncated snapshot keeps everything decoded before the damage and
+    /// reports the load as incomplete; a bit-flipped entry is skipped, counted,
+    /// and never applied.
+    #[test]
+    fn damaged_snapshots_degrade_to_partial_loads_never_bad_entries() {
+        let mut rng = XorShiftRng::new(0x5eed_d44a);
+        let cache = populated_cache(&mut rng, 120);
+        let path = scratch_path("snapshot-damage");
+        snapshot::save(&cache, &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+
+        // Truncate at an arbitrary point past the header.
+        let cut = bytes.len() / 2;
+        let truncated_path = scratch_path("snapshot-truncated");
+        std::fs::write(&truncated_path, &bytes[..cut]).unwrap();
+        let partial = TrajectoryCache::with_junk_threshold(4096, 0);
+        let load = snapshot::load(&partial, &truncated_path).unwrap();
+        std::fs::remove_file(&truncated_path).ok();
+        assert!(!load.complete, "a truncated stream must not report complete");
+        assert!(load.rejected >= 1, "truncation must be counted");
+        assert!(load.loaded < cache.len() as u64);
+        assert_eq!(partial.len() as u64, load.loaded);
+
+        // Flip one bit somewhere in the body: at most one entry may be lost,
+        // and nothing unverified may be applied.
+        let mut flipped = bytes.clone();
+        let target = bytes.len() / 3;
+        flipped[target] ^= 0x10;
+        let flipped_path = scratch_path("snapshot-bitflip");
+        std::fs::write(&flipped_path, &flipped).unwrap();
+        let survivor = TrajectoryCache::with_junk_threshold(4096, 0);
+        let load = snapshot::load(&survivor, &flipped_path).unwrap();
+        std::fs::remove_file(&flipped_path).ok();
+        assert!(
+            load.rejected >= 1 || load.loaded == cache.len() as u64,
+            "a flipped bit must be rejected unless it landed in dead space"
+        );
+        assert!(load.loaded <= cache.len() as u64);
     }
 }
