@@ -1,5 +1,5 @@
-//! Predictor-bank micro-benchmarks: µs/occurrence for training (`observe` /
-//! `observe_incremental`) and maximum-likelihood rollout, at the two
+//! Predictor-bank micro-benchmarks: µs/occurrence for training (`observe`)
+//! and maximum-likelihood rollout, at the two
 //! excitation widths the paper's benchmarks actually produce (~128 and ~224
 //! tracked bits, §4.4) plus the 8 160-bit width a bank that was never told a
 //! read set — the runtime's — reaches at the `max_excited_bits` cap on `2mm`
@@ -89,32 +89,19 @@ fn bench_observe(c: &mut Criterion) {
     for words in [4usize, 7] {
         let bits = words * 32;
         let states = trace(words, TRACE_LEN);
-        let mut full = warmed_bank(&states, &config);
-        assert_eq!(full.excited_bits(), bits, "trace must excite exactly {bits} bits");
-        let mut group = c.benchmark_group("predictor_observe");
-        // One iteration = TRACE_LEN occurrences through the *full* path
-        // (excitation diff + drift scan + ensemble training).
-        group.bench_function(format!("full_{bits}"), |b| {
+        let mut bank = warmed_bank(&states, &config);
+        assert_eq!(bank.excited_bits(), bits, "trace must excite exactly {bits} bits");
+        // One iteration = TRACE_LEN occurrences (excitation diff + drift
+        // scan + ensemble training).
+        c.bench_function(format!("predictor_observe/full_{bits}"), |b| {
             b.iter(|| {
-                full.break_stream();
+                bank.break_stream();
                 for state in &states {
-                    full.observe(black_box(state));
+                    bank.observe(black_box(state));
                 }
-                full.observations()
+                bank.observations()
             })
         });
-        // The planner's hot path: ensemble training only.
-        let mut incremental = warmed_bank(&states, &config);
-        group.bench_function(format!("incremental_{bits}"), |b| {
-            b.iter(|| {
-                incremental.break_stream();
-                for state in &states {
-                    incremental.observe_incremental(black_box(state));
-                }
-                incremental.observations()
-            })
-        });
-        group.finish();
     }
 }
 
@@ -162,7 +149,7 @@ fn bench_observe_logistic_map(c: &mut Criterion) {
         b.iter(|| {
             bank.break_stream();
             for state in &states {
-                bank.observe_incremental(black_box(state));
+                bank.observe(black_box(state));
             }
             bank.observations()
         })

@@ -38,10 +38,9 @@ fn bench_accelerated_runtime(c: &mut Criterion) {
 }
 
 fn bench_worker_pool_wall_clock(c: &mut Criterion) {
-    // Inline (workers = 0) vs a real worker pool with PR 1's miss-driven
-    // dispatch (the planner explicitly disabled, so these stay comparable
-    // across PRs as the miss-driven anchor). Results are asserted identical
-    // to the pure-Rust reference either way.
+    // Inline (workers = 0) vs a real worker pool with miss-driven dispatch
+    // (the planner explicitly disabled). Results are asserted identical to
+    // the pure-Rust reference either way.
     let workload = build(Benchmark::Collatz, Scale::Small).unwrap();
     for workers in [0usize, 2, 4] {
         let runtime = LascRuntime::new(small_collatz_config(workers, false)).unwrap();

@@ -3,17 +3,6 @@
 use crate::error::{AscError, AscResult};
 use asc_tvm::TierConfig;
 
-/// Which predictor complement the runtime builds (§4.4.2 / §5.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PredictorComplement {
-    /// The paper's four algorithms: mean, weatherman, logistic, linear.
-    #[default]
-    Default,
-    /// Several learning-rate variants of each algorithm, as when more cores
-    /// are available for hyper-parameter exploration.
-    Extended,
-}
-
 /// Cadence knobs of the continuous-speculation planner thread.
 ///
 /// With [`AscConfig::workers`] > 0 and `enabled`, [`accelerate`] spawns a
@@ -41,12 +30,6 @@ pub struct PlannerConfig {
     /// dropped — a late planner should anchor on fresh states, not stale
     /// ones.
     pub channel_capacity: usize,
-    /// How often the planner pays the full predictor-bank update (excitation
-    /// tracking + drift detection, ~9µs on TVM-sized states) instead of the
-    /// cheaper incremental ensemble-only path. 1 trains fully on every
-    /// occurrence; the default keeps discovery alive at a fraction of the
-    /// cost.
-    pub full_observe_interval: usize,
     /// Milliseconds the planner waits for an occurrence before waking up
     /// anyway to re-check for landed cache inserts and top the queue up.
     pub idle_poll_ms: u64,
@@ -54,12 +37,7 @@ pub struct PlannerConfig {
 
 impl Default for PlannerConfig {
     fn default() -> Self {
-        PlannerConfig {
-            enabled: true,
-            channel_capacity: 64,
-            full_observe_interval: 16,
-            idle_poll_ms: 1,
-        }
+        PlannerConfig { enabled: true, channel_capacity: 64, idle_poll_ms: 1 }
     }
 }
 
@@ -71,8 +49,8 @@ impl Default for PlannerConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EconomicsConfig {
     /// Whether dispatch gating runs at all. Disabled, every candidate
-    /// dispatches (the pre-economics behaviour) but decisions are still
-    /// counted, so gated and ungated reports stay comparable.
+    /// dispatches but decisions are still counted, so gated and ungated
+    /// reports stay comparable.
     pub enabled: bool,
 }
 
@@ -247,8 +225,6 @@ pub struct AscConfig {
     pub max_superstep: u64,
     /// How many supersteps ahead the allocator rolls out predictions.
     pub rollout_depth: usize,
-    /// Which predictor complement to instantiate.
-    pub predictors: PredictorComplement,
     /// Upper bound on the number of excitation bits modelled per recognized
     /// IP (most frequently changing bits win); bounds learner memory for
     /// programs that touch fresh output locations every superstep.
@@ -291,7 +267,7 @@ pub struct AscConfig {
     /// executed this many instructions without finishing is killed and
     /// counted as a deadline kill in [`HealthStats`] (and as a breaker
     /// failure). `0` disables the deadline: jobs run to the per-job
-    /// [`max_superstep`](AscConfig::max_superstep)-derived budget as before.
+    /// [`max_superstep`](AscConfig::max_superstep)-derived budget.
     /// The deadline rides the existing instruction-budget plumbing in
     /// `execute_superstep`, so enforcement costs nothing extra per step.
     ///
@@ -338,7 +314,6 @@ impl Default for AscConfig {
             min_superstep: 200,
             max_superstep: 2_000_000,
             rollout_depth: 32,
-            predictors: PredictorComplement::Default,
             max_excited_bits: 4096,
             mistake_log_capacity: 4096,
             cache_capacity: 1 << 16,
@@ -427,17 +402,10 @@ impl AscConfig {
                 ));
             }
         }
-        if self.planner.enabled {
-            if self.planner.channel_capacity == 0 {
-                return Err(AscError::InvalidConfig(
-                    "planner channel_capacity must be at least 1".into(),
-                ));
-            }
-            if self.planner.full_observe_interval == 0 {
-                return Err(AscError::InvalidConfig(
-                    "planner full_observe_interval must be at least 1".into(),
-                ));
-            }
+        if self.planner.enabled && self.planner.channel_capacity == 0 {
+            return Err(AscError::InvalidConfig(
+                "planner channel_capacity must be at least 1".into(),
+            ));
         }
         if self.tier.enabled && self.tier.hot_threshold == 0 {
             return Err(AscError::InvalidConfig("tier hot_threshold must be at least 1".into()));

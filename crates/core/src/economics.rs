@@ -3,9 +3,9 @@
 //! The paper frames automatically scalable computation as a *resource
 //! allocation* problem — spare cores are capital, and every speculative
 //! execution is an investment that pays off only when the main thread later
-//! fast-forwards through the entry it produced. PR 5's cache work made a
-//! losing investment cheap to *look up*; this module makes the runtime stop
-//! *placing* losing investments at all.
+//! fast-forwards through the entry it produced. The cache's value-hash index
+//! and junk filter make a losing investment cheap to *look up*; this module
+//! makes the runtime stop *placing* losing investments at all.
 //!
 //! # The value model
 //!

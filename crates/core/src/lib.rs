@@ -92,8 +92,7 @@ pub use cache::{CacheEntry, CacheStats, TrajectoryCache};
 pub use checkpoint::{CheckpointStats, RunCheckpoint};
 pub use cluster::{PlatformProfile, ScalingMode, ScalingPoint};
 pub use config::{
-    AscConfig, BreakerConfig, CheckpointConfig, EconomicsConfig, PlannerConfig,
-    PredictorComplement, WatchdogConfig,
+    AscConfig, BreakerConfig, CheckpointConfig, EconomicsConfig, PlannerConfig, WatchdogConfig,
 };
 pub use economics::{EconomicsStats, SpeculationEconomics};
 pub use error::{AscError, AscResult};

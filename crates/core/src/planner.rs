@@ -1,12 +1,12 @@
 //! The continuous-speculation planner: speculation cadence decoupled from
 //! cache misses.
 //!
-//! PR 1's worker pool dispatched speculative work only when the main thread
-//! took a cache miss, and skipped re-planning while the pool was saturated.
-//! The paper's architecture speculates *continuously* ahead of the main
-//! thread: idle cores should always be working on the most valuable
-//! predicted supersteps, whether or not the main thread just missed. This
-//! module provides that cadence as a dedicated planner thread:
+//! Miss-driven dispatch hands speculative work to the pool only when the
+//! main thread takes a cache miss. The paper's architecture speculates
+//! *continuously* ahead of the main thread: idle cores should always be
+//! working on the most valuable predicted supersteps, whether or not the
+//! main thread just missed. This module provides that cadence as a dedicated
+//! planner thread:
 //!
 //! * The main thread streams recognized-IP occurrences into a bounded
 //!   [`OccurrenceChannel`] — every cache miss, plus a sparse sample during
@@ -16,11 +16,12 @@
 //!   dropped — a lagging planner should anchor its predictions on fresh
 //!   states, not stale ones.
 //! * The planner owns the [`PredictorBank`] and the [`SpeculationPool`]. It
-//!   trains the bank on each occurrence (using the cheap
-//!   [`observe_incremental`] path most of the time; the full update every
-//!   [`full_observe_interval`]-th occurrence keeps excitation discovery and
-//!   drift detection alive) and maintains a *plan*: the rollout horizon of
-//!   predicted future supersteps, ordered nearest-first.
+//!   trains the bank with [`PredictorBank::observe`] on every occurrence it
+//!   receives — the same training the inline runtime does, so excitation
+//!   discovery and drift detection see every received state — and severs the
+//!   training stream with [`PredictorBank::break_stream`] where events went
+//!   missing. It maintains a *plan*: the rollout horizon of predicted future
+//!   supersteps, ordered nearest-first.
 //! * Each occurrence is matched against the plan. A match at depth `k`
 //!   *confirms* the trajectory: the first `k+1` entries are consumed and the
 //!   horizon is extended by fresh rollouts from the deepest surviving
@@ -39,9 +40,6 @@
 //! decides *which* speculations run, and a cache entry is applied by the
 //! main thread only when its full read set matches the live state, so
 //! `final_state` is bit-for-bit identical with the planner on or off.
-//!
-//! [`observe_incremental`]: PredictorBank::observe_incremental
-//! [`full_observe_interval`]: crate::config::PlannerConfig::full_observe_interval
 
 use crate::cache::{LookupScratch, TrajectoryCache};
 use crate::config::{AscConfig, PlannerConfig};
@@ -413,11 +411,7 @@ impl Planner {
         if !event.contiguous {
             self.bank.break_stream();
         }
-        if self.stats.occurrences % self.config.full_observe_interval as u64 == 0 {
-            self.bank.observe(&event.state);
-        } else {
-            self.bank.observe_incremental(&event.state);
-        }
+        self.bank.observe(&event.state);
         if !self.bank.is_ready() {
             return;
         }
@@ -651,6 +645,41 @@ mod tests {
             outcome.pool
         );
         assert!(!cache.is_empty());
+    }
+
+    #[test]
+    fn planner_bank_trains_exactly_like_a_bank_fed_every_state() {
+        // The channel holds the whole trace, so every event reaches the bank
+        // in order. The trace forces a drift rebuild, which lands on the same
+        // occurrence only if drift is checked on every one of them.
+        let states = crate::predictor_bank::tests::phase_change_trace();
+        let mut config = AscConfig { workers: 1, max_superstep: 1_000, ..planner_config() };
+        config.planner.channel_capacity = states.len();
+        let cache = Arc::new(TrajectoryCache::new(64));
+        let pool = SpeculationPool::new(1, Arc::clone(&cache));
+        let handle =
+            PlannerHandle::spawn(&config, recognized(0), Arc::clone(&cache), pool).unwrap();
+        let mut reference = PredictorBank::new(0, &config);
+        for state in &states {
+            handle.send(OccurrenceEvent::new(state.clone()));
+            reference.observe(state);
+        }
+        let outcome = handle.shutdown().expect("planner must not panic");
+        assert_eq!(outcome.stats.dropped, 0, "{:?}", outcome.stats);
+        assert_eq!(outcome.stats.occurrences, states.len() as u64);
+        assert!(reference.excited_bits() > 3 * 32, "the trace must force a drift rebuild");
+
+        let bank = outcome.bank;
+        assert_eq!(bank.observations(), reference.observations());
+        assert_eq!(bank.excited_bits(), reference.excited_bits());
+        assert_eq!(bank.errors(), reference.errors());
+        let last = states.last().unwrap();
+        let (got, want) = (bank.rollout(last, 3), reference.rollout(last, 3));
+        assert_eq!((got.len(), want.len()), (3, 3));
+        for (got, want) in got.iter().zip(&want) {
+            assert_eq!(got.state, want.state, "rollout state at depth {}", got.depth);
+            assert_eq!(got.log_probability, want.log_probability);
+        }
     }
 
     #[test]

@@ -33,14 +33,21 @@
 //!
 //! It first warms up an [`ExcitationTracker`] over the stream of occurrence
 //! states to discover which bits actually change, then freezes an
-//! [`ExcitationMap`] and instantiates the block-predictor ensemble over
-//! exactly those bits. Every subsequent occurrence trains the ensemble with
-//! one forward pass and one training call per predictor. Given a current
-//! state it produces the maximum-likelihood predicted next state — and
-//! recursive rollouts of it, chained in packed observation space through one
-//! set of reused buffers so only the returned states are materialised — each
-//! a *full* state vector built by patching only the tracked words: the
-//! paper's sparsity argument made concrete.
+//! [`ExcitationMap`] and instantiates the paper's four-learner ensemble
+//! ([`default_predictors`]) over exactly those bits. Given a current state it
+//! produces the maximum-likelihood predicted next state — and recursive
+//! rollouts of it, chained in packed observation space through one set of
+//! reused buffers so only the returned states are materialised — each a
+//! *full* state vector built by patching only the tracked words: the paper's
+//! sparsity argument made concrete.
+//!
+//! [`PredictorBank::observe`] is the one way to train a bank, for the
+//! inline runtime, the planner thread and the recognizer alike. Each call
+//! pays the scan above, so change counts, drift detection and ensemble
+//! training always see the same consecutive pair of states. A caller that
+//! *skipped* occurrences (a throttled or dropped planner event) says so with
+//! [`PredictorBank::break_stream`] first, and the bank re-anchors instead of
+//! training across the gap.
 //!
 //! A bank may additionally be told what supersteps from its IP *read*
 //! ([`PredictorBank::note_reads`]). The recognizer's throw-away banks are:
@@ -48,12 +55,12 @@
 //! The runtime's, the planner's and the benchmark replay's banks are never
 //! told and model every changed bit up to `max_excited_bits`.
 
-use crate::config::{AscConfig, PredictorComplement};
+use crate::config::AscConfig;
 use crate::excitation::{ExcitationMap, ExcitationTracker};
 use asc_learn::ensemble::{Ensemble, EnsembleErrors, PredictionScratch};
 use asc_learn::features::PackedObservation;
 use asc_learn::persist::{self, Reader};
-use asc_learn::traits::{default_predictors, extended_predictors};
+use asc_learn::traits::default_predictors;
 use asc_tvm::state::StateVector;
 
 /// Multiplicative weight update applied to a predictor that mispredicts a
@@ -77,45 +84,25 @@ pub struct PredictedState {
     pub depth: usize,
 }
 
-/// Where the bank's training origin — the previous occurrence — came from,
-/// which decides what a full observe's drift check diffs the new state
-/// against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Origin {
-    /// There is no previous occurrence: the stream just started, was severed
-    /// or restored, or the ensemble was rebuilt.
-    None,
-    /// The previous occurrence went through [`PredictorBank::observe`]: the
-    /// tracker's retained state *is* the previous state, so the diff it just
-    /// computed serves the drift check too.
-    Tracked,
-    /// The previous occurrence went through
-    /// [`PredictorBank::observe_incremental`], which bypasses the tracker;
-    /// its state is kept in `detached_state`.
-    Detached,
-}
-
 /// Excitation tracking + ensemble for one recognized IP.
 pub struct PredictorBank {
     rip: u32,
     max_excited_bits: usize,
     mistake_capacity: usize,
-    complement: PredictorComplement,
     tracker: ExcitationTracker,
     map: Option<ExcitationMap>,
     ensemble: Option<Ensemble>,
     /// Packed observations of the previous and the current occurrence. They
     /// swap roles after every occurrence, so neither is ever reallocated;
-    /// `previous` is the training origin, meaningful unless `origin` is
-    /// [`Origin::None`].
+    /// `previous` is the training origin, meaningful only while `has_origin`.
     previous: PackedObservation,
     current: PackedObservation,
-    origin: Origin,
-    /// The previous occurrence's state while `origin` is
-    /// [`Origin::Detached`] (one retained buffer), and the scratch diff
-    /// against it.
-    detached_state: Option<StateVector>,
-    detached_diff: Vec<(usize, u32)>,
+    /// Whether `previous` is the occurrence right before the next one. False
+    /// when the stream just started, was severed or restored, or the
+    /// ensemble was rebuilt. While true, the tracker's retained state *is*
+    /// the previous state, so the diff its scan leaves behind serves the
+    /// drift check too.
+    has_origin: bool,
     observations: u64,
     /// Consecutive occurrences whose changes fell substantially outside the
     /// frozen map.
@@ -142,15 +129,12 @@ impl PredictorBank {
             rip,
             max_excited_bits: config.max_excited_bits.max(32),
             mistake_capacity: config.mistake_log_capacity.max(1),
-            complement: config.predictors,
             tracker: ExcitationTracker::new(EXCITATION_THRESHOLD),
             map: None,
             ensemble: None,
             previous: PackedObservation::default(),
             current: PackedObservation::default(),
-            origin: Origin::None,
-            detached_state: None,
-            detached_diff: Vec::new(),
+            has_origin: false,
             observations: 0,
             drift: 0,
             last_rebuild: 0,
@@ -212,15 +196,11 @@ impl PredictorBank {
         self.ensemble.as_ref().map(|e| (e.predictor_names(), e.weight_matrix()))
     }
 
-    /// Instantiates the configured predictor complement over a frozen map's
-    /// schema — shared by the warm-up build, drift rebuilds and checkpoint
-    /// restores (which must reproduce exactly the ensemble the save saw).
+    /// Instantiates the predictor complement over a frozen map's schema —
+    /// shared by the warm-up build, drift rebuilds and checkpoint restores
+    /// (which must reproduce exactly the ensemble the save saw).
     fn make_ensemble(&self, map: &ExcitationMap) -> Ensemble {
-        let schema = map.schema().clone();
-        let predictors = match self.complement {
-            PredictorComplement::Default => default_predictors(&schema),
-            PredictorComplement::Extended => extended_predictors(&schema),
-        };
+        let predictors = default_predictors(map.schema());
         Ensemble::new(predictors, map.bit_count(), ENSEMBLE_BETA, self.mistake_capacity)
     }
 
@@ -228,7 +208,7 @@ impl PredictorBank {
         if let Some(map) = self.tracker.build_map_with_limit(self.max_excited_bits) {
             self.ensemble = Some(self.make_ensemble(&map));
             self.map = Some(map);
-            self.origin = Origin::None;
+            self.has_origin = false;
             self.drift = 0;
             self.last_rebuild = self.observations;
         }
@@ -324,7 +304,7 @@ impl PredictorBank {
         self.last_rebuild = last_rebuild;
         self.map = map;
         self.ensemble = ensemble;
-        self.origin = Origin::None;
+        self.has_origin = false;
         Some(())
     }
 
@@ -347,22 +327,15 @@ impl PredictorBank {
 
         let map = self.map.as_ref().expect("ensemble implies map");
         map.observe_into(state, &mut self.current);
-        if self.origin != Origin::None {
+        if self.has_origin {
             // Detect drift: *substantial* changes outside the frozen map mean the
             // program moved to a new phase; rebuild from the (still accumulating)
             // tracker. A handful of unmapped bits per superstep — the freshly
             // written output cell of a kernel like 2mm, which no later superstep
             // reads — is expected and must not trigger a rebuild; a bank that
             // knows its read words does not count such cells at all.
-            let reads = self.tracker.read_words();
-            let unmapped_changed_bits = match (self.origin, &self.detached_state) {
-                (Origin::Detached, Some(previous_state)) => {
-                    self.detached_diff.clear();
-                    previous_state.diff_words_into(state, &mut self.detached_diff);
-                    map.unmapped_changed_bits(&self.detached_diff, reads)
-                }
-                _ => map.unmapped_changed_bits(self.tracker.last_diff(), reads),
-            };
+            let unmapped_changed_bits =
+                map.unmapped_changed_bits(self.tracker.last_diff(), self.tracker.read_words());
             if unmapped_changed_bits > 64 {
                 self.drift += 1;
             } else {
@@ -384,62 +357,19 @@ impl PredictorBank {
             }
         }
         std::mem::swap(&mut self.previous, &mut self.current);
-        self.origin = Origin::Tracked;
+        self.has_origin = true;
     }
 
-    /// Cheap training path for high-rate occurrence streams (the planner's
-    /// hot path): once the ensemble is ready, extracts the packed
-    /// observation — one 32-bit read per tracked word — and block-trains the
-    /// ensemble on the transition from the previous occurrence, skipping the
-    /// full-state excitation diff and drift scan that [`observe`] pays.
-    /// Falls back to the full path until the ensemble is ready.
-    ///
-    /// What remains in [`observe`] beyond this path is the word-wise
-    /// full-state scan that keeps excitation discovery and drift detection
-    /// alive — a cost proportional to the *state* size, not the excitation
-    /// count, so it stays worth amortising on large states. Callers should
-    /// still route occasional occurrences through [`observe`] (the planner
-    /// does so every
-    /// [`full_observe_interval`](crate::config::PlannerConfig::full_observe_interval)-th
-    /// occurrence). Between full updates the tracker's diff spans several
-    /// supersteps, which coarsens change *counts* but cannot hide a changing
-    /// bit.
+    /// Severs the training stream: the next [`observe`] records its state as
+    /// the new transition origin without training on, or checking drift
+    /// across, the gap it follows. Called when the occurrence stream skipped
+    /// states (a throttled or dropped occurrence): the transition across such
+    /// a gap spans several supersteps, and training on it would teach the
+    /// ensemble a variable-stride successor function.
     ///
     /// [`observe`]: PredictorBank::observe
-    pub fn observe_incremental(&mut self, state: &StateVector) {
-        if self.ensemble.is_none() {
-            self.observe(state);
-            return;
-        }
-        self.observations += 1;
-        let map = self.map.as_ref().expect("ensemble implies map");
-        map.observe_into(state, &mut self.current);
-        if self.origin != Origin::None {
-            let ensemble = self.ensemble.as_mut().expect("checked above");
-            ensemble.observe(&self.previous, &self.current);
-        }
-        std::mem::swap(&mut self.previous, &mut self.current);
-        // The tracker did not see this state; keep it for the next full
-        // observe's drift check.
-        match &mut self.detached_state {
-            Some(buffer) => buffer.clone_from(state),
-            None => self.detached_state = Some(state.clone()),
-        }
-        self.origin = Origin::Detached;
-    }
-
-    /// Severs the training stream: the next [`observe`] or
-    /// [`observe_incremental`] call records its state as the new transition
-    /// origin without training on the gap it follows. Called when the
-    /// occurrence stream skipped states (a throttled or dropped occurrence):
-    /// the transition across such a gap spans several supersteps, and
-    /// training on it would teach the ensemble a variable-stride successor
-    /// function.
-    ///
-    /// [`observe`]: PredictorBank::observe
-    /// [`observe_incremental`]: PredictorBank::observe_incremental
     pub fn break_stream(&mut self) {
-        self.origin = Origin::None;
+        self.has_origin = false;
     }
 
     /// Predicts the state at the next occurrence of the RIP, conditioned on
@@ -493,7 +423,7 @@ impl PredictorBank {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use asc_asm::assemble;
     use asc_tvm::machine::Machine;
@@ -569,29 +499,6 @@ mod tests {
         for pair in rollout.windows(2) {
             assert!(pair[1].log_probability <= pair[0].log_probability + 1e-9);
         }
-    }
-
-    #[test]
-    fn incremental_observe_trains_like_full_observe() {
-        let (program, rip) = counting_program(200);
-        let states = occurrence_states(&program, rip, 60);
-        let config = AscConfig::for_tests();
-        let mut full = PredictorBank::new(rip, &config);
-        let mut incremental = PredictorBank::new(rip, &config);
-        for state in &states[..50] {
-            full.observe(state);
-            // The incremental path self-falls-back until the ensemble exists,
-            // then trains the ensemble only.
-            incremental.observe_incremental(state);
-        }
-        assert!(incremental.is_ready());
-        assert_eq!(incremental.observations(), full.observations());
-        // On an exactly learnable loop both training paths converge to the
-        // same prediction.
-        let from_full = full.predict_next(&states[50]).unwrap();
-        let from_incremental = incremental.predict_next(&states[50]).unwrap();
-        assert_eq!(from_full.state, states[51]);
-        assert_eq!(from_incremental.state, states[51]);
     }
 
     #[test]
@@ -861,7 +768,6 @@ mod tests {
 
     impl ReferenceScanBank {
         fn new(config: &AscConfig) -> Self {
-            assert_eq!(config.predictors, PredictorComplement::Default);
             ReferenceScanBank {
                 max_excited_bits: config.max_excited_bits.max(32),
                 mistake_capacity: config.mistake_log_capacity.max(1),
@@ -963,19 +869,6 @@ mod tests {
             self.previous = Some((state.clone(), observation));
         }
 
-        fn observe_incremental(&mut self, state: &StateVector) {
-            if self.ensemble.is_none() {
-                self.observe(state);
-                return;
-            }
-            self.observations += 1;
-            let observation = self.map.as_ref().unwrap().observe(state);
-            if let Some((_, previous_observation)) = &self.previous {
-                self.ensemble.as_mut().unwrap().observe(previous_observation, &observation);
-            }
-            self.previous = Some((state.clone(), observation));
-        }
-
         fn rollout(&self, state: &StateVector, depth: usize) -> Vec<(StateVector, f64)> {
             let (Some(map), Some(ensemble)) = (self.map.as_ref(), self.ensemble.as_ref()) else {
                 return Vec::new();
@@ -1000,8 +893,8 @@ mod tests {
     #[derive(Clone, Copy)]
     enum Feed {
         Full,
-        /// The planner's pattern: incremental observes with a full one every
-        /// fourth occurrence, and the stream severed every 23rd.
+        /// The planner's pattern when events go missing: the stream severed
+        /// every 23rd occurrence.
         Planner,
     }
 
@@ -1017,23 +910,12 @@ mod tests {
         let mut reference = ReferenceScanBank::new(config);
         let mut rebuilds = Vec::new();
         for (i, state) in states.iter().enumerate() {
-            let full = match feed {
-                Feed::Full => true,
-                Feed::Planner => {
-                    if i % 23 == 22 {
-                        bank.break_stream();
-                        reference.previous = None;
-                    }
-                    i % 4 == 0
-                }
-            };
-            if full {
-                bank.observe(state);
-                reference.observe(state);
-            } else {
-                bank.observe_incremental(state);
-                reference.observe_incremental(state);
+            if matches!(feed, Feed::Planner) && i % 23 == 22 {
+                bank.break_stream();
+                reference.previous = None;
             }
+            bank.observe(state);
+            reference.observe(state);
             let at = format!("{name} occurrence {i}");
             assert_eq!(bank.map, reference.map, "{at}: excitation map");
             assert_eq!(bank.drift, reference.drift, "{at}: drift count");
@@ -1103,7 +985,8 @@ mod tests {
     /// A synthetic two-phase trace: a few words count for 40 occurrences,
     /// then a disjoint region of a dozen words starts churning — more than
     /// 64 unmapped bits per occurrence, so the drift detector must rebuild.
-    fn phase_change_trace() -> Vec<StateVector> {
+    /// The planner's tests feed it through a whole planner thread too.
+    pub(crate) fn phase_change_trace() -> Vec<StateVector> {
         let mut state = StateVector::new(4096 + 3).unwrap(); // odd length: partial tail word
         let mut states = Vec::new();
         for i in 0..90u32 {
@@ -1141,6 +1024,6 @@ mod tests {
         let rebuilds = assert_equivalent("phase-change", &states, &config, Feed::Full);
         assert!(rebuilds.len() >= 2, "the phase change must force a drift rebuild: {rebuilds:?}");
         let planner = assert_equivalent("phase-change/planner", &states, &config, Feed::Planner);
-        assert!(planner.len() >= 2, "drift must also fire on the detached path: {planner:?}");
+        assert!(planner.len() >= 2, "drift must also fire on a severed stream: {planner:?}");
     }
 }

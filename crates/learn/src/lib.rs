@@ -74,4 +74,4 @@ pub mod weatherman;
 
 pub use ensemble::{Ensemble, EnsembleErrors};
 pub use features::{packed_len, ExcitationSchema, PackedObservation};
-pub use traits::{default_predictors, extended_predictors, BlockPredictor};
+pub use traits::{default_predictors, BlockPredictor};

@@ -95,9 +95,8 @@ pub trait BlockPredictor: Send {
 }
 
 /// Constructs the paper's default predictor complement for a given schema:
-/// `mean`, `weatherman`, logistic regression and linear regression, the
-/// latter two at several learning rates (the paper runs multiple instances
-/// of each and lets the ensemble pick, §4.4.2).
+/// `mean`, `weatherman`, logistic regression and linear regression, one
+/// instance each, for the ensemble to weigh per bit (§4.4.2).
 pub fn default_predictors(schema: &ExcitationSchema) -> Vec<Box<dyn BlockPredictor>> {
     use crate::linear::LinearRegression;
     use crate::logistic::LogisticRegression;
@@ -112,28 +111,6 @@ pub fn default_predictors(schema: &ExcitationSchema) -> Vec<Box<dyn BlockPredict
     ]
 }
 
-/// Constructs a wider complement with multiple learning rates per algorithm,
-/// used when more cores are available for hyper-parameter exploration
-/// (this is how the paper explains cache miss rates dropping below the
-/// single-core error rate, §5.2).
-pub fn extended_predictors(schema: &ExcitationSchema) -> Vec<Box<dyn BlockPredictor>> {
-    use crate::linear::LinearRegression;
-    use crate::logistic::LogisticRegression;
-    use crate::mean::MeanPredictor;
-    use crate::weatherman::Weatherman;
-
-    vec![
-        Box::new(MeanPredictor::new(schema.bit_count)),
-        Box::new(Weatherman::new()),
-        Box::new(LogisticRegression::new(schema.bit_count, 0.1)),
-        Box::new(LogisticRegression::new(schema.bit_count, 0.5)),
-        Box::new(LogisticRegression::new(schema.bit_count, 2.0)),
-        Box::new(LinearRegression::new(schema.clone(), 0.02)),
-        Box::new(LinearRegression::new(schema.clone(), 0.1)),
-        Box::new(LinearRegression::new(schema.clone(), 0.5)),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,11 +121,5 @@ mod tests {
         let predictors = default_predictors(&schema);
         let names: Vec<_> = predictors.iter().map(|p| p.name()).collect();
         assert_eq!(names, vec!["mean", "weatherman", "logistic", "linear"]);
-    }
-
-    #[test]
-    fn extended_complement_is_larger() {
-        let schema = ExcitationSchema::new(1, vec![(0, 0)]);
-        assert!(extended_predictors(&schema).len() > default_predictors(&schema).len());
     }
 }
