@@ -10,6 +10,11 @@
 //!   benchmark) that made the old scan degrade quadratically. The junk
 //!   filter is disabled here on purpose: the bench measures lookup cost at a
 //!   given population, not the filter's ability to avoid the population.
+//! * **singleton-shapes** — the ising shape: 1k entries over a 66 KB state,
+//!   each with its own ≈ 400-position read set, so every group holds one
+//!   entry, and each mismatches the query within its first five positions.
+//!   A one-entry group rejects the query on a prefix compare instead of
+//!   hashing all its positions.
 //!
 //! Each population runs at 16 shards (the production layout) and 1 shard
 //! (no lock spreading, every group behind one lock), with the retained
@@ -32,6 +37,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 const RIP: u32 = 32;
+
+/// State size of the singleton-shapes population: the ising workload's.
+const ISING_STATE_BYTES: usize = 66_000;
 
 fn state_with(bytes: &[(usize, u8)]) -> StateVector {
     let mut state = StateVector::new(4096).unwrap();
@@ -105,12 +113,35 @@ fn junk_saturated(shards: usize) -> (TrajectoryCache, StateVector) {
     (cache, state)
 }
 
+/// Pointer-chasing read sets: 1k entries, each with a distinct shape of
+/// ≈ 400 positions spread over a 66 KB state. Every entry agrees with the
+/// (all-zero) query on a four-byte header and disagrees at its first memory
+/// position, so a compare stops after five positions while a value hash
+/// reads all of them.
+fn singleton_shapes(shards: usize) -> (TrajectoryCache, StateVector) {
+    let cache = TrajectoryCache::with_layout(1 << 14, shards, 0);
+    let span = ISING_STATE_BYTES as u32 - 64;
+    for i in 0..1000u32 {
+        let mut deps: Vec<(u32, u8)> = (0..4u32).map(|p| (p, 0)).collect();
+        deps.extend((0..396u32).map(|k| (64 + (i * 61 + k * 163) % span, (k % 250) as u8 + 1)));
+        cache.insert(entry(deps, 500));
+    }
+    let state = StateVector::new(ISING_STATE_BYTES).unwrap();
+    assert!(cache.peek(RIP, &state).is_none(), "singleton-shapes population must miss");
+    assert_eq!(cache.stats().groups, 1000, "every entry has its own shape");
+    (cache, state)
+}
+
 /// A benchmark population: the cache to probe and the query state.
 type Population = fn(usize) -> (TrajectoryCache, StateVector);
 
 fn bench_lookup(c: &mut Criterion) {
-    let populations: [(&str, Population); 3] =
-        [("hit_heavy", hit_heavy), ("miss_heavy", miss_heavy), ("junk_2k", junk_saturated)];
+    let populations: [(&str, Population); 4] = [
+        ("hit_heavy", hit_heavy),
+        ("miss_heavy", miss_heavy),
+        ("junk_2k", junk_saturated),
+        ("singleton_shapes_1k", singleton_shapes),
+    ];
     let mut group = c.benchmark_group("cache_lookup");
     for (name, populate) in populations {
         for shards in [16usize, 1] {

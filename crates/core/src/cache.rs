@@ -29,6 +29,19 @@
 //!    [`SparseBytes::matches`] as a collision guard before the entry is
 //!    returned, so a 64-bit hash collision can cost a wasted compare but
 //!    never a wrong fast-forward.
+//! 3. **One-entry groups compare first.** Pointer-chasing programs give
+//!    nearly every superstep its own read-set shape, so there most groups
+//!    hold one entry, and hashing a group's ≈ 407 positions (ising) to
+//!    reject a state that differs at its fifth is most of a probe's cost.
+//!    A group holding a single live entry therefore first compares the
+//!    first [`DIRECT_COMPARE_PREFIX`] `(position, value)` pairs of that
+//!    entry, which stops at the first mismatch; a mismatch is a miss, read
+//!    in ≈ 5 bytes on ising. A prefix that agrees falls back to the hash,
+//!    and so does a group whose shape the lookup has already hashed: one
+//!    shape's entries are spread over every shard, and a memoized hash
+//!    makes the index probe cheaper than any compare. Only the index path
+//!    can reject a hash match, so [`CacheStats::collision_rejects`] counts
+//!    only there.
 //!
 //! Eviction is a per-shard FIFO of `(rip, group, slot)` references: the
 //! oldest inserted entry in the shard goes first, in O(1), instead of the
@@ -84,6 +97,7 @@
 
 use asc_tvm::delta::{PositionSchema, SparseBytes};
 use asc_tvm::state::StateVector;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -267,14 +281,16 @@ pub struct CacheStats {
     /// Number of read-set groups created (distinct dependency shapes seen,
     /// summed over shards).
     pub groups: u64,
-    /// Number of value-index probes: one per populated group consulted by a
-    /// lookup, peek, or coverage check. The per-query work of the index —
-    /// compare with what `queries × entries` would have been under the old
-    /// scan. (Only lookups and peeks feed the junk filter's per-group probe
+    /// Number of group probes: one per populated group consulted by a
+    /// lookup, peek, or coverage check (a value-index probe, or a one-entry
+    /// group's prefix compare). The per-query work of the index — compare
+    /// with what `queries × entries` would have been under the old scan. (Only lookups and peeks feed the junk filter's per-group probe
     /// evidence; coverage-check misses are expected and do not.)
     pub probes: u64,
-    /// Probe hits discarded because the full read-set compare failed (a
-    /// 64-bit value-hash collision). The collision guard's work counter.
+    /// Value-index probe hits discarded because the full read-set compare
+    /// failed (a 64-bit value-hash collision). The collision guard's work
+    /// counter; a one-entry group rejected by its prefix compare never
+    /// reached the index and is not counted.
     pub collision_rejects: u64,
     /// Matching entries rejected because their payload no longer verified
     /// against the integrity checksum sealed at construction (a corrupted
@@ -450,6 +466,10 @@ struct ReadSetGroup {
     free: Vec<u32>,
     /// Number of live (`Some`) slots.
     live: u32,
+    /// The slot most recently stored into. FIFO eviction removes a group's
+    /// entries oldest first and a replace rewrites its slot in place, so
+    /// while `live == 1` this is the one live slot.
+    newest: u32,
     /// Lookup probes against this group since creation (or since it was
     /// last fully evicted). Atomic because lookups tick it under the shard
     /// *read* lock.
@@ -466,6 +486,7 @@ impl ReadSetGroup {
             slots: Vec::new(),
             free: Vec::new(),
             live: 0,
+            newest: 0,
             probes: AtomicU64::new(0),
             hits: AtomicU64::new(0),
         }
@@ -485,12 +506,13 @@ impl ReadSetGroup {
             }
         };
         match self.index.entry(value_hash) {
-            std::collections::hash_map::Entry::Occupied(mut list) => list.get_mut().push(slot),
-            std::collections::hash_map::Entry::Vacant(vacant) => {
+            Entry::Occupied(mut list) => list.get_mut().push(slot),
+            Entry::Vacant(vacant) => {
                 vacant.insert(SmallSlotList::new(slot));
             }
         }
         self.live += 1;
+        self.newest = slot;
         slot
     }
 
@@ -513,6 +535,22 @@ impl ReadSetGroup {
             self.hits.store(0, Ordering::Relaxed);
         }
         entry
+    }
+
+    /// Whether the group's one live entry disagrees with `state` within
+    /// its first [`DIRECT_COMPARE_PREFIX`] read positions (a position past
+    /// the end of `state` disagrees too). Only meaningful when `live == 1`.
+    fn sole_entry_rejects(&self, state: &StateVector) -> bool {
+        debug_assert_eq!(self.live, 1, "only a one-entry group has a sole entry");
+        let entry = self.slots[self.newest as usize]
+            .as_ref()
+            .expect("a one-entry group's newest slot is its live slot");
+        let bytes = state.as_bytes();
+        entry
+            .start
+            .iter()
+            .take(DIRECT_COMPARE_PREFIX)
+            .any(|(position, value)| bytes.get(position as usize) != Some(&value))
     }
 
     /// Live entries, in slot order.
@@ -627,6 +665,14 @@ const SHARD_COUNT: usize = 16;
 ///
 /// [`AscConfig::cache_junk_threshold`]: crate::config::AscConfig::cache_junk_threshold
 pub const DEFAULT_JUNK_THRESHOLD: u64 = 64;
+
+/// Read-set pairs a one-entry group compares before a probe falls back to
+/// the value hash. On ising a miss shows after ≈ 5 positions of ≈ 407. An
+/// entry that agrees this far tends to agree much further (the junk
+/// population of `benches/cache.rs` shares a 40-byte header); comparing on
+/// would cost each of the shape's groups in every shard that much, where
+/// the memoized hash is paid once per lookup.
+const DIRECT_COMPARE_PREFIX: usize = 16;
 
 /// Proven-junk groups one rip may hold per shard before *new* groups are
 /// refused too. On chaotic workloads every superstep can depend on different
@@ -816,8 +862,10 @@ impl TrajectoryCache {
     /// group's value index with the query state's bytes hashed at the
     /// group's positions (one hash per schema per walk — entries for one rip
     /// are hash-spread across all shards, so the memo saves re-hashing the
-    /// same shape shard after shard), and calls `on_match` for every entry
-    /// that passes the full byte-compare collision guard; `Break` stops the
+    /// same shape shard after shard) unless a one-entry group's prefix
+    /// compare already rejects the state, and calls `on_match` for every
+    /// entry that passes the full byte-compare collision guard and its
+    /// checksum; `Break` stops the
     /// walk. Matching entries always tick their group's hit counter
     /// (usefulness evidence). `tick_junk` controls whether the walk also
     /// counts as junk-filter *probe* evidence: real lookups and peeks do,
@@ -849,9 +897,19 @@ impl TrajectoryCache {
                 if tick_junk {
                     self.tick_probe(group);
                 }
-                let memoized = *memo
-                    .entry(group.schema.hash())
-                    .or_insert_with(|| group.schema.hash_values_of(state));
+                // A one-entry group whose shape this walk has not hashed yet
+                // first compares a prefix of its entry's read set: a miss
+                // usually shows within a few bytes, where the hash would read
+                // every position. A prefix that agrees falls back to the
+                // hash, which the memo then shares with this shape's groups
+                // in the other shards.
+                let memoized = match memo.entry(group.schema.hash()) {
+                    Entry::Occupied(hashed) => *hashed.get(),
+                    Entry::Vacant(_) if group.live == 1 && group.sole_entry_rejects(state) => {
+                        continue;
+                    }
+                    Entry::Vacant(unhashed) => *unhashed.insert(group.schema.hash_values_of(state)),
+                };
                 let Some(value_hash) = memoized else { continue };
                 let Some(list) = group.index.get(&value_hash) else { continue };
                 for slot in list.iter() {
@@ -1362,6 +1420,79 @@ mod tests {
             let scanned = cache.scan_best_match(8, &state).map(|e| e.instructions);
             assert_eq!(indexed, scanned, "probe {probe} diverged");
         }
+    }
+
+    #[test]
+    fn a_group_shrunk_to_one_entry_by_eviction_still_agrees_with_the_scan() {
+        // One shard of capacity 3: shape S = {1, 2} fills a group of three,
+        // then shape T = {3} inserts evict S's entries oldest first.
+        let cache = TrajectoryCache::with_layout(3, 1, 0);
+        let s_entries = [(1u8, 2u8, 10u64), (3, 4, 20), (5, 6, 30), (7, 8, 40)];
+        let insert_s = |(a, b, n): (u8, u8, u64)| {
+            assert!(cache.insert(entry(4, &[(1, a), (2, b)], &[(9, a)], n)));
+        };
+        let insert_t = |v: u8| assert!(cache.insert(entry(4, &[(3, v)], &[(9, v)], 1)));
+        let group_s = |cache: &TrajectoryCache| {
+            let shard = read_shard(&cache.shards[0]);
+            let group = &shard.by_ip[&4][0];
+            (group.live, group.newest)
+        };
+        let assert_agrees = |cache: &TrajectoryCache| {
+            let mut probes: Vec<StateVector> =
+                s_entries.iter().map(|&(a, b, _)| state_with(&[(1, a), (2, b)])).collect();
+            probes.push(state_with(&[(1, 1), (2, 4)]));
+            probes.push(state_with(&[(3, 7)]));
+            for state in &probes {
+                let scanned = cache.scan_best_match(4, state);
+                assert_eq!(cache.peek(4, state), scanned);
+                assert_eq!(cache.covers(4, state), scanned.is_some());
+            }
+        };
+
+        for e in &s_entries[..3] {
+            insert_s(*e);
+        }
+        assert_eq!(group_s(&cache), (3, 2));
+        insert_t(7);
+        insert_t(8);
+        // The survivor is the newest stored slot, and the only live one.
+        assert_eq!(group_s(&cache), (1, 2));
+        assert_agrees(&cache);
+        assert_eq!(cache.peek(4, &state_with(&[(1, 5), (2, 6)])).unwrap().instructions, 30);
+
+        // The next S insert reuses a freed slot and evicts the old survivor,
+        // so the one live slot now sits below the group's highest index.
+        insert_s(s_entries[3]);
+        assert_eq!(group_s(&cache), (1, 1));
+        assert_agrees(&cache);
+        assert_eq!(cache.peek(4, &state_with(&[(1, 7), (2, 8)])).unwrap().instructions, 40);
+        assert_eq!(cache.stats().collision_rejects, 0);
+    }
+
+    #[test]
+    fn a_value_hash_collision_is_rejected_and_counted() {
+        // Two entries of one shape make a two-entry group, which probes its
+        // value index. Re-filing the longer entry under the shorter one's
+        // value hash stands in for a 64-bit collision (in-module access).
+        let cache = TrajectoryCache::with_layout(16, 1, 0);
+        cache.insert(entry(5, &[(1, 1), (2, 2)], &[(9, 1)], 10));
+        cache.insert(entry(5, &[(1, 3), (2, 4)], &[(9, 2)], 100));
+        {
+            let mut shard = write_shard(&cache.shards[0]);
+            let group = &mut shard.by_ip.get_mut(&5).unwrap()[0];
+            assert_eq!(group.live, 2);
+            let short_hash = group.slots[0].as_ref().unwrap().start.value_hash();
+            let long_hash = group.slots[1].as_ref().unwrap().start.value_hash();
+            assert!(group.index.get_mut(&long_hash).unwrap().remove(1));
+            group.index.remove(&long_hash);
+            group.index.get_mut(&short_hash).unwrap().push(1);
+        }
+        let state = state_with(&[(1, 1), (2, 2)]);
+        let hit = cache.lookup(5, &state).expect("the genuine entry is served");
+        assert_eq!(hit.instructions, 10, "the colliding entry must not be served");
+        assert_eq!(cache.stats().collision_rejects, 1);
+        assert_eq!(cache.stats().checksum_rejects, 0);
+        assert_eq!(cache.integrity_failures(), 1);
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //! cache matches new queries against the read set only and fast-forwards by
 //! applying the write set, which is what lets a single cache entry be reused
 //! from many different full states.
+//!
+//! Recording stays one status update per access. Reading the sets back
+//! ([`DepVector::read_set`], [`DepVector::write_set`]) walks the vector in
+//! fixed chunks and skips every chunk nothing touched, so capturing a
+//! superstep costs in proportion to the bytes it touched, not to the state.
 
 /// Dependency status of one state-vector byte.
 ///
@@ -164,33 +169,47 @@ impl DepVector {
     /// Byte indices the computation depended on (status `Read` or
     /// `WrittenAfterRead`), in increasing order.
     pub fn read_set(&self) -> Vec<usize> {
-        self.status
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| if s.in_read_set() { Some(i) } else { None })
-            .collect()
+        self.iter_touched().filter(|(_, s)| s.in_read_set()).map(|(i, _)| i).collect()
     }
 
     /// Byte indices the computation produced (status `Written` or
     /// `WrittenAfterRead`), in increasing order.
     pub fn write_set(&self) -> Vec<usize> {
-        self.status
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| if s.in_write_set() { Some(i) } else { None })
-            .collect()
+        self.iter_touched().filter(|(_, s)| s.in_write_set()).map(|(i, _)| i).collect()
     }
 
     /// Number of bytes with a non-`Null` status.
     pub fn touched(&self) -> usize {
-        self.status.iter().filter(|s| **s != DepStatus::Null).count()
+        self.iter_touched().count()
     }
 
-    /// Iterates over `(index, status)` pairs for non-`Null` bytes.
+    /// Iterates over `(index, status)` pairs for non-`Null` bytes, in
+    /// increasing index order.
+    ///
+    /// A superstep touches a few hundred bytes of a state that can be tens
+    /// of kilobytes, so the walk goes 32 statuses (`WALK_CHUNK`) at a time:
+    /// a chunk whose statuses OR to `Null` (0) holds nothing and is skipped
+    /// whole, and only the others are read status by status. The cost
+    /// follows the touched bytes rather than the state size.
     pub fn iter_touched(&self) -> impl Iterator<Item = (usize, DepStatus)> + '_ {
-        self.status.iter().enumerate().filter(|(_, s)| **s != DepStatus::Null).map(|(i, s)| (i, *s))
+        let chunks = self.status.chunks_exact(WALK_CHUNK);
+        let tail = chunks.remainder();
+        chunks
+            .chain(std::iter::once(tail))
+            .enumerate()
+            .filter(|(_, chunk)| chunk.iter().fold(0u8, |any, &s| any | s as u8) != 0)
+            .flat_map(|(c, chunk)| {
+                chunk
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| **s != DepStatus::Null)
+                    .map(move |(i, &s)| (c * WALK_CHUNK + i, s))
+            })
     }
 }
+
+/// Statuses per chunk of [`DepVector::iter_touched`]'s walk.
+const WALK_CHUNK: usize = 32;
 
 #[cfg(test)]
 mod tests {
@@ -242,6 +261,61 @@ mod tests {
         g.note_read_range(4, 3);
         // bytes 4,5 were already written, so a later read does not make them dependencies
         assert_eq!(g.read_set(), vec![6]);
+    }
+
+    /// Per-byte reference for the chunked walk.
+    fn reference_touched(g: &DepVector) -> Vec<(usize, DepStatus)> {
+        (0..g.len()).map(|i| (i, g.status(i))).filter(|(_, s)| *s != DepStatus::Null).collect()
+    }
+
+    fn assert_walk_matches_reference(g: &DepVector) {
+        let reference = reference_touched(g);
+        let reads: Vec<usize> =
+            reference.iter().filter(|(_, s)| s.in_read_set()).map(|(i, _)| *i).collect();
+        let writes: Vec<usize> =
+            reference.iter().filter(|(_, s)| s.in_write_set()).map(|(i, _)| *i).collect();
+        assert_eq!(g.iter_touched().collect::<Vec<_>>(), reference, "len {}", g.len());
+        assert_eq!(g.touched(), reference.len(), "len {}", g.len());
+        assert_eq!(g.read_set(), reads, "len {}", g.len());
+        assert_eq!(g.write_set(), writes, "len {}", g.len());
+    }
+
+    #[test]
+    fn chunked_walk_matches_a_per_byte_reference() {
+        let lengths = [0, 1, WALK_CHUNK - 1, WALK_CHUNK, WALK_CHUNK + 1, 66_000];
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            // xorshift64*: a fixed, dependency-free sequence.
+            seed ^= seed >> 12;
+            seed ^= seed << 25;
+            seed ^= seed >> 27;
+            seed.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        };
+        for len in lengths {
+            let mut g = DepVector::new(len);
+            assert_walk_matches_reference(&g);
+            if len == 0 {
+                continue;
+            }
+            // Touches in only the first and the last byte.
+            g.note_read(0);
+            g.note_write(len - 1);
+            assert_walk_matches_reference(&g);
+            // Random read/write sequences: sparse, then dense.
+            for accesses in [len.min(8), len / 2 + 1] {
+                g.reset();
+                for _ in 0..accesses {
+                    let r = next();
+                    let index = (r >> 1) as usize % len;
+                    if r & 1 == 0 {
+                        g.note_read(index);
+                    } else {
+                        g.note_write(index);
+                    }
+                }
+                assert_walk_matches_reference(&g);
+            }
+        }
     }
 
     #[test]
