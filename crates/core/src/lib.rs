@@ -23,12 +23,14 @@
 //!   speculation cadence: it consumes the main thread's occurrence stream
 //!   and keeps the worker pool topped up with predicted supersteps instead
 //!   of waiting for cache misses.
-//! * [`speculator`] — executes supersteps from predicted states with
-//!   dependency tracking (§4.1).
+//! * [`speculator`] — the one dependency-tracked execution path (§4.1): it
+//!   runs supersteps from predicted states, and captures the real ones
+//!   `measure` and `memoize` observe.
 //! * [`cache`] — the sparse, dependency-matched trajectory cache (§4.2).
 //! * [`runtime`] — the LASC main loop: `measure` (instrumented, for the
-//!   experiment harnesses), `accelerate` (cache + speculation in the loop)
-//!   and `memoize` (single-core generalized memoization).
+//!   experiment harnesses), and one occurrence loop shared by `accelerate`
+//!   (cache + speculation in the loop) and `memoize` (single-core
+//!   generalized memoization).
 //! * [`report`] — the one serializer of a run's statistics: a
 //!   [`RunReport`] as one flat JSON line, every stats section under dotted
 //!   keys.

@@ -15,6 +15,7 @@ use crate::config::AscConfig;
 use crate::error::{AscError, AscResult};
 use crate::predictor_bank::{PredictorBank, EXCITATION_WARMUP};
 use crate::speculator::{execute_superstep_with, SpeculationScratch};
+use asc_tvm::error::VmResult;
 use asc_tvm::exec::StepOutcome;
 use asc_tvm::machine::Machine;
 use asc_tvm::state::StateVector;
@@ -70,6 +71,23 @@ impl IpProfiler {
                 first_instret: instret,
                 last_instret: instret,
             });
+    }
+
+    /// Steps `machine` until `instructions` more have retired or the program
+    /// halts, recording every IP it reaches: phase 1 of both [`recognize`]
+    /// and [`recognize_recurring`]. Returns whether the program halted.
+    ///
+    /// # Errors
+    /// Propagates simulator faults.
+    pub(crate) fn profile(&mut self, machine: &mut Machine, instructions: u64) -> VmResult<bool> {
+        let end = machine.instret() + instructions;
+        while machine.instret() < end {
+            match machine.step()? {
+                StepOutcome::Continue => self.record(machine.state().ip(), machine.instret()),
+                StepOutcome::Halted => return Ok(true),
+            }
+        }
+        Ok(false)
     }
 
     /// Number of distinct IP values observed (Table 1's "unique IP values").
@@ -311,19 +329,7 @@ pub fn recognize(initial: &StateVector, config: &AscConfig) -> AscResult<Recogni
         let mut profiler = IpProfiler::new();
 
         // ---- Phase 1: profile IP occurrences. ----
-        let mut halted = false;
-        let phase1_end = machine.instret() + config.explore_instructions;
-        while machine.instret() < phase1_end {
-            match machine.step()? {
-                StepOutcome::Continue => {
-                    profiler.record(machine.state().ip(), machine.instret());
-                }
-                StepOutcome::Halted => {
-                    halted = true;
-                    break;
-                }
-            }
-        }
+        let mut halted = profiler.profile(&mut machine, config.explore_instructions)?;
         total_unique_ips = total_unique_ips.max(profiler.unique_ips());
         let candidates =
             profiler.candidates(config.min_superstep, config.candidate_count, machine.instret());
@@ -512,6 +518,47 @@ pub fn recognize(initial: &StateVector, config: &AscConfig) -> AscResult<Recogni
         });
     }
     Err(AscError::NoRecognizedIp)
+}
+
+/// Memoization's recognizer: it wants *frequently recurring* states rather
+/// than predictable successors, so instead of both phases of [`recognize`]
+/// it runs phase 1 alone and picks the most frequently observed candidate
+/// (with a stride that still satisfies the minimum-superstep rule). This is
+/// the "recognizer still detects frequently occurring IP values" behaviour
+/// the paper describes for its single-core laptop experiment.
+///
+/// # Errors
+/// Returns [`AscError::NoRecognizedIp`] when nothing recurs, and propagates
+/// simulator errors.
+pub(crate) fn recognize_recurring(
+    initial: &StateVector,
+    config: &AscConfig,
+) -> AscResult<RecognizerOutcome> {
+    let mut machine = Machine::from_state(initial.clone());
+    let mut profiler = IpProfiler::new();
+    let halted = profiler.profile(&mut machine, config.explore_instructions)?;
+    let candidate = profiler
+        .candidates(config.min_superstep, config.candidate_count, machine.instret())
+        .into_iter()
+        .max_by_key(|c| c.occurrences)
+        .ok_or(AscError::NoRecognizedIp)?;
+    let rip = RecognizedIp {
+        ip: candidate.ip,
+        stride: candidate.stride,
+        mean_superstep: candidate.mean_gap * candidate.stride as f64,
+        accuracy: 0.0,
+        score: 0.0,
+    };
+    Ok(RecognizerOutcome {
+        rip,
+        evaluated: vec![rip],
+        candidates: Vec::new(),
+        unique_ips: profiler.unique_ips(),
+        instructions_spent: machine.instret(),
+        resume_instret: machine.instret(),
+        resume_state: machine.into_state(),
+        halted,
+    })
 }
 
 #[cfg(test)]

@@ -15,8 +15,9 @@
 //!
 //! # One occurrence loop
 //!
-//! `accelerate` is Figure 1 as a single loop over one owned run context
-//! (`Run::drive`). At every recognized-IP occurrence the main thread
+//! `accelerate` and `memoize` are Figure 1 as a single loop over one owned
+//! run context (`Run::drive`). At every recognized-IP occurrence the main
+//! thread
 //!
 //! 1. runs the **prelude**: counts the occurrence, feeds the watchdog's
 //!    heartbeat, honours its escalations and the shutdown flag, checkpoints
@@ -25,8 +26,8 @@
 //! 3. on a miss lets the run's `Dispatch` mode **speculate**, then executes
 //!    the superstep itself.
 //!
-//! `Dispatch` is the only thing that differs between the modes, and it is
-//! consulted at three points — before the lookup, on a hit, on a miss:
+//! `Dispatch` is the only thing that differs between the three modes, and
+//! it is consulted at three points — before the lookup, on a hit, on a miss:
 //!
 //! * **Planned** ([`AscConfig::workers`] > 0 and the planner enabled, the
 //!   default): the paper's *continuously speculating* architecture. The
@@ -43,12 +44,16 @@
 //!   rollout through the dispatch economics and hands the ranked
 //!   [`SpeculationTask`]s to the pool — or, with no pool, executes them
 //!   inline, which makes the whole run, statistics included, reproducible.
+//! * **Reuse** ([`LascRuntime::memoize`]): no bank, economics, pool or
+//!   planner. A miss executes the live state's superstep tracked and caches
+//!   it, so the cache holds the program's own past.
 //!
-//! Either way a speculated superstep runs from its predicted start state
-//! with full per-byte dependency tracking (the paper's `g` vector) and
-//! becomes a compressed entry (read-set keyed start, write-set keyed end)
-//! in the sharded [`TrajectoryCache`], where the main thread finds it at a
-//! later occurrence.
+//! Every tracked superstep — speculated, captured by `measure` or remembered
+//! by Reuse — runs through one path, [`execute_superstep_with`], with full
+//! per-byte dependency tracking (the paper's `g` vector), and becomes a
+//! compressed entry (read-set keyed start, write-set keyed end) in the
+//! sharded [`TrajectoryCache`], where the main thread finds it at a later
+//! occurrence.
 //!
 //! **Supervision** (see [`supervisor`](crate::supervisor)) lets every stage
 //! of that machinery *fail* without touching program results: jobs run
@@ -82,8 +87,8 @@
 //! micro-op blocks from its first arrival — tier-1 changes the cost of an
 //! instruction, never its semantics — and [`TierStats`] in the
 //! [`RunReport`] records how much execution each run promoted. `measure`
-//! and `memoize` deliberately stay tier-0: they are the measurement
-//! baseline.
+//! and `memoize` capture their supersteps on the same tiered scratch
+//! executor.
 //!
 //! [`SpeculationTask`]: crate::allocator::SpeculationTask
 //! [`SpeculationPool`]: crate::workers::SpeculationPool
@@ -101,16 +106,17 @@ use crate::economics::{EconomicsStats, SpeculationEconomics};
 use crate::error::AscResult;
 use crate::planner::{OccurrenceEvent, PlannerHandle, PlannerOutcome, PlannerStats};
 use crate::predictor_bank::PredictorBank;
-use crate::recognizer::{recognize, RecognizedIp, RecognizerOutcome};
+use crate::recognizer::{recognize, recognize_recurring, RecognizedIp, RecognizerOutcome};
 use crate::snapshot;
-use crate::speculator::{execute_superstep_with, SpeculationResult, SpeculationScratch};
+use crate::speculator::{
+    capture_superstep, execute_superstep_with, SpeculationResult, SpeculationScratch,
+};
 use crate::supervisor::{
     watchdog_stage, CircuitBreaker, HealthStats, Heartbeat, Supervision, Watchdog,
 };
 use crate::workers::{PoolStats, SpeculationJob, SpeculationPool};
 use asc_learn::ensemble::EnsembleErrors;
 use asc_learn::persist::Reader;
-use asc_tvm::delta::SparseBytes;
 use asc_tvm::machine::Machine;
 use asc_tvm::program::Program;
 use asc_tvm::state::StateVector;
@@ -186,19 +192,20 @@ pub struct RunReport {
     /// Dispatch-economics counters — candidates considered, dispatched and
     /// suppressed by the value model, realized hit rate and the adaptive
     /// horizon (populated by [`LascRuntime::accelerate`]; `None` for
-    /// `measure` and `memoize`, which dispatch no speculation, and for a
+    /// `measure` and `memoize`, which price no speculation, and for a
     /// planned run whose planner died before reporting).
     pub economics: Option<EconomicsStats>,
     /// Checkpoint activity — saves, resume provenance and damage accounting
     /// (populated by [`LascRuntime::accelerate`] when
     /// [`CheckpointConfig::enabled`](crate::config::CheckpointConfig::enabled);
-    /// `None` otherwise and for `measure` / `memoize`).
+    /// `None` otherwise and for `measure` / `memoize`, which checkpoint
+    /// nothing: the checkpoint fingerprint does not encode the mode).
     pub checkpoints: Option<CheckpointStats>,
     /// Tier-up execution counters aggregated across every executor that
-    /// retired instructions for this run: the main thread's machine, the
-    /// inline-speculation scratch and all pool workers (populated by
-    /// [`LascRuntime::accelerate`]; all-zero for `measure` and `memoize`,
-    /// which run tier-0 only so their observations stay the baseline).
+    /// retired instructions after recognition: the main thread's machine,
+    /// the inline-speculation or capture scratch and all pool workers
+    /// (populated by every entry point; `measure` and `memoize` execute all
+    /// their supersteps on the capture scratch).
     pub tier: TierStats,
     /// The final state of the program.
     pub final_state: StateVector,
@@ -303,9 +310,10 @@ struct CheckpointDriver {
 /// match a plan entry, so it would invalidate the plan on every sample.
 const STREAK_SEND_INTERVAL: u64 = crate::planner::HORIZON as u64;
 
-/// Who owns speculation cadence for the run. `Run::drive` consults it
-/// before the lookup, on a hit and on a miss; a dead planner or a watchdog
-/// teardown swaps `Planned` for `MissDriven` in place.
+/// How the run fills its cache: who owns speculation cadence, or whether
+/// the run memoizes its own past. `Run::drive` consults it before the
+/// lookup, on a hit and on a miss; a dead planner or a watchdog teardown
+/// swaps `Planned` for `MissDriven` in place.
 // One value per run, never stored in a collection: the size gap between
 // the variants costs nothing.
 #[allow(clippy::large_enum_variant)]
@@ -335,6 +343,17 @@ enum Dispatch {
         scratch: SpeculationScratch,
         superstep_estimate: f64,
     },
+    /// Single-core memoization: every miss executes the live state's
+    /// superstep tracked on `scratch` and caches it.
+    Reuse {
+        scratch: SpeculationScratch,
+        /// `(virtual instructions retired, scaling so far)` at every
+        /// occurrence, charging `query_overhead` instruction-equivalents per
+        /// cache consultation (`overhead` so far).
+        series: Vec<(u64, f64)>,
+        query_overhead: f64,
+        overhead: f64,
+    },
 }
 
 impl Dispatch {
@@ -361,9 +380,9 @@ fn new_pool(
     SpeculationPool::with_supervision(config.workers, Arc::clone(cache), supervision.clone())
 }
 
-/// Everything one `accelerate` call owns between recognition and its
-/// report: the main thread's machine, the cache, the supervision and
-/// durability context, and the `Dispatch` mode.
+/// Everything one `accelerate` or `memoize` call owns between recognition
+/// and its report: the main thread's machine, the cache, the supervision
+/// and durability context, and the `Dispatch` mode.
 struct Run<'a> {
     config: &'a AscConfig,
     outcome: &'a RecognizerOutcome,
@@ -389,11 +408,42 @@ struct Run<'a> {
     halted: bool,
 }
 
-impl Run<'_> {
+impl<'a> Run<'a> {
+    /// A run from the recognizer's resume point, with no checkpointing, no
+    /// shutdown flag and nothing fast-forwarded yet; `accelerate` overrides
+    /// what it restores from a checkpoint.
+    fn new(
+        config: &'a AscConfig,
+        outcome: &'a RecognizerOutcome,
+        cache: Arc<TrajectoryCache>,
+        supervision: Supervision,
+        heartbeat: Arc<Heartbeat>,
+        dispatch: Dispatch,
+    ) -> Self {
+        Run {
+            config,
+            outcome,
+            machine: Machine::from_state(outcome.resume_state.clone()),
+            cache,
+            supervision,
+            breaker: CircuitBreaker::new(config.breaker.clone()),
+            breaker_seen: (0, 0),
+            dispatch,
+            heartbeat,
+            checkpoints: None,
+            shutdown: None,
+            occurrence: 0,
+            breaker_forced: false,
+            fast_forwarded: 0,
+            halted: outcome.halted,
+        }
+    }
+
     /// The occurrence loop (see the module documentation): runs until the
     /// program halts, the instruction budget is exhausted or the shutdown
-    /// flag is raised, then assembles the report.
-    fn drive(mut self) -> AscResult<RunReport> {
+    /// flag is raised, then assembles the report and the Reuse mode's
+    /// scaling series (empty in the other modes).
+    fn drive(mut self) -> AscResult<(RunReport, Vec<(u64, f64)>)> {
         // Hits are cloned into one reusable scratch: the loop allocates
         // nothing per occurrence.
         let mut lookup = LookupScratch::new();
@@ -406,18 +456,17 @@ impl Run<'_> {
             let sent = self.notify_planner(speculating);
             if let Some(entry) = self.cache.lookup_with(rip.ip, self.machine.state(), &mut lookup) {
                 self.apply_hit(entry, sent);
-                continue;
+            } else {
+                self.speculate_on_miss(speculating, sent, &mut lookup);
+                let executed = self.execute_superstep()?;
+                if executed == 0 {
+                    break;
+                }
+                if let Dispatch::MissDriven { superstep_estimate, .. } = &mut self.dispatch {
+                    *superstep_estimate = 0.9 * *superstep_estimate + 0.1 * executed as f64;
+                }
             }
-            self.speculate_on_miss(speculating, sent, &mut lookup);
-            let (executed, now_halted) =
-                LascRuntime::run_one_superstep(&mut self.machine, rip, self.config.max_superstep)?;
-            self.halted = now_halted;
-            if executed == 0 {
-                break;
-            }
-            if let Dispatch::MissDriven { superstep_estimate, .. } = &mut self.dispatch {
-                *superstep_estimate = 0.9 * *superstep_estimate + 0.1 * executed as f64;
-            }
+            self.sample_scaling();
         }
         Ok(self.finish())
     }
@@ -462,6 +511,7 @@ impl Run<'_> {
                         *torn_down = Some(pool.shutdown());
                     }
                 }
+                Dispatch::Reuse { .. } => {}
             }
         }
         // A raised shutdown flag flushes a final checkpoint and stops.
@@ -605,6 +655,7 @@ impl Run<'_> {
                 economics.record_lookup(true);
                 bank.observe(&self.machine.state().clone());
             }
+            Dispatch::Reuse { .. } => {}
         }
     }
 
@@ -673,16 +724,58 @@ impl Run<'_> {
                     }
                 }
             }
+            Dispatch::Reuse { .. } => {}
         }
+    }
+
+    /// A miss: the main thread executes the superstep — until the
+    /// recognized IP has occurred `rip.stride` more times, the program halts
+    /// or the superstep budget runs out — and returns the instructions it
+    /// retired. Reuse executes it tracked and caches it.
+    fn execute_superstep(&mut self) -> AscResult<u64> {
+        let (rip, budget) = (self.outcome.rip, self.config.max_superstep);
+        if let Dispatch::Reuse { scratch, .. } = &mut self.dispatch {
+            let (entry, halted) =
+                capture_superstep(&mut self.machine, rip.ip, rip.stride, budget, scratch)?;
+            self.halted = halted;
+            let executed = entry.instructions;
+            if executed > 0 {
+                self.cache.insert(entry);
+            }
+            return Ok(executed);
+        }
+        let mut executed = 0u64;
+        for _ in 0..rip.stride.max(1) {
+            let remaining = budget.saturating_sub(executed).max(1);
+            executed += self.machine.run_until_ip(rip.ip, remaining)?.0;
+            if self.machine.is_halted() || executed >= budget {
+                break;
+            }
+        }
+        self.halted = self.machine.is_halted();
+        Ok(executed)
+    }
+
+    /// Reuse mode, after every occurrence: samples the work scaling so far.
+    fn sample_scaling(&mut self) {
+        let Dispatch::Reuse { query_overhead, overhead, series, .. } = &mut self.dispatch else {
+            return;
+        };
+        *overhead += *query_overhead;
+        let executed = self.outcome.resume_instret + self.machine.instret();
+        let virtual_instructions = executed + self.fast_forwarded;
+        let real_cost = executed as f64 + *overhead;
+        series.push((virtual_instructions, virtual_instructions as f64 / real_cost.max(1.0)));
     }
 
     /// Joins the speculation machinery, so every in-flight insert has
     /// landed and the reported statistics are stable, then assembles the
     /// report.
-    fn finish(self) -> RunReport {
+    fn finish(self) -> (RunReport, Vec<(u64, f64)>) {
         let mut tier = self.machine.tier_stats();
         let mut report =
             RunReport::base(self.outcome, self.machine, self.fast_forwarded, self.halted);
+        let mut series = Vec::new();
         let bank = match self.dispatch {
             Dispatch::MissDriven { bank, economics, pool, torn_down, mut scratch, .. } => {
                 // A pool the watchdog tore down mid-run already joined; its
@@ -708,6 +801,11 @@ impl Run<'_> {
                     None
                 }
             },
+            Dispatch::Reuse { mut scratch, series: sampled, .. } => {
+                tier.merge(&scratch.take_tier_stats());
+                series = sampled;
+                None
+            }
         };
         if let Some(bank) = bank {
             report.excited_bits = bank.excited_bits();
@@ -726,7 +824,7 @@ impl Run<'_> {
         self.heartbeat.fill_stats(&mut report.health);
         report.health.checksum_rejects = report.cache_stats.checksum_rejects;
         report.checkpoints = self.checkpoints.map(|driver| driver.stats);
-        report
+        (report, series)
     }
 }
 
@@ -807,26 +905,6 @@ impl LascRuntime {
         self.shutdown = Some(flag);
     }
 
-    /// Runs the main thread until the recognized IP has occurred `rip.stride`
-    /// more times (or the program halts / the budget runs out). Returns the
-    /// instructions executed by this call.
-    fn run_one_superstep(
-        machine: &mut Machine,
-        rip: RecognizedIp,
-        budget: u64,
-    ) -> AscResult<(u64, bool)> {
-        let mut executed = 0u64;
-        for _ in 0..rip.stride.max(1) {
-            let (steps, _) =
-                machine.run_until_ip(rip.ip, budget.saturating_sub(executed).max(1))?;
-            executed += steps;
-            if machine.is_halted() || executed >= budget {
-                break;
-            }
-        }
-        Ok((executed, machine.is_halted()))
-    }
-
     /// Measured (unaccelerated) execution with full observation; see the
     /// module documentation.
     ///
@@ -840,41 +918,39 @@ impl LascRuntime {
         let rip = outcome.rip;
 
         let mut machine = Machine::from_state(outcome.resume_state.clone());
+        let mut scratch = SpeculationScratch::with_tier(self.config.tier);
         let mut bank = PredictorBank::new(rip.ip, &self.config);
         let mut supersteps = Vec::new();
         let mut pending_prediction: Option<StateVector> = None;
-        let mut halted = outcome.halted;
+        let (mut halted, budget) = (outcome.halted, self.config.max_superstep);
 
         while !halted && within_budget(&self.config, &outcome, &machine) {
-            machine.enable_dep_tracking();
-            let (executed, now_halted) =
-                Self::run_one_superstep(&mut machine, rip, self.config.max_superstep)?;
+            let (entry, now_halted) =
+                capture_superstep(&mut machine, rip.ip, rip.stride, budget, &mut scratch)?;
             halted = now_halted;
-            let deps = machine.take_deps().expect("dep tracking was enabled");
-            if executed == 0 {
+            if entry.instructions == 0 {
                 break;
             }
-            let read_set = deps.read_set();
-            let write_set = deps.write_set();
-            let query = SparseBytes::capture(machine.state(), read_set.iter().copied());
-            let state = machine.state().clone();
-
+            let state = machine.state();
             let prediction_correct = pending_prediction.take().map(|predicted| {
-                read_set.iter().all(|&byte| predicted.byte(byte) == state.byte(byte))
+                entry
+                    .start
+                    .positions()
+                    .all(|byte| predicted.byte(byte as usize) == state.byte(byte as usize))
             });
             supersteps.push(SuperstepRecord {
                 index: supersteps.len(),
-                instructions: executed,
-                read_bytes: read_set.len(),
-                write_bytes: write_set.len(),
-                query_bits: query.encoded_bits(),
+                instructions: entry.instructions,
+                read_bytes: entry.start.len(),
+                write_bytes: entry.end.len(),
+                query_bits: entry.start.encoded_bits(),
                 prediction_correct,
             });
 
             if !halted {
-                bank.observe(&state);
+                bank.observe(state);
                 if bank.is_ready() {
-                    pending_prediction = bank.predict_next(&state).map(|p| p.state);
+                    pending_prediction = bank.predict_next(state).map(|p| p.state);
                 }
             }
         }
@@ -884,6 +960,7 @@ impl LascRuntime {
             supersteps,
             ensemble_errors: bank.errors(),
             weight_matrix: bank.weight_matrix(),
+            tier: scratch.take_tier_stats(),
             ..RunReport::base(&outcome, machine, 0, halted)
         })
     }
@@ -935,31 +1012,20 @@ impl LascRuntime {
             rip.ip,
         );
         let dispatch = self.start_dispatch(rip, &cache, &supervision, restored.as_ref());
-        let mut machine = Machine::from_state(outcome.resume_state.clone());
+        let mut run = Run {
+            checkpoints,
+            shutdown: self.shutdown.clone(),
+            occurrence: restored.as_ref().map_or(0, |ckpt| ckpt.occurrence),
+            fast_forwarded: restored.as_ref().map_or(0, |ckpt| ckpt.fast_forwarded),
+            ..Run::new(&self.config, &outcome, cache, supervision, heartbeat, dispatch)
+        };
         // Tier-up the main thread: the inter-occurrence region starting at
         // the recognized IP is hot by construction, so seed it rather than
         // waiting for the arrival counter to discover what the recognizer
         // already measured.
-        machine.enable_tier(self.config.tier);
-        machine.seed_hot(rip.ip);
-        let run = Run {
-            config: &self.config,
-            outcome: &outcome,
-            machine,
-            cache,
-            supervision,
-            breaker: CircuitBreaker::new(self.config.breaker.clone()),
-            breaker_seen: (0, 0),
-            dispatch,
-            heartbeat,
-            checkpoints,
-            shutdown: self.shutdown.clone(),
-            occurrence: restored.as_ref().map_or(0, |ckpt| ckpt.occurrence),
-            breaker_forced: false,
-            fast_forwarded: restored.as_ref().map_or(0, |ckpt| ckpt.fast_forwarded),
-            halted: outcome.halted,
-        };
-        let result = run.drive();
+        run.machine.enable_tier(self.config.tier);
+        run.machine.seed_hot(rip.ip);
+        let result = run.drive().map(|(report, _)| report);
         // The watchdog outlives the loop and the joins in `Run::finish`, so
         // a hang *anywhere* in the run is caught.
         if let Some(watchdog) = watchdog {
@@ -1058,11 +1124,12 @@ impl LascRuntime {
     /// Single-core generalized memoization (Figure 6, rightmost plot): no
     /// prediction and no speculative threads — the cache is populated from the
     /// program's *own past* supersteps, and execution fast-forwards whenever
-    /// the current state matches one of them on its dependency set. Returns
-    /// the run report plus a time series of `(virtual instructions retired,
-    /// scaling so far)` sampled at every recognized-IP occurrence, where the
-    /// scaling denominator charges `query_overhead` extra instruction-
-    /// equivalents per cache consultation.
+    /// the current state matches one of them on its dependency set. This is
+    /// the occurrence loop's Reuse mode (see the module documentation); it
+    /// writes and resumes no checkpoints. Returns the run report plus a time
+    /// series of `(virtual instructions retired, scaling so far)` sampled at
+    /// every recognized-IP occurrence, where the scaling denominator charges
+    /// `query_overhead` extra instruction-equivalents per cache consultation.
     ///
     /// # Errors
     /// Propagates recognizer and simulator errors.
@@ -1071,88 +1138,17 @@ impl LascRuntime {
         program: &Program,
         query_overhead: f64,
     ) -> AscResult<(RunReport, Vec<(u64, f64)>)> {
-        let initial = program.initial_state()?;
-        // Memoization wants *frequently recurring* states rather than
-        // predictable successors, so instead of the full two-phase recognizer
-        // it profiles IP occurrences and picks the most frequently observed
-        // candidate (with a stride that still satisfies the minimum-superstep
-        // rule). This is the "recognizer still detects frequently occurring
-        // IP values" behaviour the paper describes for the laptop experiment.
-        let mut profiling = Machine::from_state(initial.clone());
-        let mut profiler = crate::recognizer::IpProfiler::new();
-        while !profiling.is_halted() && profiling.instret() < self.config.explore_instructions {
-            if profiling.step()? == asc_tvm::exec::StepOutcome::Continue {
-                profiler.record(profiling.state().ip(), profiling.instret());
-            }
-        }
-        let candidate = profiler
-            .candidates(self.config.min_superstep, self.config.candidate_count, profiling.instret())
-            .into_iter()
-            .max_by_key(|c| c.occurrences)
-            .ok_or(crate::error::AscError::NoRecognizedIp)?;
-        let rip = RecognizedIp {
-            ip: candidate.ip,
-            stride: candidate.stride,
-            mean_superstep: candidate.mean_gap * candidate.stride as f64,
-            accuracy: 0.0,
-            score: 0.0,
-        };
-        let outcome = crate::recognizer::RecognizerOutcome {
-            rip,
-            evaluated: vec![rip],
-            candidates: Vec::new(),
-            unique_ips: profiler.unique_ips(),
-            instructions_spent: profiling.instret(),
-            resume_state: profiling.state().clone(),
-            resume_instret: profiling.instret(),
-            halted: profiling.is_halted(),
-        };
-        let cache = TrajectoryCache::with_junk_threshold(
+        let outcome = recognize_recurring(&program.initial_state()?, &self.config)?;
+        let cache = Arc::new(TrajectoryCache::with_junk_threshold(
             self.config.cache_capacity,
             self.config.cache_junk_threshold,
-        );
-
-        let mut machine = Machine::from_state(outcome.resume_state.clone());
-        let mut fast_forwarded = 0u64;
-        let mut overhead = 0.0f64;
-        let mut halted = outcome.halted;
-        let mut series = Vec::new();
-        let mut lookup = LookupScratch::new();
-
-        while !halted && within_budget(&self.config, &outcome, &machine) {
-            overhead += query_overhead;
-            if let Some(entry) = cache.lookup_with(rip.ip, machine.state(), &mut lookup) {
-                machine.apply_sparse(&entry.end);
-                fast_forwarded += entry.instructions;
-            } else {
-                // Execute the superstep with dependency tracking and remember
-                // it: the program's own past becomes the cache contents.
-                let start_state = machine.state().clone();
-                machine.enable_dep_tracking();
-                let (executed, now_halted) =
-                    Self::run_one_superstep(&mut machine, rip, self.config.max_superstep)?;
-                halted = now_halted;
-                let deps = machine.take_deps().expect("dep tracking was enabled");
-                if executed == 0 {
-                    break;
-                }
-                cache.insert(CacheEntry::new(
-                    rip.ip,
-                    SparseBytes::capture(&start_state, deps.read_set()),
-                    SparseBytes::capture(machine.state(), deps.write_set()),
-                    executed,
-                ));
-            }
-            let virtual_instructions = outcome.resume_instret + machine.instret() + fast_forwarded;
-            let real_cost = (outcome.resume_instret + machine.instret()) as f64 + overhead;
-            series.push((virtual_instructions, virtual_instructions as f64 / real_cost.max(1.0)));
-        }
-
-        let report = RunReport {
-            cache_stats: cache.stats(),
-            ..RunReport::base(&outcome, machine, fast_forwarded, halted)
-        };
-        Ok((report, series))
+        ));
+        let scratch = SpeculationScratch::with_tier(self.config.tier);
+        let dispatch =
+            Dispatch::Reuse { scratch, series: Vec::new(), query_overhead, overhead: 0.0 };
+        // No speculation machinery to supervise, so no fault plan either.
+        let (supervision, heartbeat) = (Supervision::default(), Arc::new(Heartbeat::default()));
+        Run::new(&self.config, &outcome, cache, supervision, heartbeat, dispatch).drive()
     }
 }
 

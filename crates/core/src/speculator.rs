@@ -8,6 +8,14 @@
 //! read set keyed on the *start* state and the write set keyed on the *end*
 //! state.
 //!
+//! [`execute_superstep_with`] is the runtime's one tracked execution: pool
+//! workers (fed by the miss-driven loop or the planner) and inline
+//! speculation run predicted supersteps through it, the recognizer probes
+//! and scores its candidates with it, and `LascRuntime::measure` and
+//! `LascRuntime::memoize` capture the program's real supersteps with it
+//! (through `capture_superstep`). The TVM's `Machine` is the untracked
+//! main-thread driver.
+//!
 //! Long-lived workers execute many supersteps; [`SpeculationScratch`] lets
 //! them reuse one dependency vector and one decoded-instruction cache across
 //! jobs (reset between supersteps, reallocated only when the state size
@@ -18,6 +26,7 @@ use crate::error::AscResult;
 use asc_tvm::delta::SparseBytes;
 use asc_tvm::deps::DepVector;
 use asc_tvm::error::VmError;
+use asc_tvm::machine::Machine;
 use asc_tvm::state::StateVector;
 use asc_tvm::tier::{run_segment, BlockCache, SegmentExit};
 use asc_tvm::{TierConfig, TierStats};
@@ -36,10 +45,6 @@ pub struct SuperstepOutcome {
     pub halted: bool,
     /// Number of instructions executed.
     pub instructions: u64,
-    /// Number of state bytes in the read (dependency) set.
-    pub read_bytes: usize,
-    /// Number of state bytes in the write (output) set.
-    pub write_bytes: usize,
 }
 
 /// How a speculative execution ended.
@@ -137,6 +142,19 @@ pub fn execute_superstep_with(
     max_instructions: u64,
     scratch: &mut SpeculationScratch,
 ) -> AscResult<SpeculationResult> {
+    execute_keyed(start, start.ip(), rip, stride, max_instructions, scratch)
+}
+
+/// [`execute_superstep_with`], sealing the entry under `key` rather than
+/// the start state's IP.
+fn execute_keyed(
+    start: &StateVector,
+    key: u32,
+    rip: u32,
+    stride: usize,
+    max_instructions: u64,
+    scratch: &mut SpeculationScratch,
+) -> AscResult<SpeculationResult> {
     let mut state = start.clone();
     let deps = match scratch.deps.as_mut() {
         Some(deps) => {
@@ -194,7 +212,7 @@ pub fn execute_superstep_with(
     let read_set = deps.read_set();
     let write_set = deps.write_set();
     let entry = CacheEntry::new(
-        start.ip(),
+        key,
         SparseBytes::capture(start, read_set.iter().copied()),
         SparseBytes::capture(&state, write_set.iter().copied()),
         instructions,
@@ -205,16 +223,43 @@ pub fn execute_superstep_with(
         reached_rip,
         halted,
         instructions,
-        read_bytes: read_set.len(),
-        write_bytes: write_set.len(),
     })))
+}
+
+/// Executes `machine`'s next superstep tracked, through
+/// [`execute_superstep_with`] on `scratch`, and applies its write set to the
+/// machine as if the machine had executed the superstep itself. Returns the
+/// superstep's entry, keyed on `rip` even when the superstep starts
+/// elsewhere, and whether the program halted.
+///
+/// # Errors
+/// A fault surfaces as the error untracked execution would return.
+pub(crate) fn capture_superstep(
+    machine: &mut Machine,
+    rip: u32,
+    stride: usize,
+    max_instructions: u64,
+    scratch: &mut SpeculationScratch,
+) -> AscResult<(CacheEntry, bool)> {
+    match execute_keyed(machine.state(), rip, rip, stride, max_instructions, scratch)? {
+        SpeculationResult::Completed(outcome) => {
+            let SuperstepOutcome { entry, end_state, halted, .. } = *outcome;
+            machine.adopt(&entry.end, entry.instructions, halted);
+            debug_assert!(machine.state() == &end_state, "the write set missed a changed byte");
+            Ok((entry, halted))
+        }
+        SpeculationResult::Faulted { error, .. } => Err(error.into()),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::AscConfig;
+    use crate::recognizer::recognize;
     use asc_asm::assemble;
-    use asc_tvm::machine::Machine;
+    use asc_tvm::exec::{transition, StepOutcome};
+    use asc_workloads::registry::{build, Benchmark, Scale};
 
     /// A loop whose head (address of `loop:`) is a natural recognized IP.
     fn looping_program() -> (asc_tvm::program::Program, u32) {
@@ -246,8 +291,8 @@ mod tests {
         let outcome = result.completed().unwrap();
         assert!(outcome.reached_rip);
         assert_eq!(outcome.instructions, 4); // one loop iteration
-        assert!(outcome.read_bytes > 0);
-        assert!(outcome.write_bytes > 0);
+        assert!(!outcome.entry.start.is_empty());
+        assert!(!outcome.entry.end.is_empty());
         // The entry must match the state it was captured from and fast-forward
         // a copy of it to the true end state on every written byte.
         assert!(outcome.entry.matches(&start));
@@ -372,6 +417,85 @@ mod tests {
         let off_stats = off.take_tier_stats();
         assert_eq!(off_stats.blocks_compiled, 0, "{off_stats:?}");
         assert_eq!(off_stats.tier1_instructions, 0, "{off_stats:?}");
+    }
+
+    /// The per-instruction reference for one superstep: the paper's `g`
+    /// vector fed by `transition` one instruction at a time, stopping where
+    /// [`execute_superstep_with`] stops.
+    fn reference_superstep(
+        start: &StateVector,
+        rip: u32,
+        stride: usize,
+        budget: u64,
+    ) -> SuperstepOutcome {
+        let mut state = start.clone();
+        let mut deps = DepVector::new(state.len_bytes());
+        let (mut instructions, mut occurrences, mut halted) = (0u64, 0usize, false);
+        while instructions < budget && occurrences < stride.max(1) {
+            if transition(&mut state, Some(&mut deps)).unwrap() == StepOutcome::Halted {
+                halted = true;
+                break;
+            }
+            instructions += 1;
+            occurrences += usize::from(state.ip() == rip);
+        }
+        let read = SparseBytes::capture(start, deps.read_set());
+        let written = SparseBytes::capture(&state, deps.write_set());
+        SuperstepOutcome {
+            entry: CacheEntry::new(start.ip(), read, written, instructions),
+            end_state: state,
+            reached_rip: occurrences == stride.max(1),
+            halted,
+            instructions,
+        }
+    }
+
+    #[test]
+    fn capture_matches_the_per_instruction_reference_on_every_workload() {
+        // The one tracked-execution path — speculation, `measure` and
+        // memoization all capture through it — against a per-instruction
+        // `DepVector`, over the first 64 recognized-IP occurrences of each
+        // registry workload, at tier 0 and at tier 1: the tier changes the
+        // cost of a captured superstep, never what is captured.
+        for benchmark in Benchmark::ALL {
+            let workload = build(benchmark, Scale::Tiny).unwrap();
+            // The figure harnesses' Tiny configuration.
+            let config = AscConfig {
+                explore_instructions: 6_000,
+                min_superstep: 50,
+                ..AscConfig::default()
+            };
+            let initial = workload.program.initial_state().unwrap();
+            let (rip, budget) = (recognize(&initial, &config).unwrap().rip, config.max_superstep);
+            for tier in [TierConfig::disabled(), TierConfig::default()] {
+                let mut scratch = SpeculationScratch::with_tier(tier);
+                // From the program's start, so the walk also covers the
+                // occurrences recognition executed.
+                let mut state = initial.clone();
+                for occurrence in 0..64 {
+                    let context = format!("{benchmark:?} tier {} #{occurrence}", tier.enabled);
+                    let got =
+                        execute_superstep_with(&state, rip.ip, rip.stride, budget, &mut scratch)
+                            .unwrap()
+                            .completed()
+                            .unwrap();
+                    let want = reference_superstep(&state, rip.ip, rip.stride, budget);
+                    assert_eq!(got.entry, want.entry, "{context}");
+                    assert_eq!(got.instructions, want.instructions, "{context}");
+                    assert_eq!(
+                        (got.reached_rip, got.halted),
+                        (want.reached_rip, want.halted),
+                        "{context}"
+                    );
+                    assert!(got.end_state == want.end_state, "{context}: end states differ");
+                    assert!(got.reached_rip, "{context}: the program ended before the walk did");
+                    state = got.end_state;
+                }
+                let stats = scratch.take_tier_stats();
+                assert_eq!(stats.tier1_instructions > 0, tier.enabled, "{benchmark:?} {stats:?}");
+                assert_eq!(stats.blocks_compiled > 0, tier.enabled, "{benchmark:?} {stats:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! The trajectory-based functional simulator (TBFS) driver.
 //!
-//! [`Machine`] wraps a [`StateVector`] plus an optional [`DepVector`] and
-//! drives repeated calls to the [`transition`] function, counting retired
-//! instructions and enforcing instruction budgets. It corresponds to the
-//! "main thread" and "speculative thread" execution loops of the paper's
-//! prototype; the ASC runtime builds on it but higher layers can also use it
-//! directly to run TVM programs to completion.
+//! [`Machine`] wraps a [`StateVector`] and drives repeated, untracked calls
+//! to the transition function, counting retired instructions and enforcing
+//! instruction budgets. It is the paper's "main thread" execution loop; the
+//! ASC runtime builds on it but higher layers can also use it directly to
+//! run TVM programs to completion. Dependency-tracked execution (the
+//! speculative threads' loop) runs on [`run_segment`] with a
+//! [`DepVector`](crate::deps::DepVector) sink instead.
 
 use crate::delta::SparseBytes;
-use crate::deps::DepVector;
 use crate::error::{VmError, VmResult};
 use crate::exec::{transition_cached, DecodeCache, NoDeps, StepOutcome};
 use crate::isa::Reg;
@@ -55,7 +55,6 @@ pub enum RunExit {
 #[derive(Debug, Clone)]
 pub struct Machine {
     state: StateVector,
-    deps: Option<DepVector>,
     /// Two-tier execution cache: decoded-instruction slots (tier-0) plus
     /// compiled blocks of fused micro-ops (tier-1, off by default). Kept
     /// coherent by store invalidation inside the transition function and
@@ -70,7 +69,7 @@ impl Machine {
     /// starts disabled; see [`Machine::enable_tier`].
     pub fn from_state(state: StateVector) -> Self {
         let icache = BlockCache::new(&state, TierConfig::disabled());
-        Machine { state, deps: None, icache, instret: 0, halted: false }
+        Machine { state, icache, instret: 0, halted: false }
     }
 
     /// Enables (or reconfigures) tier-1 execution: hot straight-line regions
@@ -102,23 +101,6 @@ impl Machine {
         Ok(Machine::from_state(program.initial_state()?))
     }
 
-    /// Enables per-byte dependency tracking (the paper's `g` vector).
-    ///
-    /// Tracking starts from an all-`null` vector; call again to reset.
-    pub fn enable_dep_tracking(&mut self) {
-        self.deps = Some(DepVector::new(self.state.len_bytes()));
-    }
-
-    /// Disables dependency tracking and returns the vector accumulated so far.
-    pub fn take_deps(&mut self) -> Option<DepVector> {
-        self.deps.take()
-    }
-
-    /// The accumulated dependency vector, when tracking is enabled.
-    pub fn deps(&self) -> Option<&DepVector> {
-        self.deps.as_ref()
-    }
-
     /// The current state vector.
     pub fn state(&self) -> &StateVector {
         &self.state
@@ -144,6 +126,15 @@ impl Machine {
             }
         }
         patch.apply(&mut self.state);
+    }
+
+    /// Takes over `retired` instructions executed outside the machine (a
+    /// tracked superstep run on a speculation scratch) from their write set
+    /// `end`, as if the machine had retired them itself.
+    pub fn adopt(&mut self, end: &SparseBytes, retired: u64, halted: bool) {
+        self.apply_sparse(end);
+        self.instret += retired;
+        self.halted = halted;
     }
 
     /// Consumes the machine and returns its state vector.
@@ -177,13 +168,10 @@ impl Machine {
         if self.halted {
             return Ok(StepOutcome::Halted);
         }
-        // Both arms are fully monomorphized: the untracked (main-thread)
-        // path pays neither an Option branch per access nor a re-decode per
-        // retired instruction.
-        let outcome = match self.deps.as_mut() {
-            Some(deps) => transition_cached(&mut self.state, deps, &mut self.icache)?,
-            None => transition_cached(&mut self.state, &mut NoDeps, &mut self.icache)?,
-        };
+        // Monomorphized over the zero-cost sink: the main thread pays
+        // neither an Option branch per access nor a re-decode per retired
+        // instruction.
+        let outcome = transition_cached(&mut self.state, &mut NoDeps, &mut self.icache)?;
         match outcome {
             StepOutcome::Continue => self.instret += 1,
             StepOutcome::Halted => self.halted = true,
@@ -222,22 +210,13 @@ impl Machine {
             if self.halted {
                 return Ok(RunExit::Halted);
             }
-            let (retired, exit) = match self.deps.as_mut() {
-                Some(deps) => run_segment(
-                    &mut self.state,
-                    deps,
-                    &mut self.icache,
-                    UNREACHABLE_STOP_IP,
-                    remaining,
-                ),
-                None => run_segment(
-                    &mut self.state,
-                    &mut NoDeps,
-                    &mut self.icache,
-                    UNREACHABLE_STOP_IP,
-                    remaining,
-                ),
-            };
+            let (retired, exit) = run_segment(
+                &mut self.state,
+                &mut NoDeps,
+                &mut self.icache,
+                UNREACHABLE_STOP_IP,
+                remaining,
+            );
             self.instret += retired;
             remaining -= retired;
             match exit {
@@ -269,8 +248,8 @@ impl Machine {
     /// retired instruction), the program halts, or the budget is exhausted.
     ///
     /// Returns the number of instructions retired by this call and the exit
-    /// reason. This is the primitive both the recognizer (finding superstep
-    /// boundaries) and the speculative workers (executing one superstep) use.
+    /// reason. This is the primitive the runtime's main thread executes one
+    /// superstep with.
     ///
     /// # Errors
     /// Propagates [`VmError`]s from the transition function.
@@ -279,10 +258,8 @@ impl Machine {
             if self.halted {
                 return Ok((0, RunExit::Halted));
             }
-            let (retired, exit) = match self.deps.as_mut() {
-                Some(deps) => run_segment(&mut self.state, deps, &mut self.icache, ip, budget),
-                None => run_segment(&mut self.state, &mut NoDeps, &mut self.icache, ip, budget),
-            };
+            let (retired, exit) =
+                run_segment(&mut self.state, &mut NoDeps, &mut self.icache, ip, budget);
             self.instret += retired;
             return match exit {
                 SegmentExit::StopIp => Ok((retired, RunExit::Halted)),
@@ -307,31 +284,6 @@ impl Machine {
         }
         Ok((self.instret - start, RunExit::BudgetExhausted))
     }
-}
-
-/// Measures the raw simulation rate of a state vector in instructions per
-/// second, optionally with dependency tracking, by executing up to
-/// `instructions` transitions. Used by the §5.3 micro-benchmarks (baseline
-/// 2.6 MIPS vs dependency-tracking 2.3 MIPS in the paper).
-///
-/// # Errors
-/// Propagates transition errors from the underlying program.
-pub fn measure_simulation_rate(
-    state: &StateVector,
-    instructions: u64,
-    track_deps: bool,
-) -> VmResult<f64> {
-    let mut machine = Machine::from_state(state.clone());
-    if track_deps {
-        machine.enable_dep_tracking();
-    }
-    let start = std::time::Instant::now();
-    machine.run(instructions)?;
-    let elapsed = start.elapsed().as_secs_f64();
-    if elapsed == 0.0 {
-        return Ok(f64::INFINITY);
-    }
-    Ok(machine.instret() as f64 / elapsed)
 }
 
 #[cfg(test)]
@@ -410,16 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn dependency_tracking_can_be_enabled_and_harvested() {
-        let mut machine = Machine::load(&counting_program(3)).unwrap();
-        machine.enable_dep_tracking();
-        machine.run_to_halt(1_000).unwrap();
-        let deps = machine.take_deps().expect("deps were enabled");
-        assert!(deps.touched() > 0);
-        assert!(machine.take_deps().is_none());
-    }
-
-    #[test]
     fn tiered_machine_matches_untiered_run() {
         let program = counting_program(200);
         let mut plain = Machine::load(&program).unwrap();
@@ -465,29 +407,5 @@ mod tests {
         assert_eq!(tiered.run(100_000).unwrap(), RunExit::Halted);
         assert_eq!(plain.state(), tiered.state());
         assert_eq!(plain.instret(), tiered.instret());
-    }
-
-    #[test]
-    fn tiered_dependency_tracking_matches_untiered() {
-        let program = counting_program(30);
-        let mut plain = Machine::load(&program).unwrap();
-        let mut tiered = Machine::load(&program).unwrap();
-        plain.enable_dep_tracking();
-        tiered.enable_dep_tracking();
-        tiered.enable_tier(TierConfig { hot_threshold: 1, ..TierConfig::default() });
-        plain.run(10_000).unwrap();
-        tiered.run(10_000).unwrap();
-        assert_eq!(plain.state(), tiered.state());
-        assert_eq!(plain.take_deps(), tiered.take_deps());
-    }
-
-    #[test]
-    fn measure_simulation_rate_is_positive() {
-        let program = counting_program(10_000);
-        let state = program.initial_state().unwrap();
-        let rate = measure_simulation_rate(&state, 20_000, false).unwrap();
-        assert!(rate > 0.0);
-        let tracked = measure_simulation_rate(&state, 20_000, true).unwrap();
-        assert!(tracked > 0.0);
     }
 }

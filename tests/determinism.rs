@@ -320,6 +320,31 @@ mod tier {
         }
     }
 
+    /// Memoization executes its misses on the configured tier: the tier may
+    /// change how fast a remembered superstep is captured, never what is
+    /// remembered or what the run reports.
+    #[test]
+    fn memoize_on_tier_1_matches_tier_0() {
+        use asc::workloads::collatz;
+        let params = collatz::CollatzParams { start: 2, count: 200 };
+        let program = collatz::pure_program(&params).unwrap();
+        let memoize = |tier| {
+            let config = AscConfig { min_superstep: 8, tier, ..AscConfig::for_tests() };
+            LascRuntime::new(config).unwrap().memoize(&program, 2.0).unwrap()
+        };
+        let (off, off_series) = memoize(TierConfig::disabled());
+        let (on, on_series) = memoize(TierConfig::default());
+        assert_eq!(on.final_state, off.final_state);
+        assert_eq!(on.total_instructions, off.total_instructions);
+        assert_eq!(on.fast_forwarded_instructions, off.fast_forwarded_instructions);
+        assert_eq!(on.cache_stats.hits, off.cache_stats.hits);
+        assert_eq!(on.cache_stats.inserted, off.cache_stats.inserted);
+        assert_eq!(on_series, off_series);
+        assert!(on.cache_stats.hits > 0, "{:?}", on.cache_stats);
+        assert_eq!(off.tier.tier1_instructions, 0, "{:?}", off.tier);
+        assert!(on.tier.tier1_instructions > 0, "{:?}", on.tier);
+    }
+
     /// The full fault campaign (worker panics, stalls, entry corruption,
     /// planner death) with the tier enabled: deadline-killed and faulted
     /// jobs stop mid-block, and their exact instruction accounting is what
