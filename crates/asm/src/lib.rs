@@ -1,11 +1,10 @@
-//! # asc-asm — assembler and disassembler for the TVM ISA
+//! # asc-asm — assembler for the TVM ISA
 //!
 //! This crate stands in for the standard toolchain (GCC + binutils) the paper
 //! compiles its benchmarks with: it turns human-readable assembly into the
 //! freestanding [`Program`](asc_tvm::program::Program) images the
 //! trajectory-based simulator executes. The benchmark kernels in
-//! `asc-workloads` and the code generator in `asc-lang` both lower through
-//! this crate.
+//! `asc-workloads` lower through this crate.
 //!
 //! ```
 //! use asc_asm::assemble;
@@ -28,7 +27,6 @@
 
 pub mod assemble;
 pub mod ast;
-pub mod disasm;
 pub mod error;
 pub mod parser;
 

@@ -34,7 +34,7 @@
 //!    hold one entry, and hashing a group's ≈ 407 positions (ising) to
 //!    reject a state that differs at its fifth is most of a probe's cost.
 //!    A group holding a single live entry therefore first compares the
-//!    first [`DIRECT_COMPARE_PREFIX`] `(position, value)` pairs of that
+//!    first `DIRECT_COMPARE_PREFIX` (16) `(position, value)` pairs of that
 //!    entry, which stops at the first mismatch; a mismatch is a miss, read
 //!    in ≈ 5 bytes on ising. A prefix that agrees falls back to the hash,
 //!    and so does a group whose shape the lookup has already hashed: one
@@ -57,10 +57,9 @@
 //! threshold (`AscConfig::cache_junk_threshold`): a group whose entries have
 //! served zero hits after that many probes (real lookups and peeks — the
 //! allocator's coverage checks miss by design and count as no evidence)
-//! stops accepting inserts, and once
-//! a rip has accumulated [`JUNK_GROUP_LIMIT`] such proven-junk groups in a
-//! shard, new groups are refused too (counted in
-//! [`CacheStats::junk_rejected`]). Fully evicted groups reset their
+//! stops accepting inserts, and once a rip has accumulated
+//! `JUNK_GROUP_LIMIT` (32) such proven-junk groups in a shard, new groups
+//! are refused too (counted in [`CacheStats::junk_rejected`]). Fully evicted groups reset their
 //! counters, so FIFO turnover re-opens admission; a group that ever serves a
 //! hit is never junk. The filter only ever declines to *store* speculation —
 //! results remain bit-identical, it just bounds how much hopeless junk a
@@ -283,9 +282,10 @@ pub struct CacheStats {
     pub groups: u64,
     /// Number of group probes: one per populated group consulted by a
     /// lookup, peek, or coverage check (a value-index probe, or a one-entry
-    /// group's prefix compare). The per-query work of the index — compare
-    /// with what `queries × entries` would have been under the old scan. (Only lookups and peeks feed the junk filter's per-group probe
-    /// evidence; coverage-check misses are expected and do not.)
+    /// group's prefix compare). The per-query work of the index, against
+    /// `queries × entries` for a scan of every entry. Only lookups and peeks
+    /// feed the junk filter's per-group probe evidence; coverage-check
+    /// misses are expected and do not.
     pub probes: u64,
     /// Value-index probe hits discarded because the full read-set compare
     /// failed (a 64-bit value-hash collision). The collision guard's work
@@ -302,13 +302,6 @@ pub struct CacheStats {
     pub instructions_served: u64,
 }
 
-/// Number of `u64` counters in [`CacheStats`]; fixes the size of its
-/// serialized form.
-const CACHE_STAT_FIELDS: usize = 12;
-
-/// Size in bytes of [`CacheStats::to_le_bytes`].
-pub const CACHE_STATS_WIRE_LEN: usize = CACHE_STAT_FIELDS * 8;
-
 impl CacheStats {
     /// Fraction of queries that missed (0 when nothing was queried).
     pub fn miss_rate(&self) -> f64 {
@@ -317,68 +310,6 @@ impl CacheStats {
         } else {
             1.0 - self.hits as f64 / self.queries as f64
         }
-    }
-
-    /// The counters as a fixed field-order array, the single source of truth
-    /// for the serialized form.
-    fn fields(&self) -> [u64; CACHE_STAT_FIELDS] {
-        [
-            self.queries,
-            self.hits,
-            self.inserted,
-            self.duplicates,
-            self.replaced,
-            self.evicted,
-            self.junk_rejected,
-            self.groups,
-            self.probes,
-            self.collision_rejects,
-            self.checksum_rejects,
-            self.instructions_served,
-        ]
-    }
-
-    /// Rebuilds stats from the [`fields`](CacheStats::fields) order.
-    fn from_fields(fields: [u64; CACHE_STAT_FIELDS]) -> Self {
-        let [queries, hits, inserted, duplicates, replaced, evicted, junk_rejected, groups, probes, collision_rejects, checksum_rejects, instructions_served] =
-            fields;
-        CacheStats {
-            queries,
-            hits,
-            inserted,
-            duplicates,
-            replaced,
-            evicted,
-            junk_rejected,
-            groups,
-            probes,
-            collision_rejects,
-            checksum_rejects,
-            instructions_served,
-        }
-    }
-
-    /// The serialized form: every counter as little-endian `u64` in field
-    /// order. Carried in the snapshot header.
-    pub fn to_le_bytes(&self) -> [u8; CACHE_STATS_WIRE_LEN] {
-        let mut bytes = [0u8; CACHE_STATS_WIRE_LEN];
-        for (slot, field) in bytes.chunks_exact_mut(8).zip(self.fields()) {
-            slot.copy_from_slice(&field.to_le_bytes());
-        }
-        bytes
-    }
-
-    /// Decodes the serialized form; `None` when `bytes` is not exactly
-    /// [`CACHE_STATS_WIRE_LEN`] long.
-    pub fn from_le_bytes(bytes: &[u8]) -> Option<CacheStats> {
-        if bytes.len() != CACHE_STATS_WIRE_LEN {
-            return None;
-        }
-        let mut fields = [0u64; CACHE_STAT_FIELDS];
-        for (field, chunk) in fields.iter_mut().zip(bytes.chunks_exact(8)) {
-            *field = u64::from_le_bytes(chunk.try_into().expect("chunk is 8 bytes"));
-        }
-        Some(CacheStats::from_fields(fields))
     }
 }
 
@@ -1586,27 +1517,6 @@ mod tests {
             assert!(cache.lookup(4, &state_with(&[(i as usize, 1)])).is_some());
         }
         assert_eq!(cache.stats().hits, 32);
-    }
-
-    #[test]
-    fn stats_roundtrip_through_bytes() {
-        let cache = TrajectoryCache::new(16);
-        cache.insert(entry(7, &[(1, 1)], &[(2, 2)], 40));
-        cache.lookup(7, &state_with(&[(1, 1)]));
-        cache.lookup(7, &state_with(&[(1, 9)]));
-        let local = cache.stats();
-
-        let bytes = local.to_le_bytes();
-        assert_eq!(bytes.len(), CACHE_STATS_WIRE_LEN);
-        let decoded = CacheStats::from_le_bytes(&bytes).expect("well-formed stats decode");
-        assert_eq!(decoded.queries, local.queries);
-        assert_eq!(decoded.hits, local.hits);
-        assert_eq!(decoded.inserted, local.inserted);
-        assert_eq!(decoded.probes, local.probes);
-        assert_eq!(decoded.instructions_served, local.instructions_served);
-        // Wrong length rejects rather than guessing a prefix.
-        assert!(CacheStats::from_le_bytes(&bytes[..bytes.len() - 1]).is_none());
-        assert!(CacheStats::from_le_bytes(&[]).is_none());
     }
 
     #[test]

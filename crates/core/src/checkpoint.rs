@@ -1,7 +1,7 @@
 //! Crash-durable run state: occurrence-boundary checkpoints an interrupted
 //! `accelerate` run resumes from bit-identically.
 //!
-//! A checkpoint file is a short stream of [`codec`](crate::codec) frames — a
+//! A checkpoint file is a short stream of [`codec`] frames — a
 //! [`CheckpointHeader`](crate::codec::FrameKind::CheckpointHeader) (config
 //! fingerprint, sequence, occurrence, section count), one
 //! [`CheckpointSection`](crate::codec::FrameKind::CheckpointSection) per
@@ -149,7 +149,8 @@ pub fn config_fingerprint(config: &AscConfig) -> u64 {
     // A retired setting's only value, kept so saved checkpoints still match.
     persist::put_str(&mut buf, "Default");
     persist::put_usize(&mut buf, config.max_excited_bits);
-    persist::put_usize(&mut buf, config.mistake_log_capacity);
+    // Likewise the retired `mistake_log_capacity`.
+    persist::put_usize(&mut buf, 4096);
     fnv1a(buf)
 }
 

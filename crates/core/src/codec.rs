@@ -20,7 +20,7 @@ use std::io::{self, Read};
 
 use asc_tvm::delta::SparseBytes;
 
-use crate::cache::{CacheEntry, CacheStats, CACHE_STATS_WIRE_LEN};
+use crate::cache::CacheEntry;
 
 /// Frame magic: "ASCF".
 pub const MAGIC: [u8; 4] = *b"ASCF";
@@ -35,11 +35,10 @@ pub const MAX_PAYLOAD: u32 = 1 << 26;
 
 /// What a frame carries. The byte values are the on-disk kind bytes of
 /// every snapshot and checkpoint ever written, so they are fixed: a kind
-/// that is retired leaves its byte unknown, never reused.
+/// that is retired leaves its byte unknown, never reused. Bytes 0–7 are
+/// retired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
-    /// First frame of a snapshot stream: serialized stats + entry count.
-    SnapshotHeader = 7,
     /// One entry of a snapshot stream.
     Entry = 8,
     /// Terminates a snapshot stream; empty payload. A stream that ends
@@ -58,7 +57,6 @@ pub enum FrameKind {
 impl FrameKind {
     fn from_byte(byte: u8) -> Option<FrameKind> {
         Some(match byte {
-            7 => FrameKind::SnapshotHeader,
             8 => FrameKind::Entry,
             9 => FrameKind::SnapshotEnd,
             10 => FrameKind::CheckpointHeader,
@@ -174,25 +172,6 @@ pub fn decode_entry(payload: &[u8]) -> Option<CacheEntry> {
     }
     let entry = CacheEntry::from_parts_unchecked(rip, start, end, instructions, checksum);
     entry.verify().then_some(entry)
-}
-
-/// Encodes a snapshot-stream header: the exporting cache's counters plus
-/// the number of entry frames that follow.
-pub fn encode_snapshot_header(stats: &CacheStats, count: u64) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(CACHE_STATS_WIRE_LEN + 8);
-    buf.extend_from_slice(&stats.to_le_bytes());
-    buf.extend_from_slice(&count.to_le_bytes());
-    buf
-}
-
-/// Decodes a snapshot-stream header; `None` on any malformation.
-pub fn decode_snapshot_header(payload: &[u8]) -> Option<(CacheStats, u64)> {
-    if payload.len() != CACHE_STATS_WIRE_LEN + 8 {
-        return None;
-    }
-    let stats = CacheStats::from_le_bytes(&payload[..CACHE_STATS_WIRE_LEN])?;
-    let count = u64::from_le_bytes(payload[CACHE_STATS_WIRE_LEN..].try_into().ok()?);
-    Some((stats, count))
 }
 
 #[cfg(test)]
@@ -314,8 +293,7 @@ mod tests {
         // Every snapshot and checkpoint on disk carries these bytes; an enum
         // edit that moved one would orphan all of them.
         let pinned = [
-            (FrameKind::SnapshotHeader, 7u8),
-            (FrameKind::Entry, 8),
+            (FrameKind::Entry, 8u8),
             (FrameKind::SnapshotEnd, 9),
             (FrameKind::CheckpointHeader, 10),
             (FrameKind::CheckpointSection, 11),
@@ -325,20 +303,8 @@ mod tests {
             assert_eq!(kind as u8, byte, "{kind:?}");
             assert_eq!(FrameKind::from_byte(byte), Some(kind));
         }
-        for byte in (0..=u8::MAX).filter(|b| !(7..=12).contains(b)) {
+        for byte in (0..=u8::MAX).filter(|b| !(8..=12).contains(b)) {
             assert_eq!(FrameKind::from_byte(byte), None, "kind byte {byte}");
         }
-    }
-
-    #[test]
-    fn snapshot_header_roundtrips() {
-        let cache = crate::cache::TrajectoryCache::new(16);
-        cache.insert(random_entry(&mut XorShiftRng::new(5)));
-        let stats = cache.stats();
-        let payload = encode_snapshot_header(&stats, 123);
-        let (decoded, count) = decode_snapshot_header(&payload).unwrap();
-        assert_eq!(count, 123);
-        assert_eq!(decoded.inserted, stats.inserted);
-        assert!(decode_snapshot_header(&payload[..payload.len() - 1]).is_none());
     }
 }

@@ -3,7 +3,7 @@
 use crate::error::{AscError, AscResult};
 use asc_tvm::TierConfig;
 
-/// Cadence knobs of the continuous-speculation planner thread.
+/// The switch of the continuous-speculation planner thread.
 ///
 /// With [`AscConfig::workers`] > 0 and `enabled`, [`accelerate`] spawns a
 /// planner that consumes the main thread's stream of recognized-IP
@@ -25,19 +25,11 @@ pub struct PlannerConfig {
     /// miss-driven dispatch instead: the main thread plans and dispatches at
     /// each cache miss.
     pub enabled: bool,
-    /// Capacity of the occurrence channel from the main thread. The channel
-    /// never blocks the sender: when full, the *oldest* queued occurrence is
-    /// dropped — a late planner should anchor on fresh states, not stale
-    /// ones.
-    pub channel_capacity: usize,
-    /// Milliseconds the planner waits for an occurrence before waking up
-    /// anyway to re-check for landed cache inserts and top the queue up.
-    pub idle_poll_ms: u64,
 }
 
 impl Default for PlannerConfig {
     fn default() -> Self {
-        PlannerConfig { enabled: true, channel_capacity: 64, idle_poll_ms: 1 }
+        PlannerConfig { enabled: true }
     }
 }
 
@@ -229,13 +221,6 @@ pub struct AscConfig {
     /// IP (most frequently changing bits win); bounds learner memory for
     /// programs that touch fresh output locations every superstep.
     pub max_excited_bits: usize,
-    /// How many observations of per-predictor mistake history the ensemble
-    /// retains (a ring buffer of packed mistake masks). Hindsight predictor
-    /// *selection* uses never-evicted cumulative counts; this bounds only
-    /// the window the Table-2 whole-state hindsight miss rate is measured
-    /// over — and, crucially, bounds ensemble memory for arbitrarily long
-    /// occurrence streams.
-    pub mistake_log_capacity: usize,
     /// Maximum number of entries the trajectory cache retains.
     pub cache_capacity: usize,
     /// The trajectory cache's insert-time usefulness filter: a read-set
@@ -315,7 +300,6 @@ impl Default for AscConfig {
             max_superstep: 2_000_000,
             rollout_depth: 32,
             max_excited_bits: 4096,
-            mistake_log_capacity: 4096,
             cache_capacity: 1 << 16,
             cache_junk_threshold: crate::cache::DEFAULT_JUNK_THRESHOLD,
             instruction_budget: 2_000_000_000,
@@ -374,9 +358,6 @@ impl AscConfig {
         if self.cache_capacity == 0 {
             return Err(AscError::InvalidConfig("cache_capacity must be positive".into()));
         }
-        if self.mistake_log_capacity == 0 {
-            return Err(AscError::InvalidConfig("mistake_log_capacity must be positive".into()));
-        }
         if self.workers > 4096 {
             return Err(AscError::InvalidConfig(
                 "workers must be at most 4096 (0 runs speculation inline)".into(),
@@ -401,11 +382,6 @@ impl AscConfig {
                     "breaker cooldown_occurrences must be at least 1".into(),
                 ));
             }
-        }
-        if self.planner.enabled && self.planner.channel_capacity == 0 {
-            return Err(AscError::InvalidConfig(
-                "planner channel_capacity must be at least 1".into(),
-            ));
         }
         if self.tier.enabled && self.tier.hot_threshold == 0 {
             return Err(AscError::InvalidConfig("tier hot_threshold must be at least 1".into()));
@@ -453,13 +429,6 @@ mod tests {
         let c = AscConfig { cache_capacity: 0, ..AscConfig::default() };
         assert!(c.validate().is_err());
 
-        let c = AscConfig { mistake_log_capacity: 0, ..AscConfig::default() };
-        assert!(c.validate().is_err());
-
-        let mut c = AscConfig::default();
-        c.planner.channel_capacity = 0;
-        assert!(c.validate().is_err());
-
         let mut c = AscConfig::default();
         c.breaker.window = 0;
         assert!(c.validate().is_err());
@@ -481,12 +450,6 @@ mod tests {
         let mut c = AscConfig::default();
         c.breaker.enabled = false;
         c.breaker.window = 0;
-        assert!(c.validate().is_ok());
-
-        // Disabled planner knobs are not validated: the planner never runs.
-        let mut c = AscConfig::default();
-        c.planner.enabled = false;
-        c.planner.channel_capacity = 0;
         assert!(c.validate().is_ok());
 
         let mut c = AscConfig::default();

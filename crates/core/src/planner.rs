@@ -9,7 +9,7 @@
 //! planner thread:
 //!
 //! * The main thread streams recognized-IP occurrences into a bounded
-//!   [`OccurrenceChannel`] — every cache miss, plus a sparse sample during
+//!   `OccurrenceChannel` — every cache miss, plus a sparse sample during
 //!   uninterrupted hit streaks (mid-streak, cloning the full state costs
 //!   the fast-forwarding main thread more than the planner gains). Sends
 //!   never block; when the channel is full the *oldest* occurrence is
@@ -42,7 +42,7 @@
 //! `final_state` is bit-for-bit identical with the planner on or off.
 
 use crate::cache::{LookupScratch, TrajectoryCache};
-use crate::config::{AscConfig, PlannerConfig};
+use crate::config::AscConfig;
 use crate::economics::{EconomicsStats, SpeculationEconomics};
 use crate::predictor_bank::{PredictedState, PredictorBank};
 use crate::recognizer::RecognizedIp;
@@ -58,6 +58,13 @@ use std::time::Duration;
 /// planned (its rollout horizon). The plan is extended back to this depth
 /// whenever confirmations consume its front.
 pub(crate) const HORIZON: usize = 8;
+/// Capacity of the occurrence channel from the main thread. The channel
+/// never blocks the sender: when full, the *oldest* queued occurrence is
+/// dropped — a late planner should anchor on fresh states, not stale ones.
+const CHANNEL_CAPACITY: usize = 64;
+/// How long the planner waits for an occurrence before waking up anyway to
+/// re-check for landed cache inserts and top the queue up.
+const IDLE_POLL: Duration = Duration::from_millis(1);
 
 /// One recognized-IP occurrence reported by the main thread: the state
 /// vector observed at the occurrence. Everything the planner needs — the
@@ -259,13 +266,26 @@ impl PlannerHandle {
         cache: Arc<TrajectoryCache>,
         pool: SpeculationPool,
     ) -> std::io::Result<Self> {
-        let channel = Arc::new(OccurrenceChannel::new(config.planner.channel_capacity));
+        Self::spawn_with(config, rip, cache, pool, CHANNEL_CAPACITY, IDLE_POLL)
+    }
+
+    /// [`spawn`](PlannerHandle::spawn) with an explicit channel capacity and
+    /// idle poll interval.
+    pub(crate) fn spawn_with(
+        config: &AscConfig,
+        rip: RecognizedIp,
+        cache: Arc<TrajectoryCache>,
+        pool: SpeculationPool,
+        channel_capacity: usize,
+        idle: Duration,
+    ) -> std::io::Result<Self> {
+        let channel = Arc::new(OccurrenceChannel::new(channel_capacity));
         let thread_channel = Arc::clone(&channel);
         let alive = Arc::new(AtomicBool::new(true));
         let guard = AliveGuard(Arc::clone(&alive));
         let bank = PredictorBank::new(rip.ip, config);
         let planner = Planner {
-            config: config.planner.clone(),
+            idle,
             rip,
             max_superstep: config.max_superstep,
             cache,
@@ -328,7 +348,9 @@ struct PlannedStep {
 
 /// The planner's thread-local state.
 struct Planner {
-    config: PlannerConfig,
+    /// How long [`Planner::run`] waits for an occurrence before
+    /// [`Planner::on_idle`].
+    idle: Duration,
     rip: RecognizedIp,
     max_superstep: u64,
     cache: Arc<TrajectoryCache>,
@@ -352,9 +374,8 @@ struct Planner {
 
 impl Planner {
     fn run(mut self, channel: &OccurrenceChannel) -> PlannerOutcome {
-        let idle = Duration::from_millis(self.config.idle_poll_ms.max(1));
         loop {
-            match channel.recv_timeout(idle) {
+            match channel.recv_timeout(self.idle) {
                 Received::Event(event) => {
                     // Train on the *whole* queued backlog before paying for
                     // rollouts: every queued event must reach the bank (gaps
@@ -653,12 +674,18 @@ mod tests {
         // in order. The trace forces a drift rebuild, which lands on the same
         // occurrence only if drift is checked on every one of them.
         let states = crate::predictor_bank::tests::phase_change_trace();
-        let mut config = AscConfig { workers: 1, max_superstep: 1_000, ..planner_config() };
-        config.planner.channel_capacity = states.len();
+        let config = AscConfig { workers: 1, max_superstep: 1_000, ..planner_config() };
         let cache = Arc::new(TrajectoryCache::new(64));
         let pool = SpeculationPool::new(1, Arc::clone(&cache));
-        let handle =
-            PlannerHandle::spawn(&config, recognized(0), Arc::clone(&cache), pool).unwrap();
+        let handle = PlannerHandle::spawn_with(
+            &config,
+            recognized(0),
+            Arc::clone(&cache),
+            pool,
+            states.len(),
+            IDLE_POLL,
+        )
+        .unwrap();
         let mut reference = PredictorBank::new(0, &config);
         for state in &states {
             handle.send(OccurrenceEvent::new(state.clone()));
@@ -718,19 +745,18 @@ mod tests {
         let (program, rip) = looping_program();
         // A one-slot channel with a slow planner poll: sends vastly outpace
         // receives, so the drop-oldest path is exercised constantly.
-        let config = AscConfig {
-            workers: 1,
-            planner: crate::config::PlannerConfig {
-                channel_capacity: 1,
-                idle_poll_ms: 20,
-                ..crate::config::PlannerConfig::default()
-            },
-            ..planner_config()
-        };
+        let config = AscConfig { workers: 1, ..planner_config() };
         let cache = Arc::new(TrajectoryCache::new(64));
         let pool = SpeculationPool::new(1, Arc::clone(&cache));
-        let handle =
-            PlannerHandle::spawn(&config, recognized(rip), Arc::clone(&cache), pool).unwrap();
+        let handle = PlannerHandle::spawn_with(
+            &config,
+            recognized(rip),
+            Arc::clone(&cache),
+            pool,
+            1,
+            Duration::from_millis(20),
+        )
+        .unwrap();
         let mut machine = Machine::load(&program).unwrap();
         machine.run_until_ip(rip, 10_000).unwrap();
         let started = std::time::Instant::now();

@@ -72,6 +72,12 @@ const EXCITATION_THRESHOLD: u32 = 1;
 /// Number of occurrences used to warm up the excitation map before
 /// predictors start training.
 pub(crate) const EXCITATION_WARMUP: usize = 3;
+/// How many observations of per-predictor mistake history the ensemble
+/// retains (a ring buffer of packed mistake masks). Hindsight predictor
+/// *selection* uses never-evicted cumulative counts; this bounds only the
+/// window the Table-2 whole-state hindsight miss rate is measured over — and
+/// bounds ensemble memory for arbitrarily long occurrence streams.
+const MISTAKE_LOG_CAPACITY: usize = 4096;
 
 /// A predicted future state together with its probability under the model.
 #[derive(Debug, Clone)]
@@ -88,6 +94,8 @@ pub struct PredictedState {
 pub struct PredictorBank {
     rip: u32,
     max_excited_bits: usize,
+    /// The ensemble's mistake-log length; [`MISTAKE_LOG_CAPACITY`] outside
+    /// tests.
     mistake_capacity: usize,
     tracker: ExcitationTracker,
     map: Option<ExcitationMap>,
@@ -128,7 +136,7 @@ impl PredictorBank {
         PredictorBank {
             rip,
             max_excited_bits: config.max_excited_bits.max(32),
-            mistake_capacity: config.mistake_log_capacity.max(1),
+            mistake_capacity: MISTAKE_LOG_CAPACITY,
             tracker: ExcitationTracker::new(EXCITATION_THRESHOLD),
             map: None,
             ensemble: None,
@@ -605,8 +613,8 @@ pub(crate) mod tests {
     fn mistake_history_stays_bounded() {
         let (program, rip) = counting_program(600);
         let states = occurrence_states(&program, rip, 200);
-        let config = AscConfig { mistake_log_capacity: 16, ..AscConfig::for_tests() };
-        let mut bank = PredictorBank::new(rip, &config);
+        let mut bank = PredictorBank::new(rip, &AscConfig::for_tests());
+        bank.mistake_capacity = 16;
         for state in &states {
             bank.observe(state);
         }
@@ -749,7 +757,6 @@ pub(crate) mod tests {
     /// indistinguishable from it.
     struct ReferenceScanBank {
         max_excited_bits: usize,
-        mistake_capacity: usize,
         change_counts: std::collections::BTreeMap<usize, u32>,
         tracker_previous: Option<StateVector>,
         tracker_observations: usize,
@@ -770,7 +777,6 @@ pub(crate) mod tests {
         fn new(config: &AscConfig) -> Self {
             ReferenceScanBank {
                 max_excited_bits: config.max_excited_bits.max(32),
-                mistake_capacity: config.mistake_log_capacity.max(1),
                 change_counts: std::collections::BTreeMap::new(),
                 tracker_previous: None,
                 tracker_observations: 0,
@@ -817,7 +823,7 @@ pub(crate) mod tests {
                 default_predictors(map.schema()),
                 map.bit_count(),
                 ENSEMBLE_BETA,
-                self.mistake_capacity,
+                MISTAKE_LOG_CAPACITY,
             ));
             self.map = Some(map);
             self.previous = None;

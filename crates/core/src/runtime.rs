@@ -317,7 +317,7 @@ const STREAK_SEND_INTERVAL: u64 = crate::planner::HORIZON as u64;
 // One value per run, never stored in a collection: the size gap between
 // the variants costs nothing.
 #[allow(clippy::large_enum_variant)]
-enum Dispatch {
+enum Dispatch<'a> {
     /// The planner thread trains, plans and dispatches; the main thread
     /// only streams occurrences to it.
     Planned {
@@ -347,16 +347,17 @@ enum Dispatch {
     /// superstep tracked on `scratch` and caches it.
     Reuse {
         scratch: SpeculationScratch,
-        /// `(virtual instructions retired, scaling so far)` at every
-        /// occurrence, charging `query_overhead` instruction-equivalents per
-        /// cache consultation (`overhead` so far).
-        series: Vec<(u64, f64)>,
+        /// `memoize`'s `(virtual instructions retired, scaling so far)` at
+        /// every occurrence, charging `query_overhead`
+        /// instruction-equivalents per cache consultation (`overhead` so
+        /// far).
+        series: &'a mut Vec<(u64, f64)>,
         query_overhead: f64,
         overhead: f64,
     },
 }
 
-impl Dispatch {
+impl Dispatch<'_> {
     /// Miss-driven dispatch from a cold bank and the economics' optimistic
     /// prior — how a run without a planner starts, and how one whose
     /// planner is gone continues (its learned state died with its thread).
@@ -393,7 +394,7 @@ struct Run<'a> {
     /// Totals of the monotone success and failure counters the breaker is
     /// fed from, as of the previous occurrence: it records only deltas.
     breaker_seen: (u64, u64),
-    dispatch: Dispatch,
+    dispatch: Dispatch<'a>,
     /// The watchdog's liveness signal, ticked once per occurrence.
     heartbeat: Arc<Heartbeat>,
     checkpoints: Option<CheckpointDriver>,
@@ -418,7 +419,7 @@ impl<'a> Run<'a> {
         cache: Arc<TrajectoryCache>,
         supervision: Supervision,
         heartbeat: Arc<Heartbeat>,
-        dispatch: Dispatch,
+        dispatch: Dispatch<'a>,
     ) -> Self {
         Run {
             config,
@@ -441,9 +442,8 @@ impl<'a> Run<'a> {
 
     /// The occurrence loop (see the module documentation): runs until the
     /// program halts, the instruction budget is exhausted or the shutdown
-    /// flag is raised, then assembles the report and the Reuse mode's
-    /// scaling series (empty in the other modes).
-    fn drive(mut self) -> AscResult<(RunReport, Vec<(u64, f64)>)> {
+    /// flag is raised, then assembles the report.
+    fn drive(mut self) -> AscResult<RunReport> {
         // Hits are cloned into one reusable scratch: the loop allocates
         // nothing per occurrence.
         let mut lookup = LookupScratch::new();
@@ -771,11 +771,10 @@ impl<'a> Run<'a> {
     /// Joins the speculation machinery, so every in-flight insert has
     /// landed and the reported statistics are stable, then assembles the
     /// report.
-    fn finish(self) -> (RunReport, Vec<(u64, f64)>) {
+    fn finish(self) -> RunReport {
         let mut tier = self.machine.tier_stats();
         let mut report =
             RunReport::base(self.outcome, self.machine, self.fast_forwarded, self.halted);
-        let mut series = Vec::new();
         let bank = match self.dispatch {
             Dispatch::MissDriven { bank, economics, pool, torn_down, mut scratch, .. } => {
                 // A pool the watchdog tore down mid-run already joined; its
@@ -801,9 +800,8 @@ impl<'a> Run<'a> {
                     None
                 }
             },
-            Dispatch::Reuse { mut scratch, series: sampled, .. } => {
+            Dispatch::Reuse { mut scratch, .. } => {
                 tier.merge(&scratch.take_tier_stats());
-                series = sampled;
                 None
             }
         };
@@ -824,7 +822,7 @@ impl<'a> Run<'a> {
         self.heartbeat.fill_stats(&mut report.health);
         report.health.checksum_rejects = report.cache_stats.checksum_rejects;
         report.checkpoints = self.checkpoints.map(|driver| driver.stats);
-        (report, series)
+        report
     }
 }
 
@@ -881,8 +879,8 @@ impl LascRuntime {
     /// Creates a runtime with the given configuration.
     ///
     /// # Errors
-    /// Returns [`AscError::InvalidConfig`] when the configuration is
-    /// inconsistent.
+    /// Returns [`AscError::InvalidConfig`](crate::error::AscError::InvalidConfig)
+    /// when the configuration is inconsistent.
     pub fn new(config: AscConfig) -> AscResult<Self> {
         config.validate()?;
         Ok(LascRuntime { config, shutdown: None })
@@ -912,6 +910,9 @@ impl LascRuntime {
     /// Propagates recognizer and simulator errors; in particular
     /// [`AscError::NoRecognizedIp`] / [`AscError::ProgramTooShort`] when the
     /// program has nothing to speculate on.
+    ///
+    /// [`AscError::NoRecognizedIp`]: crate::error::AscError::NoRecognizedIp
+    /// [`AscError::ProgramTooShort`]: crate::error::AscError::ProgramTooShort
     pub fn measure(&self, program: &Program) -> AscResult<RunReport> {
         let initial = program.initial_state()?;
         let outcome = recognize(&initial, &self.config)?;
@@ -1025,7 +1026,7 @@ impl LascRuntime {
         // already measured.
         run.machine.enable_tier(self.config.tier);
         run.machine.seed_hot(rip.ip);
-        let result = run.drive().map(|(report, _)| report);
+        let result = run.drive();
         // The watchdog outlives the loop and the joins in `Run::finish`, so
         // a hang *anywhere* in the run is caught.
         if let Some(watchdog) = watchdog {
@@ -1083,7 +1084,7 @@ impl LascRuntime {
         cache: &Arc<TrajectoryCache>,
         supervision: &Supervision,
         restored: Option<&RunCheckpoint>,
-    ) -> Dispatch {
+    ) -> Dispatch<'static> {
         let config = &self.config;
         if config.workers > 0 && config.planner.enabled {
             let pool = new_pool(config, cache, supervision);
@@ -1144,11 +1145,14 @@ impl LascRuntime {
             self.config.cache_junk_threshold,
         ));
         let scratch = SpeculationScratch::with_tier(self.config.tier);
+        let mut series = Vec::new();
         let dispatch =
-            Dispatch::Reuse { scratch, series: Vec::new(), query_overhead, overhead: 0.0 };
+            Dispatch::Reuse { scratch, series: &mut series, query_overhead, overhead: 0.0 };
         // No speculation machinery to supervise, so no fault plan either.
         let (supervision, heartbeat) = (Supervision::default(), Arc::new(Heartbeat::default()));
-        Run::new(&self.config, &outcome, cache, supervision, heartbeat, dispatch).drive()
+        let report =
+            Run::new(&self.config, &outcome, cache, supervision, heartbeat, dispatch).drive()?;
+        Ok((report, series))
     }
 }
 

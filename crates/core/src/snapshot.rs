@@ -2,24 +2,22 @@
 //! carries (see [`checkpoint::cache_path_for`](crate::checkpoint::cache_path_for)),
 //! which warms a resumed run's cache.
 //!
-//! A snapshot file is one frame stream — a
-//! [`SnapshotHeader`](crate::codec::FrameKind::SnapshotHeader) frame
-//! (stats + entry count), the entry frames, then
+//! A snapshot file is one frame stream — the
+//! [`Entry`](crate::codec::FrameKind::Entry) frames, then
 //! [`SnapshotEnd`](crate::codec::FrameKind::SnapshotEnd) — so snapshots and
 //! checkpoints share every decoder and every rejection rule of
-//! [`codec`](crate::codec). Loading re-proves each entry through the codec's
-//! checksum verification:
-//! an individually corrupt entry is counted and skipped, while a truncated
-//! or desynced file stops the load at the damage, keeping everything
-//! decoded before it. [`save`] writes through a temp file and renames, so
-//! a crash mid-save leaves the previous snapshot intact rather than a
-//! half-written one.
+//! [`codec`]. Loading re-proves each entry through the codec's checksum
+//! verification: an individually corrupt entry is counted and skipped, while
+//! a truncated or desynced file (or one that opens with a retired frame
+//! kind) stops the load at the damage, keeping everything decoded before
+//! it. [`save`] writes through a temp file and renames, so a crash mid-save
+//! leaves the previous snapshot intact rather than a half-written one.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::path::Path;
 
-use crate::cache::{CacheEntry, CacheStats, TrajectoryCache};
+use crate::cache::{CacheEntry, TrajectoryCache};
 use crate::codec::{self, FrameKind};
 
 /// What a [`load`] accomplished.
@@ -32,14 +30,11 @@ pub struct SnapshotLoad {
     pub rejected: u64,
     /// Whether the stream terminated cleanly with `SnapshotEnd`.
     pub complete: bool,
-    /// The saving run's cache counters, from the snapshot header.
-    pub saved_stats: CacheStats,
 }
 
 /// Exports every live entry of `cache` to `path`, returning how many were
 /// written. The export is a point-in-time walk (see
-/// [`TrajectoryCache::for_each_entry`]); the header's count is taken from
-/// the collected batch so header and stream always agree.
+/// [`TrajectoryCache::for_each_entry`]).
 ///
 /// # Errors
 /// Propagates file creation and write failures. The target is written as
@@ -51,8 +46,6 @@ pub fn save(cache: &TrajectoryCache, path: &Path) -> io::Result<u64> {
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
     let mut writer = BufWriter::new(File::create(&tmp)?);
-    let header = codec::encode_snapshot_header(&cache.stats(), entries.len() as u64);
-    writer.write_all(&codec::encode_frame(FrameKind::SnapshotHeader, &header))?;
     for entry in &entries {
         writer.write_all(&codec::encode_frame(FrameKind::Entry, &codec::encode_entry(entry)))?;
     }
@@ -68,18 +61,11 @@ pub fn save(cache: &TrajectoryCache, path: &Path) -> io::Result<u64> {
 ///
 /// # Errors
 /// Propagates open failures (a missing file is the caller's cold-start
-/// signal) and a malformed or missing header (nothing trustworthy to
-/// load). Damage *after* a valid header degrades to a partial load, not an
+/// signal). Damage inside the file degrades to a partial load, not an
 /// error.
 pub fn load(cache: &TrajectoryCache, path: &Path) -> io::Result<SnapshotLoad> {
     let mut reader = BufReader::new(File::open(path)?);
-    let bad_header = || io::Error::new(io::ErrorKind::InvalidData, "bad snapshot header");
-    let header = codec::read_frame(&mut reader)?.ok_or_else(bad_header)?;
-    if header.kind != FrameKind::SnapshotHeader {
-        return Err(bad_header());
-    }
-    let (stats, _count) = codec::decode_snapshot_header(&header.payload).ok_or_else(bad_header)?;
-    let mut result = SnapshotLoad { saved_stats: stats, ..SnapshotLoad::default() };
+    let mut result = SnapshotLoad::default();
     loop {
         let frame = match codec::read_frame(&mut reader) {
             Ok(Some(frame)) => frame,

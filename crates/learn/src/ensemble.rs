@@ -306,39 +306,6 @@ impl Ensemble {
         log_probability
     }
 
-    /// Alternate predictions generated by flipping the most uncertain bits of
-    /// the maximum-likelihood prediction (§4.4: "the second and third most
-    /// likely predictions, and so on"). Returns up to `count` predictions in
-    /// decreasing probability order, starting with the ML prediction.
-    pub fn predict_top(&self, current: &PackedObservation, count: usize) -> Vec<(Vec<u64>, f64)> {
-        let distribution = self.predict_distribution(current);
-        let (ml_bits, ml_log_probability) = self.predict_ml(current);
-        let mut results = vec![(ml_bits.clone(), ml_log_probability)];
-        if count <= 1 || distribution.is_empty() {
-            results.truncate(count.max(1));
-            return results;
-        }
-        // Rank bits by how uncertain they are (probability closest to 0.5).
-        let mut by_uncertainty: Vec<usize> = (0..distribution.len()).collect();
-        by_uncertainty.sort_by(|&a, &b| {
-            (distribution[a] - 0.5)
-                .abs()
-                .partial_cmp(&(distribution[b] - 0.5).abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
-        for &j in by_uncertainty.iter().take(count.saturating_sub(1)) {
-            let mut flipped = ml_bits.clone();
-            flipped[j / 64] ^= 1u64 << (j % 64);
-            let p = distribution[j] as f64;
-            let was_set = (ml_bits[j / 64] >> (j % 64)) & 1 == 1;
-            let old = if was_set { p } else { 1.0 - p };
-            let new = 1.0 - old;
-            let log_probability = ml_log_probability - old.max(1e-12).ln() + new.max(1e-12).ln();
-            results.push((flipped, log_probability));
-        }
-        results
-    }
-
     /// Observes one transition: scores every predictor (and the ensemble
     /// itself) on the realised `next` observation via packed mistake masks,
     /// applies the RWMA multiplicative update to exactly the mistaken
@@ -534,7 +501,7 @@ impl Ensemble {
 
     /// Appends the full learned state — member predictor states, the RWMA
     /// weight matrix, mistake history and scoring counters — to `out` using
-    /// the [`persist`](crate::persist) vocabulary. Restoring with
+    /// the [`persist`] vocabulary. Restoring with
     /// [`load_state`](Ensemble::load_state) into an ensemble built from the
     /// same configuration reproduces bit-identical predictions.
     pub fn save_state(&self, out: &mut Vec<u8>) {
@@ -754,24 +721,6 @@ mod tests {
         let errors = ensemble.errors();
         assert_eq!(errors.total_predictions, 100);
         assert!(errors.hindsight_optimal_error_rate <= 1.0);
-    }
-
-    #[test]
-    fn predict_top_orders_by_probability() {
-        let schema = constant_schema(4);
-        let mut ensemble = Ensemble::new(default_predictors(&schema), 4, 0.5, 1024);
-        let value = obs_of(0b1100, 4);
-        for _ in 0..10 {
-            ensemble.observe(&value, &value);
-        }
-        let top = ensemble.predict_top(&value, 3);
-        assert_eq!(top.len(), 3);
-        assert!(top[0].1 >= top[1].1);
-        assert!(top[0].1 >= top[2].1);
-        assert_eq!(unpack(&top[0].0, 4), value.bits());
-        // Alternates differ from the ML prediction in exactly one bit.
-        let differences = (top[1].0[0] ^ top[0].0[0]).count_ones();
-        assert_eq!(differences, 1);
     }
 
     #[test]

@@ -223,33 +223,6 @@ impl PackedObservation {
         self.words.clear();
         self.words.extend((0..word_count).map(|w| (self.packed[w / 2] >> (32 * (w % 2))) as u32));
     }
-
-    /// Builds the observation that follows from a packed bit prediction: the
-    /// predicted bits become the bit view, and the word view is `template`'s
-    /// words patched at every tracked bit's home. Used when rolling
-    /// predictions forward: the predicted block is turned back into a full
-    /// observation so it can condition the next prediction.
-    ///
-    /// # Panics
-    /// Panics when `bits` does not hold `packed_len(schema.bit_count)` words.
-    pub fn from_predicted(
-        schema: &ExcitationSchema,
-        template: &PackedObservation,
-        bits: &[u64],
-    ) -> Self {
-        assert_eq!(bits.len(), packed_len(schema.bit_count), "predicted block has wrong arity");
-        let mut words = template.words.clone();
-        for (j, &(word, offset)) in schema.bit_homes.iter().enumerate() {
-            if (bits[j / 64] >> (j % 64)) & 1 == 1 {
-                words[word] |= 1 << offset;
-            } else {
-                words[word] &= !(1 << offset);
-            }
-        }
-        let mut packed = bits.to_vec();
-        mask_tail(&mut packed, schema.bit_count);
-        PackedObservation { packed, bit_count: schema.bit_count, words }
-    }
 }
 
 #[cfg(test)]
@@ -321,28 +294,6 @@ mod tests {
         let mut rebuilt = PackedObservation::default();
         rebuilt.fill_from_packed_words(expected.packed(), 3);
         assert_eq!(rebuilt, expected);
-    }
-
-    #[test]
-    fn predicted_blocks_patch_words() {
-        let schema = schema_two_words();
-        let template = PackedObservation::from_bits(&[false, false, false], vec![0, 0]);
-        let obs = PackedObservation::from_predicted(&schema, &template, &[0b111]);
-        assert_eq!(obs.word(0), 0b10_0001);
-        assert_eq!(obs.word(1), 1 << 31);
-        assert_eq!(obs.bits(), vec![true, true, true]);
-        // Clearing bits works too.
-        let cleared = PackedObservation::from_predicted(&schema, &obs, &[0b010]);
-        assert_eq!(cleared.word(0), 0b10_0000);
-        assert_eq!(cleared.word(1), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "wrong arity")]
-    fn predicted_blocks_require_full_vector() {
-        let schema = schema_two_words();
-        let template = PackedObservation::from_bits(&[false; 3], vec![0, 0]);
-        PackedObservation::from_predicted(&schema, &template, &[]);
     }
 
     #[test]

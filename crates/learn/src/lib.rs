@@ -31,8 +31,7 @@
 //!   bounded regret ([`ensemble`]): a flat `f32` weight matrix, XOR mistake
 //!   masks on packed words, and a bounded mistake-history ring,
 //! * the retained per-bit golden model the packed stack is tested against
-//!   ([`reference`]),
-//! * small accuracy-tracking utilities ([`metrics`]).
+//!   ([`reference`](mod@reference)).
 //!
 //! The `asc-core` crate extracts observations from state vectors and feeds
 //! them to an [`ensemble::Ensemble`]; everything here operates purely on
@@ -65,7 +64,6 @@ pub mod features;
 pub mod linear;
 pub mod logistic;
 pub mod mean;
-pub mod metrics;
 pub mod persist;
 pub mod reference;
 pub mod rng;

@@ -105,7 +105,7 @@ pub fn default_predictors(schema: &ExcitationSchema) -> Vec<Box<dyn BlockPredict
 
     vec![
         Box::new(MeanPredictor::new(schema.bit_count)),
-        Box::new(Weatherman::new()),
+        Box::new(Weatherman),
         Box::new(LogisticRegression::new(schema.bit_count, 0.5)),
         Box::new(LinearRegression::new(schema.clone(), 0.1)),
     ]

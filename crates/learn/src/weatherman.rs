@@ -12,28 +12,12 @@
 use crate::features::PackedObservation;
 use crate::traits::BlockPredictor;
 
+/// Confidence assigned to the persistence prediction.
+const CONFIDENCE: f32 = 0.9;
+
 /// Predicts that each bit keeps its current value.
 #[derive(Debug, Clone, Default)]
-pub struct Weatherman {
-    /// Confidence assigned to the persistence prediction.
-    confidence: f32,
-}
-
-impl Weatherman {
-    /// Creates a weatherman predictor with the default confidence (0.9).
-    pub fn new() -> Self {
-        Weatherman { confidence: 0.9 }
-    }
-
-    /// Creates a weatherman with an explicit confidence in `(0.5, 1.0]`.
-    ///
-    /// # Panics
-    /// Panics when `confidence` is not greater than 0.5 and at most 1.0.
-    pub fn with_confidence(confidence: f32) -> Self {
-        assert!(confidence > 0.5 && confidence <= 1.0, "confidence must be in (0.5, 1.0]");
-        Weatherman { confidence }
-    }
-}
+pub struct Weatherman;
 
 impl BlockPredictor for Weatherman {
     fn name(&self) -> &'static str {
@@ -55,10 +39,12 @@ impl BlockPredictor for Weatherman {
         // prefix rather than a slice panic.
         let words = bits.len().min(current.packed().len());
         bits[..words].copy_from_slice(&current.packed()[..words]);
-        let persist = self.confidence;
-        let flip = 1.0 - self.confidence;
         for (j, slot) in confidence.iter_mut().enumerate().take(current.bit_count()) {
-            *slot = if (current.packed()[j / 64] >> (j % 64)) & 1 == 1 { persist } else { flip };
+            *slot = if (current.packed()[j / 64] >> (j % 64)) & 1 == 1 {
+                CONFIDENCE
+            } else {
+                1.0 - CONFIDENCE
+            };
         }
     }
 
@@ -79,25 +65,11 @@ mod tests {
 
     #[test]
     fn predicts_persistence() {
-        let p = Weatherman::new();
+        let p = Weatherman;
         let x = PackedObservation::from_bits(&[true, false], vec![]);
         let (bits, confidence) = predict(&p, &x);
         assert_eq!(bits, x.packed());
         assert!(confidence[0] > 0.5);
         assert!(confidence[1] < 0.5);
-    }
-
-    #[test]
-    fn confidence_is_configurable() {
-        let p = Weatherman::with_confidence(0.99);
-        let x = PackedObservation::from_bits(&[true], vec![]);
-        let (_, confidence) = predict(&p, &x);
-        assert!((confidence[0] - 0.99).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "confidence")]
-    fn rejects_useless_confidence() {
-        Weatherman::with_confidence(0.3);
     }
 }

@@ -1,13 +1,10 @@
-//! Sparse state representations and binary deltas.
+//! Sparse state representations.
 //!
 //! Cache entries in ASC are "compressed pairs of start and end states": only
 //! the bytes in the read set (start) and write set (end) are stored, as a
-//! sorted sparse list of `(index, value)` pairs ([`SparseBytes`]). Queries to
-//! the distributed cache are additionally compressed as a binary difference
-//! against the previous query ([`Delta`]); the paper uses the Myers
-//! difference algorithm, and this module provides an equivalent run-based
-//! byte-delta codec whose encoded size feeds the "cache query size" row of
-//! Table 1.
+//! sorted sparse list of `(index, value)` pairs ([`SparseBytes`]). A
+//! [`PositionSchema`] is such a list's positions without the values, the
+//! shape the trajectory cache groups its entries by.
 
 use crate::state::StateVector;
 
@@ -96,14 +93,6 @@ impl SparseBytes {
         self.entries
             .iter()
             .all(|&(i, v)| (i as usize) < state.len_bytes() && state.byte(i as usize) == v)
-    }
-
-    /// Number of captured bytes that disagree with `state`.
-    pub fn mismatches(&self, state: &StateVector) -> usize {
-        self.entries
-            .iter()
-            .filter(|&&(i, v)| (i as usize) >= state.len_bytes() || state.byte(i as usize) != v)
-            .count()
     }
 
     /// Writes every captured byte into `state` (the cache "fast-forward").
@@ -295,85 +284,6 @@ impl StateVector {
     }
 }
 
-/// A run-based binary difference between two equal-length byte strings.
-///
-/// Encodes the positions and replacement bytes of every maximal differing
-/// run. Applied to the "old" string it reproduces the "new" string. Used to
-/// model the compressed cache query/response messages of §4.2.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Delta {
-    runs: Vec<(u32, Vec<u8>)>,
-    total_len: usize,
-}
-
-impl Delta {
-    /// Computes the delta that transforms `old` into `new`.
-    ///
-    /// # Panics
-    /// Panics when the two slices have different lengths; deltas are only
-    /// meaningful between state vectors of the same machine.
-    pub fn diff(old: &[u8], new: &[u8]) -> Self {
-        assert_eq!(old.len(), new.len(), "delta requires equal-length states");
-        let mut runs = Vec::new();
-        let mut i = 0usize;
-        while i < old.len() {
-            if old[i] == new[i] {
-                i += 1;
-                continue;
-            }
-            let start = i;
-            while i < old.len() && old[i] != new[i] {
-                i += 1;
-            }
-            runs.push((start as u32, new[start..i].to_vec()));
-        }
-        Delta { runs, total_len: old.len() }
-    }
-
-    /// Applies the delta to `old`, producing the "new" byte string.
-    ///
-    /// # Panics
-    /// Panics when `old` does not have the length the delta was computed for.
-    pub fn apply(&self, old: &[u8]) -> Vec<u8> {
-        assert_eq!(old.len(), self.total_len, "delta applied to wrong-length state");
-        let mut out = old.to_vec();
-        for (start, bytes) in &self.runs {
-            out[*start as usize..*start as usize + bytes.len()].copy_from_slice(bytes);
-        }
-        out
-    }
-
-    /// Number of differing runs.
-    pub fn run_count(&self) -> usize {
-        self.runs.len()
-    }
-
-    /// Total number of differing bytes.
-    pub fn changed_bytes(&self) -> usize {
-        self.runs.iter().map(|(_, b)| b.len()).sum()
-    }
-
-    /// Serializes the delta (for size accounting and transport modelling).
-    ///
-    /// Format: `u32` run count, then per run a `u32` offset, `u32` length and
-    /// the raw bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(4 + self.runs.len() * 8 + self.changed_bytes());
-        buf.extend_from_slice(&(self.runs.len() as u32).to_le_bytes());
-        for (start, bytes) in &self.runs {
-            buf.extend_from_slice(&start.to_le_bytes());
-            buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            buf.extend_from_slice(bytes);
-        }
-        buf
-    }
-
-    /// Size in bits of the serialized delta.
-    pub fn encoded_bits(&self) -> usize {
-        self.to_bytes().len() * 8
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,10 +308,8 @@ mod tests {
         let sparse = SparseBytes::capture(&a, [10usize, 20]);
         let mut b = StateVector::new(64).unwrap();
         assert!(!sparse.matches(&b));
-        assert_eq!(sparse.mismatches(&b), 2);
         sparse.apply(&mut b);
         assert!(sparse.matches(&b));
-        assert_eq!(sparse.mismatches(&b), 0);
     }
 
     #[test]
@@ -485,45 +393,5 @@ mod tests {
         // A count pointing past the buffer is refused rather than read.
         let huge = u32::MAX.to_le_bytes();
         assert!(SparseBytes::decode_from(&huge).is_none());
-    }
-
-    #[test]
-    fn delta_roundtrip() {
-        let old = vec![0u8; 100];
-        let mut new = old.clone();
-        new[3] = 1;
-        new[4] = 2;
-        new[50] = 9;
-        let delta = Delta::diff(&old, &new);
-        assert_eq!(delta.run_count(), 2);
-        assert_eq!(delta.changed_bytes(), 3);
-        assert_eq!(delta.apply(&old), new);
-    }
-
-    #[test]
-    fn delta_of_identical_states_is_empty_and_small() {
-        let bytes = vec![7u8; 1000];
-        let delta = Delta::diff(&bytes, &bytes);
-        assert_eq!(delta.run_count(), 0);
-        assert_eq!(delta.changed_bytes(), 0);
-        assert!(delta.encoded_bits() <= 64);
-        assert_eq!(delta.apply(&bytes), bytes);
-    }
-
-    #[test]
-    fn delta_is_much_smaller_than_full_state_for_sparse_changes() {
-        let old = vec![0u8; 100_000];
-        let mut new = old.clone();
-        for i in (0..100).map(|k| k * 7) {
-            new[i * 10] = 0xff;
-        }
-        let delta = Delta::diff(&old, &new);
-        assert!(delta.encoded_bits() < old.len() * 8 / 50);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal-length")]
-    fn delta_requires_equal_lengths() {
-        let _ = Delta::diff(&[1, 2, 3], &[1, 2]);
     }
 }

@@ -41,7 +41,7 @@
 use crate::deps::DepVector;
 use crate::encode::decode;
 use crate::error::{VmError, VmResult};
-use crate::isa::{Flags, Instruction, Opcode, Reg, INSTRUCTION_BYTES, SP};
+use crate::isa::{Flags, Instruction, Opcode, INSTRUCTION_BYTES, SP};
 use crate::state::{StateVector, FLAGS_OFFSET, IP_OFFSET, MEM_BASE, REG_OFFSET};
 
 /// What happened when a single instruction executed.
@@ -572,37 +572,11 @@ fn alu(op: Opcode, lhs: u32, rhs: u32, addr: u32) -> VmResult<u32> {
     })
 }
 
-/// Decodes (without executing) the instruction the state vector's IP points
-/// at. Useful for tracing, the disassembler and the recognizer's diagnostics.
-///
-/// # Errors
-/// Returns the same errors as instruction fetch and decode.
-pub fn current_instruction(state: &StateVector) -> VmResult<Instruction> {
-    let ip = state.ip();
-    let index = state.mem_index(ip, INSTRUCTION_BYTES)?;
-    let mut raw = [0u8; INSTRUCTION_BYTES as usize];
-    raw.copy_from_slice(&state.as_bytes()[index..index + INSTRUCTION_BYTES as usize]);
-    decode(&raw, ip)
-}
-
-/// Returns the register that an instruction writes, if any. Used by
-/// diagnostic tooling; not needed by the execution engine itself.
-pub fn destination_register(instruction: &Instruction) -> Option<Reg> {
-    use Opcode::*;
-    match instruction.opcode {
-        MovI | Mov | Neg | Not | Add | Sub | Mul | Div | Rem | And | Or | Xor | Shl | Shr | Sar
-        | AddI | MulI | DivI | RemI | AndI | OrI | XorI | ShlI | ShrI | SarI | LdW | LdB | Pop => {
-            Reg::new(instruction.a)
-        }
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::encode::encode_all;
-    use crate::isa::Instruction as I;
+    use crate::isa::{Instruction as I, Reg};
 
     fn r(i: u8) -> Reg {
         Reg::new(i).unwrap()
@@ -845,15 +819,6 @@ mod tests {
         assert_eq!(plain, tracked);
     }
 
-    #[test]
-    fn current_instruction_decodes_without_side_effects() {
-        let state = machine_with(&[I::ri(Opcode::MovI, r(7), 9)], 64);
-        let snapshot = state.clone();
-        let instruction = current_instruction(&state).unwrap();
-        assert_eq!(instruction, I::ri(Opcode::MovI, r(7), 9));
-        assert_eq!(state, snapshot);
-    }
-
     /// Runs a program twice — plain and with a [`DecodedCache`] — and
     /// asserts byte-identical final states and outcomes.
     fn assert_cached_execution_matches(program: &[I], mem: usize, max: usize) {
@@ -959,13 +924,5 @@ mod tests {
         // Cached decode must not change the recorded dependency footprint:
         // the fetch reads are noted even on cache hits.
         assert_eq!(deps_plain, deps_cached);
-    }
-
-    #[test]
-    fn destination_register_classification() {
-        assert_eq!(destination_register(&I::ri(Opcode::MovI, r(3), 1)), Some(r(3)));
-        assert_eq!(destination_register(&I::bare(Opcode::Halt)), None);
-        assert_eq!(destination_register(&I::i(Opcode::Jmp, 0)), None);
-        assert_eq!(destination_register(&I::r(Opcode::Pop, r(2))), Some(r(2)));
     }
 }

@@ -20,15 +20,12 @@ pub const NUM_REGS: usize = 16;
 /// Size in bytes of one encoded instruction.
 pub const INSTRUCTION_BYTES: u32 = 8;
 
-/// Register index conventionally used as the stack pointer by the assembler,
-/// the mini-C compiler and the `call`/`ret`/`push`/`pop` instructions.
+/// Register index conventionally used as the stack pointer by the assembler
+/// and the `call`/`ret`/`push`/`pop` instructions.
 pub const SP: Reg = Reg(15);
 
-/// Register index conventionally used as the frame pointer by the compiler.
+/// Register index the assembler names `fp` (the frame pointer).
 pub const FP: Reg = Reg(14);
-
-/// Register index conventionally holding function return values.
-pub const RV: Reg = Reg(0);
 
 /// A validated register index in `0..NUM_REGS`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

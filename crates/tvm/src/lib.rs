@@ -17,8 +17,8 @@
 //! * tier-1 execution: superinstruction fusion and block-threaded dispatch
 //!   of hot straight-line regions ([`tier`]),
 //! * program images and loading ([`program`]),
-//! * sparse state captures and binary deltas ([`delta`]) used by the
-//!   trajectory cache and the communication-cost model.
+//! * sparse state captures ([`delta`]), the trajectory cache's entry
+//!   halves.
 //!
 //! ## Quick example
 //!

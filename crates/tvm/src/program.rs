@@ -1,9 +1,9 @@
 //! Loadable program images.
 //!
-//! A [`Program`] is the output of the assembler (or of the mini-C compiler,
-//! which lowers through the assembler): a flat code image, initialised data
-//! segments, an entry point and a recommended memory size. It plays the role
-//! of the freestanding static binaries the paper runs on its simulator.
+//! A [`Program`] is the output of the assembler: a flat code image,
+//! initialised data segments, an entry point and a recommended memory size.
+//! It plays the role of the freestanding static binaries the paper runs on
+//! its simulator.
 
 use crate::error::{VmError, VmResult};
 use crate::isa::{INSTRUCTION_BYTES, SP};

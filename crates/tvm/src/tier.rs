@@ -7,7 +7,7 @@
 //! tier-up, built without native code generation (the build environment is
 //! offline, which rules out a JIT backend): once an entry address crosses a
 //! hotness threshold, the straight-line region starting there is compiled
-//! into a [`CompiledBlock`] of pre-decoded, *fused* micro-ops —
+//! into a `CompiledBlock` of pre-decoded, *fused* micro-ops —
 //! arith/arith chains, load/op and op/store pairs, and compare+branch
 //! collapsed into single handlers — and executed by a block-threaded
 //! dispatch loop that touches the IP once at block entry and once at exit.
@@ -22,7 +22,7 @@
 //! * **Dependencies.** Blocks are generic over [`DepSink`], monomorphized
 //!   like the tier-0 hot path. Fetch reads are recorded per *retired*
 //!   constituent at execution time (never at compile time), operand
-//!   accesses go through the same [`Ctx`] accessors, and the only elisions
+//!   accesses go through the same `Ctx` accessors, and the only elisions
 //!   — intermediate IP reads/writes inside a block, and the flags read of a
 //!   fused compare+branch — are exactly the accesses the dependency FSM
 //!   (`null → read → written → written-after-read`) proves unobservable:

@@ -1,19 +1,11 @@
-//! Hand-parallelized baselines.
+//! Hand-parallelized baseline.
 //!
 //! Figure 4 of the paper compares LASC against a *hand-parallelized* version
 //! of the Ising kernel (partition the linked list once, then process the
-//! partitions on separate cores). This module provides both:
-//!
-//! * real multi-threaded Rust implementations of the benchmark kernels, which
-//!   are what a programmer would actually write (used by tests to confirm the
-//!   parallelization is semantics-preserving), and
-//! * an analytic speedup model (sequential partitioning pass + perfectly
-//!   parallel work) used by the figure harnesses, mirroring how the paper's
-//!   hand-parallelized line was obtained on its 32-core server.
-
-use crate::collatz::CollatzParams;
-use crate::ising::{IsingParams, IsingResult};
-use std::thread;
+//! partitions on separate cores). This module provides the analytic speedup
+//! model behind that line (a sequential partitioning pass plus perfectly
+//! parallel work), mirroring how the paper's hand-parallelized line was
+//! obtained on its 32-core server.
 
 /// Analytic speedup of a hand-parallelized program on `cores` cores.
 ///
@@ -27,96 +19,9 @@ pub fn amdahl_speedup(cores: usize, sequential_fraction: f64) -> f64 {
     1.0 / (s + (1.0 - s) / cores as f64)
 }
 
-/// Hand-parallelized Ising: partition the node list across threads, find each
-/// partition's minimum, reduce. Produces exactly the same result as the
-/// sequential reference.
-pub fn ising_parallel(params: &IsingParams, threads: usize) -> IsingResult {
-    let threads = threads.max(1).min(params.nodes.max(1));
-    // Recreate every node's energy exactly as the kernel does, but assign
-    // contiguous chunks of the list to worker threads. The spin generator is
-    // sequential, so (as a real programmer would) we pre-generate the spins
-    // during the "partitioning pass" and hand each thread its slice.
-    let mut seed = params.seed;
-    let mut all_spins: Vec<Vec<i32>> = Vec::with_capacity(params.nodes);
-    for _ in 0..params.nodes {
-        let mut spins = Vec::with_capacity(params.spins);
-        for _ in 0..params.spins {
-            seed = seed.wrapping_mul(1_103_515_245).wrapping_add(12_345);
-            spins.push(if (seed >> 16) & 1 == 1 { 1 } else { -1 });
-        }
-        all_spins.push(spins);
-    }
-
-    let chunk = params.nodes.div_ceil(threads);
-    let reps = params.reps;
-    let spins_per_node = params.spins;
-    let mut partials: Vec<(i32, usize)> = Vec::with_capacity(threads);
-    thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (t, slice) in all_spins.chunks(chunk).enumerate() {
-            handles.push(scope.spawn(move || {
-                let mut best = (i32::MAX, 0usize);
-                for (local, spins) in slice.iter().enumerate() {
-                    let mut energy = 0i32;
-                    for _ in 0..reps {
-                        for i in 0..spins_per_node - 1 {
-                            energy = energy.wrapping_add(spins[i].wrapping_mul(spins[i + 1]));
-                        }
-                    }
-                    let energy = energy.wrapping_neg();
-                    let index = t * chunk + local;
-                    if energy < best.0 {
-                        best = (energy, index);
-                    }
-                }
-                best
-            }));
-        }
-        for handle in handles {
-            partials.push(handle.join().expect("worker thread panicked"));
-        }
-    });
-    let (min_energy, min_index) = partials
-        .into_iter()
-        .min_by_key(|(energy, index)| (*energy, *index))
-        .unwrap_or((i32::MAX, 0));
-    IsingResult { min_energy, min_index }
-}
-
-/// Hand-parallelized Collatz: split the integer range across threads and sum
-/// the verified counts. Returns the number of verified integers.
-pub fn collatz_parallel(params: &CollatzParams, threads: usize) -> u32 {
-    let threads = threads.max(1).min(params.count.max(1) as usize);
-    let chunk = (params.count as usize).div_ceil(threads) as u32;
-    let mut total = 0u32;
-    thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads as u32 {
-            let start = params.start + t * chunk;
-            let count = chunk.min(params.count.saturating_sub(t * chunk));
-            handles.push(scope.spawn(move || {
-                let mut verified = 0u32;
-                for i in 0..count {
-                    let mut n = start.wrapping_add(i);
-                    while n != 1 {
-                        n = if n % 2 == 0 { n / 2 } else { n.wrapping_mul(3).wrapping_add(1) };
-                    }
-                    verified += 1;
-                }
-                verified
-            }));
-        }
-        for handle in handles {
-            total += handle.join().expect("worker thread panicked");
-        }
-    });
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ising::reference as ising_reference;
 
     #[test]
     fn amdahl_limits() {
@@ -125,23 +30,6 @@ mod tests {
         // With a 5% sequential part the asymptote is 20x.
         assert!(amdahl_speedup(10_000, 0.05) < 20.0);
         assert!(amdahl_speedup(10_000, 0.05) > 19.0);
-    }
-
-    #[test]
-    fn ising_parallel_matches_sequential_reference() {
-        let params = IsingParams { nodes: 37, spins: 12, reps: 2, seed: 77 };
-        let sequential = ising_reference(&params);
-        for threads in [1, 2, 4, 7] {
-            assert_eq!(ising_parallel(&params, threads), sequential);
-        }
-    }
-
-    #[test]
-    fn collatz_parallel_counts_everything() {
-        let params = CollatzParams { start: 5, count: 100 };
-        for threads in [1, 3, 8] {
-            assert_eq!(collatz_parallel(&params, threads), 100);
-        }
     }
 
     #[test]

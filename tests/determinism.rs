@@ -492,13 +492,15 @@ mod checkpoint {
 
     /// The `.cache` sibling is the one way a trajectory cache outlives its
     /// process. An inline resume loads exactly the entries held by the
-    /// sibling of the checkpoint it restores; with every sibling deleted it
-    /// resumes from a cold cache, still bit-identical and with exact
-    /// instruction accounting.
+    /// sibling of the checkpoint it restores. With every sibling deleted, or
+    /// rewritten in the layout used before kind byte 7 was retired (a header
+    /// frame ahead of the entries), it resumes from a cold cache, still
+    /// bit-identical and with exact instruction accounting.
     #[test]
     fn resume_loads_the_cache_sibling_and_survives_its_loss() {
         use asc::core::cache::TrajectoryCache;
         use asc::core::checkpoint::{cache_path_for, load_newest, run_fingerprint};
+        use asc::core::codec::{self, FrameKind};
         use asc::core::snapshot;
 
         let workload = build(Benchmark::Collatz, Scale::Tiny).unwrap();
@@ -507,36 +509,49 @@ mod checkpoint {
         let converge = reference.converge_instructions;
         let budget = converge + reference.executed_instructions.saturating_sub(converge) / 2;
         let fingerprint = run_fingerprint(&base, &workload.program.initial_state().unwrap());
+        let loaded = |path: &PathBuf| {
+            let cache = TrajectoryCache::new(base.cache_capacity);
+            snapshot::load(&cache, path).expect("the sibling is readable").loaded
+        };
 
-        for keep_siblings in [true, false] {
-            let label = if keep_siblings { "siblings kept" } else { "siblings deleted" };
-            let dir = TempDir::new(&format!("sibling-{keep_siblings}"));
+        for siblings in ["kept", "deleted", "pre-change"] {
+            let dir = TempDir::new(&format!("sibling-{siblings}"));
             let first = accelerate(checkpointed(base.clone(), &dir, budget), &workload);
-            assert!(!first.halted, "{label}: the truncated leg ran to completion");
+            assert!(!first.halted, "{siblings}: the truncated leg ran to completion");
             let newest = load_newest(&dir.0, fingerprint).checkpoint.expect("a checkpoint landed");
-            let expected = if keep_siblings {
-                let sibling = cache_path_for(&dir.0, newest.sequence);
-                let cache = TrajectoryCache::new(base.cache_capacity);
-                snapshot::load(&cache, &sibling).expect("the sibling is readable").loaded
-            } else {
-                for file in std::fs::read_dir(&dir.0).unwrap() {
-                    let path = file.unwrap().path();
-                    if path.extension().is_some_and(|extension| extension == "cache") {
-                        std::fs::remove_file(path).unwrap();
-                    }
+            let saved = loaded(&cache_path_for(&dir.0, newest.sequence));
+            assert!(saved > 0, "{siblings}: the sibling held no entries");
+            for file in std::fs::read_dir(&dir.0).unwrap() {
+                let path = file.unwrap().path();
+                if path.extension().is_none_or(|extension| extension != "cache") {
+                    continue;
                 }
-                0
-            };
+                match siblings {
+                    "deleted" => std::fs::remove_file(path).unwrap(),
+                    "pre-change" => {
+                        // The retired header frame: the saving cache's twelve
+                        // counters (zeroed here), then the entry count.
+                        let mut payload = vec![0u8; 96];
+                        payload.extend_from_slice(&loaded(&path).to_le_bytes());
+                        let mut bytes = codec::encode_frame(FrameKind::SnapshotEnd, &payload);
+                        bytes[6] = 7;
+                        bytes.extend(std::fs::read(&path).unwrap());
+                        std::fs::write(&path, bytes).unwrap();
+                        assert_eq!(loaded(&path), 0, "{path:?} loaded behind a retired header");
+                    }
+                    _ => {}
+                }
+            }
+            let expected = if siblings == "kept" { saved } else { 0 };
 
             let resumed =
                 accelerate(checkpointed(base.clone(), &dir, base.instruction_budget), &workload);
-            assert_same_result(label, &reference, &resumed, &workload);
-            assert_eq!(reference.total_instructions, resumed.total_instructions, "{label}");
+            assert_same_result(siblings, &reference, &resumed, &workload);
+            assert_eq!(reference.total_instructions, resumed.total_instructions, "{siblings}");
             let stats = resumed.checkpoints.expect("checkpointing was on");
-            assert!(stats.resumed, "{label}: the second leg started cold {stats:?}");
-            assert_eq!(stats.resume_sequence, newest.sequence, "{label}: {stats:?}");
-            assert_eq!(stats.cache_entries_loaded, expected, "{label}: {stats:?}");
-            assert!(!keep_siblings || expected > 0, "{label}: the sibling held no entries");
+            assert!(stats.resumed, "{siblings}: the second leg started cold {stats:?}");
+            assert_eq!(stats.resume_sequence, newest.sequence, "{siblings}: {stats:?}");
+            assert_eq!(stats.cache_entries_loaded, expected, "{siblings}: {stats:?}");
         }
     }
 

@@ -1,5 +1,5 @@
 //! Property-based tests over the core data structures and invariants:
-//! instruction encoding, dependency tracking, sparse captures, deltas, the
+//! instruction encoding, dependency tracking, sparse captures, the
 //! determinism of the transition function and the on-disk formats.
 //!
 //! The build environment is offline, so instead of `proptest` these use a
@@ -8,7 +8,7 @@
 //! reproduces exactly.
 
 use asc::learn::rng::{Rng, XorShiftRng};
-use asc::tvm::delta::{Delta, SparseBytes};
+use asc::tvm::delta::SparseBytes;
 use asc::tvm::deps::{DepStatus, DepVector};
 use asc::tvm::encode::{decode, encode};
 use asc::tvm::exec::{transition, StepOutcome};
@@ -88,21 +88,6 @@ fn sparse_capture_apply_restores_captured_bytes() {
         let mut blank = StateVector::new(64).unwrap();
         capture.apply(&mut blank);
         assert!(capture.matches(&blank));
-    }
-}
-
-#[test]
-fn delta_roundtrips_arbitrary_states() {
-    let mut rng = XorShiftRng::new(0x5eed_0004);
-    for _ in 0..CASES {
-        let old: Vec<u8> = (0..256).map(|_| gen_u8(&mut rng)).collect();
-        let mut new = old.clone();
-        for _ in 0..gen_index(&mut rng, 64) {
-            let index = gen_index(&mut rng, 256);
-            new[index] = gen_u8(&mut rng);
-        }
-        let delta = Delta::diff(&old, &new);
-        assert_eq!(delta.apply(&old), new);
     }
 }
 
@@ -329,16 +314,7 @@ mod format_robustness {
     /// carry real section layouts, not synthetic payloads.
     fn frame_corpus(rng: &mut XorShiftRng) -> Vec<(&'static str, Vec<u8>)> {
         let entry = codec::encode_entry(&sample_entry(rng));
-        let cache = TrajectoryCache::with_layout(64, 1, 0);
-        cache.insert(sample_entry(rng));
         let mut corpus = vec![
-            (
-                "snapshot-header",
-                codec::encode_frame(
-                    FrameKind::SnapshotHeader,
-                    &codec::encode_snapshot_header(&cache.stats(), 1),
-                ),
-            ),
             ("snapshot-entry", codec::encode_frame(FrameKind::Entry, &entry)),
             ("snapshot-end", codec::encode_frame(FrameKind::SnapshotEnd, &[])),
         ];
@@ -387,7 +363,6 @@ mod format_robustness {
                     // every payload decoder must handle the bytes without
                     // panicking — a decoder trusts nothing about routing.
                     let _ = codec::decode_entry(&frame.payload);
-                    let _ = codec::decode_snapshot_header(&frame.payload);
                 }
                 Ok(None) => break,
                 Err(err) => {
@@ -444,13 +419,14 @@ mod format_robustness {
         }
     }
 
-    /// Kind bytes 0–6 belonged to a retired network protocol. A frame that
-    /// is well formed in every other respect but carries one of them is an
-    /// unknown kind: `InvalidData`, never a panic or a misrouted payload.
+    /// Kind bytes 0–6 belonged to a retired network protocol and byte 7 to
+    /// the retired snapshot header. A frame that is well formed in every
+    /// other respect but carries one of them is an unknown kind:
+    /// `InvalidData`, never a panic or a misrouted payload.
     #[test]
     fn retired_kind_bytes_are_unknown_frames() {
         let entry = codec::encode_entry(&sample_entry(&mut XorShiftRng::new(0x5eed_0b50)));
-        for kind in 0u8..=6 {
+        for kind in 0u8..=7 {
             let mut frame = codec::encode_frame(FrameKind::Entry, &entry);
             frame[6] = kind;
             let err = codec::read_frame(&mut frame.as_slice())
@@ -631,8 +607,6 @@ mod format_robustness {
         assert_eq!(load.rejected, 0, "clean snapshot must reject nothing");
         assert_eq!(load.loaded, saved);
         assert_eq!(restored.len(), cache.len());
-        // The header carried the saving cache's counters.
-        assert_eq!(load.saved_stats.inserted, cache.stats().inserted);
 
         assert_lookup_equivalent(&cache, &restored, 200);
     }
@@ -649,7 +623,7 @@ mod format_robustness {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).ok();
 
-        // Truncate at an arbitrary point past the header.
+        // Truncate at an arbitrary point inside the entry frames.
         let cut = bytes.len() / 2;
         let truncated_path = scratch_path("snapshot-truncated");
         std::fs::write(&truncated_path, &bytes[..cut]).unwrap();
