@@ -1,13 +1,18 @@
 //! §5.3 micro-benchmarks: simulation rate with and without dependency
 //! tracking, cache lookup latency, predictor update cost and rollout latency.
 
+use asc_bench::config_for;
 use asc_core::cache::{CacheEntry, TrajectoryCache};
 use asc_core::config::AscConfig;
 use asc_core::predictor_bank::PredictorBank;
+use asc_core::speculator::{execute_superstep_with, SpeculationScratch};
 use asc_tvm::delta::SparseBytes;
 use asc_tvm::deps::DepVector;
 use asc_tvm::exec::{transition, transition_cached, transition_with, DecodedCache, NoDeps};
 use asc_tvm::machine::Machine;
+use asc_tvm::state::StateVector;
+use asc_tvm::tier::{run_segment, BlockCache, SegmentExit};
+use asc_tvm::TierConfig;
 use asc_workloads::registry::{build, Benchmark, Scale};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -79,10 +84,11 @@ fn bench_transition(c: &mut Criterion) {
             state
         })
     });
-    // The reference entry point with the paper's `g` vector attached. Against
-    // `baseline_1k_instructions` this is §5.3's simulation-rate comparison:
-    // the paper measures 2.6 MIPS untracked vs 2.3 MIPS with dependency
-    // tracking, ≈ 1.13×.
+    // The reference entry point with the paper's `g` vector attached,
+    // against `baseline_1k_instructions`. §5.3 measures 2.6 MIPS untracked
+    // vs 2.3 MIPS with dependency tracking, ≈ 1.13×; the runtime's own
+    // tracked ÷ untracked ratio is `superstep/<workload>_{tracked,untracked}`
+    // below.
     group.bench_function("dependency_tracking_1k_instructions", |b| {
         b.iter(|| {
             let mut state = initial.clone();
@@ -97,6 +103,82 @@ fn bench_transition(c: &mut Criterion) {
             deps.touched()
         })
     });
+    group.finish();
+}
+
+/// §5.3's price of dependency tracking on the runtime's real paths, per
+/// workload: the same supersteps — from the first 64 recognized-IP
+/// occurrences (all 24 of mm2's) — executed by `execute_superstep_with` on
+/// a reused scratch (`_tracked`: what workers, inline speculation,
+/// recognition and memoization run, entry capture included) and by
+/// `run_segment` with `NoDeps` on a reused, identically reset and seeded
+/// `BlockCache` (`_untracked`), with the same stop rule. Their ratio is the
+/// tracking overhead; the paper's is ≈ 1.13×.
+///
+/// The workloads run at the benchmark's scales (Medium; mm2 Small), where a
+/// superstep is 500–20 000 instructions. At Tiny it is 60–250, and the
+/// ratio there measures the per-job fixed cost — the state-sized reset and
+/// walk, the entry's two allocations and its checksum — more than tracking.
+fn bench_superstep(c: &mut Criterion) {
+    let mut group = c.benchmark_group("superstep");
+    for (name, benchmark, scale) in [
+        ("collatz", Benchmark::Collatz, Scale::Medium),
+        ("logistic", Benchmark::LogisticMap, Scale::Medium),
+        ("ising", Benchmark::Ising, Scale::Medium),
+        ("mm2", Benchmark::Mm2, Scale::Small),
+    ] {
+        let workload = build(benchmark, scale).unwrap();
+        let config = config_for(scale);
+        let initial = workload.program.initial_state().unwrap();
+        let (rip, budget) =
+            (asc_core::recognizer::recognize(&initial, &config).unwrap().rip, config.max_superstep);
+        // From the program's start, so the occurrences recognition executed
+        // count too.
+        let mut machine = Machine::from_state(initial);
+        let mut starts = Vec::new();
+        loop {
+            machine.run_until_ip(rip.ip, budget).unwrap();
+            if machine.is_halted() || starts.len() == 64 {
+                break;
+            }
+            starts.push(machine.state().clone());
+        }
+        assert!(starts.len() >= 16, "{name}: {} occurrences", starts.len());
+
+        let mut scratch = SpeculationScratch::new();
+        let tracked = |scratch: &mut SpeculationScratch, start: &StateVector| {
+            let result = execute_superstep_with(start, rip.ip, rip.stride, budget, scratch);
+            result.unwrap().completed().unwrap().instructions
+        };
+        let mut icache = BlockCache::new(&starts[0], TierConfig::default());
+        let untracked = |icache: &mut BlockCache, start: &StateVector| {
+            let mut state = start.clone();
+            icache.reset_for(&state);
+            icache.seed_hot(rip.ip);
+            let (mut instructions, mut occurrences) = (0u64, 0usize);
+            while instructions < budget {
+                let (retired, exit) =
+                    run_segment(&mut state, &mut NoDeps, icache, rip.ip, budget - instructions);
+                instructions += retired;
+                match exit {
+                    SegmentExit::StopIp if occurrences + 1 < rip.stride.max(1) => occurrences += 1,
+                    SegmentExit::Fault(error) => panic!("{name}: {error}"),
+                    _ => break,
+                }
+            }
+            instructions
+        };
+        // Both sides retire the same instructions from every start state.
+        for start in &starts {
+            assert_eq!(tracked(&mut scratch, start), untracked(&mut icache, start), "{name}");
+        }
+        group.bench_function(format!("{name}_tracked"), |b| {
+            b.iter(|| starts.iter().map(|s| tracked(&mut scratch, black_box(s))).sum::<u64>())
+        });
+        group.bench_function(format!("{name}_untracked"), |b| {
+            b.iter(|| starts.iter().map(|s| untracked(&mut icache, black_box(s))).sum::<u64>())
+        });
+    }
     group.finish();
 }
 
@@ -162,4 +244,11 @@ criterion_group!(
     config = Criterion::default().sample_size(10);
     targets = bench_transition, bench_cache_lookup, bench_predictor_update_and_rollout
 );
-criterion_main!(micro);
+// The superstep ids are gated against `bench/baseline.json` on their
+// minima, so they take the tier benches' 20 samples.
+criterion_group!(
+    name = superstep;
+    config = Criterion::default().sample_size(20);
+    targets = bench_superstep
+);
+criterion_main!(micro, superstep);

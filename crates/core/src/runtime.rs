@@ -653,7 +653,7 @@ impl<'a> Run<'a> {
             }
             Dispatch::MissDriven { bank, economics, .. } => {
                 economics.record_lookup(true);
-                bank.observe(&self.machine.state().clone());
+                bank.observe(self.machine.state());
             }
             Dispatch::Reuse { .. } => {}
         }
@@ -681,8 +681,8 @@ impl<'a> Run<'a> {
             }
             Dispatch::MissDriven { bank, economics, pool, scratch, superstep_estimate, .. } => {
                 economics.record_lookup(false);
-                let state = self.machine.state().clone();
-                bank.observe(&state);
+                let state = self.machine.state();
+                bank.observe(state);
                 economics.observe_model(bank.recent_error_rate());
                 // Re-planning is skipped while the pool is saturated: the
                 // predictor rollout is expensive, and a saturated pool means
@@ -701,7 +701,7 @@ impl<'a> Run<'a> {
                 // chained prediction work shrinks along with the dispatches.
                 let horizon = economics.horizon(self.config.rollout_depth);
                 let tasks = plan_speculation(
-                    bank.rollout(&state, horizon),
+                    bank.rollout(state, horizon),
                     *superstep_estimate,
                     self.config.rollout_depth,
                     &self.cache,

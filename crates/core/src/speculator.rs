@@ -209,14 +209,8 @@ fn execute_keyed(
         }
     }
 
-    let read_set = deps.read_set();
-    let write_set = deps.write_set();
-    let entry = CacheEntry::new(
-        key,
-        SparseBytes::capture(start, read_set.iter().copied()),
-        SparseBytes::capture(&state, write_set.iter().copied()),
-        instructions,
-    );
+    let (read, written) = SparseBytes::capture_sets(deps, start, &state);
+    let entry = CacheEntry::new(key, read, written, instructions);
     Ok(SpeculationResult::Completed(Box::new(SuperstepOutcome {
         entry,
         end_state: state,
@@ -258,7 +252,8 @@ mod tests {
     use crate::config::AscConfig;
     use crate::recognizer::recognize;
     use asc_asm::assemble;
-    use asc_tvm::exec::{transition, StepOutcome};
+    use asc_tvm::deps::DepStatus;
+    use asc_tvm::exec::{transition_with, DepSink, StepOutcome};
     use asc_workloads::registry::{build, Benchmark, Scale};
 
     /// A loop whose head (address of `loop:`) is a natural recognized IP.
@@ -419,9 +414,35 @@ mod tests {
         assert_eq!(off_stats.tier1_instructions, 0, "{off_stats:?}");
     }
 
-    /// The per-instruction reference for one superstep: the paper's `g`
-    /// vector fed by `transition` one instruction at a time, stopping where
-    /// [`execute_superstep_with`] stops.
+    /// The paper's `g` vector kept the plainest way: one [`DepStatus`] per
+    /// byte, stepped by [`DepStatus::after_read`] / [`DepStatus::after_write`]
+    /// a byte at a time. Independent of [`DepVector`]'s word-wide encoding,
+    /// so the reference below checks it rather than reusing it.
+    struct PerByteDeps(Vec<DepStatus>);
+
+    impl DepSink for PerByteDeps {
+        fn note_read(&mut self, index: usize, len: usize) {
+            for s in &mut self.0[index..index + len] {
+                *s = s.after_read();
+            }
+        }
+
+        fn note_write(&mut self, index: usize, len: usize) {
+            for s in &mut self.0[index..index + len] {
+                *s = s.after_write();
+            }
+        }
+    }
+
+    impl PerByteDeps {
+        fn indices(&self, keep: fn(DepStatus) -> bool) -> impl Iterator<Item = usize> + '_ {
+            self.0.iter().enumerate().filter(move |(_, &s)| keep(s)).map(|(i, _)| i)
+        }
+    }
+
+    /// The per-instruction reference for one superstep: a per-byte `g`
+    /// vector fed by `transition_with` one instruction at a time, stopping
+    /// where [`execute_superstep_with`] stops.
     fn reference_superstep(
         start: &StateVector,
         rip: u32,
@@ -429,18 +450,18 @@ mod tests {
         budget: u64,
     ) -> SuperstepOutcome {
         let mut state = start.clone();
-        let mut deps = DepVector::new(state.len_bytes());
+        let mut deps = PerByteDeps(vec![DepStatus::Null; state.len_bytes()]);
         let (mut instructions, mut occurrences, mut halted) = (0u64, 0usize, false);
         while instructions < budget && occurrences < stride.max(1) {
-            if transition(&mut state, Some(&mut deps)).unwrap() == StepOutcome::Halted {
+            if transition_with(&mut state, &mut deps).unwrap() == StepOutcome::Halted {
                 halted = true;
                 break;
             }
             instructions += 1;
             occurrences += usize::from(state.ip() == rip);
         }
-        let read = SparseBytes::capture(start, deps.read_set());
-        let written = SparseBytes::capture(&state, deps.write_set());
+        let read = SparseBytes::capture(start, deps.indices(DepStatus::in_read_set));
+        let written = SparseBytes::capture(&state, deps.indices(DepStatus::in_write_set));
         SuperstepOutcome {
             entry: CacheEntry::new(start.ip(), read, written, instructions),
             end_state: state,
@@ -453,8 +474,8 @@ mod tests {
     #[test]
     fn capture_matches_the_per_instruction_reference_on_every_workload() {
         // The one tracked-execution path — speculation, `measure` and
-        // memoization all capture through it — against a per-instruction
-        // `DepVector`, over the first 64 recognized-IP occurrences of each
+        // memoization all capture through it — against a per-instruction,
+        // per-byte `g` vector, over the first 64 recognized-IP occurrences of each
         // registry workload, at tier 0 and at tier 1: the tier changes the
         // cost of a captured superstep, never what is captured.
         for benchmark in Benchmark::ALL {

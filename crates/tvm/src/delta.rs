@@ -5,7 +5,10 @@
 //! sorted sparse list of `(index, value)` pairs ([`SparseBytes`]). A
 //! [`PositionSchema`] is such a list's positions without the values, the
 //! shape the trajectory cache groups its entries by.
+//! [`SparseBytes::capture_sets`] builds both halves of an entry from a
+//! superstep's dependency vector.
 
+use crate::deps::{DepVector, READ_BITS, WRITE_BITS};
 use crate::state::StateVector;
 
 /// FNV-1a over a byte stream: a cheap, deterministic 64-bit hash used for
@@ -62,6 +65,35 @@ impl SparseBytes {
         entries.sort_unstable_by_key(|(i, _)| *i);
         entries.dedup_by_key(|(i, _)| *i);
         SparseBytes { entries }
+    }
+
+    /// Captures a tracked superstep's two halves straight from its
+    /// dependency vector: the read set with its values in `start`, and the
+    /// write set with its values in `end` — what
+    /// `capture(start, deps.read_set())` and `capture(end, deps.write_set())`
+    /// return, without the index lists, the sort or the dedup.
+    ///
+    /// One walk over the vector's touched words fills both sets; it goes in
+    /// index order, so the pairs arrive sorted and unique. The sets are
+    /// allocated at their exact size, counted beforehand by popcounts of the
+    /// same words: entries live in the trajectory cache for the whole run,
+    /// and the slack of a grown `Vec` would be paid per entry.
+    ///
+    /// # Panics
+    /// Panics when `deps` covers more bytes than `start` or `end` holds.
+    pub fn capture_sets(
+        deps: &DepVector,
+        start: &StateVector,
+        end: &StateVector,
+    ) -> (SparseBytes, SparseBytes) {
+        let (start, end) = (start.as_bytes(), end.as_bytes());
+        let (read_len, write_len) = deps.set_sizes();
+        let (mut read, mut written) = (Vec::with_capacity(read_len), Vec::with_capacity(write_len));
+        deps.for_each_touched_word(|base, word| {
+            push_marked(&mut read, word & READ_BITS, base, start);
+            push_marked(&mut written, word & WRITE_BITS, base, end);
+        });
+        (SparseBytes { entries: read }, SparseBytes { entries: written })
     }
 
     /// Builds a sparse set directly from `(index, value)` pairs.
@@ -199,6 +231,17 @@ impl SparseBytes {
     }
 }
 
+/// Pushes `(i, bytes[i])` for every status of the word at `base` that has a
+/// bit in `marked` (one bit per marked byte), in index order.
+#[inline]
+fn push_marked(out: &mut Vec<(u32, u8)>, mut marked: u64, base: usize, bytes: &[u8]) {
+    while marked != 0 {
+        let i = base + marked.trailing_zeros() as usize / 8;
+        out.push((i as u32, bytes[i]));
+        marked &= marked - 1;
+    }
+}
+
 impl FromIterator<(u32, u8)> for SparseBytes {
     fn from_iter<T: IntoIterator<Item = (u32, u8)>>(iter: T) -> Self {
         SparseBytes::from_pairs(iter.into_iter().collect())
@@ -298,6 +341,30 @@ mod tests {
         assert_eq!(pairs, vec![(3, 30), (5, 50)]);
         assert_eq!(sparse.len(), 2);
         assert_eq!(sparse.encoded_bits(), 2 * 40);
+    }
+
+    #[test]
+    fn capture_sets_equals_per_byte_capture_at_exact_capacity() {
+        let (mut start, mut end) = (StateVector::new(96).unwrap(), StateVector::new(96).unwrap());
+        let len = start.len_bytes();
+        for i in 0..len {
+            start.set_byte(i, i as u8);
+            end.set_byte(i, !(i as u8));
+        }
+        let mut deps = DepVector::new(len);
+        deps.note_read_range(1, 8);
+        deps.note_write_range(5, 4);
+        deps.note_write_range(40, 8);
+        deps.note_read_range(44, 4);
+        deps.note_read(len - 1);
+        let (read, written) = SparseBytes::capture_sets(&deps, &start, &end);
+        assert_eq!(read, SparseBytes::capture(&start, deps.read_set()));
+        assert_eq!(written, SparseBytes::capture(&end, deps.write_set()));
+        assert_eq!(read.entries.capacity(), read.len());
+        assert_eq!(written.entries.capacity(), written.len());
+        // An untouched vector captures two empty sets.
+        let (read, written) = SparseBytes::capture_sets(&DepVector::new(len), &start, &end);
+        assert!(read.is_empty() && written.is_empty());
     }
 
     #[test]

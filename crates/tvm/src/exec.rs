@@ -57,7 +57,10 @@ pub enum StepOutcome {
 ///
 /// The two implementations are [`NoDeps`] (methods compile to nothing; the
 /// main thread's zero-cost path) and [`DepVector`] (the paper's `g` vector,
-/// used by speculative workers and the measured runtime).
+/// used by speculative workers, recognition and memoization). Each access
+/// arrives as one call with its byte range, so `DepVector` applies the §4.1
+/// FSM to a 4-byte access (IP, flags, a register, a data word) or the 8-byte
+/// fetch as one word operation rather than byte by byte.
 pub trait DepSink {
     /// Records a read of `len` consecutive state bytes starting at `index`.
     fn note_read(&mut self, index: usize, len: usize);

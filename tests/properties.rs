@@ -73,6 +73,55 @@ fn dependency_fsm_read_and_write_sets_are_disjoint_unions() {
 }
 
 #[test]
+fn word_wide_dependency_notes_match_a_per_byte_reference() {
+    // `DepVector` applies the FSM to a 4- or 8-byte access as one word
+    // operation; a `Vec<DepStatus>` stepped byte by byte is the reference.
+    // Random mixed-width, unaligned reads and writes, with the last byte of
+    // the vector in range of every width.
+    let mut rng = XorShiftRng::new(0x5eed_0009);
+    for _ in 0..CASES {
+        let len = 8 + gen_index(&mut rng, 120);
+        let mut deps = DepVector::new(len);
+        let mut reference = vec![DepStatus::Null; len];
+        for _ in 0..gen_index(&mut rng, 64) {
+            let width = [1, 4, 8][gen_index(&mut rng, 3)];
+            // One access in four ends exactly at the last byte.
+            let index =
+                if rng.gen_bool(0.25) { len - width } else { gen_index(&mut rng, len - width + 1) };
+            let write = rng.gen_bool(0.5);
+            if write {
+                deps.note_write_range(index, width);
+            } else {
+                deps.note_read_range(index, width);
+            }
+            for s in &mut reference[index..index + width] {
+                *s = if write { s.after_write() } else { s.after_read() };
+            }
+        }
+        let statuses: Vec<DepStatus> = (0..len).map(|i| deps.status(i)).collect();
+        assert_eq!(statuses, reference, "len {len}");
+        // The one-pass capture reads the same sets back.
+        let (mut start, mut end) = (StateVector::new(len).unwrap(), StateVector::new(len).unwrap());
+        for i in 0..len {
+            start.set_byte(i, gen_u8(&mut rng));
+            end.set_byte(i, gen_u8(&mut rng));
+        }
+        let in_set = |keep: fn(DepStatus) -> bool| {
+            reference.iter().enumerate().filter(move |(_, &s)| keep(s)).map(|(i, _)| i)
+        };
+        let (read, written) = SparseBytes::capture_sets(&deps, &start, &end);
+        assert_eq!(read, SparseBytes::capture(&start, in_set(DepStatus::in_read_set)), "len {len}");
+        assert_eq!(
+            written,
+            SparseBytes::capture(&end, in_set(DepStatus::in_write_set)),
+            "len {len}"
+        );
+        let touched = reference.iter().filter(|&&s| s != DepStatus::Null).count();
+        assert_eq!(deps.touched(), touched, "len {len}");
+    }
+}
+
+#[test]
 fn sparse_capture_apply_restores_captured_bytes() {
     let mut rng = XorShiftRng::new(0x5eed_0003);
     for _ in 0..CASES {
