@@ -9,10 +9,15 @@
 //! occurrence-ingest rate is bounded by the per-occurrence training cost
 //! measured here.
 //!
+//! `predictor_occurrence/logistic_map_chaotic` times the runtime's per-miss
+//! pair, `observe` then a depth-1 `rollout`, which share one forward pass.
+//!
 //! `recognize/mm2_small` is the tripwire for the banks' other user: one whole
 //! `recognize` call on the registry's `2mm` at the benchmark's scale and
 //! window. Its twelve throw-away banks are read-targeted (32–160 bits); if
 //! they ever model write-once output cells again this id grows twentyfold.
+//! `recognize/collatz_medium` is the same call on collatz at its benchmark
+//! scale, where phase 1's per-instruction profile is most of the time.
 //!
 //! The occurrence trace is synthetic but shaped like the real thing: a fixed
 //! set of 32-bit words mutates every occurrence with the four patterns the
@@ -128,12 +133,12 @@ fn bench_observe_wide(c: &mut Criterion) {
     });
 }
 
-fn bench_observe_logistic_map(c: &mut Criterion) {
-    // Real occurrence states from the logistic-map kernel's outer-loop head:
-    // the chaotic map value and checksum words give a *high-entropy*
-    // excitation pattern where every predictor is wrong on most bits — the
-    // worst case for the mistake-mask training path (maximal XOR masks, every
-    // multiplicative update fires).
+/// Real occurrence states from the logistic-map kernel's outer-loop head:
+/// the chaotic map value and checksum words give a *high-entropy*
+/// excitation pattern where every predictor is wrong on most bits — the
+/// worst case for the mistake-mask training path (maximal XOR masks, every
+/// multiplicative update fires).
+fn logistic_map_states() -> Vec<StateVector> {
     let workload = build(Benchmark::LogisticMap, Scale::Tiny).unwrap();
     let rip = workload.program.symbol("outer").expect("kernel has an outer loop head");
     let mut machine = Machine::load(&workload.program).unwrap();
@@ -143,6 +148,11 @@ fn bench_observe_logistic_map(c: &mut Criterion) {
         assert!(!machine.is_halted(), "trace ended before {TRACE_LEN} occurrences");
         states.push(machine.state().clone());
     }
+    states
+}
+
+fn bench_observe_logistic_map(c: &mut Criterion) {
+    let states = logistic_map_states();
     let config = AscConfig::for_tests();
     let mut bank = warmed_bank(&states, &config);
     c.bench_function("predictor_observe/logistic_map_chaotic", |b| {
@@ -156,17 +166,44 @@ fn bench_observe_logistic_map(c: &mut Criterion) {
     });
 }
 
-fn bench_recognize_mm2(c: &mut Criterion) {
-    // The benchmark's mm2 workload: registry `Small`, 80 000 / 200 window.
-    let workload = build(Benchmark::Mm2, Scale::Small).unwrap();
-    let initial = workload.program.initial_state().unwrap();
-    let config = asc_bench::config_for(Scale::Small);
-    c.bench_function("recognize/mm2_small", |b| {
+fn bench_occurrence_logistic_map(c: &mut Criterion) {
+    // The runtime's per-miss pair: train on the occurrence, then roll out
+    // one superstep from it. The two share the forward pass `observe` runs
+    // ahead, which neither half's own id can show.
+    let states = logistic_map_states();
+    let config = AscConfig::for_tests();
+    let mut bank = warmed_bank(&states, &config);
+    c.bench_function("predictor_occurrence/logistic_map_chaotic", |b| {
         b.iter(|| {
-            let outcome = recognize(black_box(&initial), &config).expect("2mm has a loop");
-            outcome.instructions_spent
+            bank.break_stream();
+            let mut predicted = 0;
+            for state in &states {
+                bank.observe(black_box(state));
+                predicted += bank.rollout(state, 1).len();
+            }
+            predicted
         })
     });
+}
+
+fn bench_recognize(c: &mut Criterion) {
+    // The benchmark's windows: mm2 at registry `Small` (80 000 / 200),
+    // collatz at `Medium` (250 000 / 500), where phase 1's profile is most
+    // of the call.
+    for (benchmark, scale, id) in [
+        (Benchmark::Mm2, Scale::Small, "recognize/mm2_small"),
+        (Benchmark::Collatz, Scale::Medium, "recognize/collatz_medium"),
+    ] {
+        let workload = build(benchmark, scale).unwrap();
+        let initial = workload.program.initial_state().unwrap();
+        let config = asc_bench::config_for(scale);
+        c.bench_function(id, |b| {
+            b.iter(|| {
+                let outcome = recognize(black_box(&initial), &config).expect("workload has a loop");
+                outcome.instructions_spent
+            })
+        });
+    }
 }
 
 fn bench_rollout(c: &mut Criterion) {
@@ -189,7 +226,7 @@ fn bench_rollout(c: &mut Criterion) {
 criterion_group!(
     name = predictor;
     config = Criterion::default().sample_size(10);
-    targets = bench_observe, bench_observe_wide, bench_observe_logistic_map, bench_rollout,
-        bench_recognize_mm2
+    targets = bench_observe, bench_observe_wide, bench_observe_logistic_map,
+        bench_occurrence_logistic_map, bench_rollout, bench_recognize
 );
 criterion_main!(predictor);

@@ -20,16 +20,30 @@
 //!   │
 //!   └─ExcitationMap::observe_into──▶ PackedObservation (reused buffer)
 //!       (one 32-bit read per tracked word)   │
-//!                                            ├─ Ensemble::observe: predict_block
-//!                                            │  per member → XOR mistake masks →
+//!                                            ├─ Ensemble::observe: forward pass
+//!                                            │  on prev (kept from the last call,
+//!                                            │  else predict_block per member) →
+//!                                            │  XOR mistake masks →
 //!                                            │  observe_transition(prev, next,
-//!                                            │  that member's own confidences)
+//!                                            │  that member's own confidences) →
+//!                                            │  forward pass on next, kept
 //!                                            └─ Ensemble::predict_ml_with ──▶
-//!                                               packed ML block (reused scratch)
+//!                                               packed ML block (reused scratch;
+//!                                               the kept pass's vote when the
+//!                                               observation is that `next`)
 //!                                                     │
 //!                     ExcitationMap::materialize ◀────┘
 //!                     (patch tracked words onto the live state)
 //! ```
+//!
+//! Each observation costs one forward pass. `Ensemble::observe` ends by
+//! running every member on the observation it just trained towards and keeps
+//! the result; the next `observe` (whose `prev` it is) and a `predict_next` or
+//! depth-1 `rollout` from the same state reuse it, compared by value. The
+//! kept pass is dropped by `Ensemble::reset` and `load_state`, and a rebuild
+//! (warm-up or drift) builds a new ensemble without one; after
+//! [`break_stream`](PredictorBank::break_stream) the next observation simply
+//! does not match it.
 //!
 //! It first warms up an [`ExcitationTracker`] over the stream of occurrence
 //! states to discover which bits actually change, then freezes an
@@ -583,6 +597,43 @@ pub(crate) mod tests {
             assert_eq!(x.state, y.state);
             assert_eq!(x.log_probability, y.log_probability);
         }
+    }
+
+    #[test]
+    fn predictions_after_observe_match_a_cold_restore() {
+        // Chaotic occurrence states (the logistic map's outer-loop head), so
+        // the predictions differ from one occurrence to the next.
+        use asc_workloads::registry::{build, Benchmark, Scale};
+        let workload = build(Benchmark::LogisticMap, Scale::Tiny).unwrap();
+        let rip = workload.program.symbol("outer").unwrap();
+        let states = occurrence_states(&workload.program, rip, 40);
+        let config = AscConfig::for_tests();
+        let mut bank = PredictorBank::new(rip, &config);
+        let mut compared = 0;
+        for state in &states {
+            bank.observe(state);
+            if !bank.is_ready() {
+                continue;
+            }
+            // `bank` predicts from the forward pass its last observe ran
+            // ahead; the restored bank has none and recomputes.
+            let mut bytes = Vec::new();
+            bank.save_state(&mut bytes);
+            let mut restored = PredictorBank::new(rip, &config);
+            restored.load_state(&mut asc_learn::persist::Reader::new(&bytes)).unwrap();
+            let (hot, cold) =
+                (bank.predict_next(state).unwrap(), restored.predict_next(state).unwrap());
+            assert_eq!(hot.state, cold.state);
+            assert_eq!(hot.log_probability.to_bits(), cold.log_probability.to_bits());
+            let (hot, cold) = (bank.rollout(state, 3), restored.rollout(state, 3));
+            assert_eq!(hot.len(), 3);
+            for (x, y) in hot.iter().zip(&cold) {
+                assert_eq!(x.state, y.state);
+                assert_eq!(x.log_probability.to_bits(), y.log_probability.to_bits());
+            }
+            compared += 1;
+        }
+        assert!(compared > 30, "{compared}");
     }
 
     #[test]

@@ -17,8 +17,10 @@ use crate::predictor_bank::{PredictorBank, EXCITATION_WARMUP};
 use crate::speculator::{execute_superstep_with, SpeculationScratch};
 use asc_tvm::error::VmResult;
 use asc_tvm::exec::StepOutcome;
+use asc_tvm::isa::INSTRUCTION_BYTES;
 use asc_tvm::machine::Machine;
 use asc_tvm::state::StateVector;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Occurrence statistics for one candidate IP value.
@@ -46,9 +48,17 @@ impl CandidateStats {
 }
 
 /// Phase-one profiler: counts occurrences and spacing of every IP value seen.
+///
+/// Phase 1 records one IP per retired instruction, so the stats of IPs on an
+/// instruction slot inside the machine's memory live in a dense table:
+/// `slots[ip / 8]` is the 1-based index of the IP's entry in `dense` (0: not
+/// seen yet). The table is sized when profiling starts on an empty profiler;
+/// every other IP goes to the `sparse` map.
 #[derive(Debug, Clone, Default)]
 pub struct IpProfiler {
-    stats: HashMap<u32, CandidateStats>,
+    slots: Vec<u32>,
+    dense: Vec<CandidateStats>,
+    sparse: HashMap<u32, CandidateStats>,
 }
 
 impl IpProfiler {
@@ -59,18 +69,34 @@ impl IpProfiler {
 
     /// Records that execution reached `ip` with `instret` instructions retired.
     pub fn record(&mut self, ip: u32, instret: u64) {
-        self.stats
-            .entry(ip)
-            .and_modify(|s| {
-                s.occurrences += 1;
-                s.last_instret = instret;
-            })
-            .or_insert(CandidateStats {
-                ip,
-                occurrences: 1,
-                first_instret: instret,
-                last_instret: instret,
-            });
+        let first =
+            CandidateStats { ip, occurrences: 1, first_instret: instret, last_instret: instret };
+        let slot = match ip % INSTRUCTION_BYTES {
+            0 => self.slots.get_mut((ip / INSTRUCTION_BYTES) as usize),
+            _ => None,
+        };
+        let stats = match slot {
+            Some(&mut index) if index != 0 => &mut self.dense[index as usize - 1],
+            Some(index) => {
+                self.dense.push(first);
+                *index = self.dense.len() as u32;
+                return;
+            }
+            None => match self.sparse.entry(ip) {
+                Entry::Occupied(entry) => entry.into_mut(),
+                Entry::Vacant(entry) => {
+                    entry.insert(first);
+                    return;
+                }
+            },
+        };
+        stats.occurrences += 1;
+        stats.last_instret = instret;
+    }
+
+    /// Every IP's stats, in no particular order.
+    fn stats(&self) -> impl Iterator<Item = &CandidateStats> {
+        self.dense.iter().chain(self.sparse.values())
     }
 
     /// Steps `machine` until `instructions` more have retired or the program
@@ -80,6 +106,11 @@ impl IpProfiler {
     /// # Errors
     /// Propagates simulator faults.
     pub(crate) fn profile(&mut self, machine: &mut Machine, instructions: u64) -> VmResult<bool> {
+        if self.unique_ips() == 0 {
+            // Size the table before anything is recorded, so that no IP can
+            // have stats in both `dense` and `sparse`.
+            self.slots = vec![0; machine.state().mem_size() / INSTRUCTION_BYTES as usize];
+        }
         let end = machine.instret() + instructions;
         while machine.instret() < end {
             match machine.step()? {
@@ -92,7 +123,7 @@ impl IpProfiler {
 
     /// Number of distinct IP values observed (Table 1's "unique IP values").
     pub fn unique_ips(&self) -> usize {
-        self.stats.len()
+        self.dense.len() + self.sparse.len()
     }
 
     /// The most promising candidates: IPs that recur, ranked by how much of
@@ -106,11 +137,12 @@ impl IpProfiler {
     /// occurrence is stale (they stopped recurring, e.g. initialisation
     /// loops) are skipped, since speculation on them would never fire again.
     pub fn candidates(&self, min_superstep: u64, count: usize, now: u64) -> Vec<Candidate> {
-        let window_start = self.stats.values().map(|s| s.first_instret).min().unwrap_or(0);
+        let window_start = self.stats().map(|s| s.first_instret).min().unwrap_or(0);
         let staleness_horizon = now.saturating_sub(now.saturating_sub(window_start) / 4);
+        // Sorting by a total order (coverage, then IP) makes the ranking
+        // independent of the order `stats()` yields entries in.
         let mut ranked: Vec<&CandidateStats> = self
-            .stats
-            .values()
+            .stats()
             .filter(|s| s.occurrences >= 3 && s.last_instret >= staleness_horizon)
             .collect();
         ranked.sort_by(|a, b| {
@@ -247,7 +279,9 @@ pub struct RecognizerOutcome {
 struct Evaluation {
     candidate: Candidate,
     bank: PredictorBank,
-    pending: Option<CacheEntry>,
+    /// The state the bank predicted for the next strided occurrence; its
+    /// scoring superstep runs when that occurrence arrives.
+    pending: Option<StateVector>,
     raw_occurrences_left: usize,
     scored: usize,
     correct: usize,
@@ -345,11 +379,15 @@ pub fn recognize(initial: &StateVector, config: &AscConfig) -> AscResult<Recogni
 
         // ---- Phase 2: evaluate candidate predictability. ----
         //
-        // Exactly as in §4.3: each candidate gets a private predictor bank; when
-        // the bank issues a prediction we *speculatively execute* a superstep
-        // from the predicted state and keep the resulting cache entry in a local
-        // cache of predictions; at the candidate's next occurrence we check
-        // whether the real state matches that entry on its dependency (read) set.
+        // Exactly as in §4.3: each candidate gets a private predictor bank, and
+        // each prediction the bank issues is checked against the real state at
+        // the candidate's next occurrence: the *speculatively executed*
+        // superstep from the predicted state must match the real state on its
+        // dependency (read) set. The speculation runs when that score is due —
+        // at the next occurrence, not when the bank predicts — so a prediction
+        // phase 2 ends before scoring is never executed. The bank sees the
+        // same calls in the same order either way: nothing touches it between
+        // its prediction and its next occurrence.
         //
         // Since a match needs only the read set, the banks learn only what a
         // superstep reads: while a bank is warming up (its first
@@ -422,13 +460,18 @@ pub fn recognize(initial: &StateVector, config: &AscConfig) -> AscResult<Recogni
                         if evaluation.scored >= config.evaluation_occurrences {
                             continue;
                         }
-                        // Score the speculative entry produced from the previous
-                        // occurrence's prediction: a hit means the real state
-                        // matches the entry's dependency set.
-                        if let Some(entry) = evaluation.pending.take() {
-                            evaluation.scored += 1;
-                            if entry.matches(state) {
-                                evaluation.correct += 1;
+                        // The previous occurrence's prediction is due: execute
+                        // its speculative superstep now and score the entry — a
+                        // hit means the real state matches its dependency set.
+                        // A faulted speculation leaves the occurrence unscored.
+                        if let Some(predicted) = evaluation.pending.take() {
+                            if let Some(entry) =
+                                evaluation.speculate(&predicted, config, &mut scratch)
+                            {
+                                evaluation.scored += 1;
+                                if entry.matches(state) {
+                                    evaluation.correct += 1;
+                                }
                             }
                         }
                         if !evaluation.bank.is_ready() {
@@ -442,10 +485,10 @@ pub fn recognize(initial: &StateVector, config: &AscConfig) -> AscResult<Recogni
                             && trained_enough
                             && evaluation.scored < config.evaluation_occurrences
                         {
-                            if let Some(predicted) = evaluation.bank.predict_next(state) {
-                                evaluation.pending =
-                                    evaluation.speculate(&predicted.state, config, &mut scratch);
-                            }
+                            evaluation.pending = evaluation
+                                .bank
+                                .predict_next(state)
+                                .map(|predicted| predicted.state);
                         }
                     }
                     if occurred {
@@ -714,29 +757,71 @@ mod tests {
         AscConfig { explore_instructions, min_superstep, ..AscConfig::default() }
     }
 
+    /// FNV-1a over everything a [`RecognizerOutcome`] reports: the ranked
+    /// evaluations, every candidate record, the unique-IP count and the
+    /// resume state's bytes.
+    fn outcome_fingerprint(outcome: &RecognizerOutcome) -> u64 {
+        let mut bytes = Vec::new();
+        for r in &outcome.evaluated {
+            bytes.extend(r.ip.to_le_bytes());
+            bytes.extend((r.stride as u64).to_le_bytes());
+            for value in [r.mean_superstep, r.accuracy, r.score] {
+                bytes.extend(value.to_bits().to_le_bytes());
+            }
+        }
+        for c in &outcome.candidates {
+            bytes.extend(c.ip.to_le_bytes());
+            for count in [c.stride, c.scored, c.correct, c.changed_bits, c.modelled_bits] {
+                bytes.extend((count as u64).to_le_bytes());
+            }
+            bytes.extend(c.bank_observations.to_le_bytes());
+        }
+        bytes.extend((outcome.unique_ips as u64).to_le_bytes());
+        bytes.extend_from_slice(outcome.resume_state.as_bytes());
+        asc_tvm::delta::fnv1a(bytes)
+    }
+
     #[test]
     fn selection_is_pinned_on_every_benchmark_at_benchmark_scale() {
         // (ip, stride, mean superstep, accuracy, instructions spent): what
         // the occurrence loop of each benchmark workload is built on. The
-        // first three predate read-targeted banks and must not move.
+        // first three predate read-targeted banks and must not move. The
+        // fingerprint pins the whole outcome (every candidate's counters and
+        // the resume state), and the last pair is memoization's RIP and
+        // stride from `recognize_recurring`.
         let pinned = [
-            (Benchmark::Collatz, 32, 2, 1065.1, 0.75, 272_859),
-            (Benchmark::LogisticMap, 64, 42, 507.638_297_872_340_44, 0.0, 2_195_551),
-            (Benchmark::Ising, 264, 1, 10_259.0, 0.875, 455_279),
+            (Benchmark::Collatz, (32, 2, 1065.1, 0.75, 272_859), 0xaffb_86eb_e703_e7b5, (56, 56)),
+            (
+                Benchmark::LogisticMap,
+                (64, 42, 507.638_297_872_340_44, 0.0, 2_195_551),
+                0xb93c_3c53_e04b_7728,
+                (80, 42),
+            ),
+            (
+                Benchmark::Ising,
+                (264, 1, 10_259.0, 0.875, 455_279),
+                0xcf1e_fbd3_01c8_1872,
+                (424, 55),
+            ),
         ];
-        for (benchmark, ip, stride, mean_superstep, accuracy, spent) in pinned {
+        for (benchmark, selection, fingerprint, recurring) in pinned {
             let workload = build(benchmark, Scale::Medium).unwrap();
             let initial = workload.program.initial_state().unwrap();
-            let outcome = recognize(&initial, &benchmark_config(Scale::Medium)).unwrap();
+            let config = benchmark_config(Scale::Medium);
+            let outcome = recognize(&initial, &config).unwrap();
             let rip = outcome.rip;
+            let accuracy = selection.3;
             assert_eq!(
                 (rip.ip, rip.stride, rip.mean_superstep, rip.accuracy, outcome.instructions_spent),
-                (ip, stride, mean_superstep, accuracy, spent),
+                selection,
                 "{benchmark}"
             );
             let record = outcome.candidates.iter().find(|c| c.ip == rip.ip).unwrap();
             assert_eq!(record.correct as f64 / record.scored as f64, accuracy, "{benchmark}");
             assert!(record.modelled_bits <= 32 * record.changed_bits, "{record:?}");
+            assert_eq!(outcome_fingerprint(&outcome), fingerprint, "{benchmark}");
+            let memo = recognize_recurring(&initial, &config).unwrap().rip;
+            assert_eq!((memo.ip, memo.stride), recurring, "{benchmark}");
         }
 
         // 2mm: the outer loop of the first nest (i-loop head and the three
@@ -744,6 +829,9 @@ mod tests {
         let workload = build(Benchmark::Mm2, Scale::Small).unwrap();
         let initial = workload.program.initial_state().unwrap();
         let outcome = recognize(&initial, &benchmark_config(Scale::Small)).unwrap();
+        assert_eq!(outcome_fingerprint(&outcome), 0x4021_43af_41c9_c429);
+        let memo = recognize_recurring(&initial, &benchmark_config(Scale::Small)).unwrap().rip;
+        assert_eq!((memo.ip, memo.stride), (80, 12));
         let outer_loop = [32, 272, 280, 288];
         assert!(outer_loop.contains(&outcome.rip.ip), "{:?}", outcome.rip);
         assert_eq!(outcome.rip.stride, 1);

@@ -658,24 +658,25 @@ mod tests {
 
     #[test]
     fn full_queue_drops_instead_of_blocking() {
-        let (program, rip) = looping_program();
+        // An endless spin keeps the single worker busy while distinct jobs
+        // flood in behind it, so the bounded queue (4 slots) must fill and
+        // reject the rest without blocking this thread.
+        let program = assemble("spin:\n jmp spin\n").unwrap();
         let start = program.initial_state().unwrap();
         let cache = Arc::new(TrajectoryCache::new(64));
         let mut pool = SpeculationPool::new(1, Arc::clone(&cache));
-        // Flood with slow, *distinct* jobs (whole-program budget); the
-        // bounded queue must reject some without blocking this thread.
-        for i in 0..256u32 {
+        let job = |i: u32, max_instructions: u64| {
             let mut state = start.clone();
             state.set_reg_index(1, i);
-            pool.dispatch(SpeculationJob {
-                start: state,
-                rip,
-                stride: usize::MAX,
-                max_instructions: 1_000,
-            });
+            // The rip is never reached: the IP stays at the spin.
+            SpeculationJob { start: state, rip: 8, stride: 1, max_instructions }
+        };
+        assert!(pool.dispatch(job(0, 2_000_000)));
+        for i in 1..=16u32 {
+            pool.dispatch(job(i, 1_000));
         }
         let stats = pool.stats();
-        assert_eq!(stats.dispatched + stats.dropped + stats.deduplicated, 256);
+        assert_eq!(stats.dispatched + stats.dropped + stats.deduplicated, 17);
         assert!(stats.dropped > 0, "{stats:?}");
         pool.shutdown();
     }

@@ -128,14 +128,11 @@ impl MistakeRing {
     }
 }
 
-/// Caller-owned buffers for [`Ensemble::predict_ml_with`]: the member
-/// prediction blocks, the combined distribution and the resulting packed
-/// maximum-likelihood block.
+/// Caller-owned buffers for [`Ensemble::predict_ml_with`]: the members'
+/// forward pass and the resulting packed maximum-likelihood block.
 #[derive(Debug, Clone, Default)]
 pub struct PredictionScratch {
-    block_bits: Vec<u64>,
-    block_confidence: Vec<f32>,
-    distribution: Vec<f32>,
+    pass: ForwardPass,
     bits: Vec<u64>,
 }
 
@@ -144,6 +141,61 @@ impl PredictionScratch {
     /// [`Ensemble::predict_ml_with`] call.
     pub fn bits(&self) -> &[u64] {
         &self.bits
+    }
+}
+
+/// Every member's forward pass on one observation, with the weighted vote
+/// over it: step 1 of [`Ensemble::observe`], and the prediction
+/// [`Ensemble::predict_ml_with`] rounds.
+#[derive(Debug, Clone, Default)]
+struct ForwardPass {
+    /// The observation the buffers were computed on, when they are valid
+    /// for the ensemble's current parameters.
+    observation: Option<PackedObservation>,
+    /// Rounded prediction blocks, predictor-major: `predictor_count ×
+    /// packed_len` words (turned into mistake masks by `observe`).
+    bits: Vec<u64>,
+    /// Confidences, predictor-major: `predictor_count × bit_count`.
+    confidence: Vec<f32>,
+    /// The weighted vote per bit ([`combine_weighted`]).
+    distribution: Vec<f32>,
+}
+
+impl ForwardPass {
+    fn new(predictor_count: usize, bit_count: usize) -> Self {
+        ForwardPass {
+            observation: None,
+            bits: vec![0; predictor_count * packed_len(bit_count)],
+            confidence: vec![0.0; predictor_count * bit_count],
+            distribution: vec![0.0; bit_count],
+        }
+    }
+
+    /// Runs every predictor on `current` and combines the votes by
+    /// `weights`; the caller records `observation` when it keeps the pass.
+    fn run(
+        &mut self,
+        predictors: &[Box<dyn BlockPredictor>],
+        weights: &[f32],
+        current: &PackedObservation,
+    ) {
+        let (p_count, bit_count) = (predictors.len(), self.distribution.len());
+        let packed = packed_len(bit_count);
+        for (p, predictor) in predictors.iter().enumerate() {
+            let bits = &mut self.bits[p * packed..(p + 1) * packed];
+            bits.fill(0);
+            predictor.predict_block(
+                current,
+                bits,
+                &mut self.confidence[p * bit_count..(p + 1) * bit_count],
+            );
+        }
+        combine_weighted(weights, &self.confidence, bit_count, p_count, &mut self.distribution);
+    }
+
+    /// Whether the buffers hold the pass on `current`.
+    fn holds(&self, current: &PackedObservation) -> bool {
+        self.observation.as_ref() == Some(current)
     }
 }
 
@@ -167,11 +219,15 @@ pub struct Ensemble {
     /// (bit set = the weighted ensemble was wrong), newest in bit 0.
     recent_outcomes: u64,
     observations: u64,
-    /// Scratch prediction blocks, predictor-major, reused across `observe`
-    /// calls: `predictor_count × packed_len` rounded bits.
-    scratch_bits: Vec<u64>,
-    /// Scratch confidences, predictor-major: `predictor_count × bit_count`.
-    scratch_confidence: Vec<f32>,
+    /// Step 1 of the `observe` in progress: the pass on its `prev`.
+    step: ForwardPass,
+    /// The pass on the observation the last `observe` trained towards, run
+    /// with the parameters it left behind. The next `observe` from that
+    /// observation takes it as its step 1, and a prediction from it reads
+    /// its vote, so each observation costs one forward pass. Only `observe`,
+    /// [`reset`](Ensemble::reset) and [`load_state`](Ensemble::load_state)
+    /// change parameters: the first refreshes it, the others clear it.
+    ahead: ForwardPass,
 }
 
 impl std::fmt::Debug for Ensemble {
@@ -213,8 +269,8 @@ impl Ensemble {
             equal_weight_mistakes: 0,
             recent_outcomes: 0,
             observations: 0,
-            scratch_bits: vec![0; predictor_count * packed],
-            scratch_confidence: vec![0.0; predictor_count * bit_count],
+            step: ForwardPass::new(predictor_count, bit_count),
+            ahead: ForwardPass::new(predictor_count, bit_count),
             predictors,
         }
     }
@@ -239,38 +295,32 @@ impl Ensemble {
         self.mistakes.len()
     }
 
-    /// Fills `scratch.distribution` with the per-bit probabilities for the
-    /// whole next observation (the paper's Eq. 2 factors), combining every
-    /// predictor by its current weight. Prediction blocks are computed into
-    /// the caller's scratch, so this is `&self` and safe to call during
-    /// rollouts.
-    fn predict_into(&self, current: &PackedObservation, scratch: &mut PredictionScratch) {
-        let p_count = self.predictors.len();
-        scratch.block_bits.resize(packed_len(self.bit_count), 0);
-        scratch.block_confidence.resize(self.bit_count * p_count, 0.0);
-        scratch.distribution.resize(self.bit_count, 0.0);
-        for (p, predictor) in self.predictors.iter().enumerate() {
-            scratch.block_bits.fill(0);
-            predictor.predict_block(
-                current,
-                &mut scratch.block_bits,
-                &mut scratch.block_confidence[p * self.bit_count..(p + 1) * self.bit_count],
-            );
+    /// The per-bit probabilities for the whole next observation (the
+    /// paper's Eq. 2 factors), combining every predictor by its current
+    /// weight. Prediction blocks are computed into the caller's `pass`, so
+    /// this is `&self` and safe to call during rollouts. From the
+    /// observation the last `observe` trained towards, it is that call's
+    /// vote.
+    fn distribution<'a>(
+        &'a self,
+        current: &PackedObservation,
+        pass: &'a mut ForwardPass,
+    ) -> &'a [f32] {
+        if self.ahead.holds(current) {
+            return &self.ahead.distribution;
         }
-        combine_weighted(
-            &self.weights,
-            &scratch.block_confidence,
-            self.bit_count,
-            p_count,
-            &mut scratch.distribution,
-        );
+        if pass.distribution.len() != self.bit_count
+            || pass.confidence.len() != self.predictors.len() * self.bit_count
+        {
+            *pass = ForwardPass::new(self.predictors.len(), self.bit_count);
+        }
+        pass.run(&self.predictors, &self.weights, current);
+        &pass.distribution
     }
 
     /// Per-bit probabilities for the whole next observation.
     pub fn predict_distribution(&self, current: &PackedObservation) -> Vec<f32> {
-        let mut scratch = PredictionScratch::default();
-        self.predict_into(current, &mut scratch);
-        scratch.distribution
+        self.distribution(current, &mut ForwardPass::default()).to_vec()
     }
 
     /// The maximum-likelihood prediction: every bit rounded to its most
@@ -291,11 +341,11 @@ impl Ensemble {
         current: &PackedObservation,
         scratch: &mut PredictionScratch,
     ) -> f64 {
-        self.predict_into(current, scratch);
+        let distribution = self.distribution(current, &mut scratch.pass);
         scratch.bits.clear();
         scratch.bits.resize(packed_len(self.bit_count), 0);
         let mut log_probability = 0.0f64;
-        for (j, &p) in scratch.distribution.iter().enumerate() {
+        for (j, &p) in distribution.iter().enumerate() {
             let bit = p >= 0.5;
             if bit {
                 scratch.bits[j / 64] |= 1u64 << (j % 64);
@@ -311,41 +361,39 @@ impl Ensemble {
     /// applies the RWMA multiplicative update to exactly the mistaken
     /// `(bit, predictor)` weights, and then lets every predictor train on the
     /// new example — one traversal of each learner per occurrence.
+    ///
+    /// Last, every member predicts from `next` with the updated parameters,
+    /// once: a following `observe` from `next`, or a prediction from it,
+    /// reuses that forward pass instead of running its own. Observations are
+    /// compared by value, and [`reset`](Ensemble::reset) and
+    /// [`load_state`](Ensemble::load_state) discard the pass.
     pub fn observe(&mut self, prev: &PackedObservation, next: &PackedObservation) {
         let p_count = self.predictors.len();
         let bit_count = self.bit_count.min(next.bit_count());
         let packed = packed_len(self.bit_count);
         let scored_words = packed_len(bit_count);
 
-        // 1. Every predictor fills its block prediction (rounded bits +
-        //    confidence) before anything trains or reweights.
-        for (p, predictor) in self.predictors.iter().enumerate() {
-            let bits = &mut self.scratch_bits[p * packed..(p + 1) * packed];
-            bits.fill(0);
-            predictor.predict_block(
-                prev,
-                bits,
-                &mut self.scratch_confidence[p * self.bit_count..(p + 1) * self.bit_count],
-            );
+        // 1. Every predictor's block prediction (rounded bits + confidence)
+        //    on `prev` and the weighted vote, before anything trains or
+        //    reweights — the pass the previous call ran ahead, when it was
+        //    on this observation.
+        if self.ahead.holds(prev) {
+            std::mem::swap(&mut self.step, &mut self.ahead);
+        } else {
+            self.step.run(&self.predictors, &self.weights, prev);
         }
+        self.ahead.observation = None;
 
         // 2. Whole-state scoring of the weighted and equal-weight votes.
         let mut ensemble_wrong = false;
         let mut equal_weight_wrong = false;
         for j in 0..bit_count {
             let actual = next.bit(j);
-            let mut numerator = 0.0f32;
-            let mut denominator = 0.0f32;
             let mut equal = 0.0f32;
             for p in 0..p_count {
-                let probability = self.scratch_confidence[p * self.bit_count + j].clamp(0.0, 1.0);
-                let weight = self.weights[j * p_count + p];
-                numerator += weight * probability;
-                denominator += weight;
-                equal += probability;
+                equal += self.step.confidence[p * self.bit_count + j].clamp(0.0, 1.0);
             }
-            let vote = if denominator <= 0.0 { 0.5 } else { numerator / denominator };
-            if (vote >= 0.5) != actual {
+            if (self.step.distribution[j] >= 0.5) != actual {
                 ensemble_wrong = true;
             }
             if (equal / p_count as f32 >= 0.5) != actual {
@@ -357,7 +405,7 @@ impl Ensemble {
         //    realised bits, then walk the set bits to apply the
         //    multiplicative update and bump the cumulative counts.
         for p in 0..p_count {
-            let row = &mut self.scratch_bits[p * packed..(p + 1) * packed];
+            let row = &mut self.step.bits[p * packed..(p + 1) * packed];
             for (w, mask) in row.iter_mut().enumerate().take(scored_words) {
                 *mask ^= next.packed()[w];
             }
@@ -381,7 +429,7 @@ impl Ensemble {
         for w in 0..scored_words {
             let mut union = 0u64;
             for p in 0..p_count {
-                union |= self.scratch_bits[p * packed + w];
+                union |= self.step.bits[p * packed + w];
             }
             let mut remaining = union;
             while remaining != 0 {
@@ -397,7 +445,7 @@ impl Ensemble {
             }
         }
 
-        self.mistakes.push(&self.scratch_bits);
+        self.mistakes.push(&self.step.bits);
         self.observations += 1;
         self.recent_outcomes = (self.recent_outcomes << 1) | u64::from(ensemble_wrong);
         if ensemble_wrong {
@@ -407,12 +455,20 @@ impl Ensemble {
             self.equal_weight_mistakes += 1;
         }
 
-        // 4. Finally train the member predictors on the new example, handing
-        //    each its own step-1 confidences: the forward pass is never
+        // 4. Train the member predictors on the new example, handing each
+        //    its own step-1 confidences: the forward pass is never
         //    recomputed.
         for (p, predictor) in self.predictors.iter_mut().enumerate() {
-            let predicted = &self.scratch_confidence[p * self.bit_count..(p + 1) * self.bit_count];
+            let predicted = &self.step.confidence[p * self.bit_count..(p + 1) * self.bit_count];
             predictor.observe_transition(prev, next, predicted);
+        }
+
+        // 5. The forward pass on `next` for whatever comes next. Only an
+        //    observation of the ensemble's own arity is kept: every member
+        //    then writes every slot of its block.
+        if next.bit_count() == self.bit_count {
+            self.ahead.run(&self.predictors, &self.weights, next);
+            self.ahead.observation = Some(next.clone());
         }
     }
 
@@ -529,6 +585,7 @@ impl Ensemble {
     /// re-warming — when the bytes describe a different shape or fail any
     /// predictor's own validation.
     pub fn load_state(&mut self, reader: &mut Reader<'_>) -> Option<()> {
+        self.ahead.observation = None;
         if reader.usize()? != self.bit_count || reader.usize()? != self.predictors.len() {
             return None;
         }
@@ -567,12 +624,14 @@ impl Ensemble {
         self.equal_weight_mistakes = 0;
         self.recent_outcomes = 0;
         self.observations = 0;
+        self.ahead.observation = None;
     }
 }
 
-/// The weighted vote shared by [`Ensemble::predict_into`] and the retained
-/// reference implementation: `confidence[j] = Σₚ w[j,p]·probs[p,j] / Σₚ
-/// w[j,p]` with per-term clamping, accumulated in ascending predictor order.
+/// The weighted vote shared by the ensemble's forward passes and the
+/// retained reference implementation: `confidence[j] = Σₚ w[j,p]·probs[p,j]
+/// / Σₚ w[j,p]` with per-term clamping, accumulated in ascending predictor
+/// order.
 pub(crate) fn combine_weighted(
     weights: &[f32],
     block_confidence: &[f32],
@@ -772,6 +831,41 @@ mod tests {
         restored.observe(&obs_of(2, 4), &obs_of(0, 4));
         assert_eq!(restored.predict_ml(&probe), trained.predict_ml(&probe));
         assert_eq!(restored.errors(), trained.errors());
+    }
+
+    #[test]
+    fn reset_and_restore_discard_the_forward_pass_run_ahead() {
+        let schema = constant_schema(4);
+        let fresh = || Ensemble::new(default_predictors(&schema), 4, 0.5, 8);
+        let probe = obs_of(2, 4);
+        let (mut source, mut target) = (fresh(), fresh());
+        for i in 0u32..30 {
+            source.observe(&obs_of(i % 3, 4), &obs_of((i + 1) % 3, 4));
+            // Every transition ends on `probe`: `target` runs its pass
+            // ahead on it, with parameters `source` does not share.
+            target.observe(&obs_of(i % 5 + 3, 4), &probe);
+        }
+        assert_ne!(target.predict_ml(&probe), source.predict_ml(&probe));
+
+        let mut bytes = Vec::new();
+        source.save_state(&mut bytes);
+        let mut restored = fresh();
+        restored.load_state(&mut Reader::new(&bytes)).unwrap();
+        target.load_state(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(target.predict_ml(&probe), restored.predict_ml(&probe));
+        target.observe(&probe, &obs_of(1, 4));
+        restored.observe(&probe, &obs_of(1, 4));
+        assert_eq!(target.weight_matrix(), restored.weight_matrix());
+        assert_eq!(target.errors(), restored.errors());
+
+        let (one, mut cold) = (obs_of(1, 4), fresh());
+        assert_ne!(target.predict_ml(&one), cold.predict_ml(&one));
+        target.reset();
+        assert_eq!(target.predict_ml(&one), cold.predict_ml(&one));
+        target.observe(&one, &probe);
+        cold.observe(&one, &probe);
+        assert_eq!(target.weight_matrix(), cold.weight_matrix());
+        assert_eq!(target.errors(), cold.errors());
     }
 
     #[test]
