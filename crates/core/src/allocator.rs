@@ -26,6 +26,13 @@
 //!    admits (see the [`economics`](crate::economics) module docs for the
 //!    full calibration story).
 //!
+//! A prediction identical to a higher-ranked one is bought once. A rollout
+//! that cycles predicts the same start state at several depths; every copy
+//! is ranked and priced like any candidate, so the economics see the same
+//! decisions either way, but only the highest-ranked copy is returned. The
+//! others could only offer the cache the entry the first one offered a
+//! moment earlier, which it holds already (or refused as junk).
+//!
 //! A candidate refused by layer 2 is *suppressed*, never lost: suppression
 //! only means no cache entry is produced, so the main thread executes that
 //! superstep itself — exactly what it does on any cache miss. Gating is
@@ -64,7 +71,8 @@ pub struct SpeculationTask {
 /// * `economics` — the caller's per-rip value model; each ranked candidate
 ///   must clear its cost test to survive (a disabled model passes all).
 ///
-/// Tasks are returned in decreasing expected-utility order.
+/// Tasks are returned in decreasing expected-utility order, each start
+/// state at most once.
 pub fn plan_speculation(
     rollouts: Vec<PredictedState>,
     superstep_estimate: f64,
@@ -95,7 +103,20 @@ pub fn plan_speculation(
     tasks.retain(|task| {
         economics.evaluate(task.predicted.log_probability, task.depth, superstep_estimate)
     });
-    tasks
+    // Drop repeats only after pricing, so that a repeat still counts as a
+    // candidate the economics dispatched. Blocks are compared first: a
+    // state-sized compare runs only for a likely repeat.
+    let mut unique: Vec<SpeculationTask> = Vec::with_capacity(tasks.len());
+    for task in tasks {
+        let (block, state) = (&task.predicted.block, &task.predicted.state);
+        if !unique
+            .iter()
+            .any(|kept| kept.predicted.block == *block && kept.predicted.state == *state)
+        {
+            unique.push(task);
+        }
+    }
+    unique
 }
 
 /// The latency model for recursive ("rollout") prediction in the paper's
@@ -113,8 +134,16 @@ mod tests {
     use crate::config::EconomicsConfig;
     use asc_tvm::state::StateVector;
 
+    /// A prediction whose start state (and block) is `value` in one word.
+    fn predicted_as(value: u32, depth: usize, log_probability: f64) -> PredictedState {
+        let mut state = StateVector::new(64).unwrap();
+        state.store_word(0, value).unwrap();
+        PredictedState { state, block: vec![u64::from(value)], log_probability, depth }
+    }
+
+    /// A prediction with a start state of its own.
     fn predicted(depth: usize, log_probability: f64) -> PredictedState {
-        PredictedState { state: StateVector::new(64).unwrap(), log_probability, depth }
+        predicted_as(depth as u32, depth, log_probability)
     }
 
     fn open_economics() -> SpeculationEconomics {
@@ -202,6 +231,64 @@ mod tests {
         );
         assert!(tasks.is_empty(), "a junk-saturated rip must not dispatch");
         assert_eq!(economics.stats().suppressed, 2);
+    }
+
+    #[test]
+    fn repeated_predictions_are_bought_once_after_pricing_them_all() {
+        // A rollout that cycles between two states, plus one state seen
+        // once: depths 1..=6 predict A B A B C A, most likely first.
+        let values = [7, 9, 7, 9, 11, 7];
+        let rollouts = || {
+            values
+                .iter()
+                .enumerate()
+                .map(|(k, &value)| predicted_as(value, k + 1, -0.1 * (k + 1) as f64))
+                .collect::<Vec<_>>()
+        };
+        let cache = TrajectoryCache::new(16);
+        let mut economics = open_economics();
+        let tasks = plan_speculation(
+            rollouts(),
+            1_000.0,
+            8,
+            &cache,
+            0,
+            &mut LookupScratch::new(),
+            &mut economics,
+        );
+        // Distinct start states, highest-ranked copy first.
+        let depths: Vec<usize> = tasks.iter().map(|task| task.depth).collect();
+        assert_eq!(depths, [1, 2, 5]);
+        for (i, a) in tasks.iter().enumerate() {
+            for b in &tasks[i + 1..] {
+                assert_ne!(a.predicted.state, b.predicted.state);
+            }
+        }
+        // The economics priced every candidate, repeats included.
+        let mut priced = open_economics();
+        for predicted in rollouts() {
+            priced.evaluate(predicted.log_probability, predicted.depth, 1_000.0);
+        }
+        assert_eq!(economics.stats(), priced.stats());
+        assert_eq!(economics.stats().dispatched, values.len() as u64);
+    }
+
+    #[test]
+    fn equal_blocks_over_different_states_are_both_kept() {
+        // Blocks are only a first test: predictions materialised from
+        // different anchors can share a block and still differ.
+        let mut other = predicted_as(3, 2, -0.2);
+        other.state.store_word(8, 1).unwrap();
+        let tasks = plan_speculation(
+            vec![predicted_as(3, 1, -0.1), other],
+            1_000.0,
+            4,
+            &TrajectoryCache::new(16),
+            0,
+            &mut LookupScratch::new(),
+            &mut open_economics(),
+        );
+        assert_eq!(tasks.len(), 2);
     }
 
     #[test]

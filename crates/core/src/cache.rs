@@ -94,7 +94,7 @@
 //! scan_best_match`]: tests and benches use it as the reference the index
 //! must agree with; it is on no runtime path.
 
-use asc_tvm::delta::{PositionSchema, SparseBytes};
+use asc_tvm::delta::{fingerprint_of, PositionSchema, SparseBytes};
 use asc_tvm::state::StateVector;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
@@ -649,11 +649,13 @@ impl TrajectoryCache {
         }
     }
 
-    /// The shard an entry lives in: keyed on the start-set contents so that
-    /// the entries of a single-rip run (the common case) spread across every
-    /// shard instead of serializing concurrent worker inserts on one lock.
-    fn shard_for(&self, start: &SparseBytes) -> &RwLock<Shard> {
-        &self.shards[(start.fingerprint() as usize) % self.shards.len()]
+    /// The shard an entry lives in: keyed on the start set's
+    /// [`fingerprint`](SparseBytes::fingerprint), given as its two halves,
+    /// so that the entries of a single-rip run (the common case) spread
+    /// across every shard instead of serializing concurrent worker inserts
+    /// on one lock.
+    fn shard_for(&self, position_hash: u64, value_hash: u64) -> &RwLock<Shard> {
+        &self.shards[(fingerprint_of(position_hash, value_hash) as usize) % self.shards.len()]
     }
 
     /// Number of entries currently stored.
@@ -693,8 +695,11 @@ impl TrajectoryCache {
     /// junk filter refused the insert (`junk_rejected`; see the module
     /// docs).
     pub fn insert(&self, entry: CacheEntry) -> bool {
-        let shard_lock = self.shard_for(&entry.start);
-        let mut guard = write_shard(shard_lock);
+        // The start set is hashed once: both halves place the entry in its
+        // shard, the position half finds (or names) its group and the value
+        // half indexes it there.
+        let (position_hash, value_hash) = (entry.start.position_hash(), entry.start.value_hash());
+        let mut guard = write_shard(self.shard_for(position_hash, value_hash));
         let shard = &mut *guard;
         let groups = shard.by_ip.entry(entry.rip).or_default();
 
@@ -703,7 +708,6 @@ impl TrajectoryCache {
         // remembering an emptied group to recycle instead of growing the
         // vector (empty groups match no schema check: whatever shape they
         // once held, they hold nothing now).
-        let position_hash = entry.start.position_hash();
         let mut junk_groups = 0usize;
         let mut found = None;
         let mut recycle = None;
@@ -721,7 +725,6 @@ impl TrajectoryCache {
             }
         }
 
-        let value_hash = entry.start.value_hash();
         let group_index = match found {
             Some(index) => {
                 let group = &mut groups[index];
@@ -755,11 +758,15 @@ impl TrajectoryCache {
                 }
                 let index = match recycle {
                     Some(index) => {
-                        groups[index].reset_for(PositionSchema::of(&entry.start));
+                        groups[index]
+                            .reset_for(PositionSchema::with_hash(&entry.start, position_hash));
                         index
                     }
                     None => {
-                        groups.push(ReadSetGroup::new(PositionSchema::of(&entry.start)));
+                        groups.push(ReadSetGroup::new(PositionSchema::with_hash(
+                            &entry.start,
+                            position_hash,
+                        )));
                         groups.len() - 1
                     }
                 };

@@ -98,6 +98,11 @@ const MISTAKE_LOG_CAPACITY: usize = 4096;
 pub struct PredictedState {
     /// The materialised full state vector.
     pub state: StateVector,
+    /// The predicted block the state was materialised from: the tracked
+    /// words, packed. Predictions materialised from one anchor state (a
+    /// rollout's) with equal blocks have equal states, so comparing blocks
+    /// finds a repeated prediction without comparing whole states.
+    pub block: Vec<u64>,
     /// Natural log of the joint probability assigned by Eq. 2.
     pub log_probability: f64,
     /// How many supersteps ahead of the conditioning state this prediction is.
@@ -400,7 +405,8 @@ impl PredictorBank {
         let (map, ensemble) = (self.map.as_ref()?, self.ensemble.as_ref()?);
         let observation = map.observe(state);
         let (block, log_probability) = ensemble.predict_ml(&observation);
-        Some(PredictedState { state: map.materialize(state, &block), log_probability, depth: 1 })
+        let state = map.materialize(state, &block);
+        Some(PredictedState { state, block, log_probability, depth: 1 })
     }
 
     /// Whether `predicted` agrees with `actual` on every modelled excitation
@@ -435,6 +441,7 @@ impl PredictorBank {
             cumulative_log_probability += ensemble.predict_ml_with(&observation, &mut scratch);
             results.push(PredictedState {
                 state: map.materialize(state, scratch.bits()),
+                block: scratch.bits().to_vec(),
                 log_probability: cumulative_log_probability,
                 depth: k,
             });

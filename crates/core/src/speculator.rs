@@ -17,9 +17,13 @@
 //! main-thread driver.
 //!
 //! Long-lived workers execute many supersteps; [`SpeculationScratch`] lets
-//! them reuse one dependency vector and one decoded-instruction cache across
-//! jobs (reset between supersteps, reallocated only when the state size
-//! changes) instead of paying two state-sized allocations per job.
+//! them reuse one working state, one dependency vector and one
+//! decoded-instruction cache across jobs (reallocated only when the state
+//! size changes) instead of paying three state-sized allocations per job.
+//! Reuse also avoids state-sized *clears*: a job's capture leaves the
+//! dependency vector all-`Null`, and the decoded cache forgets only the
+//! slots the job decoded, so a superstep that touches a few hundred bytes
+//! of a 66 KB state pays for those bytes, not for the state.
 
 use crate::cache::CacheEntry;
 use crate::error::AscResult;
@@ -31,13 +35,12 @@ use asc_tvm::state::StateVector;
 use asc_tvm::tier::{run_segment, BlockCache, SegmentExit};
 use asc_tvm::{TierConfig, TierStats};
 
-/// Outcome of one speculative superstep execution.
+/// Outcome of one speculative superstep execution. The full end state
+/// stays in the scratch that ran it ([`SpeculationScratch::end_state`]).
 #[derive(Debug, Clone)]
 pub struct SuperstepOutcome {
     /// The cache entry summarising the execution.
     pub entry: CacheEntry,
-    /// The full end state (used by recursive speculation and by tests).
-    pub end_state: StateVector,
     /// Whether the execution ended because it reached the recognized IP
     /// (`stride` times); `false` means it halted or ran out of budget.
     pub reached_rip: bool,
@@ -51,7 +54,7 @@ pub struct SuperstepOutcome {
 #[derive(Debug, Clone)]
 pub enum SpeculationResult {
     /// The superstep completed; a cache entry is available.
-    Completed(Box<SuperstepOutcome>),
+    Completed(SuperstepOutcome),
     /// Execution faulted (invalid opcode, wild access, division by zero).
     /// Expected when speculating from a mispredicted state; the result is
     /// simply discarded.
@@ -67,23 +70,34 @@ impl SpeculationResult {
     /// The completed outcome, if any.
     pub fn completed(self) -> Option<SuperstepOutcome> {
         match self {
-            SpeculationResult::Completed(outcome) => Some(*outcome),
+            SpeculationResult::Completed(outcome) => Some(outcome),
             SpeculationResult::Faulted { .. } => None,
         }
     }
 }
 
-/// Reusable per-worker execution scratch: the dependency vector and two-tier
-/// execution cache a speculative superstep needs. Long-lived workers keep
-/// one scratch across jobs and reset it (no reallocation when the state size
-/// is unchanged) instead of constructing both afresh per superstep — at the
-/// planner's dispatch rate the per-job allocations otherwise dominate small
-/// supersteps. Compiled tier-1 blocks additionally *survive* the reset when
-/// the new job's code bytes still match, so a worker re-speculating the same
-/// hot loop keeps its superinstructions across jobs.
+/// Reusable per-worker execution scratch: the working state, dependency
+/// vector and two-tier execution cache a speculative superstep needs.
+/// Long-lived workers keep one scratch across jobs instead of constructing
+/// all three afresh per superstep — at the planner's dispatch rate the
+/// per-job allocations otherwise dominate small supersteps. Compiled tier-1
+/// blocks additionally *survive* the reset when the new job's code bytes
+/// still match, so a worker re-speculating the same hot loop keeps its
+/// superinstructions across jobs.
+///
+/// The scratch owns the *clean-vector invariant*: a job starts on an
+/// all-`Null` dependency vector. A completed job's capture leaves the
+/// vector clean ([`SparseBytes::capture_sets`]), so the next job starts on
+/// it as it is; after a faulted job, which is never captured, or a job of
+/// another state size, the next job resets it first.
 #[derive(Debug, Default)]
 pub struct SpeculationScratch {
+    /// The last job's working state: its start copied in, run to its end.
+    state: Option<StateVector>,
     deps: Option<DepVector>,
+    /// Whether `deps` is known to be all-`Null`: set by a capture, cleared
+    /// when a job starts.
+    deps_clean: bool,
     icache: Option<BlockCache>,
     tier: TierConfig,
 }
@@ -108,6 +122,13 @@ impl SpeculationScratch {
     /// drain (across however many supersteps ran on this scratch).
     pub fn take_tier_stats(&mut self) -> TierStats {
         self.icache.as_mut().map(BlockCache::take_stats).unwrap_or_default()
+    }
+
+    /// The state the last job on this scratch ended in — a completed job's
+    /// full end state — until the next job starts. `None` before the first
+    /// job.
+    pub fn end_state(&self) -> Option<&StateVector> {
+        self.state.as_ref()
     }
 }
 
@@ -155,14 +176,23 @@ fn execute_keyed(
     max_instructions: u64,
     scratch: &mut SpeculationScratch,
 ) -> AscResult<SpeculationResult> {
-    let mut state = start.clone();
+    let state = match scratch.state.as_mut() {
+        Some(state) => {
+            state.clone_from(start);
+            state
+        }
+        None => scratch.state.insert(start.clone()),
+    };
+    let len = state.len_bytes();
     let deps = match scratch.deps.as_mut() {
+        Some(deps) if scratch.deps_clean && deps.len() == len => deps,
         Some(deps) => {
-            deps.reset_for(state.len_bytes());
+            deps.reset_for(len);
             deps
         }
-        None => scratch.deps.insert(DepVector::new(state.len_bytes())),
+        None => scratch.deps.insert(DepVector::new(len)),
     };
+    scratch.deps_clean = false;
     // Tracked *and* two-tier: monomorphized over the dependency sink, so a
     // worker pays decoding once per instruction slot rather than once per
     // retired instruction — and, with the tier enabled, retires the hot
@@ -170,10 +200,10 @@ fn execute_keyed(
     // construction, so the recognized IP is the natural block seed).
     let icache = match scratch.icache.as_mut() {
         Some(icache) => {
-            icache.reset_for(&state);
+            icache.reset_for(state);
             icache
         }
-        None => scratch.icache.insert(BlockCache::new(&state, scratch.tier)),
+        None => scratch.icache.insert(BlockCache::new(state, scratch.tier)),
     };
     icache.seed_hot(rip);
     let mut instructions = 0u64;
@@ -188,7 +218,7 @@ fn execute_keyed(
     // blocks included.
     while instructions < max_instructions {
         let (retired, exit) =
-            run_segment(&mut state, deps, icache, rip, max_instructions - instructions);
+            run_segment(state, deps, icache, rip, max_instructions - instructions);
         instructions += retired;
         match exit {
             SegmentExit::StopIp => {
@@ -209,15 +239,10 @@ fn execute_keyed(
         }
     }
 
-    let (read, written) = SparseBytes::capture_sets(deps, start, &state);
+    let (read, written) = SparseBytes::capture_sets(deps, start, state);
+    scratch.deps_clean = true;
     let entry = CacheEntry::new(key, read, written, instructions);
-    Ok(SpeculationResult::Completed(Box::new(SuperstepOutcome {
-        entry,
-        end_state: state,
-        reached_rip,
-        halted,
-        instructions,
-    })))
+    Ok(SpeculationResult::Completed(SuperstepOutcome { entry, reached_rip, halted, instructions }))
 }
 
 /// Executes `machine`'s next superstep tracked, through
@@ -236,10 +261,12 @@ pub(crate) fn capture_superstep(
     scratch: &mut SpeculationScratch,
 ) -> AscResult<(CacheEntry, bool)> {
     match execute_keyed(machine.state(), rip, rip, stride, max_instructions, scratch)? {
-        SpeculationResult::Completed(outcome) => {
-            let SuperstepOutcome { entry, end_state, halted, .. } = *outcome;
+        SpeculationResult::Completed(SuperstepOutcome { entry, halted, .. }) => {
             machine.adopt(&entry.end, entry.instructions, halted);
-            debug_assert!(machine.state() == &end_state, "the write set missed a changed byte");
+            debug_assert!(
+                scratch.end_state() == Some(machine.state()),
+                "the write set missed a changed byte"
+            );
             Ok((entry, halted))
         }
         SpeculationResult::Faulted { error, .. } => Err(error.into()),
@@ -276,14 +303,29 @@ mod tests {
         (program, rip)
     }
 
+    /// A completed superstep on `scratch`, with a copy of its end state.
+    fn completed_on(
+        scratch: &mut SpeculationScratch,
+        start: &StateVector,
+        rip: u32,
+        stride: usize,
+        budget: u64,
+    ) -> (SuperstepOutcome, StateVector) {
+        let outcome = execute_superstep_with(start, rip, stride, budget, scratch)
+            .unwrap()
+            .completed()
+            .expect("the superstep completes");
+        (outcome, scratch.end_state().expect("a job ran").clone())
+    }
+
     #[test]
     fn superstep_reaches_next_rip_occurrence() {
         let (program, rip) = looping_program();
         let mut machine = Machine::load(&program).unwrap();
         machine.run_until_ip(rip, 1_000).unwrap();
         let start = machine.state().clone();
-        let result = execute_superstep(&start, rip, 1, 10_000).unwrap();
-        let outcome = result.completed().unwrap();
+        let (outcome, end_state) =
+            completed_on(&mut SpeculationScratch::new(), &start, rip, 1, 10_000);
         assert!(outcome.reached_rip);
         assert_eq!(outcome.instructions, 4); // one loop iteration
         assert!(!outcome.entry.start.is_empty());
@@ -293,7 +335,7 @@ mod tests {
         assert!(outcome.entry.matches(&start));
         let mut forwarded = start.clone();
         outcome.entry.apply(&mut forwarded);
-        assert_eq!(forwarded, outcome.end_state);
+        assert_eq!(forwarded, end_state);
     }
 
     #[test]
@@ -311,10 +353,10 @@ mod tests {
         other.store_word(4000, 0xdead_beef).unwrap();
         assert!(outcome.entry.matches(&other));
         // Apply and confirm it equals direct execution from the perturbed state.
-        let direct = execute_superstep(&other, rip, 1, 10_000).unwrap().completed().unwrap();
+        let (_, direct) = completed_on(&mut SpeculationScratch::new(), &other, rip, 1, 10_000);
         let mut forwarded = other.clone();
         outcome.entry.apply(&mut forwarded);
-        assert_eq!(forwarded, direct.end_state);
+        assert_eq!(forwarded, direct);
     }
 
     #[test]
@@ -360,13 +402,10 @@ mod tests {
         let mut scratch = SpeculationScratch::new();
         for _ in 0..5 {
             let start = machine.state().clone();
-            let reused = execute_superstep_with(&start, rip, 1, 10_000, &mut scratch)
-                .unwrap()
-                .completed()
-                .unwrap();
-            let fresh = execute_superstep(&start, rip, 1, 10_000).unwrap().completed().unwrap();
-            assert_eq!(reused.entry, fresh.entry);
-            assert_eq!(reused.end_state, fresh.end_state);
+            let reused = completed_on(&mut scratch, &start, rip, 1, 10_000);
+            let fresh = completed_on(&mut SpeculationScratch::new(), &start, rip, 1, 10_000);
+            assert_eq!(reused.0.entry, fresh.0.entry);
+            assert_eq!(reused.1, fresh.1);
             // Interleave a differently-sized program so the scratch resizes.
             let other = asc_asm::Assembler::new()
                 .mem_size(8192)
@@ -378,6 +417,85 @@ mod tests {
             assert!(small.completed().is_some());
             machine.run_until_ip(rip, 1_000).unwrap();
         }
+    }
+
+    /// Two programs of one memory size whose loop bodies differ in one
+    /// instruction slot, and the shared loop head.
+    fn same_size_programs() -> (StateVector, StateVector, u32) {
+        let source = |step: &str| {
+            format!(
+                "main:\n movi r1, 40\n movi r2, 0\nloop:\n {step}\n sub r1, r1, 1\n \
+                 cmpi r1, 0\n jne loop\n halt\n"
+            )
+        };
+        let build = |step: &str| {
+            let program = asc_asm::Assembler::new().mem_size(4096).assemble(&source(step)).unwrap();
+            let rip = program.symbol("loop").unwrap();
+            let mut machine = Machine::load(&program).unwrap();
+            machine.run_until_ip(rip, 1_000).unwrap();
+            (machine.state().clone(), rip)
+        };
+        let ((add, rip), (mul, other_rip)) = (build("add r2, r2, r1"), build("mul r2, r2, r1"));
+        assert_eq!(rip, other_rip);
+        assert_ne!(add, mul);
+        (add, mul, rip)
+    }
+
+    #[test]
+    fn a_reused_scratch_decodes_code_that_changed_under_a_decoded_slot() {
+        // The second job's loop body differs at a slot the first job
+        // decoded: a scratch that kept the old decode would retire `add`
+        // where the state holds `mul`. Checked at tier 0, where the decoded
+        // cache is the only memo, and at tier 1.
+        let (add, mul, rip) = same_size_programs();
+        for tier in
+            [TierConfig::disabled(), TierConfig { hot_threshold: 1, ..TierConfig::default() }]
+        {
+            let mut scratch = SpeculationScratch::with_tier(tier);
+            for start in [&add, &mul, &add] {
+                let reused = completed_on(&mut scratch, start, rip, 3, 10_000);
+                let fresh =
+                    completed_on(&mut SpeculationScratch::with_tier(tier), start, rip, 3, 10_000);
+                assert_eq!(reused.0.entry, fresh.0.entry, "tier {}", tier.enabled);
+                assert_eq!(reused.1, fresh.1, "tier {}", tier.enabled);
+            }
+        }
+    }
+
+    #[test]
+    fn a_job_after_a_capture_or_a_fault_sees_what_a_fresh_scratch_sees() {
+        let (add, _, rip) = same_size_programs();
+        // A start state that runs one tracked instruction, then faults on a
+        // load far outside memory before reaching the loop head's address.
+        let wild = asc_asm::Assembler::new()
+            .mem_size(4096)
+            .assemble("main:\n movi r3, 1000000\n ldw r2, [r3]\n halt\n")
+            .unwrap()
+            .initial_state()
+            .unwrap();
+        assert_eq!(wild.len_bytes(), add.len_bytes());
+        let want = completed_on(&mut SpeculationScratch::new(), &add, rip, 2, 10_000);
+
+        let mut scratch = SpeculationScratch::new();
+        // After a captured job: the capture left every status `Null`, and
+        // the scratch starts the next job on the vector as it is.
+        let _ = completed_on(&mut scratch, &add, rip, 5, 10_000);
+        assert!(scratch.deps_clean);
+        assert_eq!(scratch.deps.as_ref().unwrap().touched(), 0, "a capture left statuses set");
+        let after_capture = completed_on(&mut scratch, &add, rip, 2, 10_000);
+        assert_eq!(after_capture.0.entry, want.0.entry);
+        assert_eq!(after_capture.1, want.1);
+
+        // After a faulted job: nothing captured, so the vector is dirty and
+        // the next job must reset it.
+        let faulted = execute_superstep_with(&wild, rip, 1, 10_000, &mut scratch).unwrap();
+        assert!(matches!(faulted, SpeculationResult::Faulted { .. }), "{faulted:?}");
+        assert!(!scratch.deps_clean);
+        assert!(scratch.deps.as_ref().unwrap().touched() > 0);
+        let after_fault = completed_on(&mut scratch, &add, rip, 2, 10_000);
+        assert_eq!(after_fault.0.entry, want.0.entry);
+        assert_eq!(after_fault.1, want.1);
+        assert_eq!(scratch.deps.as_ref().unwrap().touched(), 0);
     }
 
     #[test]
@@ -393,16 +511,10 @@ mod tests {
             SpeculationScratch::with_tier(TierConfig { hot_threshold: 1, ..TierConfig::default() });
         let mut off = SpeculationScratch::with_tier(TierConfig::disabled());
         for stride in [1usize, 3, 7] {
-            let a = execute_superstep_with(&start, rip, stride, 10_000, &mut on)
-                .unwrap()
-                .completed()
-                .unwrap();
-            let b = execute_superstep_with(&start, rip, stride, 10_000, &mut off)
-                .unwrap()
-                .completed()
-                .unwrap();
+            let (a, a_end) = completed_on(&mut on, &start, rip, stride, 10_000);
+            let (b, b_end) = completed_on(&mut off, &start, rip, stride, 10_000);
             assert_eq!(a.entry, b.entry, "stride {stride}");
-            assert_eq!(a.end_state, b.end_state, "stride {stride}");
+            assert_eq!(a_end, b_end, "stride {stride}");
             assert_eq!(a.instructions, b.instructions, "stride {stride}");
         }
         let on_stats = on.take_tier_stats();
@@ -442,13 +554,14 @@ mod tests {
 
     /// The per-instruction reference for one superstep: a per-byte `g`
     /// vector fed by `transition_with` one instruction at a time, stopping
-    /// where [`execute_superstep_with`] stops.
+    /// where [`execute_superstep_with`] stops. Returns the outcome and the
+    /// end state.
     fn reference_superstep(
         start: &StateVector,
         rip: u32,
         stride: usize,
         budget: u64,
-    ) -> SuperstepOutcome {
+    ) -> (SuperstepOutcome, StateVector) {
         let mut state = start.clone();
         let mut deps = PerByteDeps(vec![DepStatus::Null; state.len_bytes()]);
         let (mut instructions, mut occurrences, mut halted) = (0u64, 0usize, false);
@@ -462,13 +575,13 @@ mod tests {
         }
         let read = SparseBytes::capture(start, deps.indices(DepStatus::in_read_set));
         let written = SparseBytes::capture(&state, deps.indices(DepStatus::in_write_set));
-        SuperstepOutcome {
+        let outcome = SuperstepOutcome {
             entry: CacheEntry::new(start.ip(), read, written, instructions),
-            end_state: state,
             reached_rip: occurrences == stride.max(1),
             halted,
             instructions,
-        }
+        };
+        (outcome, state)
     }
 
     #[test]
@@ -500,7 +613,7 @@ mod tests {
                             .unwrap()
                             .completed()
                             .unwrap();
-                    let want = reference_superstep(&state, rip.ip, rip.stride, budget);
+                    let (want, want_end) = reference_superstep(&state, rip.ip, rip.stride, budget);
                     assert_eq!(got.entry, want.entry, "{context}");
                     assert_eq!(got.instructions, want.instructions, "{context}");
                     assert_eq!(
@@ -508,9 +621,10 @@ mod tests {
                         (want.reached_rip, want.halted),
                         "{context}"
                     );
-                    assert!(got.end_state == want.end_state, "{context}: end states differ");
+                    let got_end = scratch.end_state().expect("a job ran");
+                    assert!(*got_end == want_end, "{context}: end states differ");
                     assert!(got.reached_rip, "{context}: the program ended before the walk did");
-                    state = got.end_state;
+                    state.clone_from(got_end);
                 }
                 let stats = scratch.take_tier_stats();
                 assert_eq!(stats.tier1_instructions > 0, tier.enabled, "{benchmark:?} {stats:?}");

@@ -159,6 +159,9 @@ struct ForwardPass {
     confidence: Vec<f32>,
     /// The weighted vote per bit ([`combine_weighted`]).
     distribution: Vec<f32>,
+    /// Per-bit sums: `combine_weighted`'s denominators, then the
+    /// equal-weight vote of the `observe` this pass serves as step 1.
+    sums: Vec<f32>,
 }
 
 impl ForwardPass {
@@ -168,6 +171,7 @@ impl ForwardPass {
             bits: vec![0; predictor_count * packed_len(bit_count)],
             confidence: vec![0.0; predictor_count * bit_count],
             distribution: vec![0.0; bit_count],
+            sums: Vec::with_capacity(bit_count),
         }
     }
 
@@ -190,7 +194,13 @@ impl ForwardPass {
                 &mut self.confidence[p * bit_count..(p + 1) * bit_count],
             );
         }
-        combine_weighted(weights, &self.confidence, bit_count, p_count, &mut self.distribution);
+        combine_weighted(
+            weights,
+            &self.confidence,
+            p_count,
+            &mut self.distribution,
+            &mut self.sums,
+        );
     }
 
     /// Whether the buffers hold the pass on `current`.
@@ -384,16 +394,24 @@ impl Ensemble {
         }
         self.ahead.observation = None;
 
-        // 2. Whole-state scoring of the weighted and equal-weight votes.
+        // 2. Whole-state scoring of the weighted and equal-weight votes. The
+        //    equal-weight sums are built one predictor at a time over
+        //    contiguous bits; each bit still adds its terms from 0.0 in
+        //    ascending predictor order.
+        let equal = &mut self.step.sums;
+        equal.clear();
+        equal.resize(bit_count, 0.0);
+        for confidence in self.step.confidence.chunks_exact(self.bit_count.max(1)).take(p_count) {
+            for (sum, &c) in equal.iter_mut().zip(confidence) {
+                *sum += c.clamp(0.0, 1.0);
+            }
+        }
         let mut ensemble_wrong = false;
         let mut equal_weight_wrong = false;
-        for j in 0..bit_count {
+        for (j, (&weighted, &equal)) in self.step.distribution.iter().zip(equal.iter()).enumerate()
+        {
             let actual = next.bit(j);
-            let mut equal = 0.0f32;
-            for p in 0..p_count {
-                equal += self.step.confidence[p * self.bit_count + j].clamp(0.0, 1.0);
-            }
-            if (self.step.distribution[j] >= 0.5) != actual {
+            if (weighted >= 0.5) != actual {
                 ensemble_wrong = true;
             }
             if (equal / p_count as f32 >= 0.5) != actual {
@@ -628,27 +646,41 @@ impl Ensemble {
     }
 }
 
-/// The weighted vote shared by the ensemble's forward passes and the
-/// retained reference implementation: `confidence[j] = Σₚ w[j,p]·probs[p,j]
-/// / Σₚ w[j,p]` with per-term clamping, accumulated in ascending predictor
-/// order.
-pub(crate) fn combine_weighted(
+/// The weighted vote of the ensemble's forward passes: `confidence[j] =
+/// Σₚ w[j,p]·probs[p,j] / Σₚ w[j,p]` with per-term clamping, accumulated in
+/// ascending predictor order — the retained reference implementation's
+/// expression, term for term.
+///
+/// The sums are built one predictor at a time over contiguous bits (the
+/// numerators in `confidence`, the denominators in `denominators`): each
+/// bit still adds its terms from 0.0 in ascending predictor order, so every
+/// `f32` equals the per-bit loop's.
+fn combine_weighted(
     weights: &[f32],
     block_confidence: &[f32],
-    bit_count: usize,
     p_count: usize,
     confidence: &mut [f32],
+    denominators: &mut Vec<f32>,
 ) {
-    for (j, slot) in confidence.iter_mut().enumerate().take(bit_count) {
-        let mut numerator = 0.0f32;
-        let mut denominator = 0.0f32;
-        for p in 0..p_count {
-            let probability = block_confidence[p * bit_count + j].clamp(0.0, 1.0);
-            let weight = weights[j * p_count + p];
-            numerator += weight * probability;
-            denominator += weight;
+    let bit_count = confidence.len();
+    denominators.clear();
+    denominators.resize(bit_count, 0.0);
+    confidence.fill(0.0);
+    // `max(1)`: a zero-bit ensemble has no rows, and no chunk size 0.
+    for (p, probabilities) in
+        block_confidence.chunks_exact(bit_count.max(1)).take(p_count).enumerate()
+    {
+        let column = weights[p..].iter().step_by(p_count);
+        let sums = confidence.iter_mut().zip(denominators.iter_mut());
+        for (((numerator, denominator), &probability), &weight) in
+            sums.zip(probabilities).zip(column)
+        {
+            *numerator += weight * probability.clamp(0.0, 1.0);
+            *denominator += weight;
         }
-        *slot = if denominator <= 0.0 { 0.5 } else { numerator / denominator };
+    }
+    for (slot, &denominator) in confidence.iter_mut().zip(denominators.iter()) {
+        *slot = if denominator <= 0.0 { 0.5 } else { *slot / denominator };
     }
 }
 
@@ -831,6 +863,17 @@ mod tests {
         restored.observe(&obs_of(2, 4), &obs_of(0, 4));
         assert_eq!(restored.predict_ml(&probe), trained.predict_ml(&probe));
         assert_eq!(restored.errors(), trained.errors());
+    }
+
+    #[test]
+    fn a_zero_bit_ensemble_observes_and_predicts() {
+        let mut ensemble = Ensemble::new(vec![Box::new(Contrarian)], 0, 0.5, 16);
+        let empty = PackedObservation::from_bits(&[], vec![]);
+        ensemble.observe(&empty, &empty);
+        ensemble.observe(&empty, &empty);
+        let (block, log_probability) = ensemble.predict_ml(&empty);
+        assert!(block.is_empty());
+        assert_eq!(log_probability, 0.0);
     }
 
     #[test]

@@ -66,9 +66,15 @@ impl BlockPredictor for MeanPredictor {
     }
 
     fn predict_block(&self, current: &PackedObservation, bits: &mut [u64], confidence: &mut [f32]) {
-        for (j, slot) in confidence.iter_mut().enumerate().take(current.bit_count()) {
-            *slot = self.mean(j);
+        // `mean(j)` for every bit, as one division loop over the counters.
+        let predicted_len = current.bit_count().min(confidence.len());
+        let predicted = &mut confidence[..predicted_len];
+        let counted = if self.total > 0 { predicted.len().min(self.ones.len()) } else { 0 };
+        let total = self.total as f32;
+        for (slot, &ones) in predicted[..counted].iter_mut().zip(&self.ones) {
+            *slot = ones as f32 / total;
         }
+        predicted[counted..].fill(0.5);
         pack_probabilities(confidence, bits);
     }
 

@@ -79,17 +79,20 @@ impl SparseBytes {
     /// same words: entries live in the trajectory cache for the whole run,
     /// and the slack of a grown `Vec` would be paid per entry.
     ///
+    /// The filling walk leaves `deps` all-`Null`, ready for the next
+    /// superstep without a reset (see [`crate::deps`]).
+    ///
     /// # Panics
     /// Panics when `deps` covers more bytes than `start` or `end` holds.
     pub fn capture_sets(
-        deps: &DepVector,
+        deps: &mut DepVector,
         start: &StateVector,
         end: &StateVector,
     ) -> (SparseBytes, SparseBytes) {
         let (start, end) = (start.as_bytes(), end.as_bytes());
         let (read_len, write_len) = deps.set_sizes();
         let (mut read, mut written) = (Vec::with_capacity(read_len), Vec::with_capacity(write_len));
-        deps.for_each_touched_word(|base, word| {
+        deps.drain_touched_words(|base, word| {
             push_marked(&mut read, word & READ_BITS, base, start);
             push_marked(&mut written, word & WRITE_BITS, base, end);
         });
@@ -167,7 +170,7 @@ impl SparseBytes {
     /// Combines the position and value halves so that sets differing in
     /// either indices or values fingerprint differently.
     pub fn fingerprint(&self) -> u64 {
-        self.position_hash().rotate_left(32) ^ self.value_hash()
+        fingerprint_of(self.position_hash(), self.value_hash())
     }
 
     /// Size in bits of the serialized sparse representation (5 bytes per
@@ -231,6 +234,12 @@ impl SparseBytes {
     }
 }
 
+/// [`SparseBytes::fingerprint`] from its two halves, for a caller that has
+/// already computed them.
+pub fn fingerprint_of(position_hash: u64, value_hash: u64) -> u64 {
+    position_hash.rotate_left(32) ^ value_hash
+}
+
 /// Pushes `(i, bytes[i])` for every status of the word at `base` that has a
 /// bit in `marked` (one bit per marked byte), in index order.
 #[inline]
@@ -266,8 +275,15 @@ pub struct PositionSchema {
 impl PositionSchema {
     /// The schema of a sparse capture (its positions, values dropped).
     pub fn of(sparse: &SparseBytes) -> Self {
-        let positions: Box<[u32]> = sparse.positions().collect();
-        PositionSchema { hash: sparse.position_hash(), positions }
+        PositionSchema::with_hash(sparse, sparse.position_hash())
+    }
+
+    /// [`of`](PositionSchema::of) for a caller that already holds the
+    /// capture's [`position_hash`](SparseBytes::position_hash), which must
+    /// be passed as `position_hash`.
+    pub fn with_hash(sparse: &SparseBytes, position_hash: u64) -> Self {
+        debug_assert_eq!(position_hash, sparse.position_hash(), "a foreign position hash");
+        PositionSchema { positions: sparse.positions().collect(), hash: position_hash }
     }
 
     /// The sorted byte positions.
@@ -357,13 +373,16 @@ mod tests {
         deps.note_write_range(40, 8);
         deps.note_read_range(44, 4);
         deps.note_read(len - 1);
-        let (read, written) = SparseBytes::capture_sets(&deps, &start, &end);
-        assert_eq!(read, SparseBytes::capture(&start, deps.read_set()));
-        assert_eq!(written, SparseBytes::capture(&end, deps.write_set()));
+        let (reads, writes) = (deps.read_set(), deps.write_set());
+        let (read, written) = SparseBytes::capture_sets(&mut deps, &start, &end);
+        assert_eq!(read, SparseBytes::capture(&start, reads));
+        assert_eq!(written, SparseBytes::capture(&end, writes));
         assert_eq!(read.entries.capacity(), read.len());
         assert_eq!(written.entries.capacity(), written.len());
-        // An untouched vector captures two empty sets.
-        let (read, written) = SparseBytes::capture_sets(&DepVector::new(len), &start, &end);
+        // The capture left the vector clean, the tail's statuses included,
+        // and a clean vector captures two empty sets.
+        assert_eq!(deps, DepVector::new(len));
+        let (read, written) = SparseBytes::capture_sets(&mut deps, &start, &end);
         assert!(read.is_empty() && written.is_empty());
     }
 

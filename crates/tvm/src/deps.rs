@@ -41,7 +41,11 @@
 //! which builds an entry's read and write halves in one walk that skips
 //! untouched chunks of the vector whole and picks the set bytes out of
 //! each touched 8-status word with bit operations; the sets' sizes are
-//! popcounts of the same words. [`DepVector::iter_touched`],
+//! popcounts of the same words. That walk also zeroes every chunk it reads,
+//! so a captured vector is all-`Null` again: the next superstep can start
+//! on it without the state-sized [`DepVector::reset`]. A superstep that
+//! faults is never captured, and its vector must be reset.
+//! [`DepVector::iter_touched`],
 //! [`DepVector::read_set`] and [`DepVector::write_set`] are the per-byte
 //! reference forms, kept for tests and diagnostics.
 
@@ -106,6 +110,11 @@ impl DepStatus {
 /// Dependency vector: one [`DepStatus`] per state-vector byte, stored as
 /// its raw `u8` so the FSM applies a word at a time (see the module docs).
 ///
+/// A superstep must start on an all-`Null` vector. Capturing an entry
+/// ([`SparseBytes::capture_sets`](crate::delta::SparseBytes::capture_sets))
+/// leaves the vector in that state; anything else that noted accesses
+/// leaves it to be [`reset`](DepVector::reset).
+///
 /// # Examples
 /// ```
 /// use asc_tvm::deps::{DepStatus, DepVector};
@@ -139,15 +148,17 @@ impl DepVector {
     }
 
     /// Resets every byte to `Null`, as a speculative worker does before
-    /// starting a new superstep.
+    /// starting a new superstep whose vector was not captured (see the
+    /// module docs: a capture leaves the vector all-`Null` already).
     pub fn reset(&mut self) {
         self.status.fill(DepStatus::Null as u8);
     }
 
     /// Resets the vector for a state of `len_bytes` bytes, reusing the
     /// existing allocation when the size is unchanged. Long-lived speculation
-    /// workers call this between jobs instead of constructing a fresh
-    /// [`DepVector`] per superstep.
+    /// workers call this instead of constructing a fresh [`DepVector`] per
+    /// superstep — only after a job whose vector was not captured, or for a
+    /// state of another size: a capture already leaves the vector clean.
     pub fn reset_for(&mut self, len_bytes: usize) {
         if self.status.len() == len_bytes {
             self.reset();
@@ -293,25 +304,59 @@ impl DepVector {
     pub(crate) fn for_each_touched_word(&self, mut f: impl FnMut(usize, u64)) {
         let mut chunks = self.status.chunks_exact(WALK_CHUNK);
         for (c, chunk) in chunks.by_ref().enumerate() {
-            let chunk: &[u8; WALK_CHUNK] = chunk.try_into().expect("a whole chunk");
-            if chunk.iter().fold(0, |any, &s| any | s) == 0 {
-                continue;
-            }
-            for (w, bytes) in chunk.chunks_exact(8).enumerate() {
-                let word = u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
-                if word != 0 {
-                    f(c * WALK_CHUNK + w * 8, word);
-                }
+            visit_chunk(c * WALK_CHUNK, chunk, &mut f);
+        }
+        let tail = chunks.remainder();
+        visit_tail(self.status.len() - tail.len(), tail, &mut f);
+    }
+
+    /// [`for_each_touched_word`](DepVector::for_each_touched_word), leaving
+    /// every status `Null` behind it: each chunk the walk reads is zeroed
+    /// after its words were passed to `f`. This is the walk an entry's
+    /// capture makes, so that the vector is clean for the next superstep
+    /// without a state-sized [`reset`](DepVector::reset).
+    #[inline]
+    pub(crate) fn drain_touched_words(&mut self, mut f: impl FnMut(usize, u64)) {
+        let len = self.status.len();
+        let mut chunks = self.status.chunks_exact_mut(WALK_CHUNK);
+        for (c, chunk) in chunks.by_ref().enumerate() {
+            if visit_chunk(c * WALK_CHUNK, chunk, &mut f) {
+                chunk.fill(DepStatus::Null as u8);
             }
         }
-        let base = self.status.len() - chunks.remainder().len();
-        for (w, bytes) in chunks.remainder().chunks(8).enumerate() {
-            let mut word = [0u8; 8];
-            word[..bytes.len()].copy_from_slice(bytes);
-            let word = u64::from_le_bytes(word);
-            if word != 0 {
-                f(base + w * 8, word);
-            }
+        let tail = chunks.into_remainder();
+        visit_tail(len - tail.len(), tail, &mut f);
+        tail.fill(DepStatus::Null as u8);
+    }
+}
+
+/// Passes the non-zero words of one whole walk chunk, starting at status
+/// `base`, to `f`; returns whether the chunk held any.
+#[inline]
+fn visit_chunk(base: usize, chunk: &[u8], f: &mut impl FnMut(usize, u64)) -> bool {
+    let chunk: &[u8; WALK_CHUNK] = chunk.try_into().expect("a whole chunk");
+    if chunk.iter().fold(0, |any, &s| any | s) == 0 {
+        return false;
+    }
+    for (w, bytes) in chunk.chunks_exact(8).enumerate() {
+        let word = u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+        if word != 0 {
+            f(base + w * 8, word);
+        }
+    }
+    true
+}
+
+/// Passes the non-zero words of the vector's last, shorter-than-a-chunk
+/// stretch to `f`, its last word zero-padded.
+#[inline]
+fn visit_tail(base: usize, tail: &[u8], f: &mut impl FnMut(usize, u64)) {
+    for (w, bytes) in tail.chunks(8).enumerate() {
+        let mut word = [0u8; 8];
+        word[..bytes.len()].copy_from_slice(bytes);
+        let word = u64::from_le_bytes(word);
+        if word != 0 {
+            f(base + w * 8, word);
         }
     }
 }
@@ -469,6 +514,13 @@ mod tests {
             }
         });
         assert_eq!(walked, reference, "len {}", g.len());
+        // The draining walk visits the same words and leaves all-`Null`.
+        let (mut drained, mut g2) = (Vec::new(), g.clone());
+        g2.drain_touched_words(|base, word| drained.push((base, word)));
+        let mut words = Vec::new();
+        g.for_each_touched_word(|base, word| words.push((base, word)));
+        assert_eq!(drained, words, "len {}", g.len());
+        assert_eq!(g2, DepVector::new(g.len()), "len {}", g.len());
         assert_eq!(g.iter_touched().collect::<Vec<_>>(), reference, "len {}", g.len());
         assert_eq!(g.touched(), reference.len(), "len {}", g.len());
         assert_eq!(g.set_sizes(), (reads.len(), writes.len()), "len {}", g.len());

@@ -128,9 +128,18 @@ impl DecodeCache for NoDecodeCache {
 /// transition function (fast-forwards, direct `state_mut` access). Results
 /// therefore stay bit-for-bit identical to uncached execution even for
 /// self-modifying programs.
+///
+/// The cache also lists the slots it filled since it was last cleared, so
+/// that [`reset_for`](DecodedCache::reset_for) clears what a job decoded —
+/// a superstep touches a few dozen instruction slots of a memory that can
+/// hold thousands — rather than every slot.
 #[derive(Debug, Clone)]
 pub struct DecodedCache {
     slots: Vec<Option<Instruction>>,
+    /// Slots filled since the last clear, each listed once per fill; when
+    /// it reaches `slots.len()` entries it stops growing and a clear
+    /// sweeps every slot instead (see [`DecodeCache::remember`]).
+    filled: Vec<u32>,
 }
 
 impl DecodedCache {
@@ -139,26 +148,36 @@ impl DecodedCache {
         // Only addresses with a full in-bounds 8-byte fetch get a slot, so a
         // populated slot certifies bounds.
         let instruction_positions = state.mem_size() / INSTRUCTION_BYTES as usize;
-        DecodedCache { slots: vec![None; instruction_positions] }
+        DecodedCache { slots: vec![None; instruction_positions], filled: Vec::new() }
     }
 
-    /// Forgets every cached slot.
+    /// Forgets every cached slot: the listed ones, or all of them when the
+    /// list overflowed.
     pub fn clear(&mut self) {
-        self.slots.fill(None);
+        if self.filled.len() < self.slots.len() {
+            for &slot in &self.filled {
+                self.slots[slot as usize] = None;
+            }
+        } else {
+            self.slots.fill(None);
+        }
+        self.filled.clear();
     }
 
     /// Clears the cache and resizes it for `state`'s memory segment, reusing
     /// the existing allocation when the segment size is unchanged. Long-lived
     /// speculation workers call this between jobs instead of constructing a
-    /// fresh cache per superstep. The cache is always cleared: a new job's
-    /// state may hold different code bytes at the same addresses.
+    /// fresh cache per superstep. The cache is always cleared, because a new
+    /// job's state may hold different code bytes at the same addresses; the
+    /// clear touches only the slots filled since the last one.
     pub fn reset_for(&mut self, state: &StateVector) {
         let instruction_positions = state.mem_size() / INSTRUCTION_BYTES as usize;
         if self.slots.len() == instruction_positions {
-            self.slots.fill(None);
+            self.clear();
         } else {
             self.slots.clear();
             self.slots.resize(instruction_positions, None);
+            self.filled.clear();
         }
     }
 }
@@ -177,7 +196,13 @@ impl DecodeCache for DecodedCache {
         if addr % INSTRUCTION_BYTES != 0 {
             return;
         }
-        if let Some(slot) = self.slots.get_mut((addr / INSTRUCTION_BYTES) as usize) {
+        let (index, capacity) = ((addr / INSTRUCTION_BYTES) as usize, self.slots.len());
+        if let Some(slot) = self.slots.get_mut(index) {
+            // A self-modifying loop refills one slot over and over; past
+            // one entry per slot the list stops and `clear` sweeps them all.
+            if slot.is_none() && self.filled.len() < capacity {
+                self.filled.push(index as u32);
+            }
             *slot = Some(instruction);
         }
     }
@@ -900,6 +925,28 @@ mod tests {
         // they are never cached (a populated slot certifies bounds).
         cache.remember(64, instruction);
         assert_eq!(cache.cached(64), None);
+    }
+
+    #[test]
+    fn decoded_cache_reset_forgets_every_filled_slot() {
+        let state = machine_with(&[I::bare(Opcode::Halt)], 64);
+        let slots = 64 / INSTRUCTION_BYTES;
+        let instruction = I::bare(Opcode::Nop);
+        let mut cache = DecodedCache::new(&state);
+        // A few slots; then one slot refilled more often than the fill list
+        // holds entries (a self-modifying loop's pattern), and another slot
+        // filled after the list stopped growing.
+        let refills = std::iter::repeat_n(0, 2 * slots as usize).chain([5]).collect();
+        for fills in [vec![0, 3, 5], refills] {
+            for &slot in &fills {
+                cache.invalidate(slot * INSTRUCTION_BYTES, 1);
+                cache.remember(slot * INSTRUCTION_BYTES, instruction);
+            }
+            cache.reset_for(&state);
+            for slot in 0..slots {
+                assert_eq!(cache.cached(slot * INSTRUCTION_BYTES), None, "slot {slot}");
+            }
+        }
     }
 
     #[test]

@@ -159,6 +159,48 @@ fn oversubscribed_worker_pool_is_safe() {
     assert_same_result("16 workers", &inline_report, &report, &workload);
 }
 
+/// The inline run's cache outcome, pinned. Inline runs are deterministic,
+/// so a change that only makes speculation cheaper must leave every one of
+/// these counters where it is: the entries the cache holds, the hits they
+/// serve, the instructions retired and what the economics decided.
+/// `duplicates` and `junk_rejected` are left out on purpose: they count
+/// inserts the cache refused, and a speculation skipped because its start
+/// state was already bought offers none. Ising runs at Small, as everywhere
+/// in this file: at Tiny its recognition spends the whole program.
+#[test]
+fn inline_cache_outcome_is_pinned_on_every_workload() {
+    // queries, hits, inserted, groups, evicted, probes, instructions_served,
+    // fast_forwarded, total_instructions; then economics considered,
+    // dispatched, suppressed.
+    let pinned: [(Benchmark, [u64; 9], [u64; 3]); 4] = [
+        (Benchmark::Collatz, [180, 138, 261, 26, 0, 9_238, 72_534, 72_534, 130_969], [299, 299, 0]),
+        (Benchmark::LogisticMap, [1_153, 0, 249, 32, 0, 81_938, 0, 0, 149_407], [1_599, 735, 864]),
+        (Benchmark::Ising, [32, 3, 77, 77, 0, 7_611, 6_827, 6_827, 171_086], [198, 198, 0]),
+        (Benchmark::Mm2, [54, 7, 44, 44, 0, 7_672, 1_274, 1_274, 37_490], [288, 288, 0]),
+    ];
+    for (benchmark, cache, economics) in pinned {
+        let workload = build(benchmark, scale_for(benchmark)).unwrap();
+        let report = accelerate(config_for(benchmark, 0), &workload);
+        assert!(report.halted, "{benchmark}: did not halt");
+        assert!(workload.verify(&report.final_state), "{benchmark}: wrong result");
+        let s = report.cache_stats;
+        let got = [
+            s.queries,
+            s.hits,
+            s.inserted,
+            s.groups,
+            s.evicted,
+            s.probes,
+            s.instructions_served,
+            report.fast_forwarded_instructions,
+            report.total_instructions,
+        ];
+        assert_eq!(got, cache, "{benchmark}: cache outcome moved ({s:?})");
+        let e = report.economics.expect("inline speculation reports its economics");
+        assert_eq!([e.considered, e.dispatched, e.suppressed], economics, "{benchmark}: {e:?}");
+    }
+}
+
 /// Dispatch economics: the value model decides only *which* speculations
 /// run, so gating on vs. off must leave `final_state` bit-identical in
 /// every execution mode — inline, miss-driven workers and planner — on
