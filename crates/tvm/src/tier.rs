@@ -10,7 +10,11 @@
 //! into a `CompiledBlock` of pre-decoded, *fused* micro-ops —
 //! arith/arith chains, load/op and op/store pairs, and compare+branch
 //! collapsed into single handlers — and executed by a block-threaded
-//! dispatch loop that touches the IP once at block entry and once at exit.
+//! dispatch loop. Blocks run where they rest in the slot table: the loop
+//! reads the IP once per block entry and writes it once per block exit,
+//! re-enters a block that jumps to its own entry, and continues straight
+//! into a successor that is already compiled, so a chain of short hot
+//! blocks never goes back to [`run_segment`] between them.
 //!
 //! ## Correctness contract
 //!
@@ -35,16 +39,23 @@
 //!   all see the same retired-instruction stream as tier-0.
 //! * **Staleness.** A [`BlockCache`] *contains* the tier-0
 //!   [`DecodedCache`] and implements [`DecodeCache`] itself, so every store
-//!   funnels through one `invalidate` call that clears both decoded slots
-//!   and overlapping compiled blocks — the two tiers cannot disagree about
-//!   what is stale. A store into the *currently executing* block stops it
-//!   at the end of the current micro-op, which is precisely where the
-//!   interpreter would next re-fetch the modified bytes.
+//!   funnels through one range sweep that clears both decoded slots and
+//!   overlapping compiled blocks — the two tiers cannot disagree about
+//!   what is stale. While blocks execute, the slot table is borrowed, so a
+//!   store only drops the hit blocks' ranges and *records* their slots;
+//!   the slots are reset when execution returns to [`run_segment`], and no
+//!   block is chained into while a reset is pending. A store into the
+//!   *currently executing* block stops it at the end of the current
+//!   micro-op, which is precisely where the interpreter would next
+//!   re-fetch the modified bytes.
 //!
 //! The driver, [`run_segment`], interleaves block execution with tier-0
-//! single-stepping (hotness is only consulted at jump arrivals, so
-//! sequential fall-through pays nothing) and is the engine under both the
-//! main thread's `Machine::run_until_ip` and worker supersteps.
+//! single-stepping and is the engine under both the main thread's
+//! `Machine::run_until_ip` and worker supersteps. Hotness is consulted only
+//! when `run_segment` arrives somewhere by a jump (and at segment entry), so
+//! sequential fall-through pays nothing; a block execution returns to it
+//! only at a stop, a fault, the budget, an invalidation, or a jump to a
+//! slot with no compiled block.
 
 use crate::error::{VmError, VmResult};
 use crate::exec::{
@@ -53,6 +64,7 @@ use crate::exec::{
 };
 use crate::isa::{Flags, Instruction, Opcode, INSTRUCTION_BYTES};
 use crate::state::{StateVector, IP_OFFSET, MEM_BASE};
+use std::ops::ControlFlow;
 
 /// Tuning knobs for tier-1 execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,13 +124,10 @@ impl TierStats {
     }
 }
 
-/// One fused micro-op: up to two straight-line constituents, or a block
-/// terminator. `first` is the index (in constituent instructions from the
-/// block entry) of the micro-op's first constituent.
+/// One fused straight-line micro-op: one or two constituents.
 #[derive(Debug, Clone, Copy)]
 struct MicroOp {
     kind: OpKind,
-    first: u16,
     count: u16,
     /// Whether any constituent can write memory (`stw`/`stb`/`push`). Only
     /// such micro-ops can invalidate the executing block, so only they pay
@@ -134,9 +143,14 @@ enum OpKind {
     /// op/store — a store is only ever the *final* constituent, so a fused
     /// pair can never execute stale code it modified itself).
     Pair(Lowered, Lowered),
-    /// An unconditional `jmp` terminator.
+}
+
+/// The jump that closes a block.
+#[derive(Debug, Clone, Copy)]
+enum Terminator {
+    /// An unconditional `jmp`.
     Jump { target: u32 },
-    /// A conditional-jump terminator, optionally fused with the `cmp`/`cmpi`
+    /// A conditional jump, optionally fused with the `cmp`/`cmpi`
     /// immediately before it (the compare's right-hand operand pre-lowered).
     Branch { cmp: Option<(u8, CmpRhs)>, opcode: Opcode, target: u32 },
 }
@@ -189,8 +203,14 @@ struct CompiledBlock {
     entry: u32,
     /// Total constituent instructions (terminator included).
     len: u32,
+    /// The straight-line micro-ops, in order.
     ops: Vec<MicroOp>,
-    /// Multi-instruction micro-ops in `ops` (for [`TierStats::fused_ops`]).
+    /// The closing jump; `None` when the region ends at an instruction
+    /// tier-0 must execute (`halt`, `call`, `ret`, `jmpr`, an undecodable
+    /// word) or at the length cap.
+    exit: Option<Terminator>,
+    /// Multi-instruction micro-ops and compare-fused terminators (for
+    /// [`TierStats::fused_ops`]).
     fused: u32,
     /// The raw code bytes the block was compiled from.
     code: Vec<u8>,
@@ -220,39 +240,114 @@ enum BlockSlot {
     Rejected,
 }
 
-/// The block currently executing (its `Box` is taken out of the slot so the
-/// cache stays borrowable for store invalidation; its range entry stays
-/// registered). A store overlapping `[start, end)` sets `invalidated`,
-/// which both stops the execution at the current micro-op boundary and
-/// drops the block instead of reinserting it.
-#[derive(Debug, Clone)]
+/// The extent of the block currently executing. A store overlapping
+/// `[start, end)` sets `invalidated`, which stops the execution at the
+/// current micro-op boundary.
+#[derive(Debug, Clone, Default)]
 struct ActiveBlock {
     start: u32,
     end: u32,
     invalidated: bool,
 }
 
-/// The tier-1 execution cache: tier-0's [`DecodedCache`] plus hotness
-/// counters, compiled blocks and their shared invalidation path.
+/// The part of the tier-1 cache a store can touch while compiled blocks
+/// execute: tier-0's decoded cache, the extents of the compiled blocks, the
+/// active block, the counters and the slot resets stores left pending. It
+/// is the block executor's decode cache; the slot table stays in
+/// [`BlockCache`], borrowed shared for the whole execution.
+#[derive(Debug, Clone)]
+struct CodeTracker {
+    decoded: DecodedCache,
+    /// `(start, end, slot index)` extents of every compiled block, scanned
+    /// on store invalidation. Blocks are few (one per hot region), so the
+    /// scan is cheaper than any per-byte index.
+    ranges: Vec<(u32, u32, u32)>,
+    /// Meaningful only while a block executes.
+    active: ActiveBlock,
+    stats: TierStats,
+    /// Slots whose compiled block a store invalidated during the current
+    /// execution, reset by [`BlockCache::finish`] once it ends.
+    resets: Vec<u32>,
+}
+
+impl DecodeCache for CodeTracker {
+    #[inline]
+    fn cached(&self, addr: u32) -> Option<Instruction> {
+        self.decoded.cached(addr)
+    }
+
+    #[inline]
+    fn remember(&mut self, addr: u32, instruction: Instruction) {
+        self.decoded.remember(addr, instruction);
+    }
+
+    #[inline]
+    fn invalidate(&mut self, addr: u32, len: u32) {
+        self.decoded.invalidate(addr, len);
+        self.invalidate_blocks(addr, len);
+    }
+}
+
+impl CodeTracker {
+    /// Drops every compiled block overlapping the written byte range,
+    /// records its slot for [`BlockCache::finish`] to reset, and flags the
+    /// active block when it is hit. Kept out of line like
+    /// `BlockCache::invalidate_blocks`.
+    #[inline(never)]
+    fn invalidate_blocks(&mut self, addr: u32, len: u32) {
+        if len == 0 || self.ranges.is_empty() {
+            // An active block whose range is gone was already invalidated.
+            return;
+        }
+        let end = addr.saturating_add(len);
+        let active = &mut self.active;
+        if addr < active.end && end > active.start {
+            active.invalidated = true;
+        }
+        let resets = &mut self.resets;
+        drop_ranges(&mut self.ranges, &mut self.stats, addr, end, |slot| resets.push(slot));
+    }
+}
+
+/// Removes every block extent overlapping the written bytes `[addr, end)`,
+/// counts it invalidated and hands its slot index to `drop_slot`: the one
+/// range sweep behind both invalidation paths.
+#[inline]
+fn drop_ranges(
+    ranges: &mut Vec<(u32, u32, u32)>,
+    stats: &mut TierStats,
+    addr: u32,
+    end: u32,
+    mut drop_slot: impl FnMut(u32),
+) {
+    ranges.retain(|&(start, block_end, slot)| {
+        let hit = addr < block_end && end > start;
+        if hit {
+            drop_slot(slot);
+            stats.blocks_invalidated += 1;
+        }
+        !hit
+    });
+}
+
+/// The tier-1 execution cache: a slot table of hotness counters and
+/// compiled blocks, plus the code tracker stores invalidate through.
 ///
 /// `BlockCache` implements [`DecodeCache`] by containment: `cached` and
 /// `remember` delegate to the inner decoded cache, while `invalidate`
 /// clears *both* decoded slots and overlapping compiled blocks. Passing a
 /// `BlockCache` to [`transition_cached`] therefore gives exactly tier-0
-/// semantics — which is what [`run_segment`] does between blocks.
+/// semantics — which is what [`run_segment`] does between blocks. Blocks
+/// execute in place, borrowed from the slot table; a store made meanwhile
+/// is recorded by the tracker and its slot resets wait until execution
+/// returns to [`run_segment`].
 #[derive(Debug, Clone)]
 pub struct BlockCache {
-    decoded: DecodedCache,
     config: TierConfig,
     /// One slot per 8-byte-aligned instruction position (empty when the
     /// tier is disabled).
     blocks: Vec<BlockSlot>,
-    /// `(start, end, slot index)` extents of every *resting* compiled block,
-    /// scanned on store invalidation. Blocks are few (one per hot region),
-    /// so the scan is cheaper than any per-byte index.
-    ranges: Vec<(u32, u32, u32)>,
-    active: Option<ActiveBlock>,
-    stats: TierStats,
+    code: CodeTracker,
 }
 
 impl BlockCache {
@@ -262,12 +357,15 @@ impl BlockCache {
         let mut blocks = Vec::new();
         blocks.resize_with(slots, || BlockSlot::Counting(0));
         BlockCache {
-            decoded: DecodedCache::new(state),
             config,
             blocks,
-            ranges: Vec::new(),
-            active: None,
-            stats: TierStats::default(),
+            code: CodeTracker {
+                decoded: DecodedCache::new(state),
+                ranges: Vec::new(),
+                active: ActiveBlock::default(),
+                stats: TierStats::default(),
+                resets: Vec::new(),
+            },
         }
     }
 
@@ -283,13 +381,13 @@ impl BlockCache {
 
     /// A snapshot of the tier counters.
     pub fn stats(&self) -> TierStats {
-        self.stats
+        self.code.stats
     }
 
     /// Drains the tier counters, returning everything accumulated since the
     /// last drain. Long-lived workers call this per job to publish deltas.
     pub fn take_stats(&mut self) -> TierStats {
-        std::mem::take(&mut self.stats)
+        std::mem::take(&mut self.code.stats)
     }
 
     /// Marks an entry address as already hot, so the region compiles on its
@@ -309,11 +407,9 @@ impl BlockCache {
     /// The conservative reset behind `Machine::state_mut`, where arbitrary
     /// code bytes may have been rewritten.
     pub fn clear(&mut self) {
-        debug_assert!(self.active.is_none(), "clear during block execution");
-        self.decoded.clear();
-        self.active = None;
-        self.stats.blocks_invalidated += self.ranges.len() as u64;
-        self.ranges.clear();
+        self.code.decoded.clear();
+        self.code.stats.blocks_invalidated += self.code.ranges.len() as u64;
+        self.code.ranges.clear();
         for slot in &mut self.blocks {
             *slot = BlockSlot::Counting(0);
         }
@@ -328,20 +424,18 @@ impl BlockCache {
     /// reason; a stale counter can at worst trigger one compilation whose
     /// block is validated against the actual bytes anyway.
     pub fn reset_for(&mut self, state: &StateVector) {
-        debug_assert!(self.active.is_none(), "reset during block execution");
-        self.decoded.reset_for(state);
-        self.active = None;
+        self.code.decoded.reset_for(state);
         let slots =
             if self.config.enabled { state.mem_size() / INSTRUCTION_BYTES as usize } else { 0 };
         if self.blocks.len() != slots {
             self.blocks.clear();
             self.blocks.resize_with(slots, || BlockSlot::Counting(0));
-            self.ranges.clear();
+            self.code.ranges.clear();
             return;
         }
         let blocks = &mut self.blocks;
         let threshold = self.config.hot_threshold;
-        self.ranges.retain(|&(_, _, slot)| {
+        self.code.ranges.retain(|&(_, _, slot)| {
             let keep = match &blocks[slot as usize] {
                 BlockSlot::Compiled(block) => block.matches(state),
                 _ => false,
@@ -355,11 +449,10 @@ impl BlockCache {
         });
     }
 
-    /// Records a jump arrival at `ip`: bumps the hotness counter, compiles
-    /// the region once hot, and hands out the compiled block (its `Box`
-    /// taken from the slot and marked active; its range entry stays
-    /// registered so store invalidation keeps seeing it) when one exists.
-    fn arrive(&mut self, ip: u32, state: &StateVector) -> Option<Box<CompiledBlock>> {
+    /// Records a jump arrival at `ip`: bumps the hotness counter and
+    /// compiles the region into its slot once hot. Returns the slot index
+    /// when a compiled block rests there.
+    fn arrive(&mut self, ip: u32, state: &StateVector) -> Option<usize> {
         if ip % INSTRUCTION_BYTES != 0 {
             return None;
         }
@@ -367,13 +460,7 @@ impl BlockCache {
         let slot = self.blocks.get_mut(index)?;
         match slot {
             BlockSlot::Rejected => None,
-            BlockSlot::Compiled(_) => {
-                let taken = std::mem::replace(slot, BlockSlot::Counting(self.config.hot_threshold));
-                let BlockSlot::Compiled(block) = taken else { unreachable!() };
-                self.active =
-                    Some(ActiveBlock { start: block.entry, end: block.end(), invalidated: false });
-                Some(block)
-            }
+            BlockSlot::Compiled(_) => Some(index),
             BlockSlot::Counting(n) => {
                 *n = n.saturating_add(1);
                 if *n < self.config.hot_threshold.max(1) {
@@ -381,13 +468,11 @@ impl BlockCache {
                 }
                 match compile_block(state, ip) {
                     Some(block) => {
-                        self.stats.blocks_compiled += 1;
-                        self.stats.fused_ops += block.fused as u64;
-                        let end = block.end();
-                        self.ranges.push((block.entry, end, index as u32));
-                        self.active =
-                            Some(ActiveBlock { start: block.entry, end, invalidated: false });
-                        Some(Box::new(block))
+                        self.code.stats.blocks_compiled += 1;
+                        self.code.stats.fused_ops += block.fused as u64;
+                        self.code.ranges.push((block.entry, block.end(), index as u32));
+                        *slot = BlockSlot::Compiled(Box::new(block));
+                        Some(index)
                     }
                     None => {
                         *slot = BlockSlot::Rejected;
@@ -398,70 +483,53 @@ impl BlockCache {
         }
     }
 
-    /// Returns a block after execution: reinserted into its slot unless a
-    /// store invalidated it mid-flight, in which case it is dropped (the
-    /// invalidation already removed its range and reset the slot's hotness
-    /// to zero, avoiding a compile/invalidate thrash on self-modifying
-    /// loops).
-    fn finish(&mut self, block: Box<CompiledBlock>, retired: u64) {
-        self.stats.tier1_instructions += retired;
-        let active = self.active.take().expect("finish without an active block");
-        if !active.invalidated {
-            let index = (block.entry / INSTRUCTION_BYTES) as usize;
-            self.blocks[index] = BlockSlot::Compiled(block);
+    /// Ends a block execution: counts its retired constituents and resets
+    /// every slot whose block one of its stores invalidated — the executing
+    /// block's own included — to a zero hotness count, avoiding a
+    /// compile/invalidate thrash on self-modifying loops. The resets wait
+    /// until here because the slot table is borrowed while blocks execute.
+    fn finish(&mut self, retired: u64) {
+        self.code.stats.tier1_instructions += retired;
+        for slot in self.code.resets.drain(..) {
+            self.blocks[slot as usize] = BlockSlot::Counting(0);
         }
     }
 
-    /// Whether the currently executing block has been invalidated by one of
-    /// its own stores.
-    fn active_invalidated(&self) -> bool {
-        self.active.as_ref().is_some_and(|active| active.invalidated)
-    }
-
-    /// Drops every compiled block overlapping the written byte range and
-    /// flags the active block when it is hit. Shares the written-range
-    /// geometry with the decoded-slot invalidation that already ran.
+    /// Drops every compiled block overlapping the written byte range. No
+    /// block is executing, so the hit slots reset at once. Kept out of
+    /// line: every store pays the call, few stores hit compiled code.
+    #[inline(never)]
     fn invalidate_blocks(&mut self, addr: u32, len: u32) {
-        if len == 0 || (self.ranges.is_empty() && self.active.is_none()) {
+        if len == 0 || self.code.ranges.is_empty() {
             return;
         }
-        let end = addr.saturating_add(len);
-        if let Some(active) = self.active.as_mut() {
-            if !active.invalidated && addr < active.end && end > active.start {
-                // Counted by the range sweep below — the active block's
-                // range entry is still registered.
-                active.invalidated = true;
-            }
-        }
         let blocks = &mut self.blocks;
-        let stats = &mut self.stats;
-        self.ranges.retain(|&(start, block_end, slot)| {
-            let hit = addr < block_end && end > start;
-            if hit {
-                blocks[slot as usize] = BlockSlot::Counting(0);
-                stats.blocks_invalidated += 1;
-            }
-            !hit
-        });
+        drop_ranges(
+            &mut self.code.ranges,
+            &mut self.code.stats,
+            addr,
+            addr.saturating_add(len),
+            |slot| blocks[slot as usize] = BlockSlot::Counting(0),
+        );
     }
 }
 
 impl DecodeCache for BlockCache {
     #[inline]
     fn cached(&self, addr: u32) -> Option<Instruction> {
-        self.decoded.cached(addr)
+        self.code.decoded.cached(addr)
     }
 
     #[inline]
     fn remember(&mut self, addr: u32, instruction: Instruction) {
-        self.decoded.remember(addr, instruction);
+        self.code.decoded.remember(addr, instruction);
     }
 
     #[inline]
     fn invalidate(&mut self, addr: u32, len: u32) {
         // The single shared invalidation path: decoded slots and compiled
         // blocks go stale together or not at all.
-        self.decoded.invalidate(addr, len);
+        self.code.decoded.invalidate(addr, len);
         self.invalidate_blocks(addr, len);
     }
 }
@@ -489,9 +557,11 @@ pub enum SegmentExit {
 /// This is the tier-up driver: hot regions run as compiled blocks, cold
 /// ones single-step through [`transition_cached`] with the `BlockCache` as
 /// the decode cache. Hotness is consulted only at jump arrivals (and at
-/// segment entry), so sequential fall-through execution pays nothing.
-/// Results — final state, dependency footprint, retired counts — are
-/// bit-identical to a pure tier-0 loop.
+/// segment entry), so sequential fall-through execution pays nothing; a
+/// block execution chains through compiled successors on its own and comes
+/// back here only when it cannot continue in tier-1. Results — final
+/// state, dependency footprint, retired counts — are bit-identical to a
+/// pure tier-0 loop.
 pub fn run_segment<D: DepSink>(
     state: &mut StateVector,
     deps: &mut D,
@@ -506,9 +576,20 @@ pub fn run_segment<D: DepSink>(
     while retired < budget {
         let ip = state.ip();
         if arrival {
-            if let Some(block) = cache.arrive(ip, state) {
-                let exit = execute_block(&block, state, deps, cache, stop_ip, budget - retired);
-                cache.finish(block, exit.retired);
+            if let Some(index) = cache.arrive(ip, state) {
+                let BlockSlot::Compiled(block) = &cache.blocks[index] else {
+                    unreachable!("arrive returned a slot without a compiled block")
+                };
+                let exit = execute_block(
+                    &cache.blocks,
+                    block,
+                    state,
+                    deps,
+                    &mut cache.code,
+                    stop_ip,
+                    budget - retired,
+                );
+                cache.finish(exit.retired);
                 retired += exit.retired;
                 if let Some(error) = exit.fault {
                     return (retired, SegmentExit::Fault(error));
@@ -529,7 +610,7 @@ pub fn run_segment<D: DepSink>(
         match transition_cached(state, deps, cache) {
             Ok(StepOutcome::Continue) => {
                 retired += 1;
-                cache.stats.tier0_instructions += 1;
+                cache.code.stats.tier0_instructions += 1;
                 let new_ip = state.ip();
                 if new_ip == stop_ip {
                     return (retired, SegmentExit::StopIp);
@@ -551,32 +632,79 @@ struct BlockExit {
     fault: Option<VmError>,
 }
 
-/// Runs a compiled block's micro-ops with the threaded dispatch loop.
+/// The compiled block resting in `ip`'s slot, when execution may continue
+/// straight into it: only while no store has left a slot reset pending,
+/// since the pending slot could be this one.
+#[inline]
+fn successor<'b>(
+    blocks: &'b [BlockSlot],
+    code: &CodeTracker,
+    ip: u32,
+) -> Option<&'b CompiledBlock> {
+    if !code.resets.is_empty() || ip % INSTRUCTION_BYTES != 0 {
+        return None;
+    }
+    match blocks.get((ip / INSTRUCTION_BYTES) as usize) {
+        Some(BlockSlot::Compiled(block)) => Some(block),
+        _ => None,
+    }
+}
+
+/// Runs compiled blocks with the threaded dispatch loop, starting at
+/// `block` and borrowing each from the slot table `blocks`: a terminator
+/// that jumps to a slot holding a compiled block continues in that block
+/// (see [`successor`]); any other exit returns to `run_segment`.
+fn execute_block<'b, D: DepSink>(
+    blocks: &'b [BlockSlot],
+    mut block: &'b CompiledBlock,
+    state: &mut StateVector,
+    deps: &mut D,
+    code: &mut CodeTracker,
+    stop_ip: u32,
+    budget: u64,
+) -> BlockExit {
+    let mut ctx = Ctx { state, deps, code };
+    let mut retired: u64 = 0;
+    loop {
+        let next;
+        (next, retired) = match run_block(&mut ctx, block, stop_ip, budget, retired) {
+            ControlFlow::Continue(jumped) => jumped,
+            ControlFlow::Break(exit) => return exit,
+        };
+        match successor(blocks, ctx.code, next) {
+            Some(chained) => block = chained,
+            None => return BlockExit { retired, fault: None },
+        }
+    }
+}
+
+/// Runs one compiled block, `retired` constituents into the execution.
 ///
-/// When the terminator jumps back to the block's own entry — the shape of
-/// every hot loop — execution re-enters the block directly, without going
-/// back through arrival bookkeeping, until the budget runs out, the stop IP
-/// is reached, or a store invalidates the block. A micro-op that would
-/// overrun the remaining budget (or an interior stop IP) is not started;
-/// the caller single-steps across the boundary.
+/// At the terminator, execution stops when the budget is spent, the next
+/// IP is the stop IP, or a store invalidated the block. Otherwise a jump
+/// back to the block's own entry — the shape of every hot loop — re-enters
+/// it directly, and a jump anywhere else continues with `(next IP,
+/// retired)` for the caller to chain. A micro-op that would overrun the
+/// remaining budget (or an interior stop IP) is not started;
+/// `run_segment` single-steps across the boundary. `Break` carries the final exit.
 ///
 /// The IP is read once at entry and written once per block exit;
 /// per-constituent fetch reads are recorded in strict fetch-then-execute
 /// order, so the dependency footprint matches tier-0 byte for byte.
-fn execute_block<D: DepSink>(
+#[inline(always)]
+fn run_block<D: DepSink>(
+    ctx: &mut Ctx<'_, D, CodeTracker>,
     block: &CompiledBlock,
-    state: &mut StateVector,
-    deps: &mut D,
-    cache: &mut BlockCache,
     stop_ip: u32,
     budget: u64,
-) -> BlockExit {
-    let mut ctx = Ctx { state, deps, code: cache };
+    mut retired: u64,
+) -> ControlFlow<BlockExit, (u32, u64)> {
+    let entry = block.entry;
+    ctx.code.active = ActiveBlock { start: entry, end: block.end(), invalidated: false };
     // The interpreter reads the IP before every fetch; inside the block the
     // value is statically known, so one read at entry is FSM-equivalent
     // (later reads would all be reads-after-write).
     ctx.note_read(IP_OFFSET, 4);
-    let entry = block.entry;
     // An interior stop IP caps every pass at the constituent whose
     // retirement lands the IP exactly on it.
     let delta = stop_ip.wrapping_sub(entry);
@@ -587,107 +715,117 @@ fn execute_block<D: DepSink>(
     } else {
         u32::MAX
     };
-    let mut retired: u64 = 0;
     'pass: loop {
         let limit = (budget - retired).min(block.len as u64).min(interior_stop as u64) as u32;
         // Constituents retired so far in this pass over the block.
         let mut pass: u32 = 0;
-        for op in &block.ops {
-            if pass + op.count as u32 > limit {
-                break;
+        'stop: {
+            for op in &block.ops {
+                if pass + op.count as u32 > limit {
+                    break 'stop;
+                }
+                let addr = entry + pass * INSTRUCTION_BYTES;
+                ctx.note_read(MEM_BASE + addr as usize, INSTRUCTION_BYTES as usize);
+                match &op.kind {
+                    OpKind::One(lowered) => {
+                        if let Err(error) = exec_lowered(ctx, lowered, addr) {
+                            return ControlFlow::Break(fault_exit(
+                                ctx, entry, pass, retired, error,
+                            ));
+                        }
+                    }
+                    OpKind::Pair(first, second) => {
+                        if let Err(error) = exec_lowered(ctx, first, addr) {
+                            return ControlFlow::Break(fault_exit(
+                                ctx, entry, pass, retired, error,
+                            ));
+                        }
+                        let next = addr + INSTRUCTION_BYTES;
+                        ctx.note_read(MEM_BASE + next as usize, INSTRUCTION_BYTES as usize);
+                        if let Err(error) = exec_lowered(ctx, second, next) {
+                            return ControlFlow::Break(fault_exit(
+                                ctx,
+                                entry,
+                                pass + 1,
+                                retired,
+                                error,
+                            ));
+                        }
+                    }
+                }
+                pass += op.count as u32;
+                // A store may have invalidated this block: stop at the
+                // micro-op boundary, exactly where the interpreter
+                // would next re-fetch the modified bytes.
+                if op.writes_mem && ctx.code.active.invalidated {
+                    break 'stop;
+                }
             }
-            let addr = entry + op.first as u32 * INSTRUCTION_BYTES;
-            match &op.kind {
-                OpKind::One(lowered) => {
+            let Some(exit) = &block.exit else { break 'stop };
+            let addr = entry + pass * INSTRUCTION_BYTES;
+            let (next, count) = match exit {
+                Terminator::Jump { target } => {
+                    if pass + 1 > limit {
+                        break 'stop;
+                    }
                     ctx.note_read(MEM_BASE + addr as usize, INSTRUCTION_BYTES as usize);
-                    if let Err(error) = exec_lowered(&mut ctx, lowered, addr) {
-                        return fault_exit(&mut ctx, entry, pass, retired, error);
-                    }
+                    (*target, 1)
                 }
-                OpKind::Pair(first, second) => {
+                Terminator::Branch { cmp: Some((lhs_reg, rhs)), opcode, target } => {
+                    if pass + 2 > limit {
+                        break 'stop;
+                    }
                     ctx.note_read(MEM_BASE + addr as usize, INSTRUCTION_BYTES as usize);
-                    if let Err(error) = exec_lowered(&mut ctx, first, addr) {
-                        return fault_exit(&mut ctx, entry, pass, retired, error);
-                    }
-                    let next = addr + INSTRUCTION_BYTES;
-                    ctx.note_read(MEM_BASE + next as usize, INSTRUCTION_BYTES as usize);
-                    if let Err(error) = exec_lowered(&mut ctx, second, next) {
-                        return fault_exit(&mut ctx, entry, pass + 1, retired, error);
-                    }
-                }
-                OpKind::Jump { target } => {
-                    ctx.note_read(MEM_BASE + addr as usize, INSTRUCTION_BYTES as usize);
-                    ctx.write_ip(*target);
-                    retired += (pass + 1) as u64;
-                    if *target == entry
-                        && *target != stop_ip
-                        && retired < budget
-                        && !ctx.code.active_invalidated()
-                    {
-                        continue 'pass;
-                    }
-                    return BlockExit { retired, fault: None };
-                }
-                OpKind::Branch { cmp, opcode, target } => {
-                    let flags = match cmp {
-                        Some((lhs_reg, rhs)) => {
-                            ctx.note_read(MEM_BASE + addr as usize, INSTRUCTION_BYTES as usize);
-                            let lhs = ctx.read_reg(*lhs_reg);
-                            let rhs = match rhs {
-                                CmpRhs::Reg(reg) => ctx.read_reg(*reg),
-                                CmpRhs::Imm(imm) => *imm,
-                            };
-                            let flags = Flags::compare(lhs, rhs);
-                            ctx.write_flags(flags);
-                            let next = addr + INSTRUCTION_BYTES;
-                            ctx.note_read(MEM_BASE + next as usize, INSTRUCTION_BYTES as usize);
-                            // The compare just wrote the flags; using the
-                            // value directly instead of the interpreter's
-                            // read-back is FSM-equivalent
-                            // (read-after-write).
-                            flags
-                        }
-                        None => {
-                            ctx.note_read(MEM_BASE + addr as usize, INSTRUCTION_BYTES as usize);
-                            ctx.read_flags()
-                        }
+                    let lhs = ctx.read_reg(*lhs_reg);
+                    let rhs = match rhs {
+                        CmpRhs::Reg(reg) => ctx.read_reg(*reg),
+                        CmpRhs::Imm(imm) => *imm,
                     };
-                    let next = if branch_taken(*opcode, flags) { *target } else { block.end() };
-                    ctx.write_ip(next);
-                    retired += (pass + op.count as u32) as u64;
-                    if next == entry
-                        && next != stop_ip
-                        && retired < budget
-                        && !ctx.code.active_invalidated()
-                    {
-                        continue 'pass;
-                    }
-                    return BlockExit { retired, fault: None };
+                    let flags = Flags::compare(lhs, rhs);
+                    ctx.write_flags(flags);
+                    let jump = addr + INSTRUCTION_BYTES;
+                    ctx.note_read(MEM_BASE + jump as usize, INSTRUCTION_BYTES as usize);
+                    // The compare just wrote the flags; using the value
+                    // directly instead of the interpreter's read-back
+                    // is FSM-equivalent (read-after-write).
+                    (if branch_taken(*opcode, flags) { *target } else { block.end() }, 2)
                 }
+                Terminator::Branch { cmp: None, opcode, target } => {
+                    if pass + 1 > limit {
+                        break 'stop;
+                    }
+                    ctx.note_read(MEM_BASE + addr as usize, INSTRUCTION_BYTES as usize);
+                    let flags = ctx.read_flags();
+                    (if branch_taken(*opcode, flags) { *target } else { block.end() }, 1)
+                }
+            };
+            ctx.write_ip(next);
+            retired += (pass + count) as u64;
+            if next != stop_ip && retired < budget && !ctx.code.active.invalidated {
+                if next == entry {
+                    continue 'pass;
+                }
+                return ControlFlow::Continue((next, retired));
             }
-            pass += op.count as u32;
-            // A store may have invalidated this block: stop at the micro-op
-            // boundary, exactly where the interpreter would next re-fetch
-            // the modified bytes.
-            if op.writes_mem && ctx.code.active_invalidated() {
-                break;
-            }
+            return ControlFlow::Break(BlockExit { retired, fault: None });
         }
-        // Early stop or fall-off end: the next instruction is sequential.
+        // Early stop or fall-off end: the next instruction is
+        // sequential. (With `pass == 0` the IP already holds `entry`.)
         if pass > 0 {
             ctx.write_ip(entry + pass * INSTRUCTION_BYTES);
         }
-        return BlockExit { retired: retired + pass as u64, fault: None };
+        return ControlFlow::Break(BlockExit { retired: retired + pass as u64, fault: None });
     }
 }
 
 /// Exits a block on a faulting constituent. `completed` constituents fully
 /// retired in the current pass before the fault (`retired` counts earlier
-/// passes); the faulting one performed zero writes, and the IP points at it
-/// (written by its predecessor — a prior constituent or the loop-back
-/// terminator — or never touched when the very first constituent faults).
+/// passes and blocks); the faulting one performed zero writes, and the IP
+/// points at it (written by its predecessor — a prior constituent or the
+/// terminator that entered this pass — or never touched when the very
+/// first constituent faults).
 fn fault_exit<D: DepSink>(
-    ctx: &mut Ctx<'_, D, BlockCache>,
+    ctx: &mut Ctx<'_, D, CodeTracker>,
     entry: u32,
     completed: u32,
     retired: u64,
@@ -749,7 +887,7 @@ fn is_reg_op(opcode: Opcode) -> bool {
 /// order.
 #[inline(always)]
 fn exec_lowered<D: DepSink>(
-    ctx: &mut Ctx<'_, D, BlockCache>,
+    ctx: &mut Ctx<'_, D, CodeTracker>,
     op: &Lowered,
     addr: u32,
 ) -> VmResult<()> {
@@ -891,41 +1029,30 @@ fn compile_block(state: &StateVector, entry: u32) -> Option<CompiledBlock> {
             OpKind::Pair(..) => 2u16,
             _ => 1u16,
         };
-        ops.push(MicroOp { kind, first: i as u16, count, writes_mem });
+        ops.push(MicroOp { kind, count, writes_mem });
         i += count as usize;
     }
-    if let Some(t) = terminator {
-        if is_jcc(t.opcode) {
-            let cmp = fuse_cmp.then(|| {
-                let compare = straight[straight_end];
-                let rhs = match compare.opcode {
-                    Opcode::CmpI => CmpRhs::Imm(compare.imm as u32),
-                    _ => CmpRhs::Reg(compare.b),
-                };
-                (compare.a, rhs)
-            });
-            if fuse_cmp {
-                fused += 1;
-            }
-            ops.push(MicroOp {
-                kind: OpKind::Branch { cmp, opcode: t.opcode, target: t.imm as u32 },
-                first: straight_end as u16,
-                count: 1 + u16::from(fuse_cmp),
-                writes_mem: false,
-            });
-        } else {
-            ops.push(MicroOp {
-                kind: OpKind::Jump { target: t.imm as u32 },
-                first: straight.len() as u16,
-                count: 1,
-                writes_mem: false,
-            });
+    let exit = terminator.map(|t| {
+        if !is_jcc(t.opcode) {
+            return Terminator::Jump { target: t.imm as u32 };
         }
-    }
+        let cmp = fuse_cmp.then(|| {
+            let compare = straight[straight_end];
+            let rhs = match compare.opcode {
+                Opcode::CmpI => CmpRhs::Imm(compare.imm as u32),
+                _ => CmpRhs::Reg(compare.b),
+            };
+            (compare.a, rhs)
+        });
+        if fuse_cmp {
+            fused += 1;
+        }
+        Terminator::Branch { cmp, opcode: t.opcode, target: t.imm as u32 }
+    });
 
     let start = MEM_BASE + entry as usize;
     let code = state.as_bytes()[start..start + (len * INSTRUCTION_BYTES) as usize].to_vec();
-    Some(CompiledBlock { entry, len, ops, fused, code })
+    Some(CompiledBlock { entry, len, ops, exit, fused, code })
 }
 
 /// Runs `state` to completion (or `budget`) under the tiered driver and a
@@ -1346,5 +1473,211 @@ mod tests {
         assert_eq!(retired, 100);
         assert_eq!(cache.stats().blocks_compiled, 0);
         assert_eq!(cache.stats().tier0_instructions, 100);
+    }
+
+    // The counters the block executor produced for the chaining tests below
+    // before it chained blocks: chaining changes where a successor is
+    // entered from, never what compiles, invalidates or retires.
+    const STORE_INTO_SUCCESSOR_STATS: TierStats = TierStats {
+        blocks_compiled: 8,
+        blocks_invalidated: 5,
+        fused_ops: 14,
+        tier1_instructions: 45,
+        tier0_instructions: 0,
+    };
+    const STORE_INTO_EXECUTING_STATS: TierStats = TierStats {
+        blocks_compiled: 4,
+        blocks_invalidated: 1,
+        fused_ops: 7,
+        tier1_instructions: 57,
+        tier0_instructions: 0,
+    };
+    const STOP_IP_CHAIN_STATS: TierStats = TierStats {
+        blocks_compiled: 14,
+        blocks_invalidated: 0,
+        fused_ops: 10,
+        tier1_instructions: 453,
+        tier0_instructions: 20,
+    };
+    const BUDGET_CHAIN_STATS: TierStats = TierStats {
+        blocks_compiled: 183,
+        blocks_invalidated: 0,
+        fused_ops: 120,
+        tier1_instructions: 1811,
+        tier0_instructions: 79,
+    };
+    const FAULT_CHAIN_STATS: TierStats = TierStats {
+        blocks_compiled: 6,
+        blocks_invalidated: 0,
+        fused_ops: 4,
+        tier1_instructions: 47,
+        tier0_instructions: 0,
+    };
+
+    /// Tier-0 reference for one `run_segment` call: single-steps until the
+    /// IP equals `stop_ip`, the program halts or faults, or `budget`
+    /// instructions retired.
+    fn tier0_segment(
+        state: &mut StateVector,
+        deps: &mut DepVector,
+        stop_ip: u32,
+        budget: u64,
+    ) -> (u64, SegmentExit) {
+        let mut retired = 0u64;
+        while retired < budget {
+            match transition(state, Some(deps)) {
+                Ok(StepOutcome::Continue) => {
+                    retired += 1;
+                    if state.ip() == stop_ip {
+                        return (retired, SegmentExit::StopIp);
+                    }
+                }
+                Ok(StepOutcome::Halted) => return (retired, SegmentExit::Halted),
+                Err(error) => return (retired, SegmentExit::Fault(error)),
+            }
+        }
+        (retired, SegmentExit::Budget)
+    }
+
+    /// Runs `program` through successive segments (one per `(stop_ip,
+    /// budget)` pair, one cache throughout) under tier-0 and under the
+    /// tiered `run_segment` with an eager threshold. Asserts equal final states,
+    /// retired counts, exits and read/write sets after every segment, and
+    /// returns the tier counters.
+    fn assert_segments_match_tier0(program: &[I], segments: &[(u32, u64)]) -> TierStats {
+        let mut plain = machine_with(program, 512);
+        let mut tiered = plain.clone();
+        let mut cache = BlockCache::new(&tiered, eager());
+        for (i, &(stop_ip, budget)) in segments.iter().enumerate() {
+            let mut plain_deps = DepVector::new(plain.len_bytes());
+            let mut tiered_deps = DepVector::new(tiered.len_bytes());
+            let expected = tier0_segment(&mut plain, &mut plain_deps, stop_ip, budget);
+            let actual = run_segment(&mut tiered, &mut tiered_deps, &mut cache, stop_ip, budget);
+            assert_eq!(actual, expected, "segment {i} (stop {stop_ip}, budget {budget})");
+            assert_eq!(tiered, plain, "segment {i} (stop {stop_ip}, budget {budget})");
+            assert_eq!(tiered_deps, plain_deps, "segment {i} (stop {stop_ip}, budget {budget})");
+        }
+        cache.stats()
+    }
+
+    /// Two blocks chained in a loop: A at 16 (`addi`, `jmp`) jumps to B at
+    /// 32, whose fused compare+branch returns to A. The `jmp` at 8 makes
+    /// A's first visit an arrival.
+    fn chain_loop(iterations: i32) -> Vec<I> {
+        vec![
+            I::ri(Opcode::MovI, r(1), iterations), // 0
+            I::i(Opcode::Jmp, 16),                 // 8
+            I::rri(Opcode::AddI, r(1), r(1), -1),  // 16: A
+            I::i(Opcode::Jmp, 32),                 // 24
+            I::rrr(Opcode::Add, r(2), r(2), r(1)), // 32: B
+            I::rri(Opcode::MulI, r(3), r(2), 3),   // 40
+            I::ri(Opcode::CmpI, r(1), 0),          // 48
+            I::i(Opcode::Jne, 16),                 // 56
+            I::bare(Opcode::Halt),                 // 64
+        ]
+    }
+
+    #[test]
+    fn store_into_compiled_successor_is_not_chained_into() {
+        // A's store rewrites the immediate of B's first instruction with
+        // the loop counter on every pass, so B is compiled and resting
+        // whenever the store hits it. B must not be entered from A's
+        // terminator; it recompiles from the new bytes instead.
+        let program = [
+            I::ri(Opcode::MovI, r(1), 6),          // 0
+            I::ri(Opcode::MovI, r(5), 52),         // 8: B's immediate
+            I::i(Opcode::Jmp, 24),                 // 16
+            I::rri(Opcode::AddI, r(1), r(1), -1),  // 24: A
+            I::rri(Opcode::StW, r(5), r(1), 0),    // 32: patch B
+            I::i(Opcode::Jmp, 48),                 // 40
+            I::ri(Opcode::MovI, r(3), 100),        // 48: B, imm patched
+            I::rrr(Opcode::Add, r(4), r(4), r(3)), // 56
+            I::ri(Opcode::CmpI, r(1), 0),          // 64
+            I::i(Opcode::Jne, 24),                 // 72
+            I::bare(Opcode::Halt),                 // 80
+        ];
+        let stats = assert_segments_match_tier0(&program, &[(u32::MAX, 1000)]);
+        assert_eq!(stats, STORE_INTO_SUCCESSOR_STATS);
+    }
+
+    #[test]
+    fn store_into_executing_block_after_a_chain_stops_at_micro_op_boundary() {
+        // B's store lands in data on every pass but the last, where it
+        // patches B's own `movi r3, 9` (at 72) to `movi r3, 0` — after A
+        // chained into B. B must stop at the store's micro-op and tier-0
+        // must fetch the patched bytes.
+        let program = [
+            I::ri(Opcode::MovI, r(1), 5),          // 0
+            I::i(Opcode::Jmp, 16),                 // 8
+            I::rri(Opcode::AddI, r(1), r(1), -1),  // 16: A
+            I::i(Opcode::Jmp, 32),                 // 24
+            I::rri(Opcode::MulI, r(7), r(1), 64),  // 32: B
+            I::rri(Opcode::StW, r(7), r(1), 76),   // 40: r1 == 0 hits 76
+            I::rri(Opcode::AddI, r(4), r(4), 1),   // 48
+            I::rri(Opcode::AddI, r(4), r(4), 2),   // 56
+            I::rri(Opcode::AddI, r(6), r(6), 1),   // 64
+            I::ri(Opcode::MovI, r(3), 9),          // 72: imm at 76
+            I::rrr(Opcode::Add, r(2), r(2), r(3)), // 80
+            I::ri(Opcode::CmpI, r(1), 0),          // 88
+            I::i(Opcode::Jne, 16),                 // 96
+            I::bare(Opcode::Halt),                 // 104
+        ];
+        // One segment per pass, each stopping at A's entry: every block
+        // execution starts in A and reaches B only through the chain.
+        let mut segments = [(16, 1000); 6];
+        segments[5].0 = u32::MAX;
+        let stats = assert_segments_match_tier0(&program, &segments);
+        assert_eq!(stats, STORE_INTO_EXECUTING_STATS);
+    }
+
+    #[test]
+    fn stop_ip_at_and_inside_a_chained_successor_is_exact() {
+        // 32 is B's entry; 40 and 48 lie inside it; 16 is A's entry.
+        let mut stats = TierStats::default();
+        for stop in [32u32, 40, 48, 16] {
+            stats.merge(&assert_segments_match_tier0(&chain_loop(40), &[(stop, 10_000); 20]));
+        }
+        assert_eq!(stats, STOP_IP_CHAIN_STATS);
+    }
+
+    #[test]
+    fn budget_runs_out_inside_a_chained_successor() {
+        let mut stats = TierStats::default();
+        for budget in 1..60u64 {
+            stats.merge(&assert_segments_match_tier0(&chain_loop(40), &[(u32::MAX, budget)]));
+        }
+        // Short budgets resumed segment after segment on one cache.
+        stats.merge(&assert_segments_match_tier0(&chain_loop(40), &[(u32::MAX, 3); 40]));
+        assert_eq!(stats, BUDGET_CHAIN_STATS);
+    }
+
+    #[test]
+    fn fault_inside_a_chained_block_is_exact() {
+        // B divides by A's counter and faults once it reaches zero, in
+        // B's first constituent (`div_first`) or inside a fused pair.
+        let mut stats = TierStats::default();
+        for div_first in [true, false] {
+            let divide = I::rrr(Opcode::Div, r(3), r(2), r(1));
+            let count = I::rri(Opcode::AddI, r(5), r(5), 1);
+            let (b0, b1) = if div_first { (divide, count) } else { (count, divide) };
+            let program = [
+                I::ri(Opcode::MovI, r(1), 4),          // 0
+                I::ri(Opcode::MovI, r(2), 100),        // 8
+                I::i(Opcode::Jmp, 24),                 // 16
+                I::rri(Opcode::AddI, r(1), r(1), -1),  // 24: A
+                I::i(Opcode::Jmp, 40),                 // 32
+                b0,                                    // 40: B
+                b1,                                    // 48
+                I::rrr(Opcode::Add, r(4), r(4), r(3)), // 56
+                I::i(Opcode::Jmp, 24),                 // 64
+                I::bare(Opcode::Halt),                 // 72
+            ];
+            let mut plain = machine_with(&program, 512);
+            let mut deps = DepVector::new(plain.len_bytes());
+            let (_, exit) = tier0_segment(&mut plain, &mut deps, u32::MAX, 1000);
+            assert!(matches!(exit, SegmentExit::Fault(VmError::DivideByZero { .. })), "{exit:?}");
+            stats.merge(&assert_segments_match_tier0(&program, &[(u32::MAX, 1000)]));
+        }
+        assert_eq!(stats, FAULT_CHAIN_STATS);
     }
 }

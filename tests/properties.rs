@@ -703,3 +703,224 @@ mod format_robustness {
         assert!(load.loaded <= cache.len() as u64);
     }
 }
+
+/// Emits one straight-line item of a generated program: an ALU op, a
+/// compare, a load or store in the data window at `r10`, a computed-address
+/// access through `r7`, a store into the `movi` immediate `r12` points at,
+/// or a `div`/`rem` whose divisor may be zero. Writes only `r1`–`r7`.
+fn gen_straight(rng: &mut XorShiftRng, out: &mut String) {
+    const ALU: [&str; 9] = ["add", "sub", "mul", "and", "or", "xor", "shl", "shr", "sar"];
+    let reg = |rng: &mut XorShiftRng| 1 + gen_index(rng, 6);
+    let (d, a, b) = (reg(rng), reg(rng), reg(rng));
+    let imm = gen_index(rng, 24) as i32 - 8;
+    let offset = 4 * gen_index(rng, 16);
+    let line = match gen_index(rng, 12) {
+        0 => format!("movi r{d}, {imm}"),
+        1 | 2 => format!("{} r{d}, r{a}, r{b}", ALU[gen_index(rng, ALU.len())]),
+        3 => format!("{} r{d}, r{a}, {imm}", ALU[gen_index(rng, ALU.len())]),
+        4 => format!("cmp r{a}, r{b}"),
+        5 => format!("ldw r{d}, [r10+{offset}]"),
+        6 => format!("stw [r10+{offset}], r{a}"),
+        7 => format!("ldb r{d}, [r10+{}]", gen_index(rng, 64)),
+        8 => {
+            let access = if rng.gen_bool(0.5) {
+                format!("ldw r{d}, [r7+0]")
+            } else {
+                format!("stw [r7+0], r{b}")
+            };
+            format!("and r7, r{a}, 60\n    add r7, r7, r10\n    {access}")
+        }
+        9 if rng.gen_bool(0.5) => format!("stb [r12+{}], r{a}", 4 + gen_index(rng, 4)),
+        9 => format!("stw [r12+4], r{a}"),
+        10 => format!("{} r{d}, r{a}, r{b}", if rng.gen_bool(0.5) { "div" } else { "rem" }),
+        _ => format!("{} r{d}, r{a}", ["mov", "neg", "not"][gen_index(rng, 3)]),
+    };
+    out.push_str("    ");
+    out.push_str(&line);
+    out.push('\n');
+}
+
+/// A generated program of `blocks` labelled blocks `b0`… and a final
+/// `end: halt`. Each block opens with a patchable `movi` (`p<i>`), may
+/// point `r12` at its jump target's or another block's, holds 2–4
+/// straight-line items, may store into the code `r12` points at, and ends
+/// in a forward conditional jump, a fuel-bounded backward jump (`r14` only
+/// ever counts down), a forward `jmp` or a fall-through.
+fn gen_program(rng: &mut XorShiftRng, blocks: usize) -> String {
+    const JCC: [&str; 8] = ["jeq", "jne", "jlt", "jle", "jgt", "jge", "jltu", "jgeu"];
+    let mut src = String::from(".text\nmain:\n");
+    for reg in 1..=6 {
+        src.push_str(&format!("    movi r{reg}, {}\n", gen_index(rng, 12) as i32 - 3));
+    }
+    src.push_str("    movi r10, 2048\n");
+    src.push_str(&format!("    movi r12, p{}\n", gen_index(rng, blocks)));
+    src.push_str(&format!("    movi r14, {}\n", 16 + gen_index(rng, 64)));
+    let label = |j: usize| if j == blocks { "end".to_string() } else { format!("b{j}") };
+    for i in 0..blocks {
+        // The terminator comes first, so the block can patch its target.
+        let kind = gen_index(rng, 8);
+        let target = match kind {
+            3..=5 => gen_index(rng, i + 1),
+            _ => i + 1 + gen_index(rng, blocks - i),
+        };
+        // `r9` sums what each block's patchable `movi` loaded: stale code
+        // shows in it for good.
+        src.push_str(&format!("b{i}:\np{i}:\n    movi r8, {i}\n    add r9, r9, r8\n"));
+        if rng.gen_bool(0.3) {
+            let patched = if rng.gen_bool(0.5) { target } else { gen_index(rng, blocks) };
+            src.push_str(&format!("    movi r12, p{}\n", patched.min(blocks - 1)));
+        }
+        for _ in 0..2 + gen_index(rng, 3) {
+            gen_straight(rng, &mut src);
+        }
+        if rng.gen_bool(0.25) {
+            src.push_str("    stw [r12+4], r9\n");
+        }
+        match kind {
+            0..=2 => {
+                let (a, b) = (1 + gen_index(rng, 6), 1 + gen_index(rng, 6));
+                let jcc = JCC[gen_index(rng, JCC.len())];
+                src.push_str(&format!("    cmp r{a}, r{b}\n    {jcc} {}\n", label(target)));
+            }
+            3..=5 => {
+                src.push_str(&format!("    sub r14, r14, 1\n    cmpi r14, 0\n    jgt b{target}\n"));
+            }
+            6 => src.push_str(&format!("    jmp {}\n", label(target))),
+            _ => {}
+        }
+    }
+    src.push_str("end:\n    halt\n");
+    src
+}
+
+/// One segment's result: retired count, exit, the state after it and the
+/// segment's dependency sink.
+type Segment<D> = (u64, asc::tvm::SegmentExit, StateVector, D);
+
+/// Runs `state` in segments of up to `chunk` instructions until it halts,
+/// faults or has retired `cap` instructions. `step` executes one segment
+/// with a fresh sink from `new_deps`.
+fn run_in_segments<D>(
+    state: &mut StateVector,
+    chunk: u64,
+    cap: u64,
+    mut new_deps: impl FnMut(&StateVector) -> D,
+    mut step: impl FnMut(&mut StateVector, &mut D, u64) -> (u64, asc::tvm::SegmentExit),
+) -> Vec<Segment<D>> {
+    use asc::tvm::SegmentExit;
+    let mut segments = Vec::new();
+    let mut total = 0;
+    while total < cap {
+        let mut deps = new_deps(state);
+        let (retired, exit) = step(state, &mut deps, chunk.min(cap - total));
+        total += retired;
+        let done = matches!(exit, SegmentExit::Halted | SegmentExit::Fault(_));
+        segments.push((retired, exit, state.clone(), deps));
+        if done {
+            break;
+        }
+    }
+    segments
+}
+
+/// The retired count, exit and resulting state of every segment.
+fn outcomes<D>(segments: &[Segment<D>]) -> Vec<(u64, &asc::tvm::SegmentExit, &StateVector)> {
+    segments.iter().map(|(retired, exit, state, _)| (*retired, exit, state)).collect()
+}
+
+/// Tier-1 ≡ tier-0 on generated programs. Each program runs in segments
+/// (a random budget per segment and a random stop IP at a block entry, or
+/// none) through plain tier-0 stepping and through `run_segment` at
+/// `hot_threshold` 1 and at the default threshold, tracked and untracked.
+/// Every segment must retire the same count, exit the same way (fault kind
+/// and IP included) and leave the same state; tracked segments must also
+/// record the same read and write sets. Failures print the program source.
+#[test]
+fn tiered_execution_matches_tier0_on_generated_programs() {
+    use asc::tvm::exec::NoDeps;
+    use asc::tvm::tier::{run_segment, BlockCache, TierConfig, TierStats};
+    use asc::tvm::SegmentExit;
+
+    const PROGRAMS: usize = 96;
+    const CAP: u64 = 3000;
+    let mut rng = XorShiftRng::new(0x5eed_0015);
+    let (mut faults, mut halts) = (0, 0);
+    let mut stats = TierStats::default();
+    for case in 0..PROGRAMS {
+        let blocks = 2 + gen_index(&mut rng, 6);
+        let source = gen_program(&mut rng, blocks);
+        let program = asc::asm::Assembler::new().mem_size(4096).assemble(&source).unwrap();
+        let initial = program.initial_state().unwrap();
+        let stop_ip = if rng.gen_bool(0.5) {
+            u32::MAX
+        } else {
+            program.symbol(&format!("b{}", gen_index(&mut rng, 2))).unwrap()
+        };
+        let chunk = 1 + gen_index(&mut rng, 400) as u64;
+        let context = format!("case {case}, stop {stop_ip}, chunk {chunk}:\n{source}");
+
+        let mut plain = initial.clone();
+        let reference = run_in_segments(
+            &mut plain,
+            chunk,
+            CAP,
+            |s| DepVector::new(s.len_bytes()),
+            |state, deps, budget| {
+                let mut retired = 0;
+                while retired < budget {
+                    match transition(state, Some(deps)) {
+                        Ok(StepOutcome::Continue) => {
+                            retired += 1;
+                            if state.ip() == stop_ip {
+                                return (retired, SegmentExit::StopIp);
+                            }
+                        }
+                        Ok(StepOutcome::Halted) => return (retired, SegmentExit::Halted),
+                        Err(error) => return (retired, SegmentExit::Fault(error)),
+                    }
+                }
+                (retired, SegmentExit::Budget)
+            },
+        );
+        match &reference.last().unwrap().1 {
+            SegmentExit::Fault(_) => faults += 1,
+            SegmentExit::Halted => halts += 1,
+            _ => {}
+        }
+
+        for config in [TierConfig { enabled: true, hot_threshold: 1 }, TierConfig::default()] {
+            let mut tracked = initial.clone();
+            let mut cache = BlockCache::new(&tracked, config);
+            let segments = run_in_segments(
+                &mut tracked,
+                chunk,
+                CAP,
+                |s| DepVector::new(s.len_bytes()),
+                |state, deps, budget| run_segment(state, deps, &mut cache, stop_ip, budget),
+            );
+            assert!(outcomes(&segments) == outcomes(&reference), "{config:?} {context}");
+            for (i, (tiered, plain)) in segments.iter().zip(&reference).enumerate() {
+                assert_eq!(
+                    (tiered.3.read_set(), tiered.3.write_set()),
+                    (plain.3.read_set(), plain.3.write_set()),
+                    "read/write sets, segment {i}, {config:?} {context}"
+                );
+            }
+            stats.merge(&cache.stats());
+
+            let mut untracked = initial.clone();
+            let mut cache = BlockCache::new(&untracked, config);
+            let segments = run_in_segments(
+                &mut untracked,
+                chunk,
+                CAP,
+                |_| NoDeps,
+                |state, deps, budget| run_segment(state, deps, &mut cache, stop_ip, budget),
+            );
+            assert!(outcomes(&segments) == outcomes(&reference), "untracked {config:?} {context}");
+        }
+    }
+    // The campaign must reach what it claims to cover.
+    assert!(faults > 0 && halts > 0, "faults {faults}, halts {halts}");
+    assert!(stats.tier1_instructions > 0 && stats.blocks_invalidated > 0, "{stats:?}");
+}
