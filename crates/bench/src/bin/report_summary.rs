@@ -148,12 +148,11 @@ const TABLES: [Table; 4] = [
             ("benchmark", Cell::Text("benchmark")),
             ("seed", Cell::Count("seed")),
             ("panics", Cell::Count("health.worker_panics")),
-            ("restarts", Cell::Count("health.worker_restarts")),
             ("deadline kills", Cell::Count("health.deadline_kills")),
             ("planner deaths", Cell::Count("health.planner_panics")),
             ("trips", Cell::Count("health.breaker_trips")),
             ("recoveries", Cell::Count("health.breaker_recoveries")),
-            ("checksum rejects", Cell::Count("health.checksum_rejects")),
+            ("checksum rejects", Cell::Count("cache.checksum_rejects")),
             ("stalls", Cell::Count("health.watchdog_stalls")),
             ("escalations", Cell::Count("health.watchdog_escalations")),
             ("injected", Cell::Count("health.injected_faults")),

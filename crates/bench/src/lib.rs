@@ -286,10 +286,9 @@ mod tests {
                 exhausted, inserted, panicked, deadline_killed, panicked_joins),
             section!("planner.", planner; occurrences, dropped, replans, extensions, confirmed,
                 invalidated, dispatched, insert_wakeups),
-            section!("health.", health; worker_panics, worker_restarts, workers_lost,
-                spawn_failures, panicked_joins, deadline_kills, planner_panics, breaker_trips,
-                breaker_recoveries, breaker_open_occurrences, checksum_rejects, injected_faults,
-                watchdog_stalls, watchdog_escalations),
+            section!("health.", health; worker_panics, spawn_failures, panicked_joins,
+                deadline_kills, planner_panics, breaker_trips, breaker_recoveries,
+                breaker_open_occurrences, injected_faults, watchdog_stalls, watchdog_escalations),
             section!("economics.", economics; considered, dispatched, suppressed, probes, lookups,
                 hits, last_horizon),
             section!("checkpoints.", checkpoints; saves, save_failures, last_occurrence,

@@ -258,14 +258,6 @@ pub struct AscConfig {
     ///
     /// [`HealthStats`]: crate::supervisor::HealthStats
     pub job_deadline_instructions: u64,
-    /// How many times the supervisor respawns a panicked speculation worker
-    /// before giving up on that slot and shrinking the pool. Each respawn
-    /// backs off exponentially from
-    /// [`worker_restart_backoff_ms`](AscConfig::worker_restart_backoff_ms).
-    pub max_worker_restarts: u32,
-    /// Base backoff before the first worker respawn, in milliseconds; the
-    /// `n`-th respawn of a slot waits `2ⁿ⁻¹` times this (capped at 64×).
-    pub worker_restart_backoff_ms: u64,
     /// Degrade-to-inline circuit-breaker thresholds; see [`BreakerConfig`]
     /// for the failure model.
     pub breaker: BreakerConfig,
@@ -307,8 +299,6 @@ impl Default for AscConfig {
             planner: PlannerConfig::default(),
             economics: EconomicsConfig::default(),
             job_deadline_instructions: 0,
-            max_worker_restarts: 8,
-            worker_restart_backoff_ms: 1,
             breaker: BreakerConfig::default(),
             tier: TierConfig::default(),
             checkpoint: CheckpointConfig::default(),

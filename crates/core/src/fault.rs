@@ -29,7 +29,9 @@ use crate::supervisor::{watchdog_stage, InjectedFaults};
 pub struct FaultPlan {
     /// Seed for every injection decision.
     pub seed: u64,
-    /// Probability that a speculation job panics mid-execution.
+    /// Probability that a speculation job panics mid-execution — on a pool
+    /// worker or, with `workers == 0`, inline on the main thread: both run
+    /// their jobs through `workers::run_job`.
     pub worker_panic_rate: f64,
     /// Probability that a speculation job stalls (runs away) so the
     /// instruction deadline must kill it. Requires a nonzero

@@ -35,7 +35,7 @@
 //!   [`RunReport`] as one flat JSON line, every stats section under dotted
 //!   keys.
 //! * [`supervisor`] — the supervision layer over the speculation machinery:
-//!   panic containment, job deadlines, worker respawn, health counters, and
+//!   panic containment, job deadlines, health counters, and
 //!   the degrade-to-inline circuit breaker (speculation failures may only
 //!   ever cost speed — including *execution* failures).
 //! * [`cluster`] — platform cost models that turn a measured trace into the

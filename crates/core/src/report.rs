@@ -177,10 +177,9 @@ impl RunReport {
             });
         }
         section!(line, "health", &self.health => HealthStats {
-            worker_panics, worker_restarts, workers_lost, spawn_failures, panicked_joins,
-            deadline_kills, planner_panics, breaker_trips, breaker_recoveries,
-            breaker_open_occurrences, checksum_rejects, injected_faults, watchdog_stalls,
-            watchdog_escalations,
+            worker_panics, spawn_failures, panicked_joins, deadline_kills, planner_panics,
+            breaker_trips, breaker_recoveries, breaker_open_occurrences, injected_faults,
+            watchdog_stalls, watchdog_escalations,
         });
         if let Some(economics) = &self.economics {
             section!(line, "economics", economics => EconomicsStats {

@@ -56,9 +56,10 @@
 //! occurrence.
 //!
 //! **Supervision** (see [`supervisor`](crate::supervisor)) lets every stage
-//! of that machinery *fail* without touching program results: jobs run
-//! under `catch_unwind` with an optional instruction deadline, panicked
-//! workers are respawned with backoff, corrupted entries are rejected by
+//! of that machinery *fail* without touching program results: every job,
+//! on a worker or inline, runs through `workers::run_job` under `catch_unwind`
+//! with an optional instruction deadline, a panicked job's scratch is
+//! replaced and the next job runs, corrupted entries are rejected by
 //! checksum at apply time, and a [`CircuitBreaker`] trips the run to plain
 //! execution while the windowed failure rate is high (thresholds on
 //! [`BreakerConfig`]). The two degradations that change *mode* are a
@@ -92,6 +93,7 @@
 //!
 //! [`SpeculationTask`]: crate::allocator::SpeculationTask
 //! [`SpeculationPool`]: crate::workers::SpeculationPool
+//! [`execute_superstep_with`]: crate::speculator::execute_superstep_with
 //! [`TrajectoryCache`]: crate::cache::TrajectoryCache
 //! [`AscConfig::workers`]: crate::config::AscConfig::workers
 //! [`PlannerHandle`]: crate::planner::PlannerHandle
@@ -108,13 +110,11 @@ use crate::planner::{OccurrenceEvent, PlannerHandle, PlannerOutcome, PlannerStat
 use crate::predictor_bank::PredictorBank;
 use crate::recognizer::{recognize, recognize_recurring, RecognizedIp, RecognizerOutcome};
 use crate::snapshot;
-use crate::speculator::{
-    capture_superstep, execute_superstep_with, SpeculationResult, SpeculationScratch,
-};
+use crate::speculator::{capture_superstep, SpeculationScratch};
 use crate::supervisor::{
     watchdog_stage, CircuitBreaker, HealthStats, Heartbeat, Supervision, Watchdog,
 };
-use crate::workers::{PoolStats, SpeculationJob, SpeculationPool};
+use crate::workers::{run_job, PoolStats, SpeculationJob, SpeculationPool};
 use asc_learn::ensemble::EnsembleErrors;
 use asc_learn::persist::Reader;
 use asc_tvm::machine::Machine;
@@ -185,7 +185,7 @@ pub struct RunReport {
     /// [`PlannerConfig::enabled`]: crate::config::PlannerConfig::enabled
     pub planner: Option<PlannerStats>,
     /// Supervision health counters — contained panics, deadline kills,
-    /// restarts, circuit-breaker activity, checksum rejects and injected
+    /// spawn failures, circuit-breaker and watchdog activity and injected
     /// faults (populated by [`LascRuntime::accelerate`]; all-zero for
     /// `measure` and `memoize`, which run no speculation machinery).
     pub health: HealthStats,
@@ -341,6 +341,8 @@ enum Dispatch<'a> {
         /// blocks the tier compiles for the first speculated superstep keep
         /// paying off for every later one.
         scratch: SpeculationScratch,
+        /// Tier counters drained from `scratch` after every inline job.
+        inline_tier: TierStats,
         superstep_estimate: f64,
     },
     /// Single-core memoization: every miss executes the live state's
@@ -368,6 +370,7 @@ impl Dispatch<'_> {
             pool,
             torn_down: None,
             scratch: SpeculationScratch::with_tier(config.tier),
+            inline_tier: TierStats::default(),
             superstep_estimate: rip.mean_superstep,
         }
     }
@@ -679,7 +682,15 @@ impl<'a> Run<'a> {
                 *prev_sent = speculating;
                 *hit_streak = 0;
             }
-            Dispatch::MissDriven { bank, economics, pool, scratch, superstep_estimate, .. } => {
+            Dispatch::MissDriven {
+                bank,
+                economics,
+                pool,
+                scratch,
+                inline_tier,
+                superstep_estimate,
+                ..
+            } => {
                 economics.record_lookup(false);
                 let state = self.machine.state();
                 bank.observe(state);
@@ -720,7 +731,8 @@ impl<'a> Run<'a> {
                         // Hand the superstep to a worker; the main thread
                         // continues immediately. A full queue drops the task.
                         Some(pool) => _ = pool.dispatch(job),
-                        None => speculate_inline(&job, &self.cache, &self.supervision, scratch),
+                        None => inline_tier
+                            .merge(&run_job(&job, &self.cache, &self.supervision, scratch).tier),
                     }
                 }
             }
@@ -776,12 +788,12 @@ impl<'a> Run<'a> {
         let mut report =
             RunReport::base(self.outcome, self.machine, self.fast_forwarded, self.halted);
         let bank = match self.dispatch {
-            Dispatch::MissDriven { bank, economics, pool, torn_down, mut scratch, .. } => {
+            Dispatch::MissDriven { bank, economics, pool, torn_down, inline_tier, .. } => {
                 // A pool the watchdog tore down mid-run already joined; its
                 // counters stand.
                 report.speculation = pool.map(SpeculationPool::shutdown).or(torn_down);
                 report.economics = Some(economics.stats());
-                tier.merge(&scratch.take_tier_stats());
+                tier.merge(&inline_tier);
                 Some(bank)
             }
             Dispatch::Planned { planner, .. } => match planner.shutdown() {
@@ -815,12 +827,11 @@ impl<'a> Run<'a> {
         }
         report.tier = tier;
         report.cache_stats = self.cache.stats();
-        // Health counters have three homes: the shared monitor, the main
-        // loop's breaker and heartbeat, and the cache's checksum rejects.
+        // Health counters have two homes: the shared monitor, and the main
+        // loop's breaker and heartbeat.
         report.health = self.supervision.health.snapshot();
         self.breaker.fill_stats(&mut report.health);
         self.heartbeat.fill_stats(&mut report.health);
-        report.health.checksum_rejects = report.cache_stats.checksum_rejects;
         report.checkpoints = self.checkpoints.map(|driver| driver.stats);
         report
     }
@@ -842,30 +853,6 @@ fn stall_until_escalation(heartbeat: &Heartbeat, from: u8) -> u8 {
         std::thread::sleep(Duration::from_millis(1));
     }
     heartbeat.stage()
-}
-
-/// Inline (`workers == 0`) execution of one speculation job under
-/// the same supervision policy the worker pool applies: the job deadline
-/// binds when it is tighter than the superstep budget, and every
-/// retirement feeds the breaker's success or failure counters.
-fn speculate_inline(
-    job: &SpeculationJob,
-    cache: &TrajectoryCache,
-    supervision: &Supervision,
-    scratch: &mut SpeculationScratch,
-) {
-    let (budget, deadline_bound) = supervision.job_budget(job.max_instructions);
-    let result = execute_superstep_with(&job.start, job.rip, job.stride, budget, scratch);
-    match result.ok().and_then(SpeculationResult::completed) {
-        Some(speculation) if speculation.reached_rip || speculation.halted => {
-            cache.insert(speculation.entry);
-            supervision.health.record_jobs_ok(1);
-        }
-        Some(_) if deadline_bound => supervision.health.record_deadline_kills(1),
-        // Exhausting the job's own budget, or faulting from a mispredicted
-        // start state, is a normal speculation outcome.
-        _ => supervision.health.record_jobs_ok(1),
-    }
 }
 
 /// The LASC runtime.

@@ -6,11 +6,11 @@
 //! never change results — covers mispredictions for free. This module
 //! extends the same economy to execution failures:
 //!
-//! - every speculation job runs under `catch_unwind` with an optional
-//!   per-job instruction deadline; panics and deadline kills retire the job
-//!   and release its in-flight permit instead of wedging the pool,
-//! - panicked workers are respawned with exponential backoff up to a
-//!   restart budget, then their slot is abandoned and the pool shrinks,
+//! - every speculation job, pooled or inline, runs under `catch_unwind`
+//!   with an optional per-job instruction deadline; panics and deadline
+//!   kills retire the job and release its in-flight permit instead of
+//!   wedging the pool, and a panicked job's scratch is replaced so the
+//!   worker (or main thread) carries on with the next job,
 //! - every contained failure ticks a counter on the shared
 //!   [`HealthMonitor`], surfaced as [`HealthStats`] alongside the cache's
 //!   [`CacheStats`](crate::cache::CacheStats),
@@ -37,26 +37,20 @@ use crate::config::{AscConfig, BreakerConfig, WatchdogConfig};
 /// [`RunReport`](crate::runtime::RunReport).
 ///
 /// All counts cover one `accelerate` run. A healthy fault-free run reports
-/// all zeros (checksum/collision rejects excepted: genuine 64-bit hash
-/// collisions are possible, if astronomically rare).
+/// all zeros. Checksum and collision rejects are counted once, in
+/// [`CacheStats`](crate::cache::CacheStats).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HealthStats {
-    /// Speculation jobs whose execution panicked; each was contained by
-    /// `catch_unwind`, its in-flight permit released, and its worker
-    /// retired (the scratch state is suspect mid-unwind).
+    /// Speculation jobs whose execution panicked, on a worker or inline;
+    /// each was contained by `catch_unwind`, its in-flight permit released,
+    /// and its scratch replaced (the scratch state is suspect mid-unwind).
     pub worker_panics: u64,
-    /// Workers respawned by the supervisor after a panic.
-    pub worker_restarts: u64,
-    /// Worker slots abandoned after exhausting
-    /// [`max_worker_restarts`](AscConfig::max_worker_restarts); the pool
-    /// runs shrunk by this many threads.
-    pub workers_lost: u64,
-    /// Worker threads the pool failed to spawn at startup (or respawn); the
-    /// pool runs with fewer workers instead of aborting, down to inline at
-    /// zero.
+    /// Worker threads the pool failed to spawn at startup; the pool runs
+    /// with fewer workers instead of aborting, down to none, where every
+    /// dispatch drops.
     pub spawn_failures: u64,
-    /// Worker joins at shutdown that reported a panic the supervisor had
-    /// not already accounted (a panic outside the per-job `catch_unwind`).
+    /// Worker joins at shutdown that reported a panic no job contained (a
+    /// panic outside the per-job `catch_unwind`).
     pub panicked_joins: u64,
     /// Speculation jobs killed for exceeding
     /// [`job_deadline_instructions`](AscConfig::job_deadline_instructions).
@@ -72,10 +66,6 @@ pub struct HealthStats {
     /// Recognized-IP occurrences that ran with the breaker open (speculation
     /// suppressed).
     pub breaker_open_occurrences: u64,
-    /// Cache entries rejected at apply time because their payload checksum
-    /// no longer verified (mirrors
-    /// [`CacheStats::checksum_rejects`](crate::cache::CacheStats::checksum_rejects)).
-    pub checksum_rejects: u64,
     /// Faults the injector actually fired (always 0 without the
     /// `fault-inject` feature); lets the soak harness assert the campaign
     /// really ran.
@@ -99,8 +89,6 @@ pub struct HealthStats {
 #[derive(Debug, Default)]
 pub struct HealthMonitor {
     worker_panics: AtomicU64,
-    worker_restarts: AtomicU64,
-    workers_lost: AtomicU64,
     spawn_failures: AtomicU64,
     panicked_joins: AtomicU64,
     deadline_kills: AtomicU64,
@@ -129,10 +117,6 @@ impl HealthMonitor {
     monitor_counter! {
         /// Records contained worker panics.
         record_worker_panics / worker_panics => worker_panics;
-        /// Records supervisor worker respawns.
-        record_worker_restarts / worker_restarts => worker_restarts;
-        /// Records worker slots abandoned after the restart budget.
-        record_workers_lost / workers_lost => workers_lost;
         /// Records worker threads that failed to spawn.
         record_spawn_failures / spawn_failures => spawn_failures;
         /// Records panics first surfaced by a shutdown join.
@@ -151,14 +135,11 @@ impl HealthMonitor {
         record_jobs_ok / jobs_ok => jobs_ok;
     }
 
-    /// Snapshot of every monitor counter. Breaker and cache-side fields are
-    /// filled in by the caller (they live on the main thread and in the
-    /// cache respectively).
+    /// Snapshot of every monitor counter. The breaker and watchdog fields
+    /// are filled in by the caller (they live on the main thread).
     pub fn snapshot(&self) -> HealthStats {
         HealthStats {
             worker_panics: self.worker_panics(),
-            worker_restarts: self.worker_restarts(),
-            workers_lost: self.workers_lost(),
             spawn_failures: self.spawn_failures(),
             panicked_joins: self.panicked_joins(),
             deadline_kills: self.deadline_kills(),
@@ -558,12 +539,6 @@ pub struct Supervision {
     /// Per-job instruction deadline (`0` = none); see
     /// [`AscConfig::job_deadline_instructions`].
     pub job_deadline: u64,
-    /// Worker respawn budget per slot; see
-    /// [`AscConfig::max_worker_restarts`].
-    pub max_restarts: u32,
-    /// Base respawn backoff in milliseconds; see
-    /// [`AscConfig::worker_restart_backoff_ms`].
-    pub backoff_ms: u64,
     /// Tier-1 execution knobs forwarded to every worker's per-job
     /// [`BlockCache`](asc_tvm::BlockCache); see [`AscConfig::tier`].
     pub tier: asc_tvm::TierConfig,
@@ -578,8 +553,6 @@ impl Supervision {
         Supervision {
             health: Arc::new(HealthMonitor::default()),
             job_deadline: config.job_deadline_instructions,
-            max_restarts: config.max_worker_restarts,
-            backoff_ms: config.worker_restart_backoff_ms,
             tier: config.tier,
             #[cfg(feature = "fault-inject")]
             faults: config.fault.clone().map(|plan| Arc::new(crate::fault::FaultState::new(plan))),

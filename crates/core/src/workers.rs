@@ -26,28 +26,26 @@
 //! ## Supervision
 //!
 //! The same economy extends to *execution* failures (see
-//! [`supervisor`](crate::supervisor)): every job runs under `catch_unwind`
-//! with an optional instruction deadline. A panicking job releases its
-//! in-flight permit, ticks the health counters and retires its worker (the
-//! scratch state is suspect after an unwind); a monitor thread joins the
-//! corpse and respawns the slot with exponential backoff, up to
-//! [`max_worker_restarts`](crate::config::AscConfig::max_worker_restarts)
-//! times before abandoning it and letting the pool shrink. Thread-spawn
-//! failure at startup is likewise non-fatal: the pool runs with however
-//! many workers materialized (down to zero — dispatch then just drops), and
-//! the shortfall is recorded in
-//! [`HealthStats`](crate::supervisor::HealthStats). Shutdown joins
-//! everything and surfaces any panic it was not already told about.
+//! [`supervisor`](crate::supervisor)). Every job, pooled or inline, runs
+//! through `run_job`: under `catch_unwind`, with an optional instruction
+//! deadline. A panicking job is counted and discarded, and its scratch is
+//! replaced with a fresh one (the old one is suspect after an unwind); the
+//! worker then takes the next job. Workers leave their loop only when the
+//! queue closes. Thread-spawn failure at startup is non-fatal: the pool
+//! runs with however many workers materialized (down to zero — dispatch
+//! then just drops), and the shortfall is recorded in
+//! [`HealthStats`](crate::supervisor::HealthStats). Shutdown joins every
+//! worker and surfaces any panic that escaped a job.
 
 use crate::cache::TrajectoryCache;
 use crate::speculator::{execute_superstep_with, SpeculationResult, SpeculationScratch};
 use crate::supervisor::Supervision;
 use asc_tvm::state::StateVector;
 use asc_tvm::TierStats;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -65,9 +63,9 @@ struct QueuedJob {
 }
 
 /// Removes a fingerprint from the in-flight set when dropped, so the entry
-/// is released even if superstep execution or the cache insert panics —
-/// a leaked fingerprint would otherwise saturate the pool permanently and
-/// silently disable speculation.
+/// is released even if the cache insert panics outside the job's
+/// containment — a leaked fingerprint would otherwise saturate the pool
+/// permanently and silently disable speculation.
 struct InflightGuard<'a> {
     inflight: &'a Mutex<HashSet<u64>>,
     fingerprint: u64,
@@ -114,13 +112,12 @@ pub struct PoolStats {
     /// Completed supersteps whose entry changed the cache.
     pub inserted: u64,
     /// Jobs whose execution panicked; each panic was contained, the job
-    /// discarded and the worker retired (and usually respawned).
+    /// discarded and the worker's scratch replaced.
     pub panicked: u64,
     /// Jobs killed at the per-job instruction deadline
     /// ([`job_deadline_instructions`](crate::config::AscConfig::job_deadline_instructions)).
     pub deadline_killed: u64,
-    /// Worker joins at shutdown that surfaced a panic the supervisor had
-    /// not already contained per-job.
+    /// Worker joins at shutdown that surfaced a panic no job contained.
     pub panicked_joins: u64,
     /// Aggregated tier-up execution counters across every worker: block
     /// compiles, invalidations and the tier-1 / tier-0 instruction split
@@ -144,8 +141,22 @@ struct SharedCounters {
 }
 
 impl SharedCounters {
-    /// Folds one job's tier counters into the pool-wide totals.
-    fn record_tier(&self, stats: &TierStats) {
+    /// Folds one job's verdict and tier counters into the pool-wide totals.
+    fn record(&self, outcome: &JobOutcome) {
+        let counter = match outcome.end {
+            JobEnd::Completed { inserted } => {
+                if inserted {
+                    self.inserted.fetch_add(1, Ordering::Relaxed);
+                }
+                &self.completed
+            }
+            JobEnd::Exhausted => &self.exhausted,
+            JobEnd::DeadlineKilled => &self.deadline_killed,
+            JobEnd::Faulted => &self.faulted,
+            JobEnd::Panicked => &self.panicked,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        let stats = &outcome.tier;
         self.tier_blocks_compiled.fetch_add(stats.blocks_compiled, Ordering::Relaxed);
         self.tier_blocks_invalidated.fetch_add(stats.blocks_invalidated, Ordering::Relaxed);
         self.tier_fused_ops.fetch_add(stats.fused_ops, Ordering::Relaxed);
@@ -164,10 +175,8 @@ impl SharedCounters {
     }
 }
 
-/// Everything a worker (and the monitor respawning workers) needs, behind
-/// one `Arc`. Holding the queue's receiver here — not in the worker
-/// closures — keeps queued jobs alive across worker deaths: a respawned
-/// worker resumes draining exactly where the dead one stopped.
+/// Everything a worker needs, behind one `Arc`; every worker takes its jobs
+/// from the one receiver.
 struct WorkerShared {
     receiver: Mutex<Receiver<QueuedJob>>,
     cache: Arc<TrajectoryCache>,
@@ -177,23 +186,6 @@ struct WorkerShared {
     /// re-plans overlapping rollouts at consecutive occurrences.
     inflight: Mutex<HashSet<u64>>,
     supervision: Supervision,
-    /// Live worker threads. Incremented *before* each spawn and decremented
-    /// at thread exit (or on spawn failure), so it never underflows however
-    /// quickly a worker dies.
-    live: AtomicUsize,
-}
-
-/// Messages to the monitor thread. The monitor is spawned before any
-/// worker, and workers are handed to it by message — so a handle exists
-/// somewhere even when a later spawn in the startup loop fails.
-enum ExitEvent {
-    /// A freshly spawned worker's handle, from the pool's startup loop.
-    Adopt { index: usize, handle: JoinHandle<()> },
-    /// Worker `index` contained a job panic and retired; join the corpse
-    /// and decide whether to respawn the slot.
-    Panicked { index: usize },
-    /// The pool is shutting down: join every remaining worker and exit.
-    Shutdown,
 }
 
 /// A persistent pool of speculation worker threads feeding a shared
@@ -201,8 +193,7 @@ enum ExitEvent {
 pub struct SpeculationPool {
     sender: Option<SyncSender<QueuedJob>>,
     shared: Arc<WorkerShared>,
-    exit_sender: Sender<ExitEvent>,
-    monitor: Option<JoinHandle<()>>,
+    handles: Vec<JoinHandle<()>>,
     dispatched: u64,
     dropped: u64,
     deduplicated: u64,
@@ -255,53 +246,30 @@ impl SpeculationPool {
             counters: SharedCounters::default(),
             inflight: Mutex::new(HashSet::new()),
             supervision,
-            live: AtomicUsize::new(0),
         });
-        // The monitor is spawned first so every worker handle has somewhere
-        // to live; if even the monitor cannot be spawned, fall back to a
-        // supervisor-less pool (workers unsupervised but still panic-safe
-        // per job; shutdown joins nothing it was not told about).
-        let (exit_sender, exit_receiver) = std::sync::mpsc::channel::<ExitEvent>();
-        let monitor = {
+        let spawn = |index| {
+            if shared.supervision.spawn_fault() {
+                return None;
+            }
             let shared = Arc::clone(&shared);
-            let exit_sender = exit_sender.clone();
-            std::thread::Builder::new()
-                .name("asc-supervisor".into())
-                .spawn(move || monitor_loop(&exit_receiver, &shared, &exit_sender))
-                .ok()
+            let thread = std::thread::Builder::new().name(format!("asc-speculator-{index}"));
+            thread.spawn(move || worker_loop(&shared)).ok()
         };
-        if monitor.is_none() {
-            shared.supervision.health.record_spawn_failures(1);
-        }
-        let pool = SpeculationPool {
+        let handles: Vec<_> = (0..workers).filter_map(spawn).collect();
+        shared.supervision.health.record_spawn_failures((workers - handles.len()) as u64);
+        SpeculationPool {
             sender: Some(sender),
             shared,
-            exit_sender,
-            monitor,
+            handles,
             dispatched: 0,
             dropped: 0,
             deduplicated: 0,
-        };
-        for index in 0..workers {
-            match spawn_worker(index, &pool.shared, &pool.exit_sender) {
-                Ok(handle) => {
-                    // The monitor owns every join handle. With no monitor the
-                    // send fails and the handle is detached — nothing joins
-                    // it, but workers exit on queue close regardless.
-                    let _ = pool.exit_sender.send(ExitEvent::Adopt { index, handle });
-                }
-                Err(_) => {
-                    pool.shared.supervision.health.record_spawn_failures(1);
-                }
-            }
         }
-        pool
     }
 
-    /// Number of live worker threads (shrinks when supervision abandons a
-    /// slot, grows back while respawns succeed).
+    /// Number of worker threads the pool runs: those that spawned.
     pub fn workers(&self) -> usize {
-        self.shared.live.load(Ordering::Relaxed)
+        self.handles.len()
     }
 
     /// The pool's supervision context (shared health counters).
@@ -372,7 +340,7 @@ impl SpeculationPool {
     }
 
     /// Closes the queue, drains outstanding jobs, joins every worker and
-    /// the monitor, and returns the final counters — including
+    /// returns the final counters — including
     /// [`panicked_joins`](PoolStats::panicked_joins), the number of worker
     /// deaths first surfaced by the join rather than contained in flight.
     pub fn shutdown(mut self) -> PoolStats {
@@ -382,11 +350,8 @@ impl SpeculationPool {
 
     fn finish(&mut self) {
         self.sender = None; // closing the channel ends every worker loop
-        if let Some(monitor) = self.monitor.take() {
-            // The explicit message is required: the monitor holds a sender
-            // clone of its own channel, so a disconnect can never reach it.
-            let _ = self.exit_sender.send(ExitEvent::Shutdown);
-            if monitor.join().is_err() {
+        for handle in self.handles.drain(..) {
+            if handle.join().is_err() {
                 self.shared.supervision.health.record_panicked_joins(1);
             }
         }
@@ -399,96 +364,12 @@ impl Drop for SpeculationPool {
     }
 }
 
-/// Spawns one worker thread. `live` is incremented first and decremented on
-/// the failure path (and by the worker itself at exit), so the counter is
-/// correct no matter how quickly the thread dies.
-fn spawn_worker(
-    index: usize,
-    shared: &Arc<WorkerShared>,
-    exit: &Sender<ExitEvent>,
-) -> std::io::Result<JoinHandle<()>> {
-    shared.live.fetch_add(1, Ordering::Relaxed);
-    if shared.supervision.spawn_fault() {
-        shared.live.fetch_sub(1, Ordering::Relaxed);
-        return Err(std::io::Error::other("injected worker spawn failure"));
-    }
-    let result = std::thread::Builder::new().name(format!("asc-speculator-{index}")).spawn({
-        let shared = Arc::clone(shared);
-        let exit = exit.clone();
-        move || {
-            worker_loop(&shared, &exit, index);
-            shared.live.fetch_sub(1, Ordering::Relaxed);
-        }
-    });
-    if result.is_err() {
-        shared.live.fetch_sub(1, Ordering::Relaxed);
-    }
-    result
-}
-
-/// The monitor: adopts worker handles, joins panicked workers and respawns
-/// their slot with exponential backoff until the restart budget runs out,
-/// then joins everything at shutdown and surfaces uncontained panics.
-fn monitor_loop(
-    events: &Receiver<ExitEvent>,
-    shared: &Arc<WorkerShared>,
-    exit_sender: &Sender<ExitEvent>,
-) {
-    let supervision = &shared.supervision;
-    let mut handles: HashMap<usize, JoinHandle<()>> = HashMap::new();
-    let mut restarts: HashMap<usize, u32> = HashMap::new();
-    loop {
-        match events.recv() {
-            Ok(ExitEvent::Adopt { index, handle }) => {
-                handles.insert(index, handle);
-            }
-            Ok(ExitEvent::Panicked { index }) => {
-                if let Some(handle) = handles.remove(&index) {
-                    // The worker contained the panic and already counted
-                    // it; it exits right after sending, so this join is
-                    // immediate and (normally) clean.
-                    if handle.join().is_err() {
-                        supervision.health.record_panicked_joins(1);
-                    }
-                }
-                let attempt = restarts.entry(index).or_insert(0);
-                *attempt += 1;
-                if *attempt > supervision.max_restarts {
-                    supervision.health.record_workers_lost(1);
-                    continue;
-                }
-                let backoff = supervision.backoff_ms << (*attempt - 1).min(6);
-                if backoff > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(backoff));
-                }
-                match spawn_worker(index, shared, exit_sender) {
-                    Ok(handle) => {
-                        supervision.health.record_worker_restarts(1);
-                        handles.insert(index, handle);
-                    }
-                    Err(_) => {
-                        supervision.health.record_spawn_failures(1);
-                        supervision.health.record_workers_lost(1);
-                    }
-                }
-            }
-            // `Err` is a backstop: the monitor holds a sender clone, so the
-            // channel cannot disconnect while it runs.
-            Ok(ExitEvent::Shutdown) | Err(_) => break,
-        }
-    }
-    for handle in handles.into_values() {
-        if handle.join().is_err() {
-            supervision.health.record_panicked_joins(1);
-        }
-    }
-}
-
-fn worker_loop(shared: &WorkerShared, exit: &Sender<ExitEvent>, index: usize) {
+fn worker_loop(shared: &WorkerShared) {
     // One scratch (dependency vector + tier-up block cache) for the
     // worker's whole lifetime: reset between jobs, never reallocated while
-    // the state size is stable — so blocks compiled for one job keep paying
-    // off across every later job speculating over the same code.
+    // the state size is stable (or until a job panics) — so blocks compiled
+    // for one job keep paying off across every later job speculating over
+    // the same code.
     let mut scratch = SpeculationScratch::with_tier(shared.supervision.tier);
     loop {
         // Take the lock only to receive; execution happens unlocked so
@@ -497,82 +378,109 @@ fn worker_loop(shared: &WorkerShared, exit: &Sender<ExitEvent>, index: usize) {
             let guard = shared.receiver.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             guard.recv()
         };
-        let Ok(queued) = queued else { return };
-        if run_one_job(shared, queued, &mut scratch) {
-            // The job panicked. The panic was contained and counted, but
-            // the scratch (and anything else touched mid-unwind) is
-            // suspect: retire this worker and let the monitor respawn the
-            // slot with a fresh one.
-            let _ = exit.send(ExitEvent::Panicked { index });
-            return;
-        }
+        let Ok(QueuedJob { job, fingerprint }) = queued else { return };
+        // Released however the job ends; afterwards, identical predictions
+        // are filtered by the cache-coverage check instead.
+        let _inflight = InflightGuard { inflight: &shared.inflight, fingerprint };
+        shared.counters.record(&run_job(&job, &shared.cache, &shared.supervision, &mut scratch));
     }
 }
 
-/// Runs one job under `catch_unwind` and the supervision deadline; returns
-/// `true` when the job panicked (contained) and the worker must retire.
-fn run_one_job(shared: &WorkerShared, queued: QueuedJob, scratch: &mut SpeculationScratch) -> bool {
-    let QueuedJob { job, fingerprint } = queued;
-    // Released on every exit path, including panics mid-execution;
-    // afterwards, identical predictions are filtered by the cache-coverage
-    // check instead.
-    let _inflight = InflightGuard { inflight: &shared.inflight, fingerprint };
-    let faults = shared.supervision.job_faults();
-    let (budget, deadline_bound) = shared.supervision.job_budget(job.max_instructions);
+/// How one speculation job ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum JobEnd {
+    /// Reached the recognized IP or halted.
+    Completed {
+        /// Whether the entry changed the cache.
+        inserted: bool,
+    },
+    /// Ran out of its own budget before reaching the recognized IP.
+    Exhausted,
+    /// Killed at the supervision deadline, which was tighter than its own
+    /// budget.
+    DeadlineKilled,
+    /// Faulted from a mispredicted start state.
+    Faulted,
+    /// Panicked; the panic was contained and the scratch replaced.
+    Panicked,
+}
+
+/// What [`run_job`] reports about one job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct JobOutcome {
+    /// How the job ended.
+    pub(crate) end: JobEnd,
+    /// The tier-up counters its execution accumulated, drained from the
+    /// scratch it ran on.
+    pub(crate) tier: TierStats,
+}
+
+/// Runs one speculation job on `scratch` — a pool worker's or, with no
+/// pool, the main thread's — under the supervision policy: the deadline
+/// binds when it is tighter than the job's budget, injected faults are
+/// sampled, a panic is contained, a completed entry is inserted into
+/// `cache`, and every ending ticks the health counters the breaker reads.
+/// After a panic `scratch` is replaced with a fresh one, its tier counters
+/// drained first.
+pub(crate) fn run_job(
+    job: &SpeculationJob,
+    cache: &TrajectoryCache,
+    supervision: &Supervision,
+    scratch: &mut SpeculationScratch,
+) -> JobOutcome {
+    let faults = supervision.job_faults();
+    let (budget, deadline_bound) = supervision.job_budget(job.max_instructions);
     // An injected stall models a runaway speculation: a stride no real
     // program reaches, so the job burns its whole budget and the deadline
     // (when armed) is what kills it.
     let stride = if faults.stall { usize::MAX } else { job.stride };
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
+    let result = catch_unwind(AssertUnwindSafe(|| {
         if faults.panic {
             panic!("injected worker panic");
         }
         execute_superstep_with(&job.start, job.rip, stride, budget, scratch)
     }));
-    let counters = &shared.counters;
     // Drain tier counters unconditionally: even a faulted or panicked job
     // retired real instructions, and the drain keeps per-job deltas from
     // double counting when the scratch outlives thousands of jobs.
-    counters.record_tier(&scratch.take_tier_stats());
-    match outcome {
+    let tier = scratch.take_tier_stats();
+    let health = &supervision.health;
+    let end = match result {
         Err(_) => {
-            counters.panicked.fetch_add(1, Ordering::Relaxed);
-            shared.supervision.health.record_worker_panics(1);
-            true
+            // The scratch unwound mid-job: nothing in it can be trusted.
+            *scratch = SpeculationScratch::with_tier(supervision.tier);
+            health.record_worker_panics(1);
+            JobEnd::Panicked
         }
         Ok(Ok(SpeculationResult::Completed(outcome))) => {
             if outcome.reached_rip || outcome.halted {
-                counters.completed.fetch_add(1, Ordering::Relaxed);
-                shared.supervision.health.record_jobs_ok(1);
+                health.record_jobs_ok(1);
                 #[cfg_attr(not(feature = "fault-inject"), allow(unused_mut))]
                 let mut entry = outcome.entry;
                 #[cfg(feature = "fault-inject")]
                 if let Some(selector) = faults.corrupt {
                     entry.corrupt_payload(selector);
                 }
-                if shared.cache.insert(entry) {
-                    counters.inserted.fetch_add(1, Ordering::Relaxed);
-                }
+                JobEnd::Completed { inserted: cache.insert(entry) }
             } else if deadline_bound {
                 // The deadline, not the job's own budget, was the binding
                 // constraint: this speculation was killed, not merely
                 // unlucky.
-                counters.deadline_killed.fetch_add(1, Ordering::Relaxed);
-                shared.supervision.health.record_deadline_kills(1);
+                health.record_deadline_kills(1);
+                JobEnd::DeadlineKilled
             } else {
-                counters.exhausted.fetch_add(1, Ordering::Relaxed);
-                shared.supervision.health.record_jobs_ok(1);
+                health.record_jobs_ok(1);
+                JobEnd::Exhausted
             }
-            false
         }
         Ok(Ok(SpeculationResult::Faulted { .. })) | Ok(Err(_)) => {
             // Faults are the expected price of mispredicted start states;
             // the result is simply discarded (§4.1).
-            counters.faulted.fetch_add(1, Ordering::Relaxed);
-            shared.supervision.health.record_jobs_ok(1);
-            false
+            health.record_jobs_ok(1);
+            JobEnd::Faulted
         }
-    }
+    };
+    JobOutcome { end, tier }
 }
 
 #[cfg(test)]
@@ -782,114 +690,94 @@ mod tests {
         use crate::fault::{FaultPlan, FaultState};
 
         fn supervision_with(plan: FaultPlan) -> Supervision {
-            Supervision {
-                faults: Some(Arc::new(FaultState::new(plan))),
-                backoff_ms: 0,
-                max_restarts: 16,
-                ..Supervision::default()
+            Supervision { faults: Some(Arc::new(FaultState::new(plan))), ..Supervision::default() }
+        }
+
+        /// Dispatches `job`, retrying while the queue is full, and fails the
+        /// test if the pool has not taken it within ten seconds.
+        fn dispatch_within_deadline(pool: &mut SpeculationPool, job: &SpeculationJob) {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while !pool.dispatch(job.clone()) {
+                assert!(std::time::Instant::now() < deadline, "the pool stopped draining");
+                std::thread::yield_now();
             }
         }
 
         #[test]
-        fn injected_panics_are_contained_and_workers_respawn() {
+        fn a_worker_whose_every_job_panics_keeps_draining_its_queue() {
             let (program, rip) = looping_program();
             let mut machine = Machine::load(&program).unwrap();
             machine.run_until_ip(rip, 1_000).unwrap();
-            let cache = Arc::new(TrajectoryCache::new(1024));
-            // The first 3 jobs all panic; later jobs run clean.
-            let plan = FaultPlan {
-                seed: 5,
-                worker_panic_rate: 1.0,
-                burst_jobs: 3,
-                ..FaultPlan::default()
-            };
+            let cache = Arc::new(TrajectoryCache::new(64));
+            let plan = FaultPlan { seed: 2, worker_panic_rate: 1.0, ..FaultPlan::default() };
             let mut pool =
-                SpeculationPool::with_supervision(2, Arc::clone(&cache), supervision_with(plan));
+                SpeculationPool::with_supervision(1, Arc::clone(&cache), supervision_with(plan));
             let health = Arc::clone(&pool.supervision().health);
-            let mut dispatched = 0;
-            for _ in 0..12 {
+            // Sixteen distinct jobs through a four-slot queue: the later ones
+            // are accepted only because the one worker keeps taking jobs
+            // after each panic.
+            for _ in 0..16 {
                 let job = SpeculationJob {
                     start: machine.state().clone(),
                     rip,
                     stride: 1,
                     max_instructions: 10_000,
                 };
-                for _ in 0..1000 {
-                    if pool.dispatch(job.clone()) {
-                        dispatched += 1;
-                        break;
-                    }
-                    std::thread::yield_now();
-                }
+                dispatch_within_deadline(&mut pool, &job);
+                assert_eq!(pool.workers(), 1);
                 machine.run_until_ip(rip, 1_000).unwrap();
             }
-            // Wait until every injected panic has been contained and its
-            // slot respawned, so shutdown deterministically drains the
-            // remaining queue with live workers.
-            for _ in 0..2_000 {
-                if pool.stats().panicked == 3 && health.worker_restarts() == 3 {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
             let stats = pool.shutdown();
-            assert_eq!(stats.panicked, 3, "{stats:?}");
-            assert_eq!(health.worker_panics(), 3);
-            // Every panicked worker was respawned (budget is ample), so no
-            // dispatched job was stranded.
-            assert_eq!(health.worker_restarts(), 3);
-            assert_eq!(health.workers_lost(), 0);
-            assert_eq!(
-                stats.completed + stats.faulted + stats.exhausted + stats.panicked,
-                dispatched,
-                "{stats:?}"
-            );
+            assert_eq!(stats.dispatched, 16, "{stats:?}");
+            assert_eq!(stats.panicked, stats.dispatched, "{stats:?}");
+            assert_eq!(stats.panicked_joins, 0, "{stats:?}");
+            assert_eq!(health.worker_panics(), 16);
+            assert!(cache.is_empty());
         }
 
         #[test]
-        fn exhausted_restart_budget_shrinks_the_pool() {
-            let program = assemble("spin:\n jmp spin\n").unwrap();
-            let start = program.initial_state().unwrap();
-            let cache = Arc::new(TrajectoryCache::new(64));
-            // Every job panics forever; one worker with zero respawns.
-            let plan = FaultPlan { seed: 2, worker_panic_rate: 1.0, ..FaultPlan::default() };
-            let supervision = Supervision {
-                faults: Some(Arc::new(FaultState::new(plan))),
-                backoff_ms: 0,
-                max_restarts: 0,
-                ..Supervision::default()
-            };
-            let mut pool = SpeculationPool::with_supervision(1, Arc::clone(&cache), supervision);
-            let health = Arc::clone(&pool.supervision().health);
-            assert!(pool.dispatch(SpeculationJob {
-                start,
-                rip: 8,
-                stride: 1,
-                max_instructions: 1_000,
-            }));
-            // Wait for the panic to be contained and the slot abandoned.
-            for _ in 0..2_000 {
-                if health.workers_lost() == 1 && pool.workers() == 0 {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            assert_eq!(health.workers_lost(), 1);
-            assert_eq!(health.worker_restarts(), 0);
-            assert_eq!(pool.workers(), 0, "abandoned slot must shrink the live count");
-            // Dispatch still cannot wedge: the queue buffers then drops.
-            for _ in 0..64 {
-                let mut state = program.initial_state().unwrap();
-                state.set_reg_index(1, 7);
-                pool.dispatch(SpeculationJob {
-                    start: state,
-                    rip: 8,
+        fn the_first_clean_job_after_a_panic_burst_matches_a_fresh_pool() {
+            let (program, rip) = looping_program();
+            let mut machine = Machine::load(&program).unwrap();
+            let mut jobs = Vec::new();
+            for _ in 0..4 {
+                machine.run_until_ip(rip, 1_000).unwrap();
+                jobs.push(SpeculationJob {
+                    start: machine.state().clone(),
+                    rip,
                     stride: 1,
-                    max_instructions: 1_000,
+                    max_instructions: 10_000,
                 });
             }
+            let clean = jobs.pop().unwrap();
+            // One worker takes the jobs in order, so the three sampled first
+            // are the burst's panics and the last one runs clean.
+            let plan = FaultPlan {
+                seed: 5,
+                worker_panic_rate: 1.0,
+                burst_jobs: 3,
+                ..FaultPlan::default()
+            };
+            let after_burst = Arc::new(TrajectoryCache::new(64));
+            let mut pool = SpeculationPool::with_supervision(
+                1,
+                Arc::clone(&after_burst),
+                supervision_with(plan),
+            );
+            for job in jobs.iter().chain([&clean]) {
+                dispatch_within_deadline(&mut pool, job);
+            }
             let stats = pool.shutdown();
-            assert_eq!(stats.panicked, 1);
+            assert_eq!((stats.panicked, stats.completed), (3, 1), "{stats:?}");
+
+            let fresh = Arc::new(TrajectoryCache::new(64));
+            let mut pool = SpeculationPool::new(1, Arc::clone(&fresh));
+            dispatch_within_deadline(&mut pool, &clean);
+            assert_eq!(pool.shutdown().completed, 1);
+
+            let entry = after_burst.peek(rip, &clean.start);
+            assert!(entry.is_some(), "the clean job left no entry");
+            assert_eq!(entry, fresh.peek(rip, &clean.start));
         }
 
         #[test]

@@ -651,7 +651,7 @@ mod checkpoint {
 mod fault_soak {
     use super::*;
     use asc::core::config::BreakerConfig;
-    use asc::core::FaultPlan;
+    use asc::core::{FaultPlan, HealthStats};
 
     /// The campaign seed: `$ASC_FAULT_SEED`, or 1 when unset. A value that
     /// is not an integer fails the test rather than silently soaking seed 1.
@@ -684,10 +684,6 @@ mod fault_soak {
             // Tight enough to bind under the 2M-instruction superstep
             // budget, loose enough that honest supersteps finish.
             job_deadline_instructions: 100_000,
-            // Panicked workers retire; a 15% panic rate burns restarts
-            // quickly, and losing slots mid-test is not what is under test.
-            max_worker_restarts: 10_000,
-            worker_restart_backoff_ms: 0,
             ..config_for(benchmark, 4)
         }
     }
@@ -771,8 +767,6 @@ mod fault_soak {
                 burst_jobs: 10,
                 ..FaultPlan::default()
             }),
-            max_worker_restarts: 10_000,
-            worker_restart_backoff_ms: 0,
             breaker: BreakerConfig {
                 enabled: true,
                 window: 8,
@@ -806,6 +800,58 @@ mod fault_soak {
             "breaker never recovered after the burst ({health:?})"
         );
         emit_health("breaker", Benchmark::Collatz, seed, &report);
+    }
+
+    /// The same trip-and-recover cycle with no pool: inline jobs run through
+    /// the pool's supervised job runner, so the burst's panics are contained
+    /// on the main thread, and the whole cycle is a function of the program.
+    /// The health counters are pinned exactly; a debug and a release build
+    /// must both reproduce them.
+    #[test]
+    fn inline_breaker_trips_on_a_fault_burst_and_recovers_exactly() {
+        let seed = fault_seed();
+        let workload = build(Benchmark::Collatz, Scale::Tiny).unwrap();
+        let reference = accelerate(config_for(Benchmark::Collatz, 0), &workload);
+        let mut config = AscConfig {
+            // Every job of the burst panics whatever the seed.
+            fault: Some(FaultPlan {
+                seed,
+                worker_panic_rate: 1.0,
+                burst_jobs: 10,
+                ..FaultPlan::default()
+            }),
+            breaker: BreakerConfig {
+                enabled: true,
+                window: 8,
+                failure_threshold: 0.5,
+                min_failures: 2,
+                cooldown_occurrences: 4,
+                probe_successes: 2,
+            },
+            ..config_for(Benchmark::Collatz, 0)
+        };
+        // The only clock-driven counters; a loaded host must not move them.
+        config.watchdog.enabled = false;
+        let report = accelerate(config, &workload);
+        assert!(report.halted);
+        assert_eq!(
+            reference.final_state.as_bytes(),
+            report.final_state.as_bytes(),
+            "breaker cycling changed the result"
+        );
+        assert_eq!(report.total_instructions, reference.total_instructions);
+        // Ten panics trip the breaker, the first probe lands in the burst's
+        // tail and re-trips it, and the second probe closes it again.
+        let expected = HealthStats {
+            worker_panics: 10,
+            injected_faults: 10,
+            breaker_trips: 2,
+            breaker_recoveries: 1,
+            breaker_open_occurrences: 12,
+            ..HealthStats::default()
+        };
+        assert_eq!(report.health, expected);
+        emit_health("inline_breaker", Benchmark::Collatz, seed, &report);
     }
 
     /// Liveness: an injected main-loop stall must be *detected* by the
