@@ -7,10 +7,6 @@
 //!   predictor-bank and economics blobs), and the scan+verify+decode back
 //!   out of it. Save is the per-interval cost the `checkpoint.interval`
 //!   config must be read against; load is the one-time resume cost.
-//! * **snapshot_save_2k / snapshot_load_2k** — the `.cache` sibling every
-//!   checkpoint writes, over a ~2k-entry cache: one full codec encode
-//!   (checksummed frames) to a temp file, and the decode+verify+insert
-//!   replay a resumed run pays before its first occurrence.
 //! * **checkpoint_fingerprint** — the config+initial-state fingerprint
 //!   computed once per `accelerate` call, checkpointing on or off.
 //! * **accelerate_collatz_tiny_checkpointed** — the end-to-end steady
@@ -19,16 +15,13 @@
 //!   (heartbeat + interval check + save) is caught by the bench gate. The
 //!   <5% on/off bound itself is asserted by `kill_resume_soak overhead`.
 //!
-//! All six feed `bench/baseline.json` through the blocking CI bench gate.
+//! All four feed `bench/baseline.json` through the blocking CI bench gate.
 
 use asc_bench::config_for;
-use asc_core::cache::{CacheEntry, TrajectoryCache};
 use asc_core::checkpoint::{self, RunCheckpoint};
 use asc_core::config::AscConfig;
 use asc_core::recognizer::RecognizedIp;
 use asc_core::runtime::LascRuntime;
-use asc_core::snapshot;
-use asc_tvm::delta::SparseBytes;
 use asc_workloads::registry::{build, Benchmark, Scale};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -87,38 +80,6 @@ fn bench_save_load(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// ~2k entries over one shared shape — the hit-heavy steady state whose
-/// snapshot a resumed run replays.
-fn populated_cache() -> TrajectoryCache {
-    let cache = TrajectoryCache::with_layout(1 << 14, 16, 0);
-    for i in 0..2000u32 {
-        let deps = vec![(100, (i % 251) as u8), (101, (i / 251) as u8), (4, 0)];
-        let end = SparseBytes::from_pairs(vec![(200, 1)]);
-        cache.insert(CacheEntry::new(32, SparseBytes::from_pairs(deps), end, 500));
-    }
-    cache
-}
-
-fn bench_snapshot(c: &mut Criterion) {
-    let cache = populated_cache();
-    let path = std::env::temp_dir().join(format!("asc-bench-snapshot-{}", std::process::id()));
-
-    c.bench_function("snapshot_save_2k", |b| {
-        b.iter(|| snapshot::save(black_box(&cache), black_box(&path)).unwrap())
-    });
-
-    snapshot::save(&cache, &path).unwrap();
-    c.bench_function("snapshot_load_2k", |b| {
-        b.iter(|| {
-            let fresh = TrajectoryCache::with_layout(1 << 14, 16, 0);
-            let load = snapshot::load(black_box(&fresh), black_box(&path)).unwrap();
-            assert!(load.complete && load.rejected == 0);
-            load.loaded
-        })
-    });
-    std::fs::remove_file(&path).ok();
-}
-
 fn bench_fingerprint(c: &mut Criterion) {
     let workload = build(Benchmark::Collatz, Scale::Tiny).unwrap();
     let initial = workload.program.initial_state().unwrap();
@@ -145,11 +106,5 @@ fn bench_checkpointed_run(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-criterion_group!(
-    benches,
-    bench_save_load,
-    bench_snapshot,
-    bench_fingerprint,
-    bench_checkpointed_run
-);
+criterion_group!(benches, bench_save_load, bench_fingerprint, bench_checkpointed_run);
 criterion_main!(benches);

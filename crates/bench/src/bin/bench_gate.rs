@@ -21,10 +21,8 @@
 //! gate fails with no code change. When the runner hardware class changes,
 //! re-record the baseline there (run the `CRITERION_JSON` command above on
 //! the runner and commit the result) rather than widening the tolerance.
-//! Until the committed baseline comes from the CI runner class itself, the
-//! CI gate step runs with `continue-on-error` — advisory, not blocking; the
-//! refresh procedure is documented next to that step in
-//! `.github/workflows/ci.yml`.
+//! The CI gate step blocks the job; the refresh procedure is documented
+//! next to that step in `.github/workflows/ci.yml`.
 
 use asc_bench::{append_step_summary, number_field, string_field};
 use std::collections::BTreeMap;

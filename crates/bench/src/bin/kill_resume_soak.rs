@@ -1,7 +1,10 @@
 //! Kill–resume soak driver for the CI `kill-resume-soak` job: proves that
 //! a run killed dead at a random occurrence ordinal — SIGKILL-style, no
 //! destructors — resumes from its newest intact checkpoint to a final
-//! state **bit-identical** to the uninterrupted run.
+//! state **bit-identical** to the uninterrupted run. A checkpoint is one
+//! `ckpt-*.asc` file of machine state, counters and learned state; the
+//! trajectory cache is not saved, so every resume starts with an empty
+//! cache and earns its hits again.
 //!
 //! Requires `--features fault-inject` (the crash point is the in-process
 //! abort hook, so the kill lands at a *deterministic* ordinal instead of a
@@ -27,8 +30,9 @@
 //!   and exits cleanly, and the follow-up resume completes bit-identically.
 //!
 //! The separate `overhead` subcommand asserts the bench-gate bound: with
-//! checkpointing on, the min-of-5 wall clock of the `accelerate_collatz
-//! _small` configuration stays within 5% of checkpointing off.
+//! checkpointing on (one `.asc` file per interval), the min-of-5 wall clock
+//! of the `accelerate_collatz_small` configuration stays within 5% of
+//! checkpointing off.
 //!
 //! Exit codes: 0 all scenarios bit-identical, 1 a scenario failed (or the
 //! overhead bound broke), 2 unusable input (`ASC_SOAK_SEEDS`, `--tolerance`,

@@ -292,7 +292,7 @@ mod tests {
             section!("economics.", economics; considered, dispatched, suppressed, probes, lookups,
                 hits, last_horizon),
             section!("checkpoints.", checkpoints; saves, save_failures, last_occurrence,
-                bytes_written, resume_sequence, cache_entries_loaded, rejected_files),
+                bytes_written, resume_sequence, rejected_files),
             section!("tier.", tier; blocks_compiled, blocks_invalidated, fused_ops,
                 tier1_instructions, tier0_instructions),
         ]

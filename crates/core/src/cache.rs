@@ -65,17 +65,13 @@
 //! results remain bit-identical, it just bounds how much hopeless junk a
 //! lookup must probe past.
 //!
-//! # Local shards plus the checkpoint's snapshot sibling
+//! # Local shards, one process
 //!
 //! The in-process, lock-sharded cache here is the only tier on the lookup
-//! path. What outlives a process is the [`snapshot`](crate::snapshot) each
-//! checkpoint writes beside itself: [`TrajectoryCache::for_each_entry`]
-//! exports the live entries at every checkpoint, and a resumed run replays
-//! the newest one's file through the codec's verifying decode path before
-//! its first occurrence. Every entry read from disk re-proves itself with
-//! the [`CacheEntry::verify`] checksum before it is stored; a failed frame
-//! is counted and dropped, exactly the "free to fail" economy speculation
-//! itself follows.
+//! path, and nothing outlives its process: checkpoints do not save the
+//! cache, so a resumed run starts empty. An entry is applied only on a
+//! full read-set match, so the cache holds acceleration state only and a
+//! resume is bit-identical either way.
 //!
 //! The cache is sharded and internally synchronised so speculative worker
 //! threads can insert entries while the main thread queries, mirroring the
@@ -220,28 +216,6 @@ impl CacheEntry {
     /// "cache query size" row).
     pub fn query_bits(&self) -> usize {
         self.start.encoded_bits()
-    }
-
-    /// Rebuilds an entry from decoded parts *with the checksum it was sealed
-    /// with*, without re-deriving the mix — re-deriving would turn a
-    /// corrupted payload into a freshly-sealed valid entry, which is exactly
-    /// the laundering the integrity guard exists to prevent. Gated to the
-    /// frame codec (`crate::codec`), which must call
-    /// [`verify`](CacheEntry::verify) on the result and drop anything that
-    /// fails; nothing else may construct unsealed entries.
-    pub(crate) fn from_parts_unchecked(
-        rip: u32,
-        start: SparseBytes,
-        end: SparseBytes,
-        instructions: u64,
-        checksum: u64,
-    ) -> Self {
-        CacheEntry { rip, start, end, instructions, checksum }
-    }
-
-    /// The checksum the entry was sealed with, for the codec's encode path.
-    pub(crate) fn checksum(&self) -> u64 {
-        self.checksum
     }
 
     /// Flips one payload bit chosen by `selector` *without* resealing the
@@ -1054,23 +1028,6 @@ impl TrajectoryCache {
         self.checksum_rejects.load(Ordering::Relaxed)
             + self.collision_rejects.load(Ordering::Relaxed)
     }
-
-    /// Visits every live entry once, shard by shard under the read locks —
-    /// the snapshot export walk. Entries inserted concurrently
-    /// into an already-visited shard are missed and entries evicted from a
-    /// not-yet-visited shard are skipped; a snapshot is a best-effort
-    /// point-in-time export, not a consistent freeze, and every exported
-    /// entry is individually checksummed so that is safe.
-    pub fn for_each_entry(&self, mut f: impl FnMut(&CacheEntry)) {
-        for shard in &self.shards {
-            let guard = read_shard(shard);
-            for groups in guard.by_ip.values() {
-                for entry in groups.iter().flat_map(ReadSetGroup::entries) {
-                    f(entry);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1499,18 +1456,63 @@ mod tests {
         assert_eq!(cache.lookup(5, &state).unwrap().instructions, 50);
     }
 
-    #[cfg(feature = "fault-inject")]
     #[test]
     fn corrupt_payload_breaks_verification() {
-        for selector in [0u64, 1, 7, 8, 63, u64::MAX] {
-            let mut e = entry(3, &[(1, 1)], &[(2, 2), (4, 4)], 10);
-            e.corrupt_payload(selector);
-            assert!(!e.verify(), "selector {selector} produced a verifying corruption");
+        // A single-bit flip anywhere in the payload — rip, instruction count,
+        // the sealed checksum, or any position or value of either sparse set
+        // — leaves an entry that fails verification.
+        let original = entry(11, &[(1, 2), (3, 4)], &[(5, 6), (70_000, 0)], 777);
+        assert!(original.verify());
+        let flipped_sets = |set: &SparseBytes| {
+            let pairs: Vec<(u32, u8)> = set.iter().collect();
+            let mut sets = Vec::new();
+            for slot in 0..pairs.len() {
+                for bit in 0..40 {
+                    let mut flipped = pairs.clone();
+                    if bit < 32 {
+                        flipped[slot].0 ^= 1 << bit;
+                    } else {
+                        flipped[slot].1 ^= 1 << (bit - 32);
+                    }
+                    sets.push(SparseBytes::from_pairs(flipped));
+                }
+            }
+            sets
+        };
+        let mut corrupted = Vec::new();
+        for bit in 0..32 {
+            corrupted.push(CacheEntry { rip: original.rip ^ 1 << bit, ..original.clone() });
         }
-        // An entry with an empty write set corrupts its read set instead.
-        let mut e = entry(3, &[(1, 1)], &[], 10);
-        e.corrupt_payload(5);
-        assert!(!e.verify());
+        for bit in 0..64 {
+            let (instructions, checksum) =
+                (original.instructions ^ 1 << bit, original.checksum ^ 1 << bit);
+            corrupted.push(CacheEntry { instructions, ..original.clone() });
+            corrupted.push(CacheEntry { checksum, ..original.clone() });
+        }
+        for start in flipped_sets(&original.start) {
+            corrupted.push(CacheEntry { start, ..original.clone() });
+        }
+        for end in flipped_sets(&original.end) {
+            corrupted.push(CacheEntry { end, ..original.clone() });
+        }
+        assert_eq!(corrupted.len(), 32 + 2 * 64 + 2 * 2 * 40);
+        for e in &corrupted {
+            assert!(!e.verify(), "a single-bit flip left the entry verifying: {e:?}");
+        }
+
+        // The fault injector's corruption is one such flip.
+        #[cfg(feature = "fault-inject")]
+        {
+            for selector in [0u64, 1, 7, 8, 63, u64::MAX] {
+                let mut e = entry(3, &[(1, 1)], &[(2, 2), (4, 4)], 10);
+                e.corrupt_payload(selector);
+                assert!(!e.verify(), "selector {selector} produced a verifying corruption");
+            }
+            // An entry with an empty write set corrupts its read set instead.
+            let mut e = entry(3, &[(1, 1)], &[], 10);
+            e.corrupt_payload(5);
+            assert!(!e.verify());
+        }
     }
 
     #[test]
@@ -1524,42 +1526,5 @@ mod tests {
             assert!(cache.lookup(4, &state_with(&[(i as usize, 1)])).is_some());
         }
         assert_eq!(cache.stats().hits, 32);
-    }
-
-    #[test]
-    fn for_each_entry_visits_every_live_entry_once() {
-        let cache = TrajectoryCache::new(256);
-        for i in 0..20u32 {
-            cache.insert(entry(3, &[(i, 1)], &[(200, i as u8)], 10 + u64::from(i)));
-        }
-        let mut seen = Vec::new();
-        cache.for_each_entry(|e| seen.push(e.instructions));
-        seen.sort_unstable();
-        let expected: Vec<u64> = (0..20).map(|i| 10 + i).collect();
-        assert_eq!(seen, expected);
-    }
-
-    #[test]
-    fn from_parts_unchecked_preserves_checksum_exactly() {
-        let original = entry(11, &[(1, 2), (3, 4)], &[(5, 6)], 777);
-        let rebuilt = CacheEntry::from_parts_unchecked(
-            original.rip,
-            original.start.clone(),
-            original.end.clone(),
-            original.instructions,
-            original.checksum(),
-        );
-        assert_eq!(rebuilt, original);
-        assert!(rebuilt.verify());
-        // A tampered checksum survives construction (the codec's job is to
-        // carry it) but fails verification.
-        let tampered = CacheEntry::from_parts_unchecked(
-            original.rip,
-            original.start.clone(),
-            original.end.clone(),
-            original.instructions,
-            original.checksum() ^ 1,
-        );
-        assert!(!tampered.verify());
     }
 }

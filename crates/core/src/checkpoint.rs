@@ -21,25 +21,23 @@
 //! are applied only on a full read-set match, so a resumed run with a cold
 //! predictor bank and cold economics still converges to the identical final
 //! state — the learned state (predictor bank, economics EMA) rides along as
-//! *optional* sections purely to warm the resume, exactly like the
-//! trajectory-cache [`snapshot`](crate::snapshot) that accompanies each
-//! checkpoint as a sibling `.cache` file (see [`cache_path_for`]). That
-//! sibling is the only way one process's cache reaches another: a fresh run
-//! always starts cold, a resumed one loads the sibling of the checkpoint it
-//! restores, and a missing or damaged sibling is a cold cache. Planner-mode
-//! runs deliberately omit the bank/economics sections: that state lives on
-//! the planner thread and re-warms after resume, the same degrade path a
-//! dead planner takes.
+//! *optional* sections purely to warm the resume. The trajectory cache is
+//! not persisted at all: it holds only acceleration state, so every run,
+//! fresh or resumed, starts with an empty cache (a `.cache` file an older
+//! build left beside its checkpoints is ignored). Planner-mode runs
+//! deliberately omit the bank/economics sections: that state lives on the
+//! planner thread and re-warms after resume, the same degrade path a dead
+//! planner takes.
 //!
 //! There is no separate RNG-cursor section: the runtime has no free-running
 //! RNG. The only seeded randomness (fault injection's `event_rng`) is a pure
 //! function of `(seed, stream, occurrence ordinal)`, so checkpointing the
 //! occurrence ordinal *is* checkpointing the RNG cursor.
 //!
-//! Writes go through a temp file and an atomic rename (the
-//! [`snapshot`](crate::snapshot) idiom), and [`save`] prunes to the newest
-//! `keep` files, so a crash mid-save leaves prior checkpoints untouched. The failure model this module participates in is tabulated in
-//! `ROBUSTNESS.md` at the repository root.
+//! Writes go through a temp file and an atomic rename, and [`save`] prunes
+//! to the newest `keep` files, so a crash mid-save leaves prior checkpoints
+//! untouched. The failure model this module participates in is tabulated
+//! in `ROBUSTNESS.md` at the repository root.
 
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Write};
@@ -107,14 +105,12 @@ pub struct CheckpointStats {
     pub save_failures: u64,
     /// Occurrence ordinal of the newest successful save.
     pub last_occurrence: u64,
-    /// Total checkpoint bytes written (excluding cache snapshots).
+    /// Total bytes of the checkpoint files this run wrote.
     pub bytes_written: u64,
     /// Whether this run restored a checkpoint instead of starting fresh.
     pub resumed: bool,
     /// Sequence number of the restored checkpoint (0 when not resumed).
     pub resume_sequence: u64,
-    /// Trajectory-cache entries warm-loaded from the sibling snapshot.
-    pub cache_entries_loaded: u64,
     /// Checkpoint files rejected during the resume scan (torn, truncated,
     /// bit-flipped, or fingerprint-mismatched).
     pub rejected_files: u64,
@@ -170,11 +166,6 @@ pub fn checkpoint_path_for(dir: &Path, sequence: u64) -> PathBuf {
     dir.join(format!("ckpt-{sequence:08}.asc"))
 }
 
-/// The sibling trajectory-cache snapshot path for a sequence number.
-pub fn cache_path_for(dir: &Path, sequence: u64) -> PathBuf {
-    dir.join(format!("ckpt-{sequence:08}.cache"))
-}
-
 fn encode_section(id: u8, body: &[u8]) -> Vec<u8> {
     let mut payload = Vec::with_capacity(9 + body.len());
     payload.push(id);
@@ -217,9 +208,8 @@ fn decode_run_section(body: &[u8]) -> Option<(RecognizedIp, usize, u64, u64, u64
 }
 
 /// Writes `ckpt` to its sequence-numbered file in `dir`, creating the
-/// directory if needed, then prunes all but the newest `keep` checkpoints
-/// (each pruned file's `.cache` sibling goes with it). Returns the bytes
-/// written.
+/// directory if needed, then prunes all but the newest `keep` checkpoints.
+/// Returns the bytes written.
 ///
 /// # Errors
 /// Propagates directory creation, write and rename failures. The target is
@@ -283,14 +273,13 @@ pub fn save(dir: &Path, ckpt: &RunCheckpoint, keep: usize) -> io::Result<u64> {
     Ok(written)
 }
 
-/// Deletes all but the newest `keep` checkpoint files (and their `.cache`
-/// siblings). Best-effort: IO errors leave stale files behind, nothing more.
+/// Deletes all but the newest `keep` checkpoint files. Best-effort: IO
+/// errors leave stale files behind, nothing more.
 fn prune(dir: &Path, keep: usize) {
     let mut sequences = scan_sequences(dir);
     sequences.sort_unstable_by(|a, b| b.cmp(a));
     for seq in sequences.into_iter().skip(keep.max(1)) {
         let _ = std::fs::remove_file(checkpoint_path_for(dir, seq));
-        let _ = std::fs::remove_file(cache_path_for(dir, seq));
     }
 }
 
@@ -490,21 +479,15 @@ mod tests {
     }
 
     #[test]
-    fn pruning_keeps_only_the_newest_k_with_cache_siblings() {
+    fn pruning_keeps_only_the_newest_k() {
         let dir = TempDir::new("prune");
         let fp = 7;
         for seq in 1..=5 {
-            // A cache sibling for each, so pruning provably takes both.
-            std::fs::write(cache_path_for(&dir.0, seq), b"cache").unwrap();
             save(&dir.0, &sample(seq, fp), 2).expect("save");
         }
         let mut kept = scan_sequences(&dir.0);
         kept.sort_unstable();
         assert_eq!(kept, vec![4, 5]);
-        for seq in 1..=3 {
-            assert!(!cache_path_for(&dir.0, seq).exists(), "cache sibling {seq} not pruned");
-        }
-        assert!(cache_path_for(&dir.0, 4).exists());
         assert_eq!(load_newest(&dir.0, fp).checkpoint, Some(sample(5, fp)));
     }
 

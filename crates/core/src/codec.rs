@@ -1,26 +1,16 @@
-//! The versioned, length-prefixed frame codec of the on-disk formats: the
-//! cache [`snapshot`](crate::snapshot) and the run
-//! [`checkpoint`](crate::checkpoint).
+//! The versioned, length-prefixed frame codec of the on-disk
+//! [`checkpoint`](crate::checkpoint) format.
 //!
 //! Every frame is `magic (4) + version (u16 LE) + kind (u8) + payload
 //! length (u32 LE) + payload`. The decoder rejects — as
 //! [`std::io::ErrorKind::InvalidData`] — anything with a wrong magic, an
-//! unknown version or kind, or an oversized length, and every payload
-//! decoder demands *exact* consumption, so a truncated or bit-flipped frame
-//! is always detected rather than silently reinterpreted. Entry payloads
-//! additionally carry the [`CacheEntry`] integrity checksum they were
-//! sealed with: [`decode_entry`] rebuilds the entry *with* that checksum
-//! (never re-deriving it — that would launder corruption into a
-//! freshly-sealed valid entry) and drops anything
-//! [`CacheEntry::verify`] rejects. Corruption anywhere in a file therefore
-//! costs one dropped frame, never a wrong fast-forward — the same "free to
-//! fail" economy as speculation itself.
+//! unknown version or kind, or an oversized length, and the checkpoint's
+//! payload decoder demands *exact* consumption, so a truncated or
+//! bit-flipped frame is always detected rather than silently reinterpreted.
+//! The checkpoint's section and whole-file checksums sit on top: damage
+//! anywhere in a file costs that file, never a wrong state.
 
 use std::io::{self, Read};
-
-use asc_tvm::delta::SparseBytes;
-
-use crate::cache::CacheEntry;
 
 /// Frame magic: "ASCF".
 pub const MAGIC: [u8; 4] = *b"ASCF";
@@ -28,22 +18,16 @@ pub const MAGIC: [u8; 4] = *b"ASCF";
 pub const VERSION: u16 = 1;
 /// Fixed frame-header length: magic + version + kind + payload length.
 pub const HEADER_LEN: usize = 4 + 2 + 1 + 4;
-/// Upper bound on one frame's payload (64 MiB) — far above any real entry,
-/// low enough that a corrupted length field cannot ask the reader to
-/// allocate the address space.
+/// Upper bound on one frame's payload (64 MiB) — far above any real
+/// checkpoint section, low enough that a corrupted length field cannot ask
+/// the reader to allocate the address space.
 pub const MAX_PAYLOAD: u32 = 1 << 26;
 
 /// What a frame carries. The byte values are the on-disk kind bytes of
-/// every snapshot and checkpoint ever written, so they are fixed: a kind
-/// that is retired leaves its byte unknown, never reused. Bytes 0–7 are
-/// retired.
+/// every checkpoint ever written, so they are fixed: a kind that is retired
+/// leaves its byte unknown, never reused. Bytes 0–9 are retired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
-    /// One entry of a snapshot stream.
-    Entry = 8,
-    /// Terminates a snapshot stream; empty payload. A stream that ends
-    /// without it was truncated.
-    SnapshotEnd = 9,
     /// First frame of a checkpoint file: run identity (config fingerprint,
     /// sequence, occurrence) plus the section count that follows.
     CheckpointHeader = 10,
@@ -57,8 +41,6 @@ pub enum FrameKind {
 impl FrameKind {
     fn from_byte(byte: u8) -> Option<FrameKind> {
         Some(match byte {
-            8 => FrameKind::Entry,
-            9 => FrameKind::SnapshotEnd,
             10 => FrameKind::CheckpointHeader,
             11 => FrameKind::CheckpointSection,
             12 => FrameKind::CheckpointEnd,
@@ -130,136 +112,19 @@ pub fn read_frame(reader: &mut impl Read) -> io::Result<Option<Frame>> {
     Ok(Some(Frame { kind, payload }))
 }
 
-fn take_u32(bytes: &[u8], at: &mut usize) -> Option<u32> {
-    let word = bytes.get(*at..*at + 4)?;
-    *at += 4;
-    Some(u32::from_le_bytes(word.try_into().ok()?))
-}
-
-fn take_u64(bytes: &[u8], at: &mut usize) -> Option<u64> {
-    let word = bytes.get(*at..*at + 8)?;
-    *at += 8;
-    Some(u64::from_le_bytes(word.try_into().ok()?))
-}
-
-/// Encodes one entry payload: rip, instruction count, the checksum it was
-/// sealed with, then both sparse sets.
-pub fn encode_entry(entry: &CacheEntry) -> Vec<u8> {
-    let mut buf =
-        Vec::with_capacity(4 + 8 + 8 + entry.start.encoded_len() + entry.end.encoded_len());
-    buf.extend_from_slice(&entry.rip.to_le_bytes());
-    buf.extend_from_slice(&entry.instructions.to_le_bytes());
-    buf.extend_from_slice(&entry.checksum().to_le_bytes());
-    entry.start.encode_into(&mut buf);
-    entry.end.encode_into(&mut buf);
-    buf
-}
-
-/// Decodes (and integrity-checks) one entry payload. Returns `None` for any
-/// malformed, truncated, over-long or checksum-failing payload — the caller
-/// counts it as a rejected frame and moves on.
-pub fn decode_entry(payload: &[u8]) -> Option<CacheEntry> {
-    let mut at = 0usize;
-    let rip = take_u32(payload, &mut at)?;
-    let instructions = take_u64(payload, &mut at)?;
-    let checksum = take_u64(payload, &mut at)?;
-    let (start, used) = SparseBytes::decode_from(&payload[at..])?;
-    at += used;
-    let (end, used) = SparseBytes::decode_from(&payload[at..])?;
-    at += used;
-    if at != payload.len() {
-        return None;
-    }
-    let entry = CacheEntry::from_parts_unchecked(rip, start, end, instructions, checksum);
-    entry.verify().then_some(entry)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asc_learn::rng::{Rng, XorShiftRng};
-
-    fn random_entry(rng: &mut XorShiftRng) -> CacheEntry {
-        let sparse = |rng: &mut XorShiftRng| {
-            let len = (rng.next_u64() % 24) as usize;
-            let pairs: Vec<(u32, u8)> = (0..len)
-                .map(|_| ((rng.next_u64() % 4096) as u32, (rng.next_u64() & 0xff) as u8))
-                .collect();
-            SparseBytes::from_pairs(pairs)
-        };
-        let start = sparse(rng);
-        let end = sparse(rng);
-        CacheEntry::new((rng.next_u64() & 0xffff_ffff) as u32, start, end, rng.next_u64() >> 20)
-    }
-
-    #[test]
-    fn entry_roundtrip_is_bit_identical_including_checksum() {
-        let mut rng = XorShiftRng::new(0xA5C0);
-        for _ in 0..200 {
-            let entry = random_entry(&mut rng);
-            let payload = encode_entry(&entry);
-            let decoded = decode_entry(&payload).expect("well-formed payload decodes");
-            // Derived PartialEq includes the private checksum field.
-            assert_eq!(decoded, entry);
-        }
-    }
-
-    #[test]
-    fn every_single_bit_flip_is_rejected() {
-        let mut rng = XorShiftRng::new(7);
-        for _ in 0..8 {
-            let entry = random_entry(&mut rng);
-            let payload = encode_entry(&entry);
-            for byte in 0..payload.len() {
-                for bit in 0..8 {
-                    let mut flipped = payload.clone();
-                    flipped[byte] ^= 1u8 << bit;
-                    // A flip may still parse structurally (e.g. in padding-free
-                    // value bytes), but then the checksum refuses it; a flip in
-                    // a length field breaks exact consumption. Either way the
-                    // decode must not return an entry that differs from the
-                    // original while claiming validity.
-                    if let Some(decoded) = decode_entry(&flipped) {
-                        panic!(
-                            "bit flip at byte {byte} bit {bit} decoded as a valid entry \
-                             (rip {}, {} instructions)",
-                            decoded.rip, decoded.instructions
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn every_truncation_is_rejected() {
-        let mut rng = XorShiftRng::new(99);
-        for _ in 0..8 {
-            let entry = random_entry(&mut rng);
-            let payload = encode_entry(&entry);
-            for cut in 0..payload.len() {
-                assert!(
-                    decode_entry(&payload[..cut]).is_none(),
-                    "prefix of length {cut} decoded as a valid entry"
-                );
-            }
-            // Trailing garbage breaks exact consumption too.
-            let mut extended = payload.clone();
-            extended.push(0);
-            assert!(decode_entry(&extended).is_none());
-        }
-    }
 
     #[test]
     fn frame_roundtrip_and_header_rejections() {
-        let entry = random_entry(&mut XorShiftRng::new(3));
-        let payload = encode_entry(&entry);
-        let framed = encode_frame(FrameKind::Entry, &payload);
+        let payload: Vec<u8> = (0..40u8).map(|b| b.wrapping_mul(7)).collect();
+        let framed = encode_frame(FrameKind::CheckpointSection, &payload);
         assert_eq!(framed.len(), HEADER_LEN + payload.len());
 
         let mut reader = std::io::Cursor::new(framed.clone());
         let frame = read_frame(&mut reader).unwrap().expect("one frame present");
-        assert_eq!(frame.kind, FrameKind::Entry);
+        assert_eq!(frame.kind, FrameKind::CheckpointSection);
         assert_eq!(frame.payload, payload);
         // Clean EOF at the boundary, not an error.
         assert!(read_frame(&mut reader).unwrap().is_none());
@@ -290,12 +155,12 @@ mod tests {
 
     #[test]
     fn kind_bytes_are_pinned_to_the_on_disk_format() {
-        // Every snapshot and checkpoint on disk carries these bytes; an enum
-        // edit that moved one would orphan all of them.
+        // Every checkpoint on disk carries these bytes; an enum edit that
+        // moved one would orphan all of them. Bytes 0–9 are retired kinds
+        // (8 and 9 framed the trajectory-cache snapshot that checkpoints no
+        // longer write) and must stay unknown.
         let pinned = [
-            (FrameKind::Entry, 8u8),
-            (FrameKind::SnapshotEnd, 9),
-            (FrameKind::CheckpointHeader, 10),
+            (FrameKind::CheckpointHeader, 10u8),
             (FrameKind::CheckpointSection, 11),
             (FrameKind::CheckpointEnd, 12),
         ];
@@ -303,7 +168,7 @@ mod tests {
             assert_eq!(kind as u8, byte, "{kind:?}");
             assert_eq!(FrameKind::from_byte(byte), Some(kind));
         }
-        for byte in (0..=u8::MAX).filter(|b| !(8..=12).contains(b)) {
+        for byte in (0..=u8::MAX).filter(|b| !(10..=12).contains(b)) {
             assert_eq!(FrameKind::from_byte(byte), None, "kind byte {byte}");
         }
     }

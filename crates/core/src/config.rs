@@ -141,10 +141,9 @@ pub struct CheckpointConfig {
     /// Whether checkpointing runs at all. Disabled (the default), the
     /// runtime touches no files.
     pub enabled: bool,
-    /// Directory checkpoint files live in (`ckpt-<seq>.asc` plus a `.cache`
-    /// trajectory-cache sibling: pure acceleration state — resume is
-    /// bit-identical without it — that preserves warm-start speed). Created
-    /// if absent. Required when enabled.
+    /// Directory checkpoint files live in (`ckpt-<seq>.asc`; the trajectory
+    /// cache is pure acceleration state and is not saved). Created if
+    /// absent. Required when enabled.
     pub directory: Option<std::path::PathBuf>,
     /// Recognized-IP occurrences between checkpoint writes.
     pub interval: u64,

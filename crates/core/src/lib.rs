@@ -44,9 +44,9 @@
 //!   resumable run state, written atomically and verified section by
 //!   section, from which an interrupted `accelerate` resumes to a final
 //!   state bit-identical to the uninterrupted run (see `ROBUSTNESS.md`).
-//! * [`snapshot`] / [`codec`] — the trajectory-cache snapshot each
-//!   checkpoint writes beside itself to warm the resumed run's cache, and
-//!   the versioned, checksummed frame codec both file formats share.
+//!   The trajectory cache is not persisted: a resumed run starts it empty.
+//! * [`codec`] — the versioned, length-prefixed frame codec of the
+//!   checkpoint file.
 //!
 //! ## Quick example
 //!
@@ -85,7 +85,6 @@ pub mod predictor_bank;
 pub mod recognizer;
 pub mod report;
 pub mod runtime;
-pub mod snapshot;
 pub mod speculator;
 pub mod supervisor;
 pub mod workers;

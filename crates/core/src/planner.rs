@@ -426,8 +426,9 @@ impl Planner {
         self.stats.occurrences += 1;
         if self.pool.supervision().planner_death(self.stats.occurrences) {
             // The unwind drops `self`, which shuts the pool down cleanly;
-            // the alive guard flips the flag so the main loop notices.
-            panic!("injected planner death");
+            // the alive guard flips the flag so the main loop notices. Like
+            // an injected worker panic it skips the panic hook.
+            std::panic::resume_unwind(Box::new("injected planner death"));
         }
         if !event.contiguous {
             self.bank.break_stream();

@@ -190,7 +190,7 @@ impl RunReport {
         if let Some(checkpoints) = &self.checkpoints {
             section!(line, "checkpoints", checkpoints => CheckpointStats {
                 saves, save_failures, last_occurrence, bytes_written, resumed, resume_sequence,
-                cache_entries_loaded, rejected_files,
+                rejected_files,
             });
         }
         section!(line, "tier", &self.tier => TierStats {

@@ -75,6 +75,10 @@
 //! the worst a racing, stale or dropped speculation can do is fail to save
 //! work. Which supersteps are skipped (and therefore the reported cache
 //! statistics) may vary between threaded runs; `final_state` never does.
+//! The same argument makes the cache pure acceleration state, so
+//! checkpoints (see [`checkpoint`]) leave it out: a resumed run restores the
+//! machine state, counters and (miss-driven) learned state, and starts with
+//! an empty cache.
 //!
 //! # Interpreter cost model
 //!
@@ -109,7 +113,6 @@ use crate::error::AscResult;
 use crate::planner::{OccurrenceEvent, PlannerHandle, PlannerOutcome, PlannerStats};
 use crate::predictor_bank::PredictorBank;
 use crate::recognizer::{recognize, recognize_recurring, RecognizedIp, RecognizerOutcome};
-use crate::snapshot;
 use crate::speculator::{capture_superstep, SpeculationScratch};
 use crate::supervisor::{
     watchdog_stage, CircuitBreaker, HealthStats, Heartbeat, Supervision, Watchdog,
@@ -547,8 +550,8 @@ impl<'a> Run<'a> {
     }
 
     /// Saves a checkpoint when the occurrence count lands on the interval
-    /// (or unconditionally on `force` — the graceful-shutdown flush),
-    /// bringing the trajectory cache along as a sibling snapshot. The
+    /// (or unconditionally on `force` — the graceful-shutdown flush). The
+    /// trajectory cache is not saved: a resumed run starts it empty. The
     /// learned state rides along when the main thread owns it: a planned
     /// run's bank and economics live on the planner thread and re-warm
     /// after resume, like the dead-planner degrade. Failures are counted,
@@ -564,11 +567,6 @@ impl<'a> Run<'a> {
             return; // The interval save this very occurrence already flushed.
         }
         let dir = cfg.directory.as_deref().expect("validated: checkpointing needs a directory");
-        // The cache snapshot goes first: the checkpoint file's rename is the
-        // commit point, and a checkpoint whose sibling is missing merely
-        // resumes with a cold cache.
-        let _ = std::fs::create_dir_all(dir);
-        let _ = snapshot::save(&self.cache, &checkpoint::cache_path_for(dir, driver.next_sequence));
         let mut ckpt = RunCheckpoint {
             sequence: driver.next_sequence,
             fingerprint: driver.fingerprint,
@@ -973,24 +971,11 @@ impl LascRuntime {
             self.config.cache_capacity,
             self.config.cache_junk_threshold,
         ));
-        let mut checkpoints = self.config.checkpoint.enabled.then(|| CheckpointDriver {
+        let checkpoints = self.config.checkpoint.enabled.then(|| CheckpointDriver {
             fingerprint,
             next_sequence: restored.as_ref().map_or(1, |ckpt| ckpt.sequence + 1),
             stats: resume_stats,
         });
-        // Warm the cache from the checkpoint's sibling snapshot before any
-        // speculation machinery starts; a missing or damaged sibling is a
-        // cold cache, nothing worse.
-        let cfg = &self.config.checkpoint;
-        if let (Some(driver), Some(ckpt), Some(dir)) =
-            (checkpoints.as_mut(), restored.as_ref(), &cfg.directory)
-        {
-            if let Ok(load) =
-                snapshot::load(&cache, &checkpoint::cache_path_for(dir, ckpt.sequence))
-            {
-                driver.stats.cache_entries_loaded = load.loaded;
-            }
-        }
         let supervision = Supervision::from_config(&self.config);
         let heartbeat = Arc::new(Heartbeat::default());
         let watchdog = Watchdog::start(

@@ -436,7 +436,10 @@ pub(crate) fn run_job(
     let stride = if faults.stall { usize::MAX } else { job.stride };
     let result = catch_unwind(AssertUnwindSafe(|| {
         if faults.panic {
-            panic!("injected worker panic");
+            // `resume_unwind` unwinds like a panic but skips the panic hook:
+            // an injected fault prints nothing, so a backtrace being
+            // symbolized cannot delay the breaker's failure feed.
+            std::panic::resume_unwind(Box::new("injected worker panic"));
         }
         execute_superstep_with(&job.start, job.rip, stride, budget, scratch)
     }));

@@ -194,44 +194,6 @@ impl SparseBytes {
         let slot = index % self.entries.len();
         self.entries[slot].1 ^= 1u8 << (bit % 8);
     }
-
-    /// Appends the byte encoding to `buf`: a `u32` pair count followed by a
-    /// `u32` index and a `u8` value per pair, all little-endian, in index
-    /// order. The byte-level half of the cache snapshot's entry encoding;
-    /// the frame header, versioning and integrity checks live on top of it
-    /// in `asc_core::codec`.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
-        for &(index, value) in &self.entries {
-            buf.extend_from_slice(&index.to_le_bytes());
-            buf.push(value);
-        }
-    }
-
-    /// Exact size in bytes [`encode_into`](SparseBytes::encode_into) appends.
-    pub fn encoded_len(&self) -> usize {
-        4 + self.entries.len() * 5
-    }
-
-    /// Decodes one encoded sparse set from the front of `bytes`,
-    /// returning the set and the number of bytes consumed. `None` when the
-    /// input is truncated or the pair count overruns it — a malformed
-    /// message must never turn into a partial set. Pairs are re-sorted and
-    /// deduplicated on the way in, so a decoded set upholds the same
-    /// invariants as a captured one.
-    pub fn decode_from(bytes: &[u8]) -> Option<(SparseBytes, usize)> {
-        let count_bytes: [u8; 4] = bytes.get(..4)?.try_into().ok()?;
-        let count = u32::from_le_bytes(count_bytes) as usize;
-        let len = 4 + count.checked_mul(5)?;
-        let body = bytes.get(4..len)?;
-        let pairs = body
-            .chunks_exact(5)
-            .map(|chunk| {
-                (u32::from_le_bytes(chunk[..4].try_into().expect("chunk is 5 bytes")), chunk[4])
-            })
-            .collect();
-        Some((SparseBytes::from_pairs(pairs), len))
-    }
 }
 
 /// [`SparseBytes::fingerprint`] from its two halves, for a caller that has
@@ -448,36 +410,5 @@ mod tests {
         let mut dest = SparseBytes::from_pairs(vec![(9, 9)]);
         dest.clone_from(&source);
         assert_eq!(dest, source);
-    }
-
-    #[test]
-    fn sparse_wire_roundtrip_is_identical() {
-        let sparse = SparseBytes::from_pairs(vec![(9, 200), (1, 0), (70_000, 7)]);
-        let mut buf = vec![0xAA]; // pre-existing bytes must be preserved
-        sparse.encode_into(&mut buf);
-        assert_eq!(buf.len(), 1 + sparse.encoded_len());
-        let (decoded, consumed) = SparseBytes::decode_from(&buf[1..]).unwrap();
-        assert_eq!(consumed, sparse.encoded_len());
-        assert_eq!(decoded, sparse);
-        assert_eq!(decoded.value_hash(), sparse.value_hash());
-        assert_eq!(decoded.position_hash(), sparse.position_hash());
-        // The empty set encodes to its bare count and round-trips too.
-        let empty = SparseBytes::default();
-        let mut buf = Vec::new();
-        empty.encode_into(&mut buf);
-        assert_eq!(SparseBytes::decode_from(&buf).unwrap(), (empty, 4));
-    }
-
-    #[test]
-    fn sparse_decode_rejects_truncation_and_overrun() {
-        let sparse = SparseBytes::from_pairs(vec![(1, 1), (2, 2)]);
-        let mut buf = Vec::new();
-        sparse.encode_into(&mut buf);
-        for cut in 0..buf.len() {
-            assert!(SparseBytes::decode_from(&buf[..cut]).is_none(), "prefix {cut} accepted");
-        }
-        // A count pointing past the buffer is refused rather than read.
-        let huge = u32::MAX.to_le_bytes();
-        assert!(SparseBytes::decode_from(&huge).is_none());
     }
 }

@@ -532,18 +532,17 @@ mod checkpoint {
         }
     }
 
-    /// The `.cache` sibling is the one way a trajectory cache outlives its
-    /// process. An inline resume loads exactly the entries held by the
-    /// sibling of the checkpoint it restores. With every sibling deleted, or
-    /// rewritten in the layout used before kind byte 7 was retired (a header
-    /// frame ahead of the entries), it resumes from a cold cache, still
-    /// bit-identical and with exact instruction accounting.
+    /// A checkpointed run writes its `ckpt-*.asc` files and nothing else: the
+    /// trajectory cache is not persisted. Older builds left a `.cache` file
+    /// beside each checkpoint (entry frames, kind byte 8, closed by an end
+    /// frame, kind byte 9). A resume from a directory that still holds one
+    /// ignores it: the resumed run matches a resume of the same checkpoint
+    /// without the file counter for counter, and is bit-identical to the
+    /// uninterrupted run with exact instruction accounting.
     #[test]
-    fn resume_loads_the_cache_sibling_and_survives_its_loss() {
-        use asc::core::cache::TrajectoryCache;
-        use asc::core::checkpoint::{cache_path_for, load_newest, run_fingerprint};
+    fn checkpoints_write_only_asc_files_and_resume_ignores_old_cache_files() {
+        use asc::core::checkpoint::{load_newest, run_fingerprint};
         use asc::core::codec::{self, FrameKind};
-        use asc::core::snapshot;
 
         let workload = build(Benchmark::Collatz, Scale::Tiny).unwrap();
         let base = config_for(Benchmark::Collatz, 0);
@@ -551,50 +550,46 @@ mod checkpoint {
         let converge = reference.converge_instructions;
         let budget = converge + reference.executed_instructions.saturating_sub(converge) / 2;
         let fingerprint = run_fingerprint(&base, &workload.program.initial_state().unwrap());
-        let loaded = |path: &PathBuf| {
-            let cache = TrajectoryCache::new(base.cache_capacity);
-            snapshot::load(&cache, path).expect("the sibling is readable").loaded
-        };
 
-        for siblings in ["kept", "deleted", "pre-change"] {
-            let dir = TempDir::new(&format!("sibling-{siblings}"));
-            let first = accelerate(checkpointed(base.clone(), &dir, budget), &workload);
-            assert!(!first.halted, "{siblings}: the truncated leg ran to completion");
-            let newest = load_newest(&dir.0, fingerprint).checkpoint.expect("a checkpoint landed");
-            let saved = loaded(&cache_path_for(&dir.0, newest.sequence));
-            assert!(saved > 0, "{siblings}: the sibling held no entries");
-            for file in std::fs::read_dir(&dir.0).unwrap() {
-                let path = file.unwrap().path();
-                if path.extension().is_none_or(|extension| extension != "cache") {
-                    continue;
-                }
-                match siblings {
-                    "deleted" => std::fs::remove_file(path).unwrap(),
-                    "pre-change" => {
-                        // The retired header frame: the saving cache's twelve
-                        // counters (zeroed here), then the entry count.
-                        let mut payload = vec![0u8; 96];
-                        payload.extend_from_slice(&loaded(&path).to_le_bytes());
-                        let mut bytes = codec::encode_frame(FrameKind::SnapshotEnd, &payload);
-                        bytes[6] = 7;
-                        bytes.extend(std::fs::read(&path).unwrap());
-                        std::fs::write(&path, bytes).unwrap();
-                        assert_eq!(loaded(&path), 0, "{path:?} loaded behind a retired header");
-                    }
-                    _ => {}
-                }
-            }
-            let expected = if siblings == "kept" { saved } else { 0 };
-
-            let resumed =
-                accelerate(checkpointed(base.clone(), &dir, base.instruction_budget), &workload);
-            assert_same_result(siblings, &reference, &resumed, &workload);
-            assert_eq!(reference.total_instructions, resumed.total_instructions, "{siblings}");
-            let stats = resumed.checkpoints.expect("checkpointing was on");
-            assert!(stats.resumed, "{siblings}: the second leg started cold {stats:?}");
-            assert_eq!(stats.resume_sequence, newest.sequence, "{siblings}: {stats:?}");
-            assert_eq!(stats.cache_entries_loaded, expected, "{siblings}: {stats:?}");
+        let (with_old, without) = (TempDir::new("old-cache"), TempDir::new("no-cache"));
+        let first = accelerate(checkpointed(base.clone(), &with_old, budget), &workload);
+        assert!(!first.halted, "the truncated leg ran to completion");
+        assert!(first.checkpoints.is_some_and(|stats| stats.saves > 0), "{:?}", first.checkpoints);
+        let names: Vec<String> = std::fs::read_dir(&with_old.0)
+            .unwrap()
+            .map(|file| file.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert!(!names.is_empty());
+        for name in &names {
+            assert!(name.starts_with("ckpt-") && name.ends_with(".asc"), "{name} in {names:?}");
         }
+
+        std::fs::create_dir_all(&without.0).unwrap();
+        for name in &names {
+            std::fs::copy(with_old.0.join(name), without.0.join(name)).unwrap();
+        }
+        let newest = load_newest(&with_old.0, fingerprint).checkpoint.expect("a checkpoint landed");
+        let mut old_cache = Vec::new();
+        for (kind, payload) in [(8u8, vec![0u8; 4 + 8 + 8 + 4 + 4]), (9, Vec::new())] {
+            let mut frame = codec::encode_frame(FrameKind::CheckpointEnd, &payload);
+            frame[6] = kind;
+            old_cache.extend(frame);
+        }
+        let old_cache_path = with_old.0.join(format!("ckpt-{:08}.cache", newest.sequence));
+        std::fs::write(old_cache_path, old_cache).unwrap();
+
+        let resume = |dir: &TempDir| {
+            accelerate(checkpointed(base.clone(), dir, base.instruction_budget), &workload)
+        };
+        let (resumed, control) = (resume(&with_old), resume(&without));
+        assert_same_result("old-cache", &reference, &resumed, &workload);
+        assert_eq!(reference.total_instructions, resumed.total_instructions);
+        let stats = resumed.checkpoints.expect("checkpointing was on");
+        assert!(stats.resumed, "the second leg started cold {stats:?}");
+        assert_eq!(stats.resume_sequence, newest.sequence, "{stats:?}");
+        assert_eq!(stats.rejected_files, 0, "{stats:?}");
+        assert_eq!(resumed.cache_stats, control.cache_stats, "the old file reached the cache");
+        assert_eq!(resumed.checkpoints, control.checkpoints);
     }
 
     /// `runtime`'s module docs promise that inline (`workers = 0`) runs are

@@ -308,20 +308,17 @@ fn indexed_cache_lookup_is_equivalent_to_reference_scan_under_churn() {
     }
 }
 
-/// Robustness of every length-prefixed format the system persists —
-/// snapshot streams and checkpoint files, i.e. **all** [`FrameKind`]s:
-/// under seeded random byte mutations and truncations, every consumer must
-/// reject cleanly (`InvalidData`, a dropped frame, or fallback to "no
-/// checkpoint") — never panic, never decode a wrong value, and never let a
-/// corrupted length field drive an unbounded read or allocation. A snapshot
-/// round trip must reproduce the saved cache's lookups exactly.
+/// Robustness of the one length-prefixed format the system persists — the
+/// checkpoint file, whose frames cover **all** [`FrameKind`]s: under seeded
+/// random byte mutations and truncations, every consumer must reject
+/// cleanly (`InvalidData`, a clean error, or fallback to "no checkpoint") —
+/// never panic, never decode a wrong value, and never let a corrupted length
+/// field drive an unbounded read or allocation.
 mod format_robustness {
     use super::*;
-    use asc::core::cache::{CacheEntry, TrajectoryCache};
     use asc::core::checkpoint::{self, RunCheckpoint};
     use asc::core::codec::{self, FrameKind, HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION};
     use asc::core::recognizer::RecognizedIp;
-    use asc::core::snapshot;
     use std::io::ErrorKind;
     use std::path::PathBuf;
 
@@ -345,36 +342,27 @@ mod format_robustness {
         }
     }
 
-    fn sample_entry(rng: &mut XorShiftRng) -> CacheEntry {
-        let start: Vec<(u32, u8)> = (0..1 + gen_index(rng, 6))
-            .map(|_| (rng.next_u64() as u32 % 256, gen_u8(rng)))
-            .collect();
-        let delta: Vec<(u32, u8)> = (0..1 + gen_index(rng, 6))
-            .map(|_| (rng.next_u64() as u32 % 256, gen_u8(rng)))
-            .collect();
-        CacheEntry::new(
-            rng.next_u64() as u32 % 128,
-            SparseBytes::from_pairs(start),
-            SparseBytes::from_pairs(delta),
-            1 + rng.next_u64() % 10_000,
-        )
-    }
-
-    /// One valid framed artifact per [`FrameKind`] — the sweep's corpus.
-    /// The checkpoint kinds come from a real checkpoint file so the frames
-    /// carry real section layouts, not synthetic payloads.
+    /// One valid framed artifact per [`FrameKind`] — the sweep's corpus —
+    /// plus the whole stream they come from: a real checkpoint file
+    /// (CheckpointHeader + CheckpointSection* + CheckpointEnd), so the
+    /// frames carry real section layouts, not synthetic payloads.
     fn frame_corpus(rng: &mut XorShiftRng) -> Vec<(&'static str, Vec<u8>)> {
-        let entry = codec::encode_entry(&sample_entry(rng));
-        let mut corpus = vec![
-            ("snapshot-entry", codec::encode_frame(FrameKind::Entry, &entry)),
-            ("snapshot-end", codec::encode_frame(FrameKind::SnapshotEnd, &[])),
-        ];
-        // A whole checkpoint file is a frame stream covering the three
-        // checkpoint kinds: CheckpointHeader + CheckpointSection* +
-        // CheckpointEnd.
         let dir = TempDir::new("frame-corpus");
         checkpoint::save(&dir.0, &sample_checkpoint(rng), 1).unwrap();
         let file = std::fs::read(checkpoint::checkpoint_path_for(&dir.0, 1)).unwrap();
+        let mut corpus = Vec::new();
+        let mut reader = file.as_slice();
+        while let Some(frame) = codec::read_frame(&mut reader).unwrap() {
+            let name = match frame.kind {
+                FrameKind::CheckpointHeader => "checkpoint-header",
+                FrameKind::CheckpointSection => "checkpoint-section",
+                FrameKind::CheckpointEnd => "checkpoint-end",
+            };
+            if corpus.iter().all(|&(seen, _)| seen != name) {
+                corpus.push((name, codec::encode_frame(frame.kind, &frame.payload)));
+            }
+        }
+        assert_eq!(corpus.len(), 3, "the checkpoint file covers every frame kind");
         corpus.push(("checkpoint-stream", file));
         corpus
     }
@@ -402,19 +390,13 @@ mod format_robustness {
         }
     }
 
-    /// Drains a byte stream through [`codec::read_frame`] plus every
-    /// payload decoder; the only legal outcomes are clean frames, a clean
-    /// end-of-stream, or a clean error.
+    /// Drains a byte stream through [`codec::read_frame`]; the only legal
+    /// outcomes are clean frames, a clean end-of-stream, or a clean error.
     fn consume_stream(bytes: &[u8]) {
         let mut reader = bytes;
         loop {
             match codec::read_frame(&mut reader) {
-                Ok(Some(frame)) => {
-                    // Whatever kind the (possibly corrupted) header claims,
-                    // every payload decoder must handle the bytes without
-                    // panicking — a decoder trusts nothing about routing.
-                    let _ = codec::decode_entry(&frame.payload);
-                }
+                Ok(Some(_)) => {}
                 Ok(None) => break,
                 Err(err) => {
                     assert!(
@@ -461,7 +443,7 @@ mod format_robustness {
             let mut header = Vec::with_capacity(HEADER_LEN);
             header.extend_from_slice(&MAGIC);
             header.extend_from_slice(&VERSION.to_le_bytes());
-            header.push(FrameKind::Entry as u8);
+            header.push(FrameKind::CheckpointSection as u8);
             header.extend_from_slice(&claimed.to_le_bytes());
             let mut reader = header.as_slice().chain(std::io::repeat(0xAB));
             let err = codec::read_frame(&mut reader)
@@ -470,69 +452,22 @@ mod format_robustness {
         }
     }
 
-    /// Kind bytes 0–6 belonged to a retired network protocol and byte 7 to
-    /// the retired snapshot header. A frame that is well formed in every
-    /// other respect but carries one of them is an unknown kind:
-    /// `InvalidData`, never a panic or a misrouted payload.
+    /// Kind bytes 0–6 belonged to a retired network protocol, byte 7 to the
+    /// retired snapshot header, and bytes 8 and 9 to the retired
+    /// trajectory-cache snapshot's entry and end frames. A frame that is
+    /// well formed in every other respect but carries one of them is an
+    /// unknown kind: `InvalidData`, never a panic or a misrouted payload.
     #[test]
     fn retired_kind_bytes_are_unknown_frames() {
-        let entry = codec::encode_entry(&sample_entry(&mut XorShiftRng::new(0x5eed_0b50)));
-        for kind in 0u8..=7 {
-            let mut frame = codec::encode_frame(FrameKind::Entry, &entry);
-            frame[6] = kind;
-            let err = codec::read_frame(&mut frame.as_slice())
-                .expect_err("a retired kind byte must not decode");
-            assert_eq!(err.kind(), ErrorKind::InvalidData, "kind byte {kind}");
-            assert_eq!(err.to_string(), "unknown frame kind", "kind byte {kind}");
-        }
-    }
-
-    /// The same sweep against the snapshot *file* consumer: a mutated or
-    /// truncated snapshot loads what survives checksum verification and
-    /// counts the rest rejected — or reports a clean error — and a
-    /// truncated stream is never reported complete.
-    #[test]
-    fn mutated_snapshot_files_load_only_verified_entries() {
-        let mut rng = XorShiftRng::new(0x5eed_54a9);
-        let dir = TempDir::new("snapshot-sweep");
-        let source = TrajectoryCache::with_layout(64, 1, 0);
-        for _ in 0..16 {
-            source.insert(sample_entry(&mut rng));
-        }
-        let path = dir.0.join("snapshot.asc");
-        let saved = snapshot::save(&source, &path).unwrap();
-        let pristine = std::fs::read(&path).unwrap();
-
-        for case in 0..SWEEP_CASES {
-            let mut bytes = pristine.clone();
-            if rng.gen_bool(0.5) {
-                let index = gen_index(&mut rng, bytes.len());
-                bytes[index] ^= 1 + (rng.next_u64() as u8 % 255);
-            } else {
-                bytes.truncate(gen_index(&mut rng, bytes.len()));
-            }
-            let mutated = dir.0.join("mutated.asc");
-            std::fs::write(&mutated, &bytes).unwrap();
-            let target = TrajectoryCache::with_layout(64, 1, 0);
-            match snapshot::load(&target, &mutated) {
-                Ok(load) => {
-                    assert!(
-                        load.loaded <= saved,
-                        "case {case}: loaded more entries than were saved ({load:?})"
-                    );
-                    // Every entry that made it into the cache passed its
-                    // integrity checksum; anything else was counted.
-                    if bytes.len() < pristine.len() {
-                        assert!(
-                            !load.complete || load.rejected > 0 || load.loaded < saved,
-                            "case {case}: a truncated stream claimed completeness ({load:?})"
-                        );
-                    }
-                }
-                Err(err) => assert!(
-                    matches!(err.kind(), ErrorKind::InvalidData | ErrorKind::UnexpectedEof),
-                    "case {case}: unexpected rejection kind: {err:?}"
-                ),
+        let corpus = frame_corpus(&mut XorShiftRng::new(0x5eed_0b50));
+        for (name, pristine) in corpus.iter().filter(|(name, _)| *name != "checkpoint-stream") {
+            for kind in 0u8..=9 {
+                let mut frame = pristine.clone();
+                frame[6] = kind;
+                let err = codec::read_frame(&mut frame.as_slice())
+                    .expect_err("a retired kind byte must not decode");
+                assert_eq!(err.kind(), ErrorKind::InvalidData, "{name}: kind byte {kind}");
+                assert_eq!(err.to_string(), "unknown frame kind", "{name}: kind byte {kind}");
             }
         }
     }
@@ -581,126 +516,6 @@ mod format_robustness {
                 assert!(scan.rejected_files >= 1, "case {case}/{label}: damage went uncounted");
             }
         }
-    }
-
-    /// A per-test scratch path under the system temp dir; unique per process
-    /// and per label so parallel test threads never collide.
-    fn scratch_path(label: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("asc-properties-{}-{label}", std::process::id()))
-    }
-
-    /// Fills a cache with randomized grouped/singleton entries (the same shape
-    /// churn as the cache property test above) and returns it.
-    fn populated_cache(rng: &mut XorShiftRng, inserts: usize) -> TrajectoryCache {
-        const POSITION_POOL: [u32; 10] = [4, 9, 17, 40, 64, 65, 100, 128, 200, 255];
-        const RIPS: [u32; 2] = [8, 64];
-        let cache = TrajectoryCache::with_junk_threshold(4096, 0);
-        for _ in 0..inserts {
-            let deps: Vec<(u32, u8)> = (0..gen_index(rng, 4))
-                .map(|_| {
-                    (POSITION_POOL[gen_index(rng, POSITION_POOL.len())], (rng.next_u64() % 3) as u8)
-                })
-                .collect();
-            cache.insert(CacheEntry::new(
-                RIPS[gen_index(rng, RIPS.len())],
-                SparseBytes::from_pairs(deps),
-                SparseBytes::from_pairs(vec![(300, rng.next_u64() as u8)]),
-                1 + rng.next_u64() % 500,
-            ));
-        }
-        cache
-    }
-
-    /// Random probe states over the pool positions, queried against both
-    /// caches through the indexed path *and* the reference scan: a snapshot
-    /// round trip must make the copy answer every probe exactly like the
-    /// original.
-    fn assert_lookup_equivalent(original: &TrajectoryCache, copy: &TrajectoryCache, cases: usize) {
-        const POSITION_POOL: [u32; 10] = [4, 9, 17, 40, 64, 65, 100, 128, 200, 255];
-        let mut rng = XorShiftRng::new(0x5eed_9e9e);
-        for case in 0..cases {
-            let mut state = StateVector::new(512).unwrap();
-            for &position in &POSITION_POOL {
-                state.set_byte(position as usize, (rng.next_u64() % 3) as u8);
-            }
-            for rip in [8u32, 64] {
-                let live = original.scan_best_match(rip, &state);
-                let restored = copy.scan_best_match(rip, &state);
-                assert_eq!(
-                    live.as_ref().map(|e| e.instructions),
-                    restored.as_ref().map(|e| e.instructions),
-                    "case {case}: restored cache diverged from the original on the reference scan"
-                );
-                let indexed = copy.peek(rip, &state);
-                assert_eq!(
-                    indexed.map(|e| e.instructions),
-                    restored.map(|e| e.instructions),
-                    "case {case}: restored cache's index diverged from its own scan"
-                );
-            }
-        }
-    }
-
-    /// Snapshot save → load must reproduce identical lookup results on a fresh
-    /// cache — indexed path and reference scan — and round-trip every entry.
-    #[test]
-    fn snapshot_save_then_load_reproduces_identical_lookup_results() {
-        let mut rng = XorShiftRng::new(0x5eed_55aa);
-        let cache = populated_cache(&mut rng, 600);
-        let path = scratch_path("snapshot-roundtrip");
-        let saved = snapshot::save(&cache, &path).unwrap();
-        assert_eq!(saved, cache.len() as u64, "saved count must equal live entries");
-
-        let restored = TrajectoryCache::with_junk_threshold(4096, 0);
-        let load = snapshot::load(&restored, &path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert!(load.complete, "clean snapshot must end with SnapshotEnd");
-        assert_eq!(load.rejected, 0, "clean snapshot must reject nothing");
-        assert_eq!(load.loaded, saved);
-        assert_eq!(restored.len(), cache.len());
-
-        assert_lookup_equivalent(&cache, &restored, 200);
-    }
-
-    /// A truncated snapshot keeps everything decoded before the damage and
-    /// reports the load as incomplete; a bit-flipped entry is skipped, counted,
-    /// and never applied.
-    #[test]
-    fn damaged_snapshots_degrade_to_partial_loads_never_bad_entries() {
-        let mut rng = XorShiftRng::new(0x5eed_d44a);
-        let cache = populated_cache(&mut rng, 120);
-        let path = scratch_path("snapshot-damage");
-        snapshot::save(&cache, &path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-
-        // Truncate at an arbitrary point inside the entry frames.
-        let cut = bytes.len() / 2;
-        let truncated_path = scratch_path("snapshot-truncated");
-        std::fs::write(&truncated_path, &bytes[..cut]).unwrap();
-        let partial = TrajectoryCache::with_junk_threshold(4096, 0);
-        let load = snapshot::load(&partial, &truncated_path).unwrap();
-        std::fs::remove_file(&truncated_path).ok();
-        assert!(!load.complete, "a truncated stream must not report complete");
-        assert!(load.rejected >= 1, "truncation must be counted");
-        assert!(load.loaded < cache.len() as u64);
-        assert_eq!(partial.len() as u64, load.loaded);
-
-        // Flip one bit somewhere in the body: at most one entry may be lost,
-        // and nothing unverified may be applied.
-        let mut flipped = bytes.clone();
-        let target = bytes.len() / 3;
-        flipped[target] ^= 0x10;
-        let flipped_path = scratch_path("snapshot-bitflip");
-        std::fs::write(&flipped_path, &flipped).unwrap();
-        let survivor = TrajectoryCache::with_junk_threshold(4096, 0);
-        let load = snapshot::load(&survivor, &flipped_path).unwrap();
-        std::fs::remove_file(&flipped_path).ok();
-        assert!(
-            load.rejected >= 1 || load.loaded == cache.len() as u64,
-            "a flipped bit must be rejected unless it landed in dead space"
-        );
-        assert!(load.loaded <= cache.len() as u64);
     }
 }
 
